@@ -20,12 +20,15 @@
 # refusal, brownout breaker trip/recover, bounded memory; dated entry in
 # BENCH_results.json). `make lint-taxonomy` greps the data-path services
 # for raw fmt.Errorf at exhaustion sites that should carry an xerr class.
+# `make bench-ab W=<workload> [BASE=<ref>] [PAIRS=10]` measures the working
+# tree against BASE with the repository benchmark (`go run ./bench`) in
+# alternating pairs and prints `bench compare` plus wins per pair.
 
 GO ?= go
 RACE_PKGS := ./internal/iscsi ./internal/metrics ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil
 BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments
 
-.PHONY: check fmt vet build test race bench allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy
+.PHONY: check fmt vet build test race bench bench-ab allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy
 
 check: fmt vet build lint-taxonomy race allocs soak-short backup-short overload-short
 
@@ -55,6 +58,13 @@ test:
 bench:
 	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|GetRelease' -benchmem $(BENCH_PKGS)
 	$(GO) run ./cmd/stormbench -fastpath
+
+# Paired A/B of one benchmark workload, BASE against the working tree; see
+# scripts/bench-ab.sh.
+BASE ?= HEAD
+PAIRS ?= 10
+bench-ab:
+	scripts/bench-ab.sh $(W) $(BASE) $(PAIRS)
 
 crash:
 	$(GO) run ./cmd/stormbench -crash

@@ -17,12 +17,27 @@ import (
 //	then physSlots ×          chunk slots: 1 header block (magic, length,
 //	  (1 + chunkSize/bs)      chunk ID) followed by the chunk's data blocks
 //
-// PutChunk writes data blocks first and the header last, so a crash mid-put
-// leaves a headerless slot that the open-time scan treats as free; the slot
-// table is updated with single-entry read-modify-write, so a mapping flip is
-// atomic at block granularity. Open rebuilds the ID→slot index and free
-// list purely by scanning headers — no separate allocation metadata to keep
-// consistent.
+// PutChunk writes a slot's header and data blocks as one device write, so a
+// crash can tear it: any subset of the slot's blocks may have landed,
+// including a header over partial data. That is safe because nothing
+// references a chunk before its put has returned:
+//
+//   - Store.WriteID puts a chunk only when no slot references its ID and
+//     flips the mapping only after the put returns, so a torn chunk is an
+//     orphan, and cas.Open deletes orphans before any write can map them. A
+//     put whose write fails without a crash clears the slot's header before
+//     the next put, for the same reason.
+//   - Store.Read verifies Sum(data) == id, so the one caller that puts under
+//     a live mapping, Store.Repair, leaves a torn slot unreadable
+//     (ErrCorrupt, or ErrNoChunk when only its header clear landed) until it
+//     is repaired again — never readable with wrong bytes.
+//
+// The slot table is written one block per SetMapping, composed from the
+// in-memory copy of the table, so a mapping flip is atomic at block
+// granularity. Open rebuilds the ID→slot index and free list purely by
+// scanning headers — no separate allocation metadata to keep consistent.
+// TestCrashPrefixes replays every prefix and tear of a recorded write log
+// against these claims.
 const (
 	blockMagic    = "STORMCAS"
 	chunkMagic    = "CASCHUNK"
@@ -42,7 +57,21 @@ type BlockBackend struct {
 	perSlot   uint64 // blocks per chunk slot (1 header + data)
 	index     map[ID]uint64
 	free      []uint64
+	// table is the slot table as the device holds it: read once at open,
+	// updated after each map-block write succeeds. SetMapping composes a
+	// block's entries from it, which saves reading the block back.
+	table []ID
+	// torn is the chunk slot of a put whose device write failed and may
+	// have left a header behind; PutChunk clears that header before it
+	// puts anywhere. noSlot when there is none.
+	torn uint64
+	// Scratch, serialised by mu: putBuf is one chunk slot (header block,
+	// then data) with the constant header fields filled in, mapBuf one map
+	// block, zero one block that stays zero.
+	putBuf, mapBuf, zero []byte
 }
+
+const noSlot = ^uint64(0)
 
 // BlockBackendBytes returns the device size, in bytes, needed for a
 // block-backed CAS replica with the given geometry. The chunk area carries
@@ -76,6 +105,9 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 	if chunkSize <= 0 || chunkSize%bs != 0 {
 		return nil, fmt.Errorf("cas: chunk size %d not a multiple of device block size %d", chunkSize, bs)
 	}
+	if bs%mapEntryBytes != 0 {
+		return nil, fmt.Errorf("cas: device block size %d not a multiple of the %d-byte map entry", bs, mapEntryBytes)
+	}
 	if slots == 0 {
 		return nil, fmt.Errorf("cas: zero slots")
 	}
@@ -86,7 +118,13 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 		slots:     slots,
 		physSlots: physSlotsFor(slots),
 		perSlot:   1 + uint64(chunkSize/bs),
+		torn:      noSlot,
+		putBuf:    make([]byte, bs+chunkSize),
+		mapBuf:    make([]byte, bs),
+		zero:      make([]byte, bs),
 	}
+	copy(b.putBuf, chunkMagic)
+	binary.LittleEndian.PutUint32(b.putBuf[8:12], uint32(chunkSize))
 	b.mapBlocks = (slots*mapEntryBytes + uint64(bs) - 1) / uint64(bs)
 	b.dataStart = 1 + b.mapBlocks
 	need := b.dataStart + b.physSlots*b.perSlot
@@ -106,10 +144,15 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 			return nil, fmt.Errorf("%w: device formatted chunk=%d slots=%d phys=%d, want chunk=%d slots=%d phys=%d",
 				ErrGeometry, gotChunk, gotSlots, gotPhys, chunkSize, slots, b.physSlots)
 		}
+		var err error
+		if b.table, err = b.readTable(); err != nil {
+			return nil, err
+		}
 	} else {
 		if err := b.format(); err != nil {
 			return nil, err
 		}
+		b.table = make([]ID, slots) // format just zeroed it
 	}
 	if err := b.scan(); err != nil {
 		return nil, err
@@ -120,14 +163,13 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 // format zeroes the slot table and chunk headers and writes the superblock
 // last, so a crash mid-format leaves an unformatted device.
 func (b *BlockBackend) format() error {
-	zero := make([]byte, b.bs)
 	for lba := uint64(1); lba < b.dataStart; lba++ {
-		if err := b.dev.WriteAt(zero, lba); err != nil {
+		if err := b.dev.WriteAt(b.zero, lba); err != nil {
 			return fmt.Errorf("cas: format map block %d: %w", lba, err)
 		}
 	}
 	for slot := uint64(0); slot < b.physSlots; slot++ {
-		if err := b.dev.WriteAt(zero, b.headerLBA(slot)); err != nil {
+		if err := b.dev.WriteAt(b.zero, b.headerLBA(slot)); err != nil {
 			return fmt.Errorf("cas: format chunk header %d: %w", slot, err)
 		}
 	}
@@ -158,8 +200,8 @@ func (b *BlockBackend) scan() error {
 		var id ID
 		copy(id[:], hdr[12:44])
 		if _, dup := b.index[id]; dup {
-			// Two headers for one ID can only come from a crash between a
-			// duplicate put's data write and the earlier delete; keep one.
+			// PutChunk never writes a second header for an indexed ID; a
+			// device that shows one anyway keeps the first.
 			b.free = append(b.free, slot)
 			continue
 		}
@@ -172,7 +214,8 @@ func (b *BlockBackend) headerLBA(physSlot uint64) uint64 {
 	return b.dataStart + physSlot*b.perSlot
 }
 
-// PutChunk writes the chunk's data blocks, then its header.
+// PutChunk writes the chunk's header and data blocks in one device write;
+// see the layout comment for why a torn one is safe.
 func (b *BlockBackend) PutChunk(id ID, data []byte) error {
 	if len(data) != b.chunkSize {
 		return fmt.Errorf("cas: put of %d bytes, chunk size %d", len(data), b.chunkSize)
@@ -185,17 +228,18 @@ func (b *BlockBackend) PutChunk(id ID, data []byte) error {
 	if len(b.free) == 0 {
 		return ErrFull
 	}
-	slot := b.free[len(b.free)-1]
-	hdrLBA := b.headerLBA(slot)
-	if err := b.dev.WriteAt(data, hdrLBA+1); err != nil {
-		return fmt.Errorf("cas: write chunk data: %w", err)
+	if b.torn != noSlot {
+		if err := b.dev.WriteAt(b.zero, b.headerLBA(b.torn)); err != nil {
+			return fmt.Errorf("cas: clear header of failed put: %w", err)
+		}
+		b.torn = noSlot
 	}
-	hdr := make([]byte, b.bs)
-	copy(hdr, chunkMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(b.chunkSize))
-	copy(hdr[12:44], id[:])
-	if err := b.dev.WriteAt(hdr, hdrLBA); err != nil {
-		return fmt.Errorf("cas: write chunk header: %w", err)
+	slot := b.free[len(b.free)-1]
+	copy(b.putBuf[12:44], id[:])
+	copy(b.putBuf[b.bs:], data)
+	if err := b.dev.WriteAt(b.putBuf, b.headerLBA(slot)); err != nil {
+		b.torn = slot
+		return fmt.Errorf("cas: write chunk: %w", err)
 	}
 	b.free = b.free[:len(b.free)-1]
 	b.index[id] = slot
@@ -225,8 +269,7 @@ func (b *BlockBackend) DeleteChunk(id ID) error {
 	if !ok {
 		return nil
 	}
-	zero := make([]byte, b.bs)
-	if err := b.dev.WriteAt(zero, b.headerLBA(slot)); err != nil {
+	if err := b.dev.WriteAt(b.zero, b.headerLBA(slot)); err != nil {
 		return fmt.Errorf("cas: clear chunk header: %w", err)
 	}
 	delete(b.index, id)
@@ -253,31 +296,40 @@ func (b *BlockBackend) Chunks() []ID {
 	return out
 }
 
-// SetMapping updates one 64-byte slot-table entry with a read-modify-write
-// of its containing block.
+// SetMapping rewrites the map block holding slot's entry, composed from the
+// in-memory table: one device write, no read.
 func (b *BlockBackend) SetMapping(slot uint64, id ID) error {
 	if slot >= b.slots {
 		return fmt.Errorf("cas: mapping slot %d out of range (%d)", slot, b.slots)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	off := slot * mapEntryBytes
-	lba := 1 + off/uint64(b.bs)
-	blk := make([]byte, b.bs)
-	if err := b.dev.ReadAt(blk, lba); err != nil {
-		return fmt.Errorf("cas: read map block: %w", err)
+	perBlock := uint64(b.bs / mapEntryBytes)
+	first := slot - slot%perBlock
+	clear(b.mapBuf)
+	for s := first; s < first+perBlock && s < b.slots; s++ {
+		entry := b.table[s]
+		if s == slot {
+			entry = id
+		}
+		copy(b.mapBuf[(s-first)*mapEntryBytes:], entry[:])
 	}
-	copy(blk[off%uint64(b.bs):off%uint64(b.bs)+32], id[:])
-	if err := b.dev.WriteAt(blk, lba); err != nil {
+	if err := b.dev.WriteAt(b.mapBuf, 1+first/perBlock); err != nil {
 		return fmt.Errorf("cas: write map block: %w", err)
 	}
+	b.table[slot] = id
 	return nil
 }
 
-// Mappings reads the full slot table.
+// Mappings returns a copy of the slot table.
 func (b *BlockBackend) Mappings() ([]ID, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	return append([]ID(nil), b.table...), nil
+}
+
+// readTable reads the full slot table off the device.
+func (b *BlockBackend) readTable() ([]ID, error) {
 	out := make([]ID, b.slots)
 	blk := make([]byte, b.bs)
 	var cur uint64 // lba currently held in blk, 0 = none

@@ -150,10 +150,14 @@ func Open(b Backend, chunkSize int, slots uint64) (*Store, error) {
 		}
 	}
 	// Orphans: chunks present with no referencing slot are leftovers of a
-	// crash between PutChunk and SetMapping — safe to drop.
+	// crash during PutChunk or between it and SetMapping. They must go
+	// before anything can map them: a block backend's torn put may have
+	// left a header over partial data.
 	for _, id := range b.Chunks() {
 		if s.refs[id] == 0 {
-			_ = b.DeleteChunk(id)
+			if err := b.DeleteChunk(id); err != nil {
+				return nil, fmt.Errorf("cas: drop orphan chunk %s: %w", id, err)
+			}
 		}
 	}
 	s.stats.LiveChunks = uint64(len(s.refs))
@@ -176,20 +180,26 @@ func (s *Store) IDAt(slot uint64) ID {
 	return s.table[slot]
 }
 
-// Write stores a full chunk at slot: hash, dedup against the live chunk
-// set, persist the chunk if new, then flip the slot mapping and release the
-// previous chunk. It reports whether the write was a dedup hit (no new
-// bytes stored). The update ordering — put, map, release — keeps every
-// crash point recoverable: an orphan chunk or an unreferenced old chunk,
-// both reclaimed at the next Open.
+// Write stores a full chunk at slot: hash, then WriteID.
 func (s *Store) Write(slot uint64, data []byte) (dup bool, err error) {
+	return s.WriteID(slot, Sum(data), data)
+}
+
+// WriteID is Write for a caller that already holds id = Sum(data), such as
+// the replicate box fanning one chunk out to several stores: dedup against
+// the live chunk set, persist the chunk if new, then flip the slot mapping
+// and release the previous chunk. It reports whether the write was a dedup
+// hit (no new bytes stored). The update ordering — put, map, release —
+// keeps every crash point recoverable: an orphan chunk or an unreferenced
+// old chunk, both reclaimed at the next Open. An id that is not Sum(data)
+// stores a chunk every Read reports as ErrCorrupt.
+func (s *Store) WriteID(slot uint64, id ID, data []byte) (dup bool, err error) {
 	if len(data) != s.chunkSize {
 		return false, fmt.Errorf("cas: write of %d bytes, chunk size %d", len(data), s.chunkSize)
 	}
 	if slot >= s.slots {
 		return false, fmt.Errorf("cas: slot %d out of range (%d)", slot, s.slots)
 	}
-	id := Sum(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -271,7 +281,7 @@ func (s *Store) Repair(slot uint64, data []byte) error {
 	s.mu.Lock()
 	if s.table[slot] != id {
 		s.mu.Unlock()
-		_, err := s.Write(slot, data)
+		_, err := s.WriteID(slot, id, data)
 		return err
 	}
 	defer s.mu.Unlock()

@@ -415,4 +415,12 @@ func TestBlockBackendBytesSizing(t *testing.T) {
 	if _, err := BlockBackendBytes(512, 100, 4); err == nil {
 		t.Fatal("unaligned chunk size accepted")
 	}
+	// 64-byte map entries must not straddle device blocks.
+	odd, err := blockdev.NewMemDisk(96, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenBlockBackend(odd, 192, 4); err == nil {
+		t.Fatal("block size that splits a map entry accepted")
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -297,7 +298,9 @@ func TestQueueFullTripsBackendBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	defer close(gate) // unwedge the worker so Close can join it
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release() // unwedge the worker so Close can join it
 
 	// The wedged worker parks on its first job; the writes behind it fill
 	// the 256-slot channel, and the overflowing enqueue must evict rather
@@ -316,4 +319,18 @@ func TestQueueFullTripsBackendBreaker(t *testing.T) {
 	if xerr.Classify(lastErr) != xerr.Overload {
 		t.Fatalf("queue-full eviction classed %v (%v), want Overload", xerr.Classify(lastErr), lastErr)
 	}
+
+	// The eviction settled every job the wedged backend owed, so the
+	// journal commits on the healthy backend's acks instead of pinning a
+	// queue's worth of records behind a worker that may never return.
+	testutil.WaitFor(t, 2*time.Second, "journal to commit past the wedged backend", func() bool { return b.log.Pending() == 0 })
+	// It stays out while its worker is inside a pre-eviction job, whose
+	// late apply would otherwise land over the resync.
+	if n := b.Probe(); n != 0 {
+		t.Fatalf("probe readmitted %d backends with a pre-eviction job still in flight", n)
+	}
+	release()
+	testutil.WaitFor(t, 2*time.Second, "wedged backend readmission", func() bool { b.Probe(); return victim.Healthy() })
+	waitDrained(t, b)
+	requireConverged(t, b, stores)
 }

@@ -5,17 +5,19 @@
 // probes, hedged waits, and quorum acknowledgement.
 //
 // The dispatch queue is WAL-backed (internal/wal): a write is appended to
-// the journal before it touches the primary or any backend, and its commit
-// record is written only once a quorum of backends acknowledges the chunk
-// update. A replication box that dies mid-dispatch therefore recovers
-// exactly like the relay does — reopen the journal, replay the
-// uncommitted records to the primary and every backend, and resume —
-// closing the PR-5 follow-up.
+// the journal before it touches the primary or any backend. A quorum of
+// backend acknowledgements releases the writer; the commit record is
+// written only once every backend the write was handed to has applied it
+// or been evicted. A replication box that dies mid-dispatch therefore
+// recovers exactly like the relay does — reopen the journal, replay the
+// uncommitted records to the primary and every backend, and resume — and
+// the replay reaches the backend that was slowest when it died.
 package replicate
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +62,7 @@ type Config struct {
 	// the middle-box instance name in production wiring.
 	Name string
 	// Quorum is the number of backend acknowledgements a write waits for
-	// before its journal record commits. 1 ≤ Quorum ≤ len(backends).
+	// before it returns. 1 ≤ Quorum ≤ len(backends).
 	Quorum int
 	// ChunkSize is the content-addressing granularity in bytes; must be a
 	// multiple of the primary's block size. Default 4096.
@@ -77,8 +79,8 @@ type Config struct {
 	// ProbeInterval paces the health probe / resync loop over evicted
 	// backends. Default 50ms.
 	ProbeInterval time.Duration
-	// QueueHighWatermark bounds the pending (journaled, not yet
-	// quorum-committed) dispatch queue: a write arriving with the queue at
+	// QueueHighWatermark bounds the pending (journaled, still below
+	// quorum) dispatch queue: a write arriving with the queue at
 	// or above it gets ErrBusy until the queue drains to QueueLowWatermark.
 	// Default 1024.
 	QueueHighWatermark int
@@ -146,10 +148,12 @@ type NamedStore struct {
 	Store *cas.Store
 }
 
-// chunkUpdate is one chunk's post-write content snapshot, taken from the
-// primary under the write lock so every backend applies identical bytes.
+// chunkUpdate is one chunk's post-write content and its content address,
+// both fixed by the box so every backend applies identical bytes without
+// hashing them again. data belongs to the job.
 type chunkUpdate struct {
 	slot uint64
+	id   cas.ID
 	data []byte
 }
 
@@ -157,11 +161,12 @@ type chunkUpdate struct {
 type job struct {
 	seq    uint64
 	chunks []chunkUpdate
-	quorum int // acks needed to commit; may sit below Config.Quorum in degraded mode
+	quorum int           // acks that release the writer; may sit below Config.Quorum in degraded mode
+	done   chan struct{} // closed when acks reach quorum
 
-	mu    sync.Mutex
-	acked map[*Target]bool
-	done  chan struct{} // closed when acks reach quorum
+	// Guarded by Box.mu; bit i stands for Box.targets[i].
+	acked uint64 // backends that applied the job
+	owed  uint64 // backends it was enqueued to that have neither applied it nor been evicted
 }
 
 // Target is one content-addressed backend of the box. It satisfies the
@@ -170,6 +175,7 @@ type job struct {
 type Target struct {
 	box   *Box
 	name  string
+	bit   uint64 // 1 << index in Box.targets, for job.acked / job.owed
 	store *cas.Store
 	queue chan *job
 
@@ -235,11 +241,12 @@ type Box struct {
 	slots   uint64 // primary size in chunks
 	bpc     uint64 // blocks per chunk
 
-	mu         sync.Mutex // targets' health, pending jobs, lifecycle flags
+	mu         sync.Mutex // targets' health, jobs and their ack state, lifecycle flags
 	writeMu    sync.Mutex // serializes append→apply→snapshot→enqueue
 	targets    []*Target
-	pending    map[uint64]*job
-	overloaded bool // admission latched shut until pending drains to the low watermark
+	jobs       map[uint64]*job // journaled, record not yet committed
+	waiting    int             // of those, still below quorum: the admission depth
+	overloaded bool            // admission latched shut until waiting drains to the low watermark
 	killed     bool
 	closed     bool
 
@@ -287,6 +294,9 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 	if len(backends) == 0 {
 		return nil, errors.New("replicate: at least one backend required")
 	}
+	if len(backends) > 64 {
+		return nil, fmt.Errorf("replicate: %d backends, at most 64", len(backends))
+	}
 	if cfg.Quorum < 1 || cfg.Quorum > len(backends) {
 		return nil, fmt.Errorf("replicate: quorum %d outside [1,%d]", cfg.Quorum, len(backends))
 	}
@@ -301,14 +311,14 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 		primary: primary,
 		slots:   slots,
 		bpc:     bpc,
-		pending: make(map[uint64]*job),
+		jobs:    make(map[uint64]*job),
 		stop:    make(chan struct{}),
 		backoff: faults.NewBackoff(time.Millisecond, 50*time.Millisecond, cfg.Seed),
 	}
 	if cfg.DegradedQuorum > cfg.Quorum {
 		return nil, fmt.Errorf("replicate: degraded quorum %d above quorum %d", cfg.DegradedQuorum, cfg.Quorum)
 	}
-	for _, nb := range backends {
+	for i, nb := range backends {
 		if nb.Store.ChunkSize() != cfg.ChunkSize {
 			return nil, fmt.Errorf("replicate: backend %q chunk size %d, want %d", nb.Name, nb.Store.ChunkSize(), cfg.ChunkSize)
 		}
@@ -318,6 +328,7 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 		b.targets = append(b.targets, &Target{
 			box:   b,
 			name:  nb.Name,
+			bit:   1 << i,
 			store: nb.Store,
 			queue: make(chan *job, 256),
 			alive: true,
@@ -378,8 +389,9 @@ func (b *Box) replay(rec *wal.Recovery) error {
 		if err != nil {
 			return err
 		}
+		id := cas.Sum(data)
 		for _, t := range b.targets {
-			if _, err := t.store.Write(slot, data); err != nil {
+			if _, err := t.store.WriteID(slot, id, data); err != nil {
 				return fmt.Errorf("replicate: replay slot %d to %s: %w", slot, t.name, err)
 			}
 		}
@@ -400,20 +412,20 @@ func (b *Box) replay(rec *wal.Recovery) error {
 // Replayed reports how many journal records the box replayed at open.
 func (b *Box) Replayed() int { return b.replayed }
 
-// Pending reports the number of journaled writes not yet quorum-committed.
+// Pending reports the number of journaled writes still below quorum.
 func (b *Box) Pending() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.pending)
+	return b.waiting
 }
 
 // Drained reports whether every dispatched job has been fully processed:
-// nothing below quorum, nothing queued, nothing in flight on any backend.
+// every record committed, nothing queued, nothing in flight on any backend.
 // Benches and tests use it to wait for full (not just quorum) convergence.
 func (b *Box) Drained() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.pending) != 0 {
+	if len(b.jobs) != 0 {
 		return false
 	}
 	for _, t := range b.targets {
@@ -475,7 +487,7 @@ func (b *Box) ReadAt(p []byte, lba uint64) error {
 func (b *Box) admit() (quorum int, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	depth := len(b.pending)
+	depth := b.waiting
 	if b.overloaded {
 		if depth > b.cfg.QueueLowWatermark {
 			b.mBPRejects.Inc()
@@ -537,12 +549,12 @@ func (b *Box) snapshotChunk(slot uint64) ([]byte, error) {
 	return data, nil
 }
 
-// WriteAt journals the write, applies it to the primary, snapshots the
-// affected chunks, and fans the snapshots out to every live backend. It
-// returns once a quorum of backends acknowledges — or after HedgeDelay,
-// in which case the journal record stays uncommitted (counted as a quorum
-// miss) and the box's retry machinery re-drives it: stragglers are caught
-// up by the resync prober, and a crash before quorum replays the record.
+// WriteAt journals the write, applies it to the primary, and fans the
+// affected chunks' new content out to every live backend. It returns once a
+// quorum of backends acknowledges — or after HedgeDelay, counted as a quorum
+// miss. Either way the journal record stays uncommitted until every backend
+// the write was handed to has applied it or been evicted (the resync prober
+// catches an evicted one up), so a crash before that replays the record.
 func (b *Box) WriteAt(p []byte, lba uint64) error {
 	if err := b.ioErr(); err != nil {
 		return err
@@ -560,6 +572,26 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 		return err
 	}
 
+	first := lba / b.bpc
+	last := (lba + nblocks - 1) / b.bpc
+	j := &job{
+		quorum: quorum,
+		chunks: make([]chunkUpdate, last-first+1),
+		done:   make(chan struct{}),
+	}
+	// A chunk the write covers entirely will hold exactly p's bytes, so its
+	// content and ID are known here, before the lock and without reading
+	// the primary back. The bytes are copied because the job outlives this
+	// call when it returns hedged or at quorum, and the caller recycles p.
+	if full, end := (lba+b.bpc-1)/b.bpc, (lba+nblocks)/b.bpc; full < end {
+		own := append([]byte(nil), p[(full*b.bpc-lba)*bs:(end*b.bpc-lba)*bs]...)
+		for slot := full; slot < end; slot++ {
+			data := own[:b.cfg.ChunkSize:b.cfg.ChunkSize]
+			own = own[b.cfg.ChunkSize:]
+			j.chunks[slot-first] = chunkUpdate{slot: slot, id: cas.Sum(data), data: data}
+		}
+	}
+
 	b.writeMu.Lock()
 	seq, err := b.log.Append(lba, p)
 	if err != nil {
@@ -569,12 +601,14 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 		}
 		return fmt.Errorf("replicate: journal append: %w", err)
 	}
+	j.seq = seq
 	if b.killAfter != nil && b.killAfter(seq, StageAppended) {
 		b.freezeLocked()
 		b.writeMu.Unlock()
 		return ErrKilled
 	}
 	if err := b.primary.WriteAt(p, lba); err != nil {
+		b.abandon(seq)
 		b.writeMu.Unlock()
 		return err
 	}
@@ -583,35 +617,37 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 		b.writeMu.Unlock()
 		return ErrKilled
 	}
-
-	first := lba / b.bpc
-	last := (lba + nblocks - 1) / b.bpc
-	j := &job{
-		seq:    seq,
-		quorum: quorum,
-		acked:  make(map[*Target]bool),
-		done:   make(chan struct{}),
-	}
-	for slot := first; slot <= last; slot++ {
-		data, err := b.snapshotChunk(slot)
-		if err != nil {
+	// A partly covered head or tail chunk (and the image's unaligned tail
+	// chunk) mixes p with what the primary held: read those back.
+	for i := range j.chunks {
+		cu := &j.chunks[i]
+		if cu.data != nil {
+			continue
+		}
+		cu.slot = first + uint64(i)
+		if cu.data, err = b.snapshotChunk(cu.slot); err != nil {
+			b.abandon(seq)
 			b.writeMu.Unlock()
 			return err
 		}
-		j.chunks = append(j.chunks, chunkUpdate{slot: slot, data: data})
+		cu.id = cas.Sum(cu.data)
 	}
 
 	b.mu.Lock()
-	b.pending[seq] = j
-	b.gPending.Set(int64(len(b.pending)))
-	live := make([]*Target, 0, len(b.targets))
 	for _, t := range b.targets {
 		if t.alive {
-			live = append(live, t)
+			j.owed |= t.bit
 		}
 	}
+	live := j.owed
+	b.jobs[seq] = j
+	b.waiting++
+	b.gPending.Set(int64(b.waiting))
 	b.mu.Unlock()
-	for _, t := range live {
+	for _, t := range b.targets {
+		if live&t.bit == 0 {
+			continue
+		}
 		t.enq.Add(1)
 		select {
 		case t.queue <- j:
@@ -623,8 +659,8 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 			// The backend's queue is full: it can't keep up with the write
 			// rate. Cut it off (breaker opens) instead of blocking the write
 			// path behind it — resync reconverges it once it recovers.
-			t.done.Add(1)
 			b.evict(t, xerr.Errorf(xerr.Overload, "replicate: backend %s dispatch queue full", t.name))
+			t.done.Add(1)
 		}
 	}
 	b.writeMu.Unlock()
@@ -648,6 +684,24 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	}
 }
 
+// abandon commits the journal record of a write that failed after its
+// append: the caller sees the error and nothing was acknowledged, so replay
+// owes it nothing, and an uncommitted record would pin its segment forever.
+func (b *Box) abandon(seq uint64) {
+	b.mu.Lock()
+	b.commitLocked(seq)
+	b.mu.Unlock()
+}
+
+// commitLocked marks seq's journal record applied, unless the box is frozen
+// or shut (the record then waits for the successor's replay). Caller holds
+// b.mu, which orders it against Kill and Close.
+func (b *Box) commitLocked(seq uint64) {
+	if !b.killed && !b.closed {
+		_ = b.log.Commit(seq) // fails only on a dead journal, where replay redoes the write
+	}
+}
+
 // worker drains one backend's dispatch queue in order.
 func (b *Box) worker(t *Target) {
 	defer b.workerWG.Done()
@@ -657,10 +711,10 @@ func (b *Box) worker(t *Target) {
 			return
 		case j := <-t.queue:
 			b.mu.Lock()
-			alive := t.alive
+			owed := j.owed&t.bit != 0
 			b.mu.Unlock()
-			if !alive {
-				t.done.Add(1) // resync will reconverge this backend
+			if !owed {
+				t.done.Add(1) // evicted with j queued; resync reconverges this backend
 				continue
 			}
 			start := time.Now()
@@ -676,39 +730,38 @@ func (b *Box) worker(t *Target) {
 					err = b.applyJob(t, j)
 				}
 				if err != nil {
-					t.done.Add(1)
 					b.evict(t, err)
+					t.done.Add(1)
 					continue
 				}
 			}
+			b.mu.Lock()
+			b.settleLocked(j, t, true)
+			b.mu.Unlock()
 			if b.cfg.ApplyTimeout > 0 && elapsed > b.cfg.ApplyTimeout {
 				t.slowStreak++
 				if t.slowStreak >= b.cfg.BreakerThreshold {
-					// The apply landed, so it still acks — but the backend is
+					// The apply landed and is acked — but the backend is
 					// consistently over deadline: open its breaker so the
 					// healthy path stops paying for it.
 					streak := t.slowStreak
 					t.slowStreak = 0
-					b.ack(j, t)
-					t.done.Add(1)
 					b.evict(t, xerr.Errorf(xerr.Overload,
 						"replicate: backend %s slow: %d consecutive applies over %v (last %v)",
 						t.name, streak, b.cfg.ApplyTimeout, elapsed))
-					continue
 				}
 			} else {
 				t.slowStreak = 0
 			}
-			b.ack(j, t)
 			t.done.Add(1)
 		}
 	}
 }
 
-// applyJob writes the job's chunk snapshots into the target's CAS store.
+// applyJob writes the job's chunks into the target's CAS store.
 func (b *Box) applyJob(t *Target, j *job) error {
 	for _, cu := range j.chunks {
-		dup, err := t.store.Write(cu.slot, cu.data)
+		dup, err := t.store.WriteID(cu.slot, cu.id, cu.data)
 		if err != nil {
 			return err
 		}
@@ -721,38 +774,44 @@ func (b *Box) applyJob(t *Target, j *job) error {
 	return nil
 }
 
-// ack records one backend's acknowledgement; the quorum-crossing ack
-// commits the journal record and releases the waiting writer.
-func (b *Box) ack(j *job, t *Target) {
-	j.mu.Lock()
-	if j.acked[t] {
-		j.mu.Unlock()
-		return
+// settleLocked records that backend t is finished with j: it applied the
+// job, or was evicted owing it (resync owns its content from there). The
+// ack that reaches quorum releases the waiting writer and the admission
+// slot; the journal record commits only when no backend owes the job any
+// more, so a crash before that replays it to the backend it had not reached.
+// Caller holds b.mu.
+func (b *Box) settleLocked(j *job, t *Target, applied bool) {
+	if b.jobs[j.seq] != j {
+		return // already committed
 	}
-	j.acked[t] = true
-	n := len(j.acked)
-	if n == j.quorum {
-		close(j.done)
+	if applied && j.acked&t.bit == 0 {
+		j.acked |= t.bit
+		if bits.OnesCount64(j.acked) == j.quorum {
+			close(j.done)
+			b.waiting--
+			b.gPending.Set(int64(b.waiting))
+		}
 	}
-	j.mu.Unlock()
-	if n != j.quorum {
-		return
+	j.owed &^= t.bit
+	if j.owed == 0 && bits.OnesCount64(j.acked) >= j.quorum {
+		delete(b.jobs, j.seq)
+		b.commitLocked(j.seq)
 	}
-	b.mu.Lock()
-	if !b.killed && !b.closed {
-		_ = b.log.Commit(j.seq)
-	}
-	delete(b.pending, j.seq)
-	b.gPending.Set(int64(len(b.pending)))
-	b.mu.Unlock()
 }
 
-// evict marks a backend unhealthy and opens its circuit breaker.
+// evict marks a backend unhealthy, opens its circuit breaker, and settles
+// every job it still owes in the same critical section — so no later write,
+// which will not be handed to it, can commit ahead of them.
 func (b *Box) evict(t *Target, err error) {
 	b.mu.Lock()
 	already := !t.alive
 	t.alive = false
 	t.lastErr = err
+	for _, j := range b.jobs {
+		if j.owed&t.bit != 0 {
+			b.settleLocked(j, t, false)
+		}
+	}
 	alive := 0
 	for _, x := range b.targets {
 		if x.alive {
@@ -792,8 +851,9 @@ func (b *Box) Backpressured() bool {
 }
 
 // prober periodically resyncs evicted backends from the primary and
-// re-admits them; a re-admitted backend retro-acks every pending job (its
-// content now includes them), which can push a stalled write over quorum.
+// re-admits them; a re-admitted backend retro-acks every uncommitted job
+// (its content now includes them), which can push a stalled write over
+// quorum.
 func (b *Box) prober() {
 	defer b.proberWG.Done()
 	tick := time.NewTicker(b.cfg.ProbeInterval)
@@ -823,6 +883,12 @@ func (b *Box) Probe() int {
 	b.mu.Unlock()
 	n := 0
 	for _, t := range dead {
+		if t.enq.Load() != t.done.Load() {
+			// Its worker is still inside a job from before the eviction;
+			// finished after a resync, that apply would put stale content
+			// over fresh (and until then it holds the store's lock).
+			continue
+		}
 		t.gBreaker.Set(BreakerHalfOpen)
 		if !b.probeTarget(t) {
 			t.gBreaker.Set(BreakerOpen)
@@ -866,10 +932,11 @@ func (b *Box) resync(t *Target) bool {
 		if err != nil {
 			return false
 		}
-		if t.store.IDAt(slot) == cas.Sum(data) {
+		id := cas.Sum(data)
+		if t.store.IDAt(slot) == id {
 			continue
 		}
-		if _, err := t.store.Write(slot, data); err != nil {
+		if _, err := t.store.WriteID(slot, id, data); err != nil {
 			return false
 		}
 	}
@@ -882,17 +949,15 @@ func (b *Box) resync(t *Target) bool {
 			alive++
 		}
 	}
-	pend := make([]*job, 0, len(b.pending))
-	for _, j := range b.pending {
-		pend = append(pend, j)
+	// The backend now holds everything the primary does, every journaled
+	// write included.
+	for _, j := range b.jobs {
+		b.settleLocked(j, t, true)
 	}
 	b.mu.Unlock()
 	b.gAlive.Set(int64(alive))
 	t.gBreaker.Set(BreakerClosed)
 	b.cfg.Obs.Eventf("replicate", "box %s breaker closed: backend %s readmitted after resync", b.cfg.Name, t.name)
-	for _, j := range pend {
-		b.ack(j, t)
-	}
 	return true
 }
 

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -16,21 +17,23 @@ func TestSleepZeroAndNegative(t *testing.T) {
 }
 
 func TestSleepShortIsPrecise(t *testing.T) {
-	// Sub-tick sleeps must not round up to the kernel tick (~1 ms).
+	// Sub-tick sleeps must not round up to the kernel tick (~1 ms). Judged
+	// by the median of 20: one host preemption (700 µs seen on a loaded box)
+	// moves a mean past the limit but says nothing about Sleep.
 	for _, d := range []time.Duration{50 * time.Microsecond, 200 * time.Microsecond} {
-		var tot time.Duration
 		const n = 20
-		for i := 0; i < n; i++ {
+		took := make([]time.Duration, n)
+		for i := range took {
 			start := time.Now()
 			Sleep(d)
-			tot += time.Since(start)
+			took[i] = time.Since(start)
 		}
-		mean := tot / n
-		if mean < d {
-			t.Errorf("Sleep(%v) mean %v came back early", d, mean)
+		sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+		if took[0] < d {
+			t.Errorf("Sleep(%v) came back early after %v", d, took[0])
 		}
-		if mean > d+300*time.Microsecond {
-			t.Errorf("Sleep(%v) mean %v too imprecise", d, mean)
+		if median := took[n/2]; median > d+300*time.Microsecond {
+			t.Errorf("Sleep(%v) median %v too imprecise", d, median)
 		}
 	}
 }
