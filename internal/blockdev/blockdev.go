@@ -8,6 +8,7 @@ package blockdev
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -42,14 +43,20 @@ type Device interface {
 	Close() error
 }
 
-// MemDisk is an in-memory sparse block device. Unwritten blocks read as
-// zeros; storage is allocated lazily per block, so large thin volumes are
-// cheap.
+// extentSize is the granule MemDisk allocates and indexes its backing by.
+// It is independent of the block size: a command touches one map entry and
+// one copy per extent it overlaps, not per block.
+const extentSize = 64 << 10
+
+// MemDisk is an in-memory sparse block device. Unwritten ranges read as
+// zeros; storage is allocated lazily in 64 KiB extents (the device's tail
+// extent is cut to the capacity), so large thin volumes cost memory only
+// where they have been written, at extent granularity.
 type MemDisk struct {
 	mu        sync.RWMutex
 	blockSize int
 	blocks    uint64
-	data      map[uint64][]byte
+	extents   map[uint64][]byte // extent index -> extentSize bytes, less for the tail
 	closed    bool
 }
 
@@ -63,10 +70,13 @@ func NewMemDisk(blockSize int, blocks uint64) (*MemDisk, error) {
 	if blocks == 0 {
 		return nil, errors.New("blockdev: device must have at least one block")
 	}
+	if hi, _ := bits.Mul64(blocks, uint64(blockSize)); hi != 0 {
+		return nil, fmt.Errorf("blockdev: %d blocks of %d bytes overflow the byte address space", blocks, blockSize)
+	}
 	return &MemDisk{
 		blockSize: blockSize,
 		blocks:    blocks,
-		data:      make(map[uint64][]byte),
+		extents:   make(map[uint64][]byte),
 	}, nil
 }
 
@@ -78,8 +88,7 @@ func (d *MemDisk) Blocks() uint64 { return d.blocks }
 
 // ReadAt implements Device.
 func (d *MemDisk) ReadAt(p []byte, lba uint64) error {
-	n, err := d.checkExtent(len(p), lba)
-	if err != nil {
+	if err := d.checkRange(len(p), lba); err != nil {
 		return err
 	}
 	d.mu.RLock()
@@ -87,21 +96,22 @@ func (d *MemDisk) ReadAt(p []byte, lba uint64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	for i := uint64(0); i < n; i++ {
-		dst := p[int(i)*d.blockSize : int(i+1)*d.blockSize]
-		if blk, ok := d.data[lba+i]; ok {
-			copy(dst, blk)
+	for off := lba * uint64(d.blockSize); len(p) > 0; {
+		in := off % extentSize
+		n := min(uint64(len(p)), extentSize-in)
+		if ext, ok := d.extents[off/extentSize]; ok {
+			copy(p[:n], ext[in:])
 		} else {
-			clear(dst)
+			clear(p[:n])
 		}
+		p, off = p[n:], off+n
 	}
 	return nil
 }
 
 // WriteAt implements Device.
 func (d *MemDisk) WriteAt(p []byte, lba uint64) error {
-	n, err := d.checkExtent(len(p), lba)
-	if err != nil {
+	if err := d.checkRange(len(p), lba); err != nil {
 		return err
 	}
 	d.mu.Lock()
@@ -109,14 +119,15 @@ func (d *MemDisk) WriteAt(p []byte, lba uint64) error {
 	if d.closed {
 		return ErrClosed
 	}
-	for i := uint64(0); i < n; i++ {
-		src := p[int(i)*d.blockSize : int(i+1)*d.blockSize]
-		blk, ok := d.data[lba+i]
+	for off := lba * uint64(d.blockSize); len(p) > 0; {
+		idx, in := off/extentSize, off%extentSize
+		ext, ok := d.extents[idx]
 		if !ok {
-			blk = make([]byte, d.blockSize)
-			d.data[lba+i] = blk
+			ext = make([]byte, min(extentSize, d.blocks*uint64(d.blockSize)-idx*extentSize))
+			d.extents[idx] = ext
 		}
-		copy(blk, src)
+		n := copy(ext[in:], p)
+		p, off = p[n:], off+uint64(n)
 	}
 	return nil
 }
@@ -136,20 +147,25 @@ func (d *MemDisk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.closed = true
-	d.data = nil
+	d.extents = nil
 	return nil
 }
 
 // AllocatedBlocks returns the number of blocks backed by real storage,
 // exposing the thin-provisioning behaviour for tests and capacity reporting.
+// Backing is extent-granular: one written block pins its whole extent.
 func (d *MemDisk) AllocatedBlocks() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.data)
+	bytes := 0
+	for _, ext := range d.extents {
+		bytes += len(ext)
+	}
+	return bytes / d.blockSize
 }
 
 // Clone returns a point-in-time copy of the device (same geometry, deep
-// copy of allocated blocks) — the substrate for volume snapshots.
+// copy of allocated extents) — the substrate for volume snapshots.
 func (d *MemDisk) Clone() (*MemDisk, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -159,21 +175,21 @@ func (d *MemDisk) Clone() (*MemDisk, error) {
 	cp := &MemDisk{
 		blockSize: d.blockSize,
 		blocks:    d.blocks,
-		data:      make(map[uint64][]byte, len(d.data)),
+		extents:   make(map[uint64][]byte, len(d.extents)),
 	}
-	for lba, blk := range d.data {
-		cp.data[lba] = append([]byte(nil), blk...)
+	for idx, ext := range d.extents {
+		cp.extents[idx] = append([]byte(nil), ext...)
 	}
 	return cp, nil
 }
 
-func (d *MemDisk) checkExtent(byteLen int, lba uint64) (uint64, error) {
+func (d *MemDisk) checkRange(byteLen int, lba uint64) error {
 	if byteLen == 0 || byteLen%d.blockSize != 0 {
-		return 0, fmt.Errorf("%w: %d bytes with block size %d", ErrBadLength, byteLen, d.blockSize)
+		return fmt.Errorf("%w: %d bytes with block size %d", ErrBadLength, byteLen, d.blockSize)
 	}
 	n := uint64(byteLen / d.blockSize)
 	if lba >= d.blocks || n > d.blocks-lba {
-		return 0, fmt.Errorf("%w: lba=%d blocks=%d capacity=%d", ErrOutOfRange, lba, n, d.blocks)
+		return fmt.Errorf("%w: lba=%d blocks=%d capacity=%d", ErrOutOfRange, lba, n, d.blocks)
 	}
-	return n, nil
+	return nil
 }

@@ -3,6 +3,8 @@ package blockdev
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -118,8 +120,166 @@ func TestMemDiskSparseAllocation(t *testing.T) {
 	if err := d.WriteAt(make([]byte, 4096), 1<<29); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
-	if got := d.AllocatedBlocks(); got != 1 {
-		t.Errorf("AllocatedBlocks = %d, want 1", got)
+	// Backing is extent-granular: the one block pins exactly its extent.
+	if got, want := d.AllocatedBlocks(), extentSize/4096; got != want {
+		t.Errorf("AllocatedBlocks = %d, want %d (one extent)", got, want)
+	}
+	// A device smaller than an extent never pins more than its capacity.
+	small := newDisk(t, 512, 16)
+	if err := small.WriteAt(make([]byte, 512), 15); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	if got := small.AllocatedBlocks(); got != 16 {
+		t.Errorf("small device: AllocatedBlocks = %d, want 16", got)
+	}
+}
+
+func TestNewMemDiskRejectsOverflowingGeometry(t *testing.T) {
+	if _, err := NewMemDisk(4096, 1<<62); err == nil {
+		t.Error("2^74-byte device: want error")
+	}
+}
+
+// blockMap is the per-block map MemDisk used before it paged by extent, kept
+// as the reference model: one lazily allocated buffer per written block.
+type blockMap struct {
+	blockSize int
+	data      map[uint64][]byte
+}
+
+func (m *blockMap) read(p []byte, lba uint64) {
+	for i := 0; i*m.blockSize < len(p); i++ {
+		dst := p[i*m.blockSize : (i+1)*m.blockSize]
+		if blk, ok := m.data[lba+uint64(i)]; ok {
+			copy(dst, blk)
+		} else {
+			clear(dst)
+		}
+	}
+}
+
+func (m *blockMap) write(p []byte, lba uint64) {
+	for i := 0; i*m.blockSize < len(p); i++ {
+		m.data[lba+uint64(i)] = append([]byte(nil), p[i*m.blockSize:(i+1)*m.blockSize]...)
+	}
+}
+
+func (m *blockMap) clone() *blockMap {
+	cp := &blockMap{blockSize: m.blockSize, data: make(map[uint64][]byte, len(m.data))}
+	for lba, blk := range m.data {
+		cp.data[lba] = blk // write replaces, never mutates, a block
+	}
+	return cp
+}
+
+// TestMemDiskMatchesBlockMapModel drives MemDisk and the per-block reference
+// with the same random commands: sizes from one block to 256 KiB that
+// straddle extents, block sizes that divide the extent (512, 4096) and one
+// that does not (520), reads of never-written ranges, and a mid-run Clone
+// that must stay independent of its origin in both directions.
+func TestMemDiskMatchesBlockMapModel(t *testing.T) {
+	for _, bs := range []int{512, 4096, 520} {
+		t.Run(fmt.Sprintf("bs%d", bs), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(bs)))
+			const capacity = 3<<20 + 12345
+			blocks := uint64(capacity / bs) // the tail extent is partial
+			maxRun := 256 << 10 / bs
+			disks := []*MemDisk{newDisk(t, bs, blocks)}
+			models := []*blockMap{{blockSize: bs, data: map[uint64][]byte{}}}
+			for op := 0; op < 600; op++ {
+				if op == 250 {
+					cp, err := disks[0].Clone()
+					if err != nil {
+						t.Fatalf("Clone: %v", err)
+					}
+					disks, models = append(disks, cp), append(models, models[0].clone())
+				}
+				which := rng.Intn(len(disks))
+				d, m := disks[which], models[which]
+				n := 1 + rng.Intn(maxRun)
+				if rng.Intn(2) == 0 {
+					n = 1 + rng.Intn(4) // small commands too
+				}
+				lba := uint64(rng.Int63n(int64(blocks) - int64(n) + 1))
+				if rng.Intn(8) == 0 {
+					lba = blocks - uint64(n) // reach the device's last block
+				}
+				buf := make([]byte, n*bs)
+				if rng.Intn(2) == 0 {
+					rng.Read(buf)
+					if err := d.WriteAt(buf, lba); err != nil {
+						t.Fatalf("op %d: WriteAt(%d blocks @%d): %v", op, n, lba, err)
+					}
+					m.write(buf, lba)
+					continue
+				}
+				want := make([]byte, len(buf))
+				m.read(want, lba)
+				rng.Read(buf) // stale bytes the read must overwrite, zeros included
+				if err := d.ReadAt(buf, lba); err != nil {
+					t.Fatalf("op %d: ReadAt(%d blocks @%d): %v", op, n, lba, err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("op %d: disk %d: ReadAt(%d blocks @%d) differs from the model", op, which, n, lba)
+				}
+			}
+			// Full sweep: both images, origin and clone, match their models.
+			for i, d := range disks {
+				got, want := make([]byte, blocks*uint64(bs)), make([]byte, blocks*uint64(bs))
+				if err := d.ReadAt(got, 0); err != nil {
+					t.Fatalf("disk %d: full read: %v", i, err)
+				}
+				models[i].read(want, 0)
+				if !bytes.Equal(got, want) {
+					t.Errorf("disk %d: final image differs from the model", i)
+				}
+			}
+			// The error contract is unchanged.
+			d := disks[0]
+			if err := d.ReadAt(make([]byte, bs+1), 0); !errors.Is(err, ErrBadLength) {
+				t.Errorf("ReadAt(bs+1): err = %v, want ErrBadLength", err)
+			}
+			if err := d.WriteAt(make([]byte, 2*bs), blocks-1); !errors.Is(err, ErrOutOfRange) {
+				t.Errorf("WriteAt past end: err = %v, want ErrOutOfRange", err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := d.WriteAt(make([]byte, bs), 0); !errors.Is(err, ErrClosed) {
+				t.Errorf("WriteAt after Close: err = %v, want ErrClosed", err)
+			}
+			if _, err := d.Clone(); !errors.Is(err, ErrClosed) {
+				t.Errorf("Clone after Close: err = %v, want ErrClosed", err)
+			}
+			if err := disks[1].ReadAt(make([]byte, bs), 0); err != nil {
+				t.Errorf("clone died with its origin: %v", err)
+			}
+		})
+	}
+}
+
+func BenchmarkMemDiskRW(b *testing.B) {
+	for _, size := range []int{4 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dK", size>>10), func(b *testing.B) {
+			d, err := NewMemDisk(512, 16<<20/512)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, size)
+			span := d.Blocks() - uint64(size/512)
+			b.SetBytes(2 * int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lba := uint64(i) * 8 % span // 4 KiB strides: 64 KiB commands straddle extents
+				if err := d.WriteAt(buf, lba); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.ReadAt(buf, lba); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

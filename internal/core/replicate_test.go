@@ -9,6 +9,7 @@ import (
 	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/testutil"
 )
 
 // replicatePolicy chains vm1's volume through a content-addressed
@@ -67,6 +68,10 @@ func imageHash(t *testing.T, av *AttachedVolume, sizeBytes uint64) cas.ID {
 func TestApplyReplicatePolicy(t *testing.T) {
 	c, p := fastCloud(t)
 	p.SetStateDir(t.TempDir())
+	// Stop the box workers and scrubber with the test (a no-op error if it
+	// already tore down): left running, they compete with the next -count
+	// iteration's.
+	t.Cleanup(func() { _ = p.Teardown("tenantR") })
 	if _, err := c.LaunchVM("vm1", "compute1"); err != nil {
 		t.Fatalf("LaunchVM: %v", err)
 	}
@@ -143,6 +148,7 @@ func TestApplyReplicatePolicy(t *testing.T) {
 func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 	c, p := fastCloud(t)
 	p.SetStateDir(t.TempDir())
+	t.Cleanup(func() { _ = p.Teardown("tenantR") })
 	if _, err := c.LaunchVM("vm1", "compute1"); err != nil {
 		t.Fatalf("LaunchVM: %v", err)
 	}
@@ -168,20 +174,29 @@ func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 	if dep.Scrubber("cas1") == nil {
 		t.Fatal("no scrubber despite scrubInterval=5ms")
 	}
-	victim := dep.Replicator("cas1").Targets()[1]
+	// The scrubber has run since Apply. A pass that read slot 0 while the
+	// write was in flight may have "repaired" the first replica to ack back
+	// to the old majority (see scrub.RunPass) and heals it a pass later;
+	// corrupting a second replica inside that window leaves no majority to
+	// repair from. Inject only once all three agree.
+	targets := dep.Replicator("cas1").Targets()
+	testutil.WaitFor(t, 10*time.Second, "every backend to hold the payload", func() bool {
+		for _, tg := range targets {
+			if got, err := tg.ReadChunk(0); err != nil || !bytes.Equal(got, payload) {
+				return false
+			}
+		}
+		return true
+	})
+	// That Corrupt makes VerifySlot fail is cas's own test; asserting it
+	// here would race the 5 ms scrubber, which may repair first.
+	victim := targets[1]
 	if err := victim.Store().Corrupt(0); err != nil {
 		t.Fatalf("Corrupt: %v", err)
 	}
-	if err := victim.Store().VerifySlot(0); err == nil {
-		t.Fatal("corruption injection did not take")
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for victim.Store().VerifySlot(0) != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("background scrubber never repaired the corrupted backend")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.WaitFor(t, 10*time.Second, "the background scrubber to repair the corrupted backend", func() bool {
+		return victim.Store().VerifySlot(0) == nil
+	})
 	got, err := victim.ReadChunk(0)
 	if err != nil {
 		t.Fatalf("read repaired chunk: %v", err)
@@ -199,6 +214,7 @@ func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 func TestReplicateCrashRecoveryConverges(t *testing.T) {
 	c, p := fastCloud(t)
 	p.SetStateDir(t.TempDir())
+	t.Cleanup(func() { _ = p.Teardown("tenantR") })
 	if _, err := c.LaunchVM("vm1", "compute1"); err != nil {
 		t.Fatalf("LaunchVM: %v", err)
 	}

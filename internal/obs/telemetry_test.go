@@ -191,6 +191,36 @@ func TestTraceTailRetention(t *testing.T) {
 	}
 }
 
+// TestTraceHeadSampleEvery pins the head-sampling stride: of the finished
+// traces, the 1st, (N+1)th, (2N+1)th… are picked — every one for N = 1,
+// which `seen % N == 1` never matched.
+func TestTraceHeadSampleEvery(t *testing.T) {
+	for _, tc := range []struct{ every, want int }{{1, 128}, {2, 64}, {64, 2}} {
+		r := NewRegistry()
+		now := time.Unix(0, 0)
+		r.SetClock(func() time.Time { return now })
+		r.EnableTracing(TraceConfig{SlowPerStage: 1, SampleEvery: tc.every, MaxSampled: 256})
+		run := func(d time.Duration) {
+			sp := r.StartTraced("initiator", "read", 4096)
+			now = now.Add(d)
+			sp.End()
+		}
+		run(time.Second) // takes the one exemplar slot; the rest can only be sampled
+		for i := 0; i < 128; i++ {
+			run(time.Millisecond)
+		}
+		sampled := 0
+		for _, tr := range r.Traces() {
+			if !tr.Slow {
+				sampled++
+			}
+		}
+		if sampled != tc.want {
+			t.Errorf("SampleEvery=%d: head-sampled %d of 128 traces, want %d", tc.every, sampled, tc.want)
+		}
+	}
+}
+
 // TestTracedPipeCarrier checks the out-of-band ITT carrier: contexts put
 // on one end are taken on the other, and Take consumes.
 func TestTracedPipeCarrier(t *testing.T) {

@@ -268,7 +268,7 @@ func (ts *traceState) retainLocked(e *traceEntry) {
 		ts.slow[e.rec.Root] = insertByDur(slow[1:], e)
 		return
 	}
-	if ts.cfg.SampleEvery > 0 && ts.seen%uint64(ts.cfg.SampleEvery) == 1 {
+	if ts.cfg.SampleEvery > 0 && (ts.seen-1)%uint64(ts.cfg.SampleEvery) == 0 {
 		e.retained = true
 		if len(ts.sampled) < ts.cfg.MaxSampled {
 			ts.sampled = append(ts.sampled, e)

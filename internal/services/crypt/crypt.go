@@ -12,9 +12,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/bufpool"
 	"repro/internal/metrics"
 	"repro/internal/middlebox"
 	"repro/internal/simtime"
@@ -23,13 +25,18 @@ import (
 // KeySize is the AES-256 key length.
 const KeySize = 32
 
-// Cipher encrypts and decrypts fixed-size sectors with AES-256 in CTR mode
-// using an ESSIV-style per-sector IV (IV = AES_{sha256(key)}(sector)), so
-// identical plaintext in different sectors yields different ciphertext —
-// the construction dm-crypt uses.
+// Cipher encrypts and decrypts sector runs with AES-256 in CTR mode, the
+// keystream addressed by volume offset: the counter block for sector s is
+// base + s*(sectorSize/16) as a 128-bit big-endian integer, with
+// base = AES_{sha256(key)}(0^128). Every 16-byte block of the volume thus
+// has its own counter by construction, the keystream is a pure function of
+// (key, volume offset) however a run is split into requests, and one
+// request is one CTR stream. The per-sector tweak is the plain sector
+// number, as in dm-crypt's aes-xts-plain64; ESSIV defends CBC's predictable
+// IVs and has no role in CTR mode.
 type Cipher struct {
-	data cipher.Block
-	iv   cipher.Block
+	data           cipher.Block
+	baseHi, baseLo uint64
 }
 
 // NewCipher builds a cipher from a 32-byte key.
@@ -46,35 +53,32 @@ func NewCipher(key []byte) (*Cipher, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cipher{data: data, iv: ivb}, nil
+	var base [aes.BlockSize]byte
+	ivb.Encrypt(base[:], base[:])
+	return &Cipher{
+		data:   data,
+		baseHi: binary.BigEndian.Uint64(base[:8]),
+		baseLo: binary.BigEndian.Uint64(base[8:]),
+	}, nil
 }
 
-// sectorIV derives the ESSIV for a sector.
-func (c *Cipher) sectorIV(sector uint64) [aes.BlockSize]byte {
-	var plain, iv [aes.BlockSize]byte
-	binary.LittleEndian.PutUint64(plain[:8], sector)
-	c.iv.Encrypt(iv[:], plain[:])
-	return iv
-}
-
-// XORSector transforms one sector in place; CTR mode makes encryption and
-// decryption the same operation.
-func (c *Cipher) XORSector(buf []byte, sector uint64) {
-	iv := c.sectorIV(sector)
-	stream := cipher.NewCTR(c.data, iv[:])
-	stream.XORKeyStream(buf, buf)
-}
-
-// Transform encrypts/decrypts a run of sectors starting at sector.
+// Transform encrypts/decrypts in place a run of sectors starting at sector;
+// CTR mode makes the two the same operation. sectorSize must be a multiple
+// of aes.BlockSize.
 func (c *Cipher) Transform(buf []byte, sector uint64, sectorSize int) {
-	for off := 0; off < len(buf); off += sectorSize {
-		end := off + sectorSize
-		if end > len(buf) {
-			end = len(buf)
-		}
-		c.XORSector(buf[off:end], sector)
-		sector++
-	}
+	c.xor(buf, buf, sector, sectorSize)
+}
+
+// xor writes src XOR the keystream of the run starting at sector to dst,
+// which must overlap src entirely or not at all.
+func (c *Cipher) xor(dst, src []byte, sector uint64, sectorSize int) {
+	hi, lo := bits.Mul64(sector, uint64(sectorSize/aes.BlockSize))
+	lo, carry := bits.Add64(c.baseLo, lo, 0)
+	hi, _ = bits.Add64(c.baseHi, hi, carry)
+	var iv [aes.BlockSize]byte
+	binary.BigEndian.PutUint64(iv[:8], hi)
+	binary.BigEndian.PutUint64(iv[8:], lo)
+	cipher.NewCTR(c.data, iv[:]).XORKeyStream(dst, src)
 }
 
 // CostModel charges the cipher's CPU work. The real AES runs regardless
@@ -122,8 +126,12 @@ type Device struct {
 
 var _ blockdev.Device = (*Device)(nil)
 
-// NewDevice wraps dev with transparent encryption.
+// NewDevice wraps dev with transparent encryption. The block size must be a
+// multiple of aes.BlockSize, or consecutive sectors would share keystream.
 func NewDevice(dev blockdev.Device, key []byte, cost CostModel) (*Device, error) {
+	if bs := dev.BlockSize(); bs%aes.BlockSize != 0 {
+		return nil, fmt.Errorf("crypt: block size %d is not a multiple of %d", bs, aes.BlockSize)
+	}
 	c, err := NewCipher(key)
 	if err != nil {
 		return nil, err
@@ -148,12 +156,15 @@ func (d *Device) ReadAt(p []byte, lba uint64) error {
 }
 
 // WriteAt implements blockdev.Device, encrypting before the write. The
-// caller's buffer is not modified.
+// caller's buffer is not modified: the ciphertext goes into a pooled buffer
+// that is recycled once the backing device, which may not retain it,
+// returns.
 func (d *Device) WriteAt(p []byte, lba uint64) error {
-	enc := append([]byte(nil), p...)
+	enc := bufpool.Get(len(p))
+	defer enc.Release()
 	d.cost.charge(len(p))
-	d.cipher.Transform(enc, lba, d.dev.BlockSize())
-	return d.dev.WriteAt(enc, lba)
+	d.cipher.xor(enc.B, p, lba, d.dev.BlockSize())
+	return d.dev.WriteAt(enc.B, lba)
 }
 
 // Flush implements blockdev.Device.

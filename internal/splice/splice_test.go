@@ -14,6 +14,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sdn"
 	"repro/internal/target"
+	"repro/internal/testutil"
 	"repro/internal/vswitch"
 )
 
@@ -228,15 +229,15 @@ func TestAttributionAssembled(t *testing.T) {
 	}
 	sess := tb.attach(t, d)
 	defer sess.Close()
-	b, ok := tb.plane.Attributions().ByIQN(volIQN)
-	if !ok {
-		t.Fatal("no attribution for volume IQN")
-	}
+	// The target runs its login hook after sending the login response, so
+	// the initiator can get here first.
+	var b Binding
+	testutil.WaitFor(t, 5*time.Second, "the login to expose the source port", func() bool {
+		b, _ = tb.plane.Attributions().ByIQN(volIQN)
+		return b.SourcePort != 0
+	})
 	if b.VM != "vm1" {
 		t.Errorf("binding VM = %q, want vm1", b.VM)
-	}
-	if b.SourcePort == 0 {
-		t.Fatal("login did not expose the source port")
 	}
 	if !b.Complete() {
 		t.Error("binding incomplete")
