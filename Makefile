@@ -3,9 +3,10 @@
 # (iscsi, metrics, obs, middlebox, netsim, bufpool, the durable WAL, the
 # scale-out control plane — sdn, splice, vswitch, core, cloud,
 # orchestrator — the content-addressed replication stack: cas,
-# objstore, scrub, services/replicate — and the per-byte path every
-# workload shares: blockdev, services/crypt), the allocs/op regression gates
-# for the zero-copy chain hot path, the flow lookup and the cipher, a short-mode
+# objstore, scrub, services/replicate — the per-byte path every workload
+# shares: blockdev, services/crypt — and volume, which picks the target's
+# execution mode), the allocs/op regression gates for the zero-copy chain hot
+# path, one iSCSI leg, the flow lookup and the cipher, a short-mode
 # soak smoke, and a short-mode backup smoke. `make test` is the full
 # suite. `make bench` prints the data-plane microbenchmarks with
 # allocation stats and appends a dated before/after summary to
@@ -26,8 +27,8 @@
 # alternating pairs and prints `bench compare` plus wins per pair.
 
 GO ?= go
-RACE_PKGS := ./internal/iscsi ./internal/metrics ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt
-BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments ./internal/blockdev ./internal/services/crypt
+RACE_PKGS := ./internal/iscsi ./internal/metrics ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume
+BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments ./internal/blockdev ./internal/services/crypt ./internal/volume
 
 .PHONY: check fmt vet build test race bench bench-ab allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy
 
@@ -49,16 +50,16 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Allocation regression gates (skipped under -race, which instruments
-# allocations): the zero-copy chain hot path, the lock-free flow lookup and
-# the per-request (not per-sector) cipher.
+# allocations): the zero-copy chain hot path, one unmodelled iSCSI leg, the
+# lock-free flow lookup and the per-request (not per-sector) cipher.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget' -count=1 -v ./internal/experiments ./internal/vswitch ./internal/services/crypt | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt | grep -E 'allocs|FAIL|ok '
 
 test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|GetRelease|Transform|MemDiskRW' -benchmem $(BENCH_PKGS)
+	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|Leg4K|GetRelease|Transform|MemDiskRW' -benchmem $(BENCH_PKGS)
 	$(GO) run ./cmd/stormbench -fastpath
 
 # Paired A/B of one benchmark workload, BASE against the working tree; see

@@ -97,9 +97,10 @@ func physSlotsFor(slots uint64) uint64 {
 
 // OpenBlockBackend opens (or formats) a block-backed replica on dev. A
 // device whose superblock is absent or unreadable is formatted fresh; an
-// existing superblock must match the requested geometry. Chunk headers are
-// scanned to rebuild the ID index and free list, which is what makes the
-// backend crash-recoverable: any torn put shows up as a headerless slot.
+// existing superblock must match the requested geometry, and its chunk
+// headers are scanned to rebuild the ID index and free list, which is what
+// makes the backend crash-recoverable: any torn put shows up as a headerless
+// slot.
 func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockBackend, error) {
 	bs := dev.BlockSize()
 	if chunkSize <= 0 || chunkSize%bs != 0 {
@@ -148,14 +149,23 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 		if b.table, err = b.readTable(); err != nil {
 			return nil, err
 		}
-	} else {
-		if err := b.format(); err != nil {
+		if err := b.scan(); err != nil {
 			return nil, err
 		}
-		b.table = make([]ID, slots) // format just zeroed it
+		return b, nil
 	}
-	if err := b.scan(); err != nil {
+	if err := b.format(); err != nil {
 		return nil, err
+	}
+	// format has just zeroed the slot table and every chunk header, so what
+	// readTable and scan would read back is known: no mapping, no chunk,
+	// every slot free in scan's ascending order (the allocation order is
+	// part of the layout: see TestBlockLayoutUnchanged).
+	b.table = make([]ID, slots)
+	b.index = make(map[ID]uint64)
+	b.free = make([]uint64, b.physSlots)
+	for slot := range b.free {
+		b.free[slot] = uint64(slot)
 	}
 	return b, nil
 }

@@ -259,6 +259,57 @@ func TestBlockBackendIOBudget(t *testing.T) {
 	}
 }
 
+// TestFreshFormatSkipsScan: a fresh format knows what it has just written,
+// so it sets up the index and free list without reading the headers back.
+// The device here carries a previous tenant's chunks under a wiped
+// superblock, so the state is only right if format really cleared them; a
+// reopen of the formatted device, which does scan, must find exactly what
+// the fresh open assumed.
+func TestFreshFormatSkipsScan(t *testing.T) {
+	const slots = 16
+	mem := newBlockDisk(t, slots)
+	old, err := OpenBlockBackend(mem, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		data := chunkOf(i)
+		if err := old.PutChunk(Sum(data), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mem.WriteAt(make([]byte, 512), 0); err != nil { // wipe the superblock
+		t.Fatal(err)
+	}
+
+	disk := blockdev.NewCountingDisk(mem)
+	fresh, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := disk.Reads(); r != 1 {
+		t.Errorf("fresh format read the device %d times, want 1 (the superblock)", r)
+	}
+	reopened, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := disk.Reads(); r < 1+int64(fresh.physSlots) {
+		t.Fatalf("reopen read the device %d times in all: it did not scan", r)
+	}
+	if len(fresh.index) != 0 || len(reopened.index) != 0 {
+		t.Errorf("index after format: %d entries assumed, %d scanned, want 0 and 0", len(fresh.index), len(reopened.index))
+	}
+	if fmt.Sprint(fresh.free) != fmt.Sprint(reopened.free) || uint64(len(fresh.free)) != fresh.physSlots {
+		t.Errorf("free list after format:\n assumed %v\n scanned %v", fresh.free, reopened.free)
+	}
+	for i, id := range fresh.table {
+		if id != reopened.table[i] || id != (ID{}) {
+			t.Errorf("slot %d mapped after format: assumed %s, read %s", i, id, reopened.table[i])
+		}
+	}
+}
+
 // TestWriteIDEquivalence drives one store through Write and a twin through
 // WriteID with the same seeded sequence: table, refcounts, stats, content
 // and the device image must come out identical.

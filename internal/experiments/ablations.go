@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/blockdev"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -45,52 +47,63 @@ func ablationFio(dev interface {
 	})
 }
 
+// gwRounds is how many interleaved rounds AblationGatewayPlacement splits its
+// operations over.
+const gwRounds = 5
+
 // AblationGatewayPlacement quantifies Section V-A's placement note: the
 // worst-case spread (all hops on distinct hosts) versus co-locating the
-// ingress gateway with the VM and the egress gateway near the target.
+// ingress gateway with the VM and the egress gateway near the target, next
+// to a LEGACY baseline that isolates the routing overhead each placement
+// adds.
+//
+// The differences are a few per cent of an operation, less than what one
+// scheduler stall does to a mean on a shared CPU, so the configurations are
+// all set up first and measured in gwRounds interleaved rounds of ops/gwRounds
+// operations each; a row reports the median round (by mean latency). A stall
+// then spoils one round of one configuration instead of deciding the order.
 func AblationGatewayPlacement(ops int) ([]AblationRow, error) {
-	type placement struct {
-		label           string
-		ingress, egress string
+	type config struct {
+		label  string
+		dev    blockdev.Device
+		rounds []AblationRow
 	}
-	placements := []placement{
+	var configs []*config
+	var labs []*Lab
+	defer func() {
+		for _, l := range labs {
+			l.Close()
+		}
+	}()
+
+	l, err := NewLab()
+	if err != nil {
+		return nil, err
+	}
+	labs = append(labs, l)
+	dev, detach, err := l.provision(Legacy, "vm-gw-base")
+	if err != nil {
+		return nil, err
+	}
+	defer detach() // runs before the labs close
+	configs = append(configs, &config{label: "legacy (no StorM)", dev: dev})
+
+	for i, pl := range []struct{ label, ingress, egress string }{
 		{"worst-case spread", "compute2", "compute4"},
 		{"ingress@VM host", "compute1", "compute4"},
 		{"co-located both", "compute1", "compute1"},
-	}
-	// A LEGACY baseline isolates the routing overhead each placement adds.
-	var rows []AblationRow
-	{
+	} {
 		l, err := NewLab()
 		if err != nil {
 			return nil, err
 		}
-		dev, cleanup, err := l.provision(Legacy, "vm-gw-base")
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		res, err := ablationFio(dev, ops)
-		cleanup()
-		l.Close()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, AblationRow{Label: "legacy (no StorM)", IOPS: res.IOPS, Latency: res.Latency.Mean})
-	}
-	for i, pl := range placements {
-		l, err := NewLab()
-		if err != nil {
-			return nil, err
-		}
+		labs = append(labs, l)
 		vmName := fmt.Sprintf("vm-gw-%d", i)
 		if _, err := l.Cloud.LaunchVM(vmName, "compute1"); err != nil {
-			l.Close()
 			return nil, err
 		}
 		vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
 		if err != nil {
-			l.Close()
 			return nil, err
 		}
 		pol := &policy.Policy{
@@ -105,15 +118,25 @@ func AblationGatewayPlacement(ops int) ([]AblationRow, error) {
 		}
 		dep, err := l.Platform.Apply(pol)
 		if err != nil {
-			l.Close()
 			return nil, err
 		}
-		res, err := ablationFio(dep.Volumes[vmName+"/"+vol.ID].Device, ops)
-		l.Close()
-		if err != nil {
-			return nil, err
+		configs = append(configs, &config{label: pl.label, dev: dep.Volumes[vmName+"/"+vol.ID].Device})
+	}
+
+	perRound := (ops + gwRounds - 1) / gwRounds
+	for r := 0; r < gwRounds; r++ {
+		for _, c := range configs {
+			res, err := ablationFio(c.dev, perRound)
+			if err != nil {
+				return nil, err
+			}
+			c.rounds = append(c.rounds, AblationRow{Label: c.label, IOPS: res.IOPS, Latency: res.Latency.Mean})
 		}
-		rows = append(rows, AblationRow{Label: pl.label, IOPS: res.IOPS, Latency: res.Latency.Mean})
+	}
+	rows := make([]AblationRow, len(configs))
+	for i, c := range configs {
+		sort.Slice(c.rounds, func(a, b int) bool { return c.rounds[a].Latency < c.rounds[b].Latency })
+		rows[i] = c.rounds[gwRounds/2]
 	}
 	return rows, nil
 }

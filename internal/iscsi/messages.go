@@ -53,12 +53,23 @@ func (c *SCSICommand) EncodeInto(p *PDU) *PDU {
 
 // ParseSCSICommand decodes a SCSI Command PDU.
 func ParseSCSICommand(p *PDU) (*SCSICommand, error) {
+	c := new(SCSICommand)
+	if err := ParseSCSICommandInto(c, p); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// ParseSCSICommandInto decodes p into c, a caller-owned (typically reused)
+// struct. c.Data aliases p's data segment: it stays valid for as long as
+// whoever holds that segment (the PDU, or the caller of its TakeData) does.
+func ParseSCSICommandInto(c *SCSICommand, p *PDU) error {
 	if p.Op() != OpSCSICommand {
-		return nil, opError(OpSCSICommand, p.Op())
+		return opError(OpSCSICommand, p.Op())
 	}
 	var lun [8]byte
 	copy(lun[:], p.BHS[8:16])
-	c := &SCSICommand{
+	*c = SCSICommand{
 		Immediate:                  p.Immediate(),
 		Final:                      p.BHS[1]&0x80 != 0,
 		Read:                       p.BHS[1]&0x40 != 0,
@@ -71,7 +82,7 @@ func ParseSCSICommand(p *PDU) (*SCSICommand, error) {
 		Data:                       p.Data,
 	}
 	copy(c.CDB[:], p.BHS[32:48])
-	return c, nil
+	return nil
 }
 
 // Response codes for SCSIResponse.Response.

@@ -109,6 +109,11 @@ type PDU struct {
 	// with ReadPDU. Release returns it to the pool; PDUs whose data was
 	// never pooled (typed Encode views, DecodePDU) release as a no-op.
 	dataBuf *bufpool.Buf
+
+	// vec is WriteTo's header/payload/padding vector. It lives in the PDU
+	// because a slice handed to an interface method escapes: built on
+	// WriteTo's stack it would be one heap object per PDU sent.
+	vec [3][]byte
 }
 
 // Release returns the PDU's pooled data segment, if any, to the buffer pool.
@@ -204,14 +209,20 @@ var padZeros [4]byte
 
 // WriteTo serializes the PDU as a single send: header and payload combine
 // either through the writer's vectored interface (no assembly copy) or into
-// one pooled wire buffer. It implements io.WriterTo.
+// one pooled wire buffer. It implements io.WriterTo. The vectored path uses
+// scratch space inside the PDU, so one PDU must not be written from two
+// goroutines at once (send paths hold their connection's send lock).
 func (p *PDU) WriteTo(w io.Writer) (int64, error) {
 	if len(p.Data) > MaxDataSegment {
 		return 0, fmt.Errorf("iscsi: data segment %d exceeds protocol maximum", len(p.Data))
 	}
 	if bw, ok := w.(BuffersWriter); ok {
 		pad := pad4(len(p.Data)) - len(p.Data)
-		n, err := bw.WriteBuffers(p.BHS[:], p.Data, padZeros[:pad])
+		p.vec = [3][]byte{p.BHS[:], p.Data, padZeros[:pad]}
+		n, err := bw.WriteBuffers(p.vec[:]...)
+		// Drop the payload alias: a long-lived encode target (a connection's
+		// wirePDU) must not keep the last payload reachable while it idles.
+		p.vec[1] = nil
 		return int64(n), err
 	}
 	wire := bufpool.Get(p.WireLen())

@@ -26,6 +26,7 @@ type PDUReader struct {
 	r        io.Reader
 	buf      *bufpool.Buf
 	pos, end int
+	pdu      PDU // the PDU ReadPDU hands out; see there
 }
 
 // NewPDUReader wraps a connection in a buffered PDU decoder.
@@ -84,13 +85,20 @@ func (pr *PDUReader) need(n int) error {
 
 // ReadPDU reads one PDU. Small data segments copy out of the staging window;
 // segments extending past it are read directly into the PDU's pooled buffer,
-// so large transfers don't pay a double copy. Callers own the returned PDU's
-// data segment and should Release it once consumed.
+// so large transfers don't pay a double copy.
+//
+// The returned PDU is the reader's own and is overwritten by the next
+// ReadPDU: a read loop consumes it (the typed Parse…Into views, which copy
+// the header fields out) before reading on, and never hands the pointer to
+// another goroutine. What may outlive it is the data segment, which is
+// pooled and single-owner as before — Release it once consumed, or move it
+// out with TakeData before the next ReadPDU if a command keeps it.
 func (pr *PDUReader) ReadPDU() (*PDU, error) {
 	if err := pr.need(BHSLen); err != nil {
 		return nil, err
 	}
-	var p PDU
+	p := &pr.pdu
+	*p = PDU{}
 	copy(p.BHS[:], pr.buf.B[pr.pos:pr.pos+BHSLen])
 	pr.pos += BHSLen
 	if ahs := p.BHS[4]; ahs != 0 {
@@ -121,5 +129,5 @@ func (pr *PDUReader) ReadPDU() (*PDU, error) {
 		p.Data = buf.B[:n]
 		p.dataBuf = buf
 	}
-	return &p, nil
+	return p, nil
 }

@@ -172,6 +172,36 @@ func TestWriteBackReadDoesNotWaitOnDisjointWrites(t *testing.T) {
 	}
 }
 
+// TestWriteBackRefusesWritesPastJournalKill: a crash-kill freezes the
+// journals before it reaches the write-back devices. In between, a write
+// must fail — an idle device used to take the journal's refusal for a full
+// buffer, write through to the backend and acknowledge, and the successor's
+// replay of the frozen journal then put older data over that write.
+func TestWriteBackRefusesWritesPastJournalKill(t *testing.T) {
+	mem, err := blockdev.NewMemDisk(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := blockdev.NewCountingDisk(mem)
+	j := NewJournal(0)
+	wb := NewWriteBack(disk, j)
+	defer wb.Kill()
+	if err := wb.WriteAt(bytes.Repeat([]byte{1}, 512), 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := wb.Flush(); err != nil { // idle: nothing in flight, nothing pending
+		t.Fatal(err)
+	}
+	before := disk.Writes()
+	j.Kill()
+	if err := wb.WriteAt(bytes.Repeat([]byte{2}, 512), 3); !errors.Is(err, ErrJournalClosed) {
+		t.Fatalf("write after the journal was killed: err = %v, want ErrJournalClosed", err)
+	}
+	if n := disk.Writes() - before; n != 0 {
+		t.Errorf("%d write(s) reached the backend after the journal was killed", n)
+	}
+}
+
 func TestWriteBackJournalFullFallsBackToSync(t *testing.T) {
 	disk, err := blockdev.NewMemDisk(512, 64)
 	if err != nil {

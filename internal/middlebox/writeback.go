@@ -1,6 +1,7 @@
 package middlebox
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -302,6 +303,14 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 	// interval, exactly the split-connection flow control of the paper.
 	seq, stable, err := w.journal.Append(lba, p)
 	for err != nil {
+		if errors.Is(err, ErrJournalClosed) {
+			// Not a full buffer: the journal is gone — closed, or frozen by
+			// a crash-kill that has not reached this device yet. Nothing is
+			// acknowledged past that line, least of all by writing around
+			// the journal: recovery replays the frozen journal over whatever
+			// a write-through put on the backend after it.
+			return err
+		}
 		w.mu.Lock()
 		if w.closed || w.applyErr != nil {
 			ferr := w.applyErr

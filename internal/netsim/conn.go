@@ -35,6 +35,7 @@ type Conn struct {
 	remote Addr
 	route  *Route
 	peer   *Conn
+	dialer bool            // the dialing half (its out is the pair's forward pipe)
 	track  *connTrack      // fault-plane registration; shared by both halves
 	trace  *obs.TraceTable // per-connection trace carrier; shared by both halves
 }
@@ -56,6 +57,7 @@ func newConnPair(model Model, route *Route, chargeFwd, chargeRev func(time.Durat
 
 	trace := obs.NewTraceTable()
 	d := &Conn{
+		dialer: true,
 		out:    fwd,
 		in:     rev,
 		local:  Addr{Net: route.SrcAsSeen.Net, IP: route.SrcAsSeen.IP, Port: route.SrcAsSeen.Port},
@@ -96,10 +98,25 @@ func (c *Conn) Close() error {
 }
 
 // Abort closes the connection reporting err to both sides, emulating a
-// connection reset (used by failure-injection tests).
+// connection reset (used by failure-injection tests). The two directions
+// fail as one event: closed one after the other, the peer could see the
+// first fail, close its end cleanly in response, and so turn the second
+// direction's error into a plain EOF. Only Abort holds two pipe locks, and
+// always the dialer's outbound one first, so it cannot deadlock against
+// itself.
 func (c *Conn) Abort(err error) {
-	c.out.close(err)
-	c.in.close(err)
+	first, second := c.out, c.in
+	if !c.dialer {
+		first, second = second, first
+	}
+	first.mu.Lock()
+	second.mu.Lock()
+	first.closeLocked(err)
+	second.closeLocked(err)
+	second.mu.Unlock()
+	first.mu.Unlock()
+	first.signal()
+	second.signal()
 	c.track.remove()
 }
 

@@ -19,9 +19,10 @@ var ErrTimeout = os.ErrDeadlineExceeded
 // errClosedPipe reports use of a closed connection.
 var errClosedPipe = errors.New("netsim: connection closed")
 
-// frame is a unit of in-flight data with its modelled arrival time. data is
-// the unread remainder of buf's bytes; buf returns to the pool once the frame
-// is fully consumed.
+// frame is a unit of in-flight data with its modelled arrival time — the
+// zero time for a frame written while nothing was modelled, which has arrived
+// by definition. data is the unread remainder of buf's bytes; buf returns to
+// the pool once the frame is fully consumed.
 type frame struct {
 	at   time.Time
 	data []byte
@@ -35,7 +36,8 @@ type framePipe struct {
 	mu          sync.Mutex
 	cost        PathCost
 	mtu         int
-	frames      []frame
+	frames      []frame // frames[head:] are in flight, oldest first
+	head        int
 	lastArrival time.Time
 	closed      bool
 	closeErr    error
@@ -62,9 +64,51 @@ func (p *framePipe) signal() {
 	}
 }
 
+// push appends f to the queue. Consumed slots ahead of head are reclaimed by
+// sliding the live frames down once they are the larger part of a full
+// backing array, so a queue that keeps draining reuses its capacity instead
+// of allocating on every write.
+func (p *framePipe) push(f frame) {
+	if len(p.frames) == cap(p.frames) && p.head > len(p.frames)/2 {
+		n := copy(p.frames, p.frames[p.head:])
+		clear(p.frames[n:])
+		p.frames, p.head = p.frames[:n], 0
+	}
+	p.frames = append(p.frames, f)
+}
+
+// pop releases the fully consumed head frame.
+func (p *framePipe) pop() {
+	p.frames[p.head].buf.Release()
+	p.frames[p.head] = frame{}
+	if p.head++; p.head == len(p.frames) {
+		p.frames, p.head = p.frames[:0], 0
+	}
+}
+
+// arrived reports whether f is readable, reading the clock into *now only
+// for the first timed frame it meets.
+func (f *frame) arrived(now *time.Time) bool {
+	if f.at.IsZero() {
+		return true
+	}
+	if now.IsZero() {
+		*now = time.Now()
+	}
+	return !f.at.After(*now)
+}
+
 // write enqueues b, chunked into MTU frames, computing each frame's arrival
 // per the path cost model: frames are paced by the accumulated per-hop
 // processing plus serialization, then delayed by the propagation time.
+//
+// While nothing is modelled — a zero path cost, no injected delay, no
+// bandwidth cap — a frame is readable the moment it is queued: it carries
+// the zero arrival time and neither the write nor the read of it touches the
+// clock. Order needs no clock either: read only ever looks at the head
+// frame, so an untimed frame written behind a delayed one (a delay healed
+// mid-stream) still waits its turn, and lastArrival is clamped up to now
+// whenever timing resumes.
 func (p *framePipe) write(b []byte) (int, error) {
 	return p.writeBufs([][]byte{b})
 }
@@ -89,9 +133,11 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 		}
 		return 0, err
 	}
-	now := time.Now()
-	if p.lastArrival.Before(now) {
-		p.lastArrival = now
+	timed := p.cost != (PathCost{}) || p.extra != 0 || len(p.throttles) != 0
+	if timed {
+		if now := time.Now(); p.lastArrival.Before(now) {
+			p.lastArrival = now
+		}
 	}
 	var processing time.Duration
 	vi, vo := 0, 0 // cursor: bufs[vi][vo:] is the next unconsumed byte
@@ -109,16 +155,20 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 			fill += c
 			vo += c
 		}
-		delay := p.cost.FrameDelay(n)
-		processing += delay
-		// Host bandwidth caps stretch the frame's serialization (queueing,
-		// not processing — no CPU charge): the shared bucket may run a debt,
-		// so a saturated host delays every flow crossing it.
-		for _, th := range p.throttles {
-			delay += th.Delay(n)
+		var at time.Time
+		if timed {
+			delay := p.cost.FrameDelay(n)
+			processing += delay
+			// Host bandwidth caps stretch the frame's serialization (queueing,
+			// not processing — no CPU charge): the shared bucket may run a
+			// debt, so a saturated host delays every flow crossing it.
+			for _, th := range p.throttles {
+				delay += th.Delay(n)
+			}
+			p.lastArrival = p.lastArrival.Add(delay)
+			at = p.lastArrival.Add(p.cost.Propagation + p.extra)
 		}
-		p.lastArrival = p.lastArrival.Add(delay)
-		p.frames = append(p.frames, frame{at: p.lastArrival.Add(p.cost.Propagation + p.extra), data: fb.B, buf: fb})
+		p.push(frame{at: at, data: fb.B, buf: fb})
 		remaining -= n
 	}
 	p.bytesIn += int64(total)
@@ -139,27 +189,25 @@ func (p *framePipe) read(b []byte) (int, error) {
 			p.mu.Unlock()
 			return 0, ErrTimeout
 		}
-		if len(p.frames) > 0 {
-			now := time.Now()
-			head := &p.frames[0]
-			if !head.at.After(now) {
+		if p.head < len(p.frames) {
+			var now time.Time
+			if p.frames[p.head].arrived(&now) {
 				n := 0
 				// Drain as many arrived frames as fit.
-				for n < len(b) && len(p.frames) > 0 && !p.frames[0].at.After(now) {
-					c := copy(b[n:], p.frames[0].data)
+				for n < len(b) && p.head < len(p.frames) && p.frames[p.head].arrived(&now) {
+					f := &p.frames[p.head]
+					c := copy(b[n:], f.data)
 					n += c
-					if c == len(p.frames[0].data) {
-						p.frames[0].buf.Release()
-						p.frames[0] = frame{}
-						p.frames = p.frames[1:]
+					if c == len(f.data) {
+						p.pop()
 					} else {
-						p.frames[0].data = p.frames[0].data[c:]
+						f.data = f.data[c:]
 					}
 				}
 				p.mu.Unlock()
 				return n, nil
 			}
-			wait := head.at.Sub(now)
+			wait := p.frames[p.head].at.Sub(now)
 			deadline := p.deadline
 			p.mu.Unlock()
 			if err := p.sleep(wait, deadline); err != nil {
@@ -243,12 +291,17 @@ func (p *framePipe) waitForWake(deadline time.Time) error {
 // is reported once drained.
 func (p *framePipe) close(err error) {
 	p.mu.Lock()
+	p.closeLocked(err)
+	p.mu.Unlock()
+	p.signal()
+}
+
+// closeLocked is close for a caller that holds p.mu and signals afterwards.
+func (p *framePipe) closeLocked(err error) {
 	if !p.closed {
 		p.closed = true
 		p.closeErr = err
 	}
-	p.mu.Unlock()
-	p.signal()
 }
 
 // setExtra installs the fault-injected per-frame delay (0 removes it).

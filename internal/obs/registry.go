@@ -156,9 +156,15 @@ type Registry struct {
 	series atomic.Int64 // named series across all shards (cap accounting)
 	limit  atomic.Int64 // series cap; DefaultSeriesLimit when 0
 
-	// clock overrides wall time for span/event/trace timestamps (tests);
-	// nil means time.Now.
+	// clock overrides the time source for span/event/trace timestamps
+	// (tests); nil means the default, see Now.
 	clock atomic.Pointer[func() time.Time]
+
+	// spans caches the (stage, dir) → stage-histogram resolution every span
+	// start needs; see stageTimer. Tables are immutable, replaced under
+	// spanMu.
+	spans  atomic.Pointer[spanTable]
+	spanMu sync.Mutex
 
 	// trace is the tracing plane state; nil until EnableTracing.
 	trace atomic.Pointer[traceState]
@@ -177,6 +183,7 @@ func NewRegistry() *Registry {
 		sh.gauges = make(map[string]*Gauge)
 		sh.hists = make(map[string]*metrics.Histogram)
 	}
+	r.spans.Store(&spanTable{})
 	return r
 }
 
@@ -189,20 +196,31 @@ func (r *Registry) shard(name string) *regShard {
 	return &r.shards[h%regShards]
 }
 
+// epoch anchors the registry clock. time.Since(epoch) reads only the
+// monotonic clock — one clock read where time.Now makes two — and adding the
+// offset back onto epoch yields a time.Time that still carries a wall
+// reading.
+var epoch = time.Now()
+
 // Now returns the registry's notion of current time: the injected clock if
-// one is set (SetClock), wall time otherwise. Nil-safe.
+// one is set (SetClock), else the process-start wall time advanced by the
+// monotonic clock. It is the one clock behind span edges, trace hops, events
+// and the SLO window, so every timestamp in a dump lies on one timeline; the
+// price is that a wall-clock step (NTP) after start-up does not show in it.
+// Two span edges per command read it, which is why it is not time.Now.
+// Nil-safe.
 func (r *Registry) Now() time.Time {
 	if r != nil {
 		if f := r.clock.Load(); f != nil {
 			return (*f)()
 		}
 	}
-	return time.Now()
+	return epoch.Add(time.Since(epoch))
 }
 
 // SetClock injects a time source for span, event, and trace timestamps —
 // the simtime-style hook that makes latency tests deterministic. A nil
-// clock restores wall time.
+// clock restores the default (see Now).
 func (r *Registry) SetClock(now func() time.Time) {
 	if r == nil {
 		return
@@ -296,6 +314,7 @@ func (r *Registry) RetireInstance(inst string) int {
 	}
 	if n > 0 {
 		r.series.Add(int64(-n))
+		r.dropSpans(func(stage string) bool { return match(StagePrefix + stage) })
 		r.Counter(RetiredMetric).Add(int64(n))
 	}
 	return n
@@ -418,6 +437,7 @@ func (r *Registry) Reset() {
 		sh.mu.Unlock()
 	}
 	r.series.Store(0)
+	r.dropSpans(nil) // after the maps: see cacheStageTimer
 	r.evMu.Lock()
 	r.events = nil
 	r.evNext = 0

@@ -1,6 +1,10 @@
 package obs
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/metrics"
+)
 
 // Stage names along the paper's data path (Figures 7 and 10 break the
 // end-to-end latency and CPU time down over exactly these hops). Each
@@ -63,14 +67,88 @@ type Span struct {
 	root   bool
 }
 
+// spanKey names a stage histogram the way span call sites do, unjoined.
+type spanKey struct{ stage, dir string }
+
+// spanTable is one immutable generation of the span-start cache. gen counts
+// the invalidations (Reset, RetireInstance) before it, so a look-up that
+// resolved its histogram under an older table cannot publish it into a newer
+// one. Publishing copies the map, which the series cap keeps small next to
+// the spans that then read it for free.
+type spanTable struct {
+	gen uint64
+	m   map[spanKey]*metrics.Histogram
+}
+
+// stageTimer resolves "stage.<stage>[.<dir>]" to its histogram. Every span
+// of every command starts here, so the name is joined and looked up in the
+// sharded series maps once per (stage, dir); afterwards a span start is one
+// atomic load and one map probe, with no allocation and no lock. A series
+// the cap refused is not cached: each further span retries the creation and
+// counts in DroppedMetric, as before.
+func (r *Registry) stageTimer(stage, dir string) Timer {
+	tbl := r.spans.Load()
+	key := spanKey{stage, dir}
+	if h := tbl.m[key]; h != nil {
+		return Timer{h: h}
+	}
+	name := StagePrefix + stage
+	if dir != "" {
+		name += "." + dir
+	}
+	h := r.Histogram(name)
+	if h != nil {
+		r.cacheStageTimer(tbl.gen, key, h)
+	}
+	return Timer{h: h}
+}
+
+// cacheStageTimer publishes key → h unless the cache was invalidated since
+// the caller loaded the table of generation gen. Reset empties the series
+// maps first and invalidates second, so an h resolved from the old maps
+// always meets a newer generation here (or is wiped by the invalidation that
+// follows) and a span started after Reset returns lands in the new histogram.
+func (r *Registry) cacheStageTimer(gen uint64, key spanKey, h *metrics.Histogram) {
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	cur := r.spans.Load()
+	if cur.gen != gen {
+		return
+	}
+	m := make(map[spanKey]*metrics.Histogram, len(cur.m)+1)
+	for k, v := range cur.m {
+		m[k] = v
+	}
+	m[key] = h
+	r.spans.Store(&spanTable{gen: gen, m: m})
+}
+
+// dropSpans invalidates the cached resolutions of the stages dropped reports
+// true for (nil: all of them), as a new table generation.
+func (r *Registry) dropSpans(dropped func(stage string) bool) {
+	r.spanMu.Lock()
+	defer r.spanMu.Unlock()
+	cur := r.spans.Load()
+	next := &spanTable{gen: cur.gen + 1}
+	if dropped != nil {
+		next.m = make(map[spanKey]*metrics.Histogram, len(cur.m))
+		for k, h := range cur.m {
+			if !dropped(k.stage) {
+				next.m[k] = h
+			}
+		}
+	}
+	r.spans.Store(next)
+}
+
 // StartSpan opens a span recording into "stage.<stage>". On a nil
 // registry the span is a no-op. Timestamps come from the registry clock
-// (SetClock), wall time by default.
+// (SetClock, Now).
 func (r *Registry) StartSpan(stage string) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{t: r.Timer(StagePrefix + stage), reg: r, start: r.Now()}
+	return Span{t: r.stageTimer(stage, ""), reg: r, start: r.Now()}
 }
 
 // Abort discards a traced root span's trace without recording anything —

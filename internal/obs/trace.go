@@ -178,11 +178,7 @@ func (r *Registry) StartTraced(stage, dir string, bytes int) Span {
 	if r == nil {
 		return Span{}
 	}
-	name := StagePrefix + stage
-	if dir != "" {
-		name += "." + dir
-	}
-	sp := Span{t: r.Timer(name), reg: r, start: r.Now()}
+	sp := Span{t: r.stageTimer(stage, dir), reg: r, start: r.Now()}
 	ts := r.trace.Load()
 	if ts == nil {
 		return sp

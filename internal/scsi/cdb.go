@@ -227,49 +227,60 @@ func (c *CDB) EncodeInto(dst []byte) (int, error) {
 
 // Decode parses a wire-format CDB.
 func Decode(b []byte) (*CDB, error) {
-	if len(b) == 0 {
-		return nil, fmt.Errorf("scsi: empty CDB")
+	c := new(CDB)
+	if err := DecodeInto(c, b); err != nil {
+		return nil, err
 	}
-	c := &CDB{Op: b[0], Raw: b}
+	return c, nil
+}
+
+// DecodeInto parses a wire-format CDB into c, a caller-owned (typically
+// reused) struct — the allocation-free form for per-command paths. c.Raw
+// aliases b. On error c's contents are unspecified.
+func DecodeInto(c *CDB, b []byte) error {
+	if len(b) == 0 {
+		return fmt.Errorf("scsi: empty CDB")
+	}
+	*c = CDB{Op: b[0], Raw: b}
 	switch b[0] {
 	case OpTestUnitReady:
 		if len(b) < 6 {
-			return nil, fmt.Errorf("scsi: short TEST UNIT READY CDB (%d bytes)", len(b))
+			return fmt.Errorf("scsi: short TEST UNIT READY CDB (%d bytes)", len(b))
 		}
-		return c, nil
+		return nil
 	case OpInquiry:
 		if len(b) < 6 {
-			return nil, fmt.Errorf("scsi: short INQUIRY CDB (%d bytes)", len(b))
+			return fmt.Errorf("scsi: short INQUIRY CDB (%d bytes)", len(b))
 		}
 		c.AllocationLength = uint32(binary.BigEndian.Uint16(b[3:5]))
-		return c, nil
+		return nil
 	case OpReadCapacity10:
 		if len(b) < 10 {
-			return nil, fmt.Errorf("scsi: short READ CAPACITY(10) CDB (%d bytes)", len(b))
+			return fmt.Errorf("scsi: short READ CAPACITY(10) CDB (%d bytes)", len(b))
 		}
-		return c, nil
+		return nil
 	case OpRead10, OpWrite10, OpSyncCache10:
 		if len(b) < 10 {
-			return nil, fmt.Errorf("scsi: short 10-byte CDB (%d bytes)", len(b))
+			return fmt.Errorf("scsi: short 10-byte CDB (%d bytes)", len(b))
 		}
 		c.LBA = uint64(binary.BigEndian.Uint32(b[2:6]))
 		c.Blocks = uint32(binary.BigEndian.Uint16(b[7:9]))
-		return c, nil
+		return nil
 	case OpRead16, OpWrite16:
 		if len(b) < 16 {
-			return nil, fmt.Errorf("scsi: short 16-byte CDB (%d bytes)", len(b))
+			return fmt.Errorf("scsi: short 16-byte CDB (%d bytes)", len(b))
 		}
 		c.LBA = binary.BigEndian.Uint64(b[2:10])
 		c.Blocks = binary.BigEndian.Uint32(b[10:14])
-		return c, nil
+		return nil
 	case OpReadCapacity16:
 		if len(b) < 16 {
-			return nil, fmt.Errorf("scsi: short READ CAPACITY(16) CDB (%d bytes)", len(b))
+			return fmt.Errorf("scsi: short READ CAPACITY(16) CDB (%d bytes)", len(b))
 		}
 		c.AllocationLength = binary.BigEndian.Uint32(b[10:14])
-		return c, nil
+		return nil
 	default:
-		return nil, &UnsupportedOpError{Op: b[0]}
+		return &UnsupportedOpError{Op: b[0]}
 	}
 }
 

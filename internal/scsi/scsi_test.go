@@ -40,6 +40,15 @@ func TestCDBRoundTrip(t *testing.T) {
 			if got.AllocationLength != tt.give.AllocationLength {
 				t.Errorf("AllocationLength = %d, want %d", got.AllocationLength, tt.give.AllocationLength)
 			}
+			// The allocation-free form overwrites every field of a reused CDB.
+			reused := CDB{Op: 0xFF, LBA: 1 << 50, Blocks: 9, AllocationLength: 9}
+			if err := DecodeInto(&reused, enc); err != nil {
+				t.Fatalf("DecodeInto: %v", err)
+			}
+			if reused.Op != got.Op || reused.LBA != got.LBA || reused.Blocks != got.Blocks ||
+				reused.AllocationLength != got.AllocationLength || &reused.Raw[0] != &enc[0] {
+				t.Errorf("DecodeInto over a used CDB = %+v, Decode = %+v", reused, *got)
+			}
 		})
 	}
 }

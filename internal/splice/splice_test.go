@@ -14,7 +14,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sdn"
 	"repro/internal/target"
-	"repro/internal/testutil"
 	"repro/internal/vswitch"
 )
 
@@ -229,13 +228,12 @@ func TestAttributionAssembled(t *testing.T) {
 	}
 	sess := tb.attach(t, d)
 	defer sess.Close()
-	// The target runs its login hook after sending the login response, so
-	// the initiator can get here first.
-	var b Binding
-	testutil.WaitFor(t, 5*time.Second, "the login to expose the source port", func() bool {
-		b, _ = tb.plane.Attributions().ByIQN(volIQN)
-		return b.SourcePort != 0
-	})
+	// The target runs its login hook before it sends the login response, so
+	// the binding is whole by the time Login returns.
+	b, ok := tb.plane.Attributions().ByIQN(volIQN)
+	if !ok || b.SourcePort == 0 {
+		t.Fatalf("binding after Login = %+v, %v: source port not yet attributed", b, ok)
+	}
 	if b.VM != "vm1" {
 		t.Errorf("binding VM = %q, want vm1", b.VM)
 	}

@@ -31,6 +31,18 @@ var senseBusy = &scsi.Sense{}
 // ExpectedDataTransferLength cannot allocate unbounded memory.
 const maxTransfer = 64 << 20
 
+// command is the state of one SCSI command from receipt to status. The read
+// loop fills it from the reader's PDU, which the next ReadPDU overwrites, and
+// moves the PDU's immediate data segment into it; from there the command
+// owns everything it refers to.
+type command struct {
+	cmd iscsi.SCSICommand
+	// imm backs cmd.Data (immediate write data); released when the command
+	// completes, so a fully immediate write hands the wire buffer to the
+	// device untouched.
+	imm *bufpool.Buf
+}
+
 // transfer tracks one in-progress R2T-solicited write. buf is pooled staging
 // owned by the command goroutine, which releases it once the device write
 // completes.
@@ -107,6 +119,10 @@ type sessConn struct {
 	sendMu  sync.Mutex
 	wirePDU iscsi.PDU // reusable encode target for outgoing PDUs, guarded by sendMu
 	statSN  atomic.Uint32
+
+	// inline is the command an inline-executing connection runs in its read
+	// loop — one at a time by construction, so it needs no allocation.
+	inline command
 }
 
 // serveConn runs one connection: login (creating or joining a session),
@@ -246,6 +262,24 @@ func (s *Server) login(conn net.Conn) (*sessConn, error) {
 	if old != nil {
 		old.abort()
 	}
+	// The hook runs before the response goes out: the response is what lets
+	// the initiator issue its first command, and whatever the hook records
+	// (the platform's connection attribution) has to be in place by then. A
+	// failed send below leaves that record behind; see WithLoginHook.
+	if s.loginHook != nil {
+		info := LoginInfo{
+			TargetIQN:    iqn,
+			InitiatorIQN: req.Pairs[iscsi.KeyInitiatorName],
+			AttachedVM:   req.Pairs[iscsi.KeyAttachedVM],
+			RemoteAddr:   conn.RemoteAddr(),
+		}
+		if v := req.Pairs[iscsi.KeySourcePort]; v != "" {
+			if port, err := strconv.Atoi(v); err == nil {
+				info.SourcePort = port
+			}
+		}
+		s.loginHook(info)
+	}
 	resp := &iscsi.LoginResponse{
 		Transit:     true,
 		CSG:         iscsi.StageOperational,
@@ -262,20 +296,6 @@ func (s *Server) login(conn net.Conn) (*sessConn, error) {
 	if _, err := resp.Encode().WriteTo(conn); err != nil {
 		ss.detach(sc)
 		return nil, fmt.Errorf("send login response: %w", err)
-	}
-	if s.loginHook != nil {
-		info := LoginInfo{
-			TargetIQN:    iqn,
-			InitiatorIQN: req.Pairs[iscsi.KeyInitiatorName],
-			AttachedVM:   req.Pairs[iscsi.KeyAttachedVM],
-			RemoteAddr:   conn.RemoteAddr(),
-		}
-		if v := req.Pairs[iscsi.KeySourcePort]; v != "" {
-			if port, err := strconv.Atoi(v); err == nil {
-				info.SourcePort = port
-			}
-		}
-		s.loginHook(info)
 	}
 	s.obsReg.Counter("iscsi.logins").Inc()
 	return sc, nil
@@ -344,22 +364,21 @@ func (sc *sessConn) run() {
 	ss := sc.ss
 	pr := iscsi.NewPDUReader(sc.conn)
 	defer pr.Close()
+	var cmd iscsi.SCSICommand // parse target, copied into the command's own state
 	for {
+		// pdu is the reader's and lasts until the next ReadPDU: every case
+		// consumes it here, in the loop.
 		pdu, err := pr.ReadPDU()
 		if err != nil {
 			return
 		}
 		switch pdu.Op() {
 		case iscsi.OpSCSICommand:
-			cmd, err := iscsi.ParseSCSICommand(pdu)
-			if err != nil {
+			if err := iscsi.ParseSCSICommandInto(&cmd, pdu); err != nil {
 				return
 			}
 			ss.noteCmdSN(cmd.CmdSN)
-			// The command goroutine owns the PDU from here: cmd.Data (the
-			// immediate write data) aliases its pooled segment, which is
-			// released once that data is staged into the transfer buffer.
-			sc.startCommand(cmd, pdu, pr.Buffered() == 0)
+			sc.startCommand(&cmd, pdu, pr.Buffered() == 0)
 		case iscsi.OpSCSIDataOut:
 			dout, err := iscsi.ParseDataOut(pdu)
 			if err != nil {
@@ -374,13 +393,16 @@ func (sc *sessConn) run() {
 			}
 			pdu.Release()
 			ss.noteCmdSN(nop.CmdSN)
-			_ = sc.sendMsg(&iscsi.NopIn{
+			in := iscsi.NopIn{
 				ITT:      nop.ITT,
 				TTT:      0xFFFFFFFF,
 				StatSN:   sc.statSN.Load(),
 				ExpCmdSN: ss.expCmdSN(),
 				MaxCmdSN: ss.maxCmdSN(),
-			})
+			}
+			sc.sendMu.Lock()
+			_, _ = in.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
+			sc.sendMu.Unlock()
 		case iscsi.OpTextReq:
 			err := sc.handleText(pdu)
 			pdu.Release()
@@ -427,24 +449,15 @@ func (ss *session) expCmdSN() uint32 { return ss.lastCmdSN.Load() + 1 }
 func (ss *session) maxCmdSN() uint32 { return ss.lastCmdSN.Load() + 65 }
 
 // send serializes one PDU to the connection under the connection send lock.
+// Typed messages on the command path do not come through here: they encode
+// into the connection's reusable wirePDU under sendMu, by a direct call on
+// the concrete type, so the message struct stays on its sender's stack (an
+// interface-typed argument would move it to the heap) and framing allocates
+// nothing.
 func (sc *sessConn) send(p *iscsi.PDU) error {
 	sc.sendMu.Lock()
 	defer sc.sendMu.Unlock()
 	_, err := p.WriteTo(sc.conn)
-	return err
-}
-
-// pduEncoder is a typed message that can encode into a caller-owned PDU.
-type pduEncoder interface {
-	EncodeInto(*iscsi.PDU) *iscsi.PDU
-}
-
-// sendMsg serializes m into the connection's reusable wire PDU under sendMu,
-// so steady-state responses allocate nothing for framing.
-func (sc *sessConn) sendMsg(m pduEncoder) error {
-	sc.sendMu.Lock()
-	defer sc.sendMu.Unlock()
-	_, err := m.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
 	return err
 }
 
@@ -459,28 +472,34 @@ func (sc *sessConn) startCommand(cmd *iscsi.SCSICommand, pdu *iscsi.PDU, quiet b
 	ss := sc.ss
 	solo := ss.srv.inlineExec && quiet && ss.inflight.Load() == 0 &&
 		(cmd.Read || (cmd.Write && len(cmd.Data) >= int(cmd.ExpectedDataTransferLength)))
+	c := &sc.inline
+	if !solo {
+		c = new(command)
+	}
+	c.cmd = *cmd
+	_, c.imm = pdu.TakeData() // c.cmd.Data aliases it
+	ss.inflight.Add(1)
 	if solo {
-		ss.inflight.Add(1)
-		sc.runCommand(cmd, pdu)
+		sc.runCommand(c)
 		ss.inflight.Add(-1)
 		return
 	}
-	ss.inflight.Add(1)
 	ss.cmdWG.Add(1)
 	go func() {
 		defer ss.cmdWG.Done()
 		defer ss.inflight.Add(-1)
-		sc.runCommand(cmd, pdu)
+		sc.runCommand(c)
 	}()
 }
 
 // runCommand executes one command end to end: data solicitation for
 // writes, device execution, Data-In or response with status.
-func (sc *sessConn) runCommand(cmd *iscsi.SCSICommand, pdu *iscsi.PDU) {
+func (sc *sessConn) runCommand(c *command) {
 	ss := sc.ss
-	cdb, err := scsi.Decode(cmd.CDB[:])
-	if err != nil {
-		pdu.Release()
+	cmd := &c.cmd
+	defer c.imm.Release()
+	var cdb scsi.CDB
+	if err := scsi.DecodeInto(&cdb, cmd.CDB[:]); err != nil {
 		var unsup *scsi.UnsupportedOpError
 		if errors.As(err, &unsup) {
 			sc.sendResponse(cmd.ITT, scsi.IllegalRequest(scsi.ASCInvalidOpcode))
@@ -501,15 +520,14 @@ func (sc *sessConn) runCommand(cmd *iscsi.SCSICommand, pdu *iscsi.PDU) {
 		}
 	}
 
-	sp := ss.srv.obsReg.StartTraced(ss.srv.obsStage, strings.TrimPrefix(opSuffix(cdb), "."), int(cmd.ExpectedDataTransferLength))
+	sp := ss.srv.obsReg.StartTraced(ss.srv.obsStage, strings.TrimPrefix(opSuffix(&cdb), "."), int(cmd.ExpectedDataTransferLength))
 	defer sp.End()
 
 	var writeBuf []byte
 	if cmd.Write {
 		var sense *scsi.Sense
 		var tr *transfer
-		writeBuf, tr, sense = sc.collectWriteData(cmd, pdu)
-		pdu.Release() // immediate data now staged (or owned by) the transfer
+		writeBuf, tr, sense = sc.collectWriteData(cmd)
 		defer tr.release()
 		if sense != nil {
 			sc.sendResponse(cmd.ITT, sense)
@@ -518,11 +536,9 @@ func (sc *sessConn) runCommand(cmd *iscsi.SCSICommand, pdu *iscsi.PDU) {
 		if writeBuf == nil { // session ended mid-transfer
 			return
 		}
-	} else {
-		pdu.Release() // non-write commands carry no retained data
 	}
 
-	data, pooled, sense := ss.execute(cdb, writeBuf)
+	data, pooled, sense := ss.execute(&cdb, writeBuf)
 	defer pooled.Release()
 	if sense != nil {
 		sc.sendResponse(cmd.ITT, sense)
@@ -549,31 +565,25 @@ func opSuffix(cdb *scsi.CDB) string {
 
 // collectWriteData assembles the command's full data transfer: immediate
 // data from the command PDU plus R2T-solicited bursts. When the command
-// arrived fully immediate, the transfer takes ownership of the PDU's pooled
-// data segment instead of staging a copy — the wire buffer flows through to
-// the device write untouched. The caller must call release on the returned
-// transfer once the device write completes. A nil data slice with nil sense
-// means the session was torn down mid-transfer.
-func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand, pdu *iscsi.PDU) ([]byte, *transfer, *scsi.Sense) {
+// arrived fully immediate there is nothing to stage: the immediate segment
+// the command already owns flows through to the device write untouched, and
+// no transfer is returned. Otherwise the caller must call release on the
+// returned transfer once the device write completes. A nil data slice with
+// nil sense means the session was torn down mid-transfer.
+func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand) ([]byte, *transfer, *scsi.Sense) {
 	ss := sc.ss
 	total := int(cmd.ExpectedDataTransferLength)
 	if total > maxTransfer {
 		return nil, nil, scsi.IllegalRequest(scsi.ASCInvalidFieldInCDB)
 	}
 	if len(cmd.Data) >= total {
-		if data, buf := pdu.TakeData(); buf != nil {
-			tr := &transfer{buf: data[:total], pbuf: buf}
-			return tr.buf, tr, nil
-		}
+		return cmd.Data[:total], nil, nil
 	}
 	// Zeroed: a peer that skips a solicited segment must not leak stale
 	// pool bytes into the device write (make([]byte) was implicitly zero).
 	pbuf := bufpool.GetZeroed(total)
 	tr := &transfer{buf: pbuf.B, pbuf: pbuf, burst: make(chan struct{}, 2)}
 	received := copy(tr.buf, cmd.Data)
-	if received >= total {
-		return tr.buf, tr, nil
-	}
 
 	ss.xferMu.Lock()
 	ss.xfers[cmd.ITT] = tr
@@ -594,7 +604,7 @@ func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand, pdu *iscsi.PDU) ([]
 		if desired > maxBurst {
 			desired = maxBurst
 		}
-		r2t := &iscsi.R2T{
+		r2t := iscsi.R2T{
 			ITT:           cmd.ITT,
 			TTT:           cmd.ITT,
 			StatSN:        sc.statSN.Load(),
@@ -604,7 +614,10 @@ func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand, pdu *iscsi.PDU) ([]
 			BufferOffset:  uint32(received),
 			DesiredLength: uint32(desired),
 		}
-		if err := sc.sendMsg(r2t); err != nil {
+		sc.sendMu.Lock()
+		_, err := r2t.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
+		sc.sendMu.Unlock()
+		if err != nil {
 			return nil, tr, nil
 		}
 		select {
@@ -740,7 +753,9 @@ func (sc *sessConn) sendDataIn(itt uint32, data []byte) {
 		din.StatusPresent = true
 		din.Status = byte(scsi.StatusGood)
 		din.StatSN = sc.statSN.Add(1)
-		_ = sc.sendMsg(&din)
+		sc.sendMu.Lock()
+		_, _ = din.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
+		sc.sendMu.Unlock()
 		return
 	}
 	pdus := make([]iscsi.PDU, nseg)
@@ -776,7 +791,7 @@ func (sc *sessConn) sendDataIn(itt uint32, data []byte) {
 // senseBusy overload marker), or CHECK CONDITION with the given sense.
 func (sc *sessConn) sendResponse(itt uint32, sense *scsi.Sense) {
 	ss := sc.ss
-	resp := &iscsi.SCSIResponse{
+	resp := iscsi.SCSIResponse{
 		ITT:      itt,
 		Response: iscsi.RespCompleted,
 		Status:   byte(scsi.StatusGood),
@@ -790,7 +805,10 @@ func (sc *sessConn) sendResponse(itt uint32, sense *scsi.Sense) {
 		resp.Status = byte(scsi.StatusCheckCondition)
 		resp.Sense = sense.Encode()
 	}
-	if err := sc.sendMsg(resp); err != nil {
+	sc.sendMu.Lock()
+	_, err := resp.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
+	sc.sendMu.Unlock()
+	if err != nil {
 		ss.srv.logf("target: session %q: send response: %v", ss.iqn, err)
 	}
 }

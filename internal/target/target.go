@@ -51,7 +51,13 @@ func WithResolver(r Resolver) Option {
 	return func(s *Server) { s.resolver = r }
 }
 
-// WithLoginHook installs a callback fired after each successful login.
+// WithLoginHook installs a callback fired for each leading login the server
+// accepts, before the login response is sent — so what it records is in place
+// before the initiator can issue its first command. The price of that order:
+// if sending the response then fails, the hook has fired for a login the
+// initiator never saw complete, and nothing tells it so. What a hook records
+// must be safe to leave behind — the platform's attribution is keyed by
+// target IQN and overwritten by that initiator's next login.
 func WithLoginHook(h func(LoginInfo)) Option {
 	return func(s *Server) { s.loginHook = h }
 }

@@ -131,11 +131,13 @@ func TestLoginNegotiatesParamsAndFiresHook(t *testing.T) {
 		t.Fatalf("login: %v", err)
 	}
 
+	// The hook runs before the login response is sent, so it has fired by
+	// the time Login returns — no waiting.
 	var info target.LoginInfo
 	select {
 	case info = <-infoCh:
-	case <-time.After(5 * time.Second):
-		t.Fatal("login hook never fired")
+	default:
+		t.Fatal("login hook had not fired when Login returned")
 	}
 	if info.TargetIQN != testIQN {
 		t.Errorf("hook TargetIQN = %q, want %q", info.TargetIQN, testIQN)
@@ -170,6 +172,84 @@ func TestLoginNegotiatesParamsAndFiresHook(t *testing.T) {
 	}
 	if !bytes.Equal(check, want) {
 		t.Error("write never reached the backing device")
+	}
+}
+
+// closeNotifyDisk is a session-owned device that reports its Close.
+type closeNotifyDisk struct {
+	blockdev.Device
+	closed chan struct{}
+}
+
+func (d *closeNotifyDisk) Close() error {
+	d.closed <- struct{}{}
+	return nil
+}
+
+// TestLoginHookFiresBeforeAFailedResponse pins the price of running the hook
+// before the login response: when the response cannot be sent the hook has
+// already fired and is not told, the half-made session is torn down (its
+// owned device closed), and the initiator's next login fires the hook again
+// — the record that supersedes the stale one.
+func TestLoginHookFiresBeforeAFailedResponse(t *testing.T) {
+	disk, err := blockdev.NewMemDisk(512, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{}, 2)
+	var (
+		mu     sync.Mutex
+		ports  []int
+		victim net.Conn // client end the first hook call closes
+	)
+	srv := target.NewServer(
+		target.WithResolver(func(string, net.Conn) (blockdev.Device, bool, error) {
+			return &closeNotifyDisk{Device: disk, closed: closed}, true, nil
+		}),
+		target.WithLoginHook(func(info target.LoginInfo) {
+			mu.Lock()
+			defer mu.Unlock()
+			ports = append(ports, info.SourcePort)
+			if len(ports) == 1 {
+				_ = victim.Close() // the response write that follows must fail
+			}
+		}))
+	ln := serveTarget(t, srv)
+	pairs := func(port string) map[string]string {
+		return map[string]string{
+			iscsi.KeyInitiatorName: "iqn.vm",
+			iscsi.KeyTargetName:    testIQN,
+			iscsi.KeySourcePort:    port,
+		}
+	}
+
+	victim = dialTarget(t, ln)
+	req := &iscsi.LoginRequest{
+		Transit: true, CSG: iscsi.StageOperational, NSG: iscsi.StageFullFeature,
+		ITT: 1, CmdSN: 1, Pairs: pairs("40001"),
+	}
+	if _, err := req.Encode().WriteTo(victim); err != nil {
+		t.Fatalf("send login request: %v", err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session of the failed login was never torn down")
+	}
+	mu.Lock()
+	if len(ports) != 1 || ports[0] != 40001 {
+		t.Fatalf("hook calls after the failed login = %v, want [40001]", ports)
+	}
+	mu.Unlock()
+
+	// The same initiator logs in again on a fresh connection.
+	if resp := rawLogin(t, dialTarget(t, ln), pairs("40002")); resp.StatusClass != iscsi.LoginStatusSuccess {
+		t.Fatalf("second login: StatusClass = 0x%02x, want success", resp.StatusClass)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ports) != 2 || ports[1] != 40002 {
+		t.Fatalf("hook calls = %v, want [40001 40002]", ports)
 	}
 }
 

@@ -103,6 +103,16 @@ func NewService(ep *netsim.Endpoint, cfg Config) (*Service, error) {
 	if cfg.LoginHook != nil {
 		opts = append(opts, target.WithLoginHook(cfg.LoginHook))
 	}
+	if cfg.DiskRead == (blockdev.ServiceModel{}) && cfg.DiskWrite == (blockdev.ServiceModel{}) {
+		// With no modelled medium time a volume is a memory disk behind a
+		// fault switch: a command has nothing to wait for, so there is
+		// nothing for a second command on the connection to overlap with,
+		// and a quiet connection may run it in its read loop instead of
+		// paying a goroutine per command — the rule the relay applies to its
+		// interception charge. A modelled disk keeps the goroutine: its
+		// service times must overlap up to DiskConcurrency.
+		opts = append(opts, target.WithInlineExec())
+	}
 	s := &Service{
 		iqnPrefix:   cfg.IQNPrefix,
 		readModel:   cfg.DiskRead,

@@ -3,6 +3,7 @@ package volume
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,6 +171,48 @@ func TestDiskModelApplied(t *testing.T) {
 	}
 	if el := time.Since(start); el > 10*time.Millisecond {
 		t.Errorf("write took %v, want fast", el)
+	}
+}
+
+// TestModelledDiskCommandsOverlapOnOneConnection: a service with a modelled
+// medium must keep one goroutine per command — the commands of one
+// connection wait out their service times side by side. (Only an unmodelled
+// service runs a quiet connection's commands in its read loop, where a
+// command that waited would hold up the ones behind it;
+// TestLeg4KAllocBudget pins that side.)
+func TestModelledDiskCommandsOverlapOnOneConnection(t *testing.T) {
+	const service = 50 * time.Millisecond
+	svc, client := newService(t, Config{DiskRead: blockdev.ServiceModel{PerRequest: service}})
+	v, err := svc.Create("slow", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := client.DialAddr(svc.TargetAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := initiator.Login(conn, initiator.Config{InitiatorIQN: "iqn.c", TargetIQN: v.IQN})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	const readers = 4
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := sess.ReadInto(make([]byte, 512), uint64(i), 1, 512); err != nil {
+				t.Errorf("read %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	// All four side by side take one service time; a read loop that ran
+	// the first one itself would need two.
+	if el := time.Since(start); el < service || el >= 2*service {
+		t.Errorf("%d concurrent reads of %v each took %v: want them overlapped, not queued", readers, service, el)
 	}
 }
 
