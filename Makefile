@@ -6,8 +6,8 @@
 # objstore, scrub, services/replicate — the per-byte path every workload
 # shares: blockdev, services/crypt — and volume, which picks the target's
 # execution mode), the allocs/op regression gates for the zero-copy chain hot
-# path, one iSCSI leg, the flow lookup and the cipher, a short-mode
-# soak smoke, and a short-mode backup smoke. `make test` is the full
+# path, one iSCSI leg at 4 KiB and 64 KiB, the flow lookup and the cipher,
+# a short-mode soak smoke, and a short-mode backup smoke. `make test` is the full
 # suite. `make bench` prints the data-plane microbenchmarks with
 # allocation stats and appends a dated before/after summary to
 # BENCH_results.json (via stormbench -fastpath). `make crash` runs the
@@ -50,16 +50,16 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Allocation regression gates (skipped under -race, which instruments
-# allocations): the zero-copy chain hot path, one unmodelled iSCSI leg, the
-# lock-free flow lookup and the per-request (not per-sector) cipher.
+# allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
+# and 64 KiB), the lock-free flow lookup and the per-request (not per-sector) cipher.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt | grep -E 'allocs|FAIL|ok '
 
 test:
 	$(GO) test ./...
 
 bench:
-	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|Leg4K|GetRelease|Transform|MemDiskRW' -benchmem $(BENCH_PKGS)
+	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|Leg4K|Leg64K|GetRelease|Transform|MemDiskRW' -benchmem $(BENCH_PKGS)
 	$(GO) run ./cmd/stormbench -fastpath
 
 # Paired A/B of one benchmark workload, BASE against the working tree; see

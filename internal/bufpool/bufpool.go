@@ -28,6 +28,9 @@ const (
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
+// MaxPooled is the largest request Get serves from a pool.
+const MaxPooled = 1 << maxClassBits
+
 // Buf is a pooled buffer. B is the usable slice (len == requested size); the
 // box itself recycles with the buffer so steady-state Get/Release performs no
 // allocation at all.

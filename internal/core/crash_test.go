@@ -12,9 +12,11 @@ import (
 )
 
 // crashPolicy chains vm1's volume through a scalable encryption group whose
-// members keep crash-durable journals. The inflated cipher cost slows the
-// write-back apply path so the journal holds unapplied acknowledged writes
-// when the crash hits (otherwise the replay assertions would be vacuous).
+// members keep crash-durable journals. The inflated cipher cost (4 ms of
+// modelled apply per 4 KiB write) slows the write-back apply path so the
+// journal holds unapplied acknowledged writes when the crash hits, even on a
+// host busy enough to stretch the writes between crash ticks (otherwise the
+// replay assertions would be vacuous).
 func crashPolicy(volID string) *policy.Policy {
 	return &policy.Policy{
 		Tenant: "tenantC",
@@ -27,7 +29,7 @@ func crashPolicy(volID string) *policy.Policy {
 				"key":                aesKeyHex,
 				"durableJournal":     "true",
 				"journalFsyncWindow": "1ms",
-				"cipherCostNsPerKiB": "200000",
+				"cipherCostNsPerKiB": "1000000",
 			},
 		}},
 		Volumes: []policy.VolumeBinding{{VM: "vm1", Volume: volID, Chain: []string{"enc1"}}},
@@ -182,11 +184,7 @@ func TestRecoveryRetryAfterTransientReplayFailure(t *testing.T) {
 	stateDir := t.TempDir()
 	p.SetStateDir(stateDir)
 	_, volID := launchAndVolume(t, c, "vm1")
-	pol := crashPolicy(volID)
-	// Inflate the apply cost further so the short pre-crash burst reliably
-	// leaves acknowledged-but-unapplied records in the journal.
-	pol.MiddleBoxes[0].Params["cipherCostNsPerKiB"] = "1000000"
-	dep, err := p.Apply(pol)
+	dep, err := p.Apply(crashPolicy(volID))
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}

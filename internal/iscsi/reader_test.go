@@ -5,6 +5,8 @@ import (
 	"io"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/bufpool"
 )
 
 func pattern(n int, seed byte) []byte {
@@ -137,4 +139,139 @@ func TestVectoredWriteDropsPayloadAlias(t *testing.T) {
 	if p.vec[1] != nil {
 		t.Error("PDU still aliases the payload it sent")
 	}
+}
+
+// frameStream delivers whole frames the way netsim does on an unmodelled
+// path: TakeFrame hands over an unread head frame, Read copies out of the
+// head frame (and a partly read head frame must be read, not taken).
+type frameStream struct {
+	frames [][]byte
+	off    int            // bytes of frames[0] already read
+	taken  []*bufpool.Buf // every frame handed over, in order
+	reads  int
+}
+
+func (s *frameStream) TakeFrame() (*bufpool.Buf, bool, error) {
+	if len(s.frames) == 0 {
+		return nil, false, io.EOF
+	}
+	if s.off > 0 {
+		return nil, false, nil
+	}
+	f := bufpool.Get(len(s.frames[0]))
+	copy(f.B, s.frames[0])
+	s.frames = s.frames[1:]
+	s.taken = append(s.taken, f)
+	return f, len(s.frames) > 0, nil
+}
+
+func (s *frameStream) Read(b []byte) (int, error) {
+	if len(s.frames) == 0 {
+		return 0, io.EOF
+	}
+	s.reads++
+	n := copy(b, s.frames[0][s.off:])
+	if s.off += n; s.off == len(s.frames[0]) {
+		s.frames, s.off = s.frames[1:], 0
+	}
+	return n, nil
+}
+
+func dataOut(itt uint32, n int, seed byte) *PDU {
+	return (&DataOut{ITT: itt, TTT: itt, Final: true, Data: pattern(n, seed)}).Encode()
+}
+
+func wireOf(pdus ...*PDU) []byte {
+	var b []byte
+	for _, p := range pdus {
+		b = append(b, p.Bytes()...)
+	}
+	return b
+}
+
+// readAll decodes every PDU from pr, checking each against want byte for
+// byte, and calls after(i, p) before the next ReadPDU.
+func readAll(t *testing.T, pr *PDUReader, want []*PDU, after func(i int, p *PDU)) {
+	t.Helper()
+	for i, w := range want {
+		p, err := pr.ReadPDU()
+		if err != nil {
+			t.Fatalf("PDU %d: %v", i, err)
+		}
+		if p.BHS != w.BHS || !bytes.Equal(p.Data, w.Data) {
+			t.Fatalf("PDU %d (%v, %d data bytes) decoded as %v with %d", i, w.Op(), len(w.Data), p.Op(), len(p.Data))
+		}
+		after(i, p)
+		p.Release()
+	}
+	if _, err := pr.ReadPDU(); err != io.EOF {
+		t.Fatalf("after %d PDUs: err = %v, want EOF", len(want), err)
+	}
+}
+
+// TestPDUReaderTakesFrames: on a stream that offers whole frames the reader
+// reads nothing. A frame holding exactly one PDU becomes that PDU — its data
+// aliases the frame and TakeData moves the frame out — and every other frame
+// (a WritePDUs burst, a header-only PDU, a burst larger than the staging
+// window) decodes byte for byte. Buffered stays non-zero while a frame is
+// queued behind the PDU just read.
+func TestPDUReaderTakesFrames(t *testing.T) {
+	cmd := (&SCSICommand{Final: true, Write: true, ITT: 1, ExpectedDataTransferLength: 4096, Data: pattern(4096, 1)}).Encode()
+	burst := []*PDU{dataOut(2, 8192, 2), dataOut(2, 8192, 3), dataOut(2, 1001, 4)}
+	nop := (&NopOut{ITT: 3, TTT: 0xFFFFFFFF}).Encode()
+	big := []*PDU{dataOut(4, 40000, 5), dataOut(4, 40000, 6)} // > readerBufSize together
+	last := dataOut(5, 999, 7)
+	want := append(append(append(append([]*PDU{cmd}, burst...), nop), big...), last)
+	s := &frameStream{frames: [][]byte{wireOf(cmd), wireOf(burst...), wireOf(nop), wireOf(big...), wireOf(last)}}
+	pr := NewPDUReader(s)
+	defer pr.Close()
+
+	var kept []byte
+	var keptBuf *bufpool.Buf
+	defer func() { keptBuf.Release() }()
+	readAll(t, pr, want, func(i int, p *PDU) {
+		if queued := i < len(want)-1; (pr.Buffered() > 0) != queued {
+			t.Errorf("after PDU %d: Buffered() = %d with more input queued = %v", i, pr.Buffered(), queued)
+		}
+		if i == 0 {
+			if &p.Data[0] != &s.taken[0].B[BHSLen] {
+				t.Error("a one-PDU frame's data segment does not alias the frame")
+			}
+			kept, keptBuf = p.TakeData()
+			if keptBuf != s.taken[0] || p.Data != nil {
+				t.Fatal("TakeData did not move the taken frame out of the PDU")
+			}
+		}
+		if i == len(want)-1 && &p.Data[0] != &s.taken[len(s.taken)-1].B[BHSLen] {
+			t.Error("the last frame, again exactly one PDU, was copied")
+		}
+	})
+	if s.reads != 0 {
+		t.Errorf("%d reads on a stream that offered every frame whole", s.reads)
+	}
+	if !bytes.Equal(kept, cmd.Data) {
+		t.Error("taken immediate data changed under later reads")
+	}
+}
+
+// TestPDUReaderFramesAcrossBoundaries: frames need not end on a PDU boundary
+// (a sender that writes a PDU in pieces, an untimed write above the largest
+// pooled size). A header split across frames and a data segment running into
+// the next frame, which is then partly read and must not be taken, decode
+// byte for byte, and taking resumes on the next whole frame.
+func TestPDUReaderFramesAcrossBoundaries(t *testing.T) {
+	a, b, c, d := dataOut(1, 5000, 1), (&NopOut{ITT: 2, TTT: 0xFFFFFFFF}).Encode(), dataOut(3, 3000, 2), dataOut(4, 512, 3)
+	e := dataOut(5, 2048, 4)
+	stream := wireOf(a, b, c, d)
+	cut1 := a.WireLen() + 20                // mid-header of b
+	cut2 := cut1 + 28 + BHSLen + 1000       // mid-data of c
+	cut3 := cut2 + 2000 + d.WireLen()/2 - 1 // mid-data of d
+	s := &frameStream{frames: [][]byte{stream[:cut1], stream[cut1:cut2], stream[cut2:cut3], stream[cut3:], wireOf(e)}}
+	pr := NewPDUReader(s)
+	defer pr.Close()
+	readAll(t, pr, []*PDU{a, b, c, d, e}, func(i int, p *PDU) {
+		if i == 4 && &p.Data[0] != &s.taken[len(s.taken)-1].B[BHSLen] {
+			t.Error("taking did not resume after a partly read frame")
+		}
+	})
 }

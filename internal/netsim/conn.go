@@ -4,6 +4,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs"
 )
 
@@ -85,8 +86,17 @@ func (c *Conn) Write(b []byte) (int, error) { return c.out.write(b) }
 
 // WriteBuffers sends the concatenation of bufs as one write. The iSCSI layer
 // uses it to emit a PDU's header and payload without an assembly copy: each
-// segment is copied directly into the simulated MTU frames.
+// segment is copied directly into the simulated frames.
 func (c *Conn) WriteBuffers(bufs ...[]byte) (int, error) { return c.out.writeBufs(bufs) }
+
+// TakeFrame receives the next frame whole instead of copying it out: while
+// nothing is modelled on the path a write is one frame, so the frame is
+// exactly what one peer write sent. It blocks as Read does (same deadline,
+// close and EOF) and, when the head frame is untimed and unread, transfers
+// ownership of its buffer to the caller, who must Release it; more reports
+// whether further frames were queued behind it. A nil buffer with a nil
+// error means "Read instead": the head frame is modelled or partly read.
+func (c *Conn) TakeFrame() (frame *bufpool.Buf, more bool, err error) { return c.in.take() }
 
 // Close implements net.Conn. Both directions shut down; the peer's pending
 // data remains readable and then reports EOF.

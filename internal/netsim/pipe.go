@@ -22,7 +22,7 @@ var errClosedPipe = errors.New("netsim: connection closed")
 // frame is a unit of in-flight data with its modelled arrival time — the
 // zero time for a frame written while nothing was modelled, which has arrived
 // by definition. data is the unread remainder of buf's bytes; buf returns to
-// the pool once the frame is fully consumed.
+// the pool once the frame is fully consumed, unless a reader took it whole.
 type frame struct {
 	at   time.Time
 	data []byte
@@ -108,13 +108,15 @@ func (f *frame) arrived(now *time.Time) bool {
 // clock. Order needs no clock either: read only ever looks at the head
 // frame, so an untimed frame written behind a delayed one (a delay healed
 // mid-stream) still waits its turn, and lastArrival is clamped up to now
-// whenever timing resumes.
+// whenever timing resumes. The MTU only paces timed frames, so an untimed
+// write is one frame, up to the largest pooled size: a reader can then take
+// a whole PDU as sent (take).
 func (p *framePipe) write(b []byte) (int, error) {
 	return p.writeBufs([][]byte{b})
 }
 
 // writeBufs is the vectored write: the concatenation of bufs is chunked into
-// pooled MTU frames directly, so a header+payload send costs one copy total
+// pooled frames directly, so a header+payload send costs one copy total
 // instead of an assembly copy plus a frame copy.
 func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 	total := 0
@@ -134,7 +136,9 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 		return 0, err
 	}
 	timed := p.cost != (PathCost{}) || p.extra != 0 || len(p.throttles) != 0
+	chunk := bufpool.MaxPooled
 	if timed {
+		chunk = p.mtu
 		if now := time.Now(); p.lastArrival.Before(now) {
 			p.lastArrival = now
 		}
@@ -142,10 +146,7 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 	var processing time.Duration
 	vi, vo := 0, 0 // cursor: bufs[vi][vo:] is the next unconsumed byte
 	for remaining := total; remaining > 0; {
-		n := remaining
-		if n > p.mtu {
-			n = p.mtu
-		}
+		n := min(remaining, chunk)
 		fb := bufpool.Get(n)
 		for fill := 0; fill < n; {
 			for vo == len(bufs[vi]) {
@@ -185,7 +186,7 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 func (p *framePipe) read(b []byte) (int, error) {
 	for {
 		p.mu.Lock()
-		if !p.deadline.IsZero() && !time.Now().Before(p.deadline) {
+		if p.expired() {
 			p.mu.Unlock()
 			return 0, ErrTimeout
 		}
@@ -215,20 +216,59 @@ func (p *framePipe) read(b []byte) (int, error) {
 			}
 			continue
 		}
-		if p.closed {
-			err := p.closeErr
-			p.mu.Unlock()
-			if err == nil {
-				err = io.EOF
-			}
-			return 0, err
-		}
-		deadline := p.deadline
-		p.mu.Unlock()
-		if err := p.waitForWake(deadline); err != nil {
+		if err := p.awaitFrames(); err != nil {
 			return 0, err
 		}
 	}
+}
+
+// take hands over the head frame's buffer when that frame is untimed and
+// unread, blocking as read does while the queue is empty; more reports
+// whether frames are still queued behind it. A nil buffer with a nil error
+// means "read instead": the head frame is timed or partly read.
+func (p *framePipe) take() (buf *bufpool.Buf, more bool, err error) {
+	for {
+		p.mu.Lock()
+		if p.expired() {
+			p.mu.Unlock()
+			return nil, false, ErrTimeout
+		}
+		if p.head < len(p.frames) {
+			if f := &p.frames[p.head]; f.at.IsZero() && len(f.data) == len(f.buf.B) {
+				buf, f.buf = f.buf, nil // the caller's now: pop must not release it
+				p.pop()
+				more = p.head < len(p.frames)
+			}
+			p.mu.Unlock()
+			return buf, more, nil
+		}
+		if err := p.awaitFrames(); err != nil {
+			return nil, false, err
+		}
+	}
+}
+
+// expired reports whether the read deadline has passed. p.mu is held.
+func (p *framePipe) expired() bool {
+	return !p.deadline.IsZero() && !time.Now().Before(p.deadline)
+}
+
+// awaitFrames is a reader's wait on an empty queue: entered with p.mu held,
+// it returns with the lock released — the close error (EOF for a clean
+// close) once the pipe is closed, else nil when new data, a close or a
+// deadline change wakes it, or ErrTimeout at the deadline.
+func (p *framePipe) awaitFrames() error {
+	if p.closed {
+		err := p.closeErr
+		p.mu.Unlock()
+		if err == nil {
+			err = io.EOF
+		}
+		return err
+	}
+	deadline := p.deadline
+	p.mu.Unlock()
+	return p.waitForWake(deadline)
 }
 
 // sleep waits for d, bounded by the deadline, interruptible by wake-ups.

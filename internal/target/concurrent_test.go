@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/initiator"
 	"repro/internal/iscsi"
 	"repro/internal/netsim"
+	"repro/internal/scsi"
 	"repro/internal/target"
 )
 
@@ -100,4 +102,78 @@ func TestConcurrentCommandsKeepTheirData(t *testing.T) {
 			wg.Wait()
 		})
 	}
+}
+
+// TestPipelinedCommandGetsItsOwnGoroutine: under WithInlineExec a command
+// runs inline only when nothing is queued behind it. Two commands that
+// arrive as separate frames while the read loop is busy must not run
+// inline: the first of them (a write held at the device) gets a goroutine,
+// so the read behind it is served before that write completes.
+func TestPipelinedCommandGetsItsOwnGoroutine(t *testing.T) {
+	fabric := netsim.NewFabric(netsim.Model{MTU: 8192})
+	sh, err := fabric.AddHost("storage1", map[netsim.Network]string{netsim.StorageNet: "10.0.0.100"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := fabric.AddHost("compute1", map[netsim.Network]string{netsim.StorageNet: "10.0.0.1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := blockdev.NewMemDisk(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedDisk{Device: disk, started: make(chan struct{}, 1), release: make(chan struct{})}
+	srv := target.NewServer(target.WithInlineExec())
+	if err := srv.AddTarget(testIQN, gate); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := sh.NewEndpoint("tgtd").Listen(netsim.StorageNet, 3260)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(srv.Close)
+	conn, err := ch.NewEndpoint("vm").Dial(netsim.StorageNet, "10.0.0.100:3260")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	t.Cleanup(func() { close(gate.release) }) // first: a failed run may leave a write held
+	rawLogin(t, conn, map[string]string{iscsi.KeyInitiatorName: "iqn.raw-client", iscsi.KeyTargetName: testIQN})
+
+	send := func(itt, cmdSN uint32, write bool) {
+		t.Helper()
+		cmd := &iscsi.SCSICommand{Final: true, ITT: itt, CmdSN: cmdSN, ExpectedDataTransferLength: 512}
+		cdb := scsi.NewRead(uint64(itt), 1)
+		if write {
+			cmd.Write, cmd.Data, cdb = true, make([]byte, 512), scsi.NewWrite(uint64(itt), 1)
+		} else {
+			cmd.Read = true
+		}
+		if _, err := cdb.EncodeInto(cmd.CDB[:]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cmd.Encode().WriteTo(conn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(itt uint32) {
+		t.Helper()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if p := readPDU(t, conn); p.ITT() != itt {
+			t.Fatalf("%v for ITT %d, want ITT %d", p.Op(), p.ITT(), itt)
+		}
+	}
+
+	send(1, 2, true) // quiet connection: runs inline, held at the device
+	<-gate.started
+	send(2, 3, true)  // queued behind it, as a frame of its own ...
+	send(3, 4, false) // ... and so is this read
+	gate.release <- struct{}{}
+	expect(1)
+	<-gate.started // write 2 is at the device: the read must still get through
+	expect(3)
+	gate.release <- struct{}{}
+	expect(2)
 }

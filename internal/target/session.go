@@ -527,13 +527,14 @@ func (sc *sessConn) runCommand(c *command) {
 	if cmd.Write {
 		var sense *scsi.Sense
 		var tr *transfer
-		writeBuf, tr, sense = sc.collectWriteData(cmd)
+		var ended bool
+		writeBuf, tr, sense, ended = sc.collectWriteData(cmd)
 		defer tr.release()
-		if sense != nil {
-			sc.sendResponse(cmd.ITT, sense)
+		if ended {
 			return
 		}
-		if writeBuf == nil { // session ended mid-transfer
+		if sense != nil {
+			sc.sendResponse(cmd.ITT, sense)
 			return
 		}
 	}
@@ -568,16 +569,17 @@ func opSuffix(cdb *scsi.CDB) string {
 // arrived fully immediate there is nothing to stage: the immediate segment
 // the command already owns flows through to the device write untouched, and
 // no transfer is returned. Otherwise the caller must call release on the
-// returned transfer once the device write completes. A nil data slice with
-// nil sense means the session was torn down mid-transfer.
-func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand) ([]byte, *transfer, *scsi.Sense) {
+// returned transfer once the device write completes. The final result
+// reports that the session was torn down mid-transfer, leaving no one to
+// answer; a zero-length write returns no data and is answered as usual.
+func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand) ([]byte, *transfer, *scsi.Sense, bool) {
 	ss := sc.ss
 	total := int(cmd.ExpectedDataTransferLength)
 	if total > maxTransfer {
-		return nil, nil, scsi.IllegalRequest(scsi.ASCInvalidFieldInCDB)
+		return nil, nil, scsi.IllegalRequest(scsi.ASCInvalidFieldInCDB), false
 	}
 	if len(cmd.Data) >= total {
-		return cmd.Data[:total], nil, nil
+		return cmd.Data[:total], nil, nil, false
 	}
 	// Zeroed: a peer that skips a solicited segment must not leak stale
 	// pool bytes into the device write (make([]byte) was implicitly zero).
@@ -618,17 +620,17 @@ func (sc *sessConn) collectWriteData(cmd *iscsi.SCSICommand) ([]byte, *transfer,
 		_, err := r2t.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
 		sc.sendMu.Unlock()
 		if err != nil {
-			return nil, tr, nil
+			return nil, tr, nil, true
 		}
 		select {
 		case <-tr.burst:
 		case <-ss.done:
-			return nil, tr, nil
+			return nil, tr, nil, true
 		}
 		received += desired
 		r2tsn++
 	}
-	return tr.buf, tr, nil
+	return tr.buf, tr, nil, false
 }
 
 // handleDataOut copies a solicited data segment into its transfer buffer

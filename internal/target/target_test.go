@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -383,6 +384,88 @@ func TestR2TSolicitedWriteFlow(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("solicited write corrupted data on the device")
+	}
+}
+
+// TestZeroLengthWriteAnswered: a WRITE(10) with transfer length 0 carries no
+// data and completes GOOD like any other command (it once read as "session
+// ended" and was never answered).
+func TestZeroLengthWriteAnswered(t *testing.T) {
+	_, _, ln := memTarget(t)
+	conn := dialTarget(t, ln)
+	smallBurstLogin(t, conn)
+	cmd := &iscsi.SCSICommand{Final: true, Write: true, ITT: 0x30, CmdSN: 2, ExpStatSN: 2}
+	if _, err := scsi.NewWrite(4, 0).EncodeInto(cmd.CDB[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cmd.Encode().WriteTo(conn); err != nil {
+		t.Fatalf("send write command: %v", err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := iscsi.ParseSCSIResponse(readPDU(t, conn))
+	if err != nil {
+		t.Fatalf("parse response: %v", err)
+	}
+	if resp.ITT != 0x30 || resp.Status != byte(scsi.StatusGood) {
+		t.Fatalf("response ITT=%#x status=%#x, want ITT=0x30 GOOD", resp.ITT, resp.Status)
+	}
+}
+
+// tapConn counts what the target writes after the client has hung up.
+type tapConn struct {
+	net.Conn
+	hungUp atomic.Bool
+	late   atomic.Int64
+}
+
+func (c *tapConn) Write(b []byte) (int, error) {
+	if c.hungUp.Load() {
+		c.late.Add(int64(len(b)))
+	}
+	return c.Conn.Write(b)
+}
+
+// TestWriteDroppedMidR2TUnanswered: a write whose session ends while its
+// solicited data is outstanding is abandoned without a response — the
+// session's teardown, which waits for every command, finds nothing sent after
+// the hang-up.
+func TestWriteDroppedMidR2TUnanswered(t *testing.T) {
+	disk, err := blockdev.NewMemDisk(512, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{}, 1)
+	srv := target.NewServer(target.WithResolver(func(string, net.Conn) (blockdev.Device, bool, error) {
+		return &closeNotifyDisk{Device: disk, closed: closed}, true, nil
+	}))
+	ln := serveTarget(t, srv)
+	conn, s := net.Pipe()
+	tap := &tapConn{Conn: s}
+	ln.ch <- tap
+	smallBurstLogin(t, conn)
+
+	cmd := &iscsi.SCSICommand{
+		Final: true, Write: true, ITT: 0x40, CmdSN: 2, ExpStatSN: 2,
+		ExpectedDataTransferLength: 2048, Data: make([]byte, 512),
+	}
+	if _, err := scsi.NewWrite(4, 4).EncodeInto(cmd.CDB[:]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cmd.Encode().WriteTo(conn); err != nil {
+		t.Fatalf("send write command: %v", err)
+	}
+	if p := readPDU(t, conn); p.Op() != iscsi.OpR2T {
+		t.Fatalf("got %v, want the R2T", p.Op())
+	}
+	tap.hungUp.Store(true)
+	_ = conn.Close()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("session never tore down after the hang-up")
+	}
+	if n := tap.late.Load(); n != 0 {
+		t.Errorf("target wrote %d bytes for a write whose session had ended", n)
 	}
 }
 

@@ -29,7 +29,7 @@ func legDevice(tb testing.TB) *initiator.Device {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(svc.Close)
-	v, err := svc.Create("leg", 1<<20)
+	v, err := svc.Create("leg", 4<<20) // 64 slots of the largest legOp
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,9 +49,9 @@ func legDevice(tb testing.TB) *initiator.Device {
 	return dev
 }
 
-// legOp returns one 4 KiB command over dev, cycling through 64 slots.
-func legOp(tb testing.TB, dev *initiator.Device, write bool) func() {
-	buf := make([]byte, 4096)
+// legOp returns one size-byte command over dev, cycling through 64 slots.
+func legOp(tb testing.TB, dev *initiator.Device, size int, write bool) func() {
+	buf := make([]byte, size)
 	perOp := uint64(len(buf) / dev.BlockSize())
 	var i uint64
 	return func() {
@@ -71,13 +71,19 @@ func legOp(tb testing.TB, dev *initiator.Device, write bool) func() {
 
 // BenchmarkLeg4K is the cost of one 4 KiB round trip over one unmodelled
 // iSCSI leg (run with -cpu 1, as the repository benchmark pins one P).
-func BenchmarkLeg4K(b *testing.B) {
+func BenchmarkLeg4K(b *testing.B) { benchmarkLeg(b, 4096) }
+
+// BenchmarkLeg64K is BenchmarkLeg4K at 64 KiB, where the payload copies
+// rather than the per-command overhead dominate.
+func BenchmarkLeg64K(b *testing.B) { benchmarkLeg(b, 64*1024) }
+
+func benchmarkLeg(b *testing.B, size int) {
 	for _, c := range []struct {
 		name  string
 		write bool
 	}{{"write", true}, {"read", false}} {
 		b.Run(c.name, func(b *testing.B) {
-			op := legOp(b, legDevice(b), c.write)
+			op := legOp(b, legDevice(b), size, c.write)
 			for i := 0; i < 256; i++ {
 				op()
 			}

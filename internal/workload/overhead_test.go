@@ -59,7 +59,10 @@ func TestTracingOverheadOnFioHotPath(t *testing.T) {
 // it cannot filter is the host slowing every run of one side: on a loaded
 // box identical code has measured 1.08 and 1.13. A real overhead shows in
 // every attempt and a busy host does not, so the comparison fails only
-// after three attempts over the limit.
+// after three attempts over the limit. Under the race detector the ratio is
+// only logged: the detector's own overhead swamps a few percent (identical
+// code has read 0.80–1.34 there), so the callers' functional checks are what
+// a race build runs.
 func requireOverheadWithin(t *testing.T, limit float64, bare, probed func() time.Duration) {
 	t.Helper()
 	const attempts, rounds = 3, 5
@@ -73,6 +76,10 @@ func requireOverheadWithin(t *testing.T, limit float64, bare, probed func() time
 		ratio = float64(minProbed) / float64(minBare)
 		t.Logf("attempt %d: bare=%v probed=%v ratio=%.3f", a, minBare, minProbed, ratio)
 		if ratio <= limit {
+			return
+		}
+		if raceEnabled {
+			t.Logf("ratio %.3f over %.2f not enforced under the race detector", ratio, limit)
 			return
 		}
 	}
