@@ -1,14 +1,14 @@
 # Pre-commit gate: `make check` runs the format/vet/build gate, the
 # race-enabled tests of the packages with the hottest concurrency
-# (iscsi, metrics, obs, middlebox, netsim, bufpool, the durable WAL, the
+# (iscsi, obs, middlebox, netsim, bufpool, the durable WAL, the
 # scale-out control plane — sdn, splice, vswitch, core, cloud,
 # orchestrator — the content-addressed replication stack: cas,
 # objstore, scrub, services/replicate — the per-byte path every workload
 # shares: blockdev, services/crypt — and volume, which picks the target's
 # execution mode), the allocs/op regression gates for the zero-copy chain hot
-# path, one iSCSI leg at 4 KiB and 64 KiB, the flow lookup and the cipher,
-# a short-mode soak smoke, and a short-mode backup smoke. `make test` is the full
-# suite. `make bench` prints the data-plane microbenchmarks with
+# path, one iSCSI leg at 4 KiB and 64 KiB, the flow lookup, the cipher and
+# a histogram observation, a short-mode soak smoke, and a short-mode backup
+# smoke. `make test` is the full suite. `make bench` prints the data-plane microbenchmarks with
 # allocation stats and appends a dated before/after summary to
 # BENCH_results.json (via stormbench -fastpath). `make crash` runs the
 # WAL durability-cost sweep and the kill/replay scenarios (stormbench
@@ -27,7 +27,7 @@
 # alternating pairs and prints `bench compare` plus wins per pair.
 
 GO ?= go
-RACE_PKGS := ./internal/iscsi ./internal/metrics ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume
+RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume
 BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments ./internal/blockdev ./internal/services/crypt ./internal/volume
 
 .PHONY: check fmt vet build test race bench bench-ab allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy
@@ -51,9 +51,10 @@ race:
 
 # Allocation regression gates (skipped under -race, which instruments
 # allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
-# and 64 KiB), the lock-free flow lookup and the per-request (not per-sector) cipher.
+# and 64 KiB), the lock-free flow lookup, the per-request (not per-sector) cipher
+# and the bucketed histogram's Observe.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestHistogramObserveAllocFree' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs | grep -E 'allocs|FAIL|ok '
 
 test:
 	$(GO) test ./...

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/initiator"
-	"repro/internal/metrics"
 	"repro/internal/middlebox"
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -187,7 +186,7 @@ func (c *Cloud) ComputeHosts() []string {
 func (c *Cloud) StorageHost() string { return c.storageHost.Name() }
 
 // HostCPU returns a host's CPU account.
-func (c *Cloud) HostCPU(host string) *metrics.CPUAccount {
+func (c *Cloud) HostCPU(host string) *obs.CPUAccount {
 	h := c.Fabric.Host(host)
 	if h == nil {
 		return nil

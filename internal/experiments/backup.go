@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/cas"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/scrub"
 	"repro/internal/services/replicate"
 )
@@ -154,7 +154,7 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	// changed. gen tracks the generation whose content a slot carries.
 	bpc := uint64(cfg.ChunkBytes / bs)
 	gen := make([]int, cfg.Chunks)
-	hist := &metrics.Histogram{}
+	hist := &obs.Histogram{}
 	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
 		for s := 0; s < cfg.Chunks; s++ {

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/extfs"
-	"repro/internal/metrics"
 	"repro/internal/minidb"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/semantic"
 	"repro/internal/services/crypt"
@@ -20,11 +20,11 @@ import (
 // deployment pays extra for dm-crypt's spinlock stalls on the application's
 // vCPU (the effect Section V-B2 identifies); the middle-box runs the same
 // cipher without contending with the foreground application.
-func tenantSideCipherCost(cpu *metrics.CPUAccount) crypt.CostModel {
+func tenantSideCipherCost(cpu *obs.CPUAccount) crypt.CostModel {
 	return crypt.CostModel{PerKiB: 12 * time.Microsecond, CPU: cpu, Component: "cipher"}
 }
 
-func mbSideCipherCost(cpu *metrics.CPUAccount) crypt.CostModel {
+func mbSideCipherCost(cpu *obs.CPUAccount) crypt.CostModel {
 	return crypt.CostModel{PerKiB: 8 * time.Microsecond, CPU: cpu, Component: "cipher"}
 }
 

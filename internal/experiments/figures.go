@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -26,8 +26,8 @@ type RoutingRow struct {
 	// LegacyLat / MBFwdLat are the full latency distributions (percentiles
 	// for machine-readable output); the *Latency fields above keep the means
 	// for the text tables.
-	LegacyLat metrics.Summary
-	MBFwdLat  metrics.Summary
+	LegacyLat obs.Summary
+	MBFwdLat  obs.Summary
 }
 
 // NormIOPS returns MB-FWD IOPS normalized to LEGACY (Figure 4's bars).
@@ -124,9 +124,9 @@ type ProcessingRow struct {
 	ActiveLatency  time.Duration
 
 	// Full latency distributions for machine-readable output.
-	FwdLat     metrics.Summary
-	PassiveLat metrics.Summary
-	ActiveLat  metrics.Summary
+	FwdLat     obs.Summary
+	PassiveLat obs.Summary
+	ActiveLat  obs.Summary
 }
 
 // Norm returns the scenario's IOPS normalized to MB-FWD.

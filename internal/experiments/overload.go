@@ -14,7 +14,6 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/cas"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/services/replicate"
 	"repro/internal/wal"
@@ -349,7 +348,7 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 	// slow-streak between the ones it does serve).
 	seq := 0
 	writePhase := func(gen int) (time.Duration, error) {
-		hist := &metrics.Histogram{}
+		hist := &obs.Histogram{}
 		rng := rand.New(rand.NewSource(int64(gen)))
 		for i := 0; i < cfg.BrownoutWrites; i++ {
 			s := rng.Intn(cfg.Chunks)

@@ -14,8 +14,8 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/initiator"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/sdn"
 )
@@ -198,8 +198,8 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 		ops    atomic.Int64
 		cycles atomic.Int64
 	)
-	hQuiet := &metrics.Histogram{}
-	hChurn := &metrics.Histogram{}
+	hQuiet := &obs.Histogram{}
+	hChurn := &obs.Histogram{}
 
 	memBefore := heapAllocated()
 	mutexBefore := mutexWaitTotal()
@@ -207,7 +207,7 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 
 	// ioPhase drives every steady tenant's verified read-after-write loop
 	// until the deadline.
-	ioPhase := func(h *metrics.Histogram, d time.Duration) {
+	ioPhase := func(h *obs.Histogram, d time.Duration) {
 		stop := make(chan struct{})
 		time.AfterFunc(d, func() { close(stop) })
 		var pw sync.WaitGroup

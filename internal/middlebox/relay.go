@@ -15,7 +15,6 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/initiator"
 	"repro/internal/iscsi"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -181,7 +180,7 @@ type Config struct {
 	// Cost is the interception cost model (DefaultCostModel when zero).
 	Cost CostModel
 	// CPU optionally receives the relay's processing charges.
-	CPU *metrics.CPUAccount
+	CPU *obs.CPUAccount
 	// Obs optionally receives per-stage trace spans: the whole relay
 	// service path under "stage.relay.<name>.service" and the downstream
 	// forwarding leg under "stage.relay.<name>.forward". Nil disables
@@ -705,7 +704,7 @@ type interceptDevice struct {
 	dev  blockdev.Device
 	mode Mode
 	cost CostModel
-	cpu  *metrics.CPUAccount
+	cpu  *obs.CPUAccount
 	// gate, when non-nil, bounds concurrent copies across the relay's
 	// sessions (CostModel.CopyThreads); busy accumulates charged copy time.
 	gate chan struct{}
@@ -714,7 +713,7 @@ type interceptDevice struct {
 
 var _ blockdev.Device = (*interceptDevice)(nil)
 
-func newInterceptDevice(dev blockdev.Device, mode Mode, cost CostModel, cpu *metrics.CPUAccount) *interceptDevice {
+func newInterceptDevice(dev blockdev.Device, mode Mode, cost CostModel, cpu *obs.CPUAccount) *interceptDevice {
 	return &interceptDevice{dev: dev, mode: mode, cost: cost, cpu: cpu}
 }
 

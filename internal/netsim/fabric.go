@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 )
 
@@ -81,7 +80,7 @@ func (f *Fabric) AddHost(name string, ips map[Network]string) (*Host, error) {
 		name:   name,
 		fabric: f,
 		ips:    make(map[Network]string, len(ips)),
-		cpu:    metrics.NewCPUAccount(),
+		cpu:    obs.NewCPUAccount(),
 	}
 	for n, ip := range ips {
 		h.ips[n] = ip

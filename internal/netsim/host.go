@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 type guestKey struct {
@@ -19,7 +19,7 @@ type Host struct {
 	name   string
 	fabric *Fabric
 	ips    map[Network]string
-	cpu    *metrics.CPUAccount
+	cpu    *obs.CPUAccount
 
 	// guestIPs registers per-VM instance-network addresses hosted here.
 	guestIPs map[guestKey]string
@@ -32,7 +32,7 @@ func (h *Host) Name() string { return h.name }
 func (h *Host) IP(n Network) string { return h.ips[n] }
 
 // CPU returns the host's CPU account.
-func (h *Host) CPU() *metrics.CPUAccount { return h.cpu }
+func (h *Host) CPU() *obs.CPUAccount { return h.cpu }
 
 // Fabric returns the owning fabric.
 func (h *Host) Fabric() *Fabric { return h.fabric }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // fastModel returns a model with negligible delays for functional tests.
@@ -587,12 +589,10 @@ func TestCPUChargingOnPath(t *testing.T) {
 	if _, err := c.Write(make([]byte, 64*1024)); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	time.Sleep(20 * time.Millisecond)
-	if f.Host("compute1").CPU().Busy("net") == 0 {
-		t.Error("no CPU charged to source host for packet processing")
-	}
-	if f.Host("storage1").CPU().Busy("net") == 0 {
-		t.Error("no CPU charged to destination host for packet processing")
+	for _, host := range []string{"compute1", "storage1"} {
+		cpu := f.Host(host).CPU()
+		testutil.WaitFor(t, 5*time.Second, "packet processing charged to "+host,
+			func() bool { return cpu.Busy("net") > 0 })
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // GaugeSnapshot is a gauge's point-in-time value and high-water mark.
@@ -21,10 +19,10 @@ type GaugeSnapshot struct {
 // Snapshot is a point-in-time copy of every metric and event in a
 // Registry, suitable for JSON encoding (durations encode as nanoseconds).
 type Snapshot struct {
-	Counters   map[string]int64           `json:"counters"`
-	Gauges     map[string]GaugeSnapshot   `json:"gauges"`
-	Histograms map[string]metrics.Summary `json:"histograms"`
-	Events     []Event                    `json:"events,omitempty"`
+	Counters   map[string]int64         `json:"counters"`
+	Gauges     map[string]GaugeSnapshot `json:"gauges"`
+	Histograms map[string]Summary       `json:"histograms"`
+	Events     []Event                  `json:"events,omitempty"`
 }
 
 // Snapshot captures the registry's current state.
@@ -32,14 +30,32 @@ func (r *Registry) Snapshot() Snapshot {
 	snap := Snapshot{
 		Counters:   make(map[string]int64),
 		Gauges:     make(map[string]GaugeSnapshot),
-		Histograms: make(map[string]metrics.Summary),
+		Histograms: make(map[string]Summary),
 	}
-	if r == nil {
-		return snap
+	counters, gauges, hists := r.handles()
+	for k, c := range counters {
+		snap.Counters[k] = c.Value()
 	}
+	for k, g := range gauges {
+		snap.Gauges[k] = GaugeSnapshot{Value: g.Value(), High: g.High()}
+	}
+	for k, h := range hists {
+		snap.Histograms[k] = h.Snapshot()
+	}
+	snap.Events = r.Events()
+	return snap
+}
+
+// handles copies the registry's live series out of the shards. Exposition
+// reads through these, never through the get-or-create accessors, so it
+// cannot bring back a series retired meanwhile. Nil-safe.
+func (r *Registry) handles() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram) {
 	counters := make(map[string]*Counter)
 	gauges := make(map[string]*Gauge)
-	hists := make(map[string]*metrics.Histogram)
+	hists := make(map[string]*Histogram)
+	if r == nil {
+		return counters, gauges, hists
+	}
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
@@ -54,17 +70,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		sh.mu.RUnlock()
 	}
-	for k, c := range counters {
-		snap.Counters[k] = c.Value()
-	}
-	for k, g := range gauges {
-		snap.Gauges[k] = GaugeSnapshot{Value: g.Value(), High: g.High()}
-	}
-	for k, h := range hists {
-		snap.Histograms[k] = h.Snapshot()
-	}
-	snap.Events = r.Events()
-	return snap
+	return counters, gauges, hists
 }
 
 // WriteJSON writes an indented JSON snapshot.
@@ -104,69 +110,58 @@ var DefaultBuckets = []time.Duration{
 // HELP and TYPE lines for every metric, counters and gauges as single
 // samples, histograms with cumulative `le` buckets (including +Inf) plus
 // `_sum` and `_count`. Names are prefixed "storm_" and sanitized; output
-// is sorted for determinism.
+// is sorted for determinism. Each histogram's rows come from one read of
+// its buckets, so they never decrease and `+Inf` equals `_count`.
 func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap.Counters))
-	for name := range snap.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	counters, gauges, hists := r.handles()
+	for _, name := range sortedKeys(counters) {
 		pn := promName(name)
 		_, err := fmt.Fprintf(w, "# HELP %s storm counter %s\n# TYPE %s counter\n%s %d\n",
-			pn, name, pn, pn, snap.Counters[name])
+			pn, name, pn, pn, counters[name].Value())
 		if err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range snap.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedKeys(gauges) {
 		pn := promName(name)
-		g := snap.Gauges[name]
+		g := gauges[name]
 		_, err := fmt.Fprintf(w,
 			"# HELP %s storm gauge %s\n# TYPE %s gauge\n%s %d\n# HELP %s_high high-water mark of %s\n# TYPE %s_high gauge\n%s_high %d\n",
-			pn, name, pn, pn, g.Value, pn, name, pn, pn, g.High)
+			pn, name, pn, pn, g.Value(), pn, name, pn, pn, g.High())
 		if err != nil {
 			return err
 		}
 	}
-
-	// Histograms need bucket counts, which the Summary snapshot does not
-	// carry; re-resolve the live histograms for the cumulative `le` rows.
-	names = names[:0]
-	for name := range snap.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	var c [numBuckets]uint64
+	for _, name := range sortedKeys(hists) {
 		pn := promName(name) + "_seconds"
-		s := snap.Histograms[name]
+		h := hists[name]
+		n := h.load(&c)
+		sum := time.Duration(h.sum.Load())
 		if _, err := fmt.Fprintf(w, "# HELP %s storm latency histogram %s\n# TYPE %s histogram\n", pn, name, pn); err != nil {
 			return err
 		}
-		var buckets []int
-		if h := r.Histogram(name); h != nil {
-			buckets = h.CumulativeBuckets(DefaultBuckets)
-		} else {
-			buckets = make([]int, len(DefaultBuckets))
-		}
-		for i, b := range DefaultBuckets {
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", pn, b.Seconds(), buckets[i]); err != nil {
+		for _, b := range DefaultBuckets {
+			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", pn, b.Seconds(), countAtOrBelow(&c, b)); err != nil {
 				return err
 			}
 		}
 		_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n",
-			pn, s.Count, pn, s.Sum.Seconds(), pn, s.Count)
+			pn, n, pn, sum.Seconds(), pn, n)
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // promName maps a dotted registry name to a Prometheus metric name.

@@ -182,6 +182,75 @@ func TestWriteTextFormat(t *testing.T) {
 	}
 }
 
+// hookWriter runs fn once, on the first write that contains marker — the
+// moment a histogram's rows are being rendered — and then buffers as usual.
+type hookWriter struct {
+	bytes.Buffer
+	marker string
+	fn     func()
+}
+
+func (w *hookWriter) Write(p []byte) (int, error) {
+	if w.fn != nil && bytes.Contains(p, []byte(w.marker)) {
+		fn := w.fn
+		w.fn = nil
+		fn()
+	}
+	return w.Buffer.Write(p)
+}
+
+// TestWriteTextOneReadPerHistogram: samples that arrive while a histogram
+// is being rendered must not make a finite `le` row exceed `+Inf` (the
+// rows, `+Inf` and `_count` all come from one read of its buckets), and a
+// series retired meanwhile must not be re-created by the exposition.
+func TestWriteTextOneReadPerHistogram(t *testing.T) {
+	r := NewRegistry()
+	const name = "stage.relay.mb1.service.write"
+	h := r.Histogram(name)
+	for i := 0; i < 10; i++ {
+		h.Observe(time.Millisecond)
+	}
+	const pn = "storm_stage_relay_mb1_service_write_seconds"
+	w := &hookWriter{marker: "# HELP " + pn, fn: func() {
+		for i := 0; i < 5; i++ {
+			h.Observe(time.Microsecond)
+		}
+	}}
+	if err := r.WriteText(w); err != nil {
+		t.Fatal(err)
+	}
+	prev, rows, count := -1, 0, -1
+	for _, line := range strings.Split(w.String(), "\n") {
+		var v int
+		switch {
+		case strings.HasPrefix(line, pn+"_bucket"):
+			if _, err := fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &v); err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+			if v < prev {
+				t.Errorf("cumulative rows decrease: %q after %d", line, prev)
+			}
+			prev, rows = v, rows+1
+		case strings.HasPrefix(line, pn+"_count "):
+			if _, err := fmt.Sscanf(line, pn+"_count %d", &count); err != nil {
+				t.Fatalf("row %q: %v", line, err)
+			}
+		}
+	}
+	if rows != len(DefaultBuckets)+1 || prev != count {
+		t.Errorf("%d rows ending at +Inf %d, _count %d; want %d rows ending at _count:\n%s",
+			rows, prev, count, len(DefaultBuckets)+1, w.String())
+	}
+
+	w = &hookWriter{marker: "# HELP " + pn, fn: func() { r.RetireInstance("mb1") }}
+	if err := r.WriteText(w); err != nil {
+		t.Fatal(err)
+	}
+	if names := r.HistogramNames(); len(names) != 0 {
+		t.Errorf("exposition re-created retired series %v", names)
+	}
+}
+
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Inc()

@@ -1,8 +1,10 @@
 // Package obs is the process-wide observability spine of the StorM test
-// bed: a registry of named counters, gauges, and latency histograms
-// (reusing metrics.Histogram), per-command stage spans along the
+// bed: a registry of named counters, gauges, and fixed-size bucketed
+// latency histograms, per-command stage spans along the
 // VM → gateway → middle-box chain → target data path, a bounded
-// structured-event log, and Prometheus-style text / JSON exposition.
+// structured-event log, windowed SLO tracking, per-host simulated CPU
+// accounting (the Figure 10 breakdown), and Prometheus-style text / JSON
+// exposition.
 //
 // Hot paths hold on to the *Counter / *Gauge / Timer handles returned by
 // the registry — after the one-time get-or-create, updates are a single
@@ -17,8 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Counter is a monotonically increasing event count. A nil *Counter is a
@@ -101,7 +101,7 @@ func (g *Gauge) High() int64 {
 // Timer is a nil-safe handle on a registry latency histogram; the zero
 // value discards observations.
 type Timer struct {
-	h *metrics.Histogram
+	h *Histogram
 }
 
 // Observe records one latency sample.
@@ -144,7 +144,7 @@ type regShard struct {
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*metrics.Histogram
+	hists    map[string]*Histogram
 }
 
 // Registry is a set of named metrics. All methods are safe for concurrent
@@ -181,7 +181,7 @@ func NewRegistry() *Registry {
 		sh := &r.shards[i]
 		sh.counters = make(map[string]*Counter)
 		sh.gauges = make(map[string]*Gauge)
-		sh.hists = make(map[string]*metrics.Histogram)
+		sh.hists = make(map[string]*Histogram)
 	}
 	r.spans.Store(&spanTable{})
 	return r
@@ -376,7 +376,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns (creating on first use) the named latency histogram,
 // or nil on a nil registry.
-func (r *Registry) Histogram(name string) *metrics.Histogram {
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -389,7 +389,7 @@ func (r *Registry) Histogram(name string) *metrics.Histogram {
 	}
 	sh.mu.Lock()
 	if h = sh.hists[name]; h == nil && r.admit(name) {
-		h = new(metrics.Histogram)
+		h = new(Histogram)
 		sh.hists[name] = h
 	}
 	sh.mu.Unlock()
@@ -433,7 +433,7 @@ func (r *Registry) Reset() {
 		sh.mu.Lock()
 		sh.counters = make(map[string]*Counter)
 		sh.gauges = make(map[string]*Gauge)
-		sh.hists = make(map[string]*metrics.Histogram)
+		sh.hists = make(map[string]*Histogram)
 		sh.mu.Unlock()
 	}
 	r.series.Store(0)

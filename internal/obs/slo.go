@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // SLOTracker maintains a rolling latency window for one middle-box group
@@ -21,11 +18,14 @@ import (
 //	                                the allowed share (1000 = burning
 //	                                exactly the budget)
 //
-// Samples are pulled incrementally from the watched stage histograms
-// (metrics.Histogram.SamplesSince), so the tracker piggybacks on the
-// existing instrumentation without touching the hot path. The window is
-// a ring of slots rotated by Tick; expired slots drop off, giving the
-// rolling p50/p99 semantics the cumulative stage histograms cannot.
+// Each Tick adds what the watched stage histograms' bucket counts grew by
+// since the last read to the current slot, so the tracker piggybacks on
+// the existing instrumentation without touching the hot path and holds no
+// samples. The window is a ring of slots rotated by Tick; expired slots
+// drop off, giving the rolling p50/p99 semantics the cumulative stage
+// histograms cannot. Percentiles and the over-target count are exact to
+// one bucket (1/16 of the value): a sample in the target's own bucket does
+// not count as a violation.
 type SLOTracker struct {
 	reg    *Registry
 	group  string
@@ -44,15 +44,14 @@ type SLOTracker struct {
 	p50us, p99us, p99ms, targetUs, windowOps, burn *Gauge
 }
 
+// sloSource is a watched histogram and its bucket counts at the last read.
 type sloSource struct {
-	h      *metrics.Histogram
-	cursor int
+	h    *Histogram
+	last [numBuckets]uint64
 }
 
-type sloSlot struct {
-	samples    []time.Duration
-	violations int
-}
+// sloSlot is the samples one window slot took in, as bucket counts.
+type sloSlot [numBuckets]uint64
 
 // SLOConfig tunes a tracker; zero fields take the defaults.
 type SLOConfig struct {
@@ -127,9 +126,10 @@ func (t *SLOTracker) Watch(histName string) {
 	}
 	t.mu.Lock()
 	if _, ok := t.sources[histName]; !ok {
-		// Start at the current tail: pre-existing samples predate the watch.
-		_, cursor := h.SamplesSince(-1)
-		t.sources[histName] = &sloSource{h: h, cursor: cursor}
+		// Pre-existing samples predate the watch.
+		src := &sloSource{h: h}
+		h.load(&src.last)
+		t.sources[histName] = src
 	}
 	t.mu.Unlock()
 }
@@ -170,33 +170,35 @@ func (t *SLOTracker) Tick(now time.Time) SLOStatus {
 		}
 	}
 
-	// Drain new samples into the head slot.
+	// Add what each source took in since the last read to the head slot.
 	slot := &t.ring[t.head]
+	var cur [numBuckets]uint64
 	for _, src := range t.sources {
-		samples, cursor := src.h.SamplesSince(src.cursor)
-		src.cursor = cursor
-		for _, d := range samples {
-			slot.samples = append(slot.samples, d)
-			if t.target > 0 && d > t.target {
-				slot.violations++
-			}
+		src.h.load(&cur)
+		for i, c := range &cur {
+			slot[i] += c - src.last[i]
 		}
+		src.last = cur
 	}
 
 	// Aggregate the window.
-	var all []time.Duration
-	violations := 0
-	for i := range t.ring {
-		all = append(all, t.ring[i].samples...)
-		violations += t.ring[i].violations
+	var all [numBuckets]uint64
+	var n uint64
+	for j := range t.ring {
+		for i, c := range &t.ring[j] {
+			all[i] += c
+			n += c
+		}
 	}
-	st := SLOStatus{Group: t.group, Target: t.target, WindowOps: len(all), Violations: violations}
-	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		st.P50 = all[(len(all)-1)/2]
-		st.P99 = all[(len(all)-1)*99/100]
+	st := SLOStatus{Group: t.group, Target: t.target, WindowOps: int(n)}
+	if n > 0 {
+		st.P50 = quantile(&all, n, 50)
+		st.P99 = quantile(&all, n, 99)
 		if t.target > 0 {
-			violPermille := int64(violations) * 1000 / int64(len(all))
+			for _, c := range all[bucketOf(int64(t.target))+1:] {
+				st.Violations += int(c)
+			}
+			violPermille := int64(st.Violations) * 1000 / int64(n)
 			st.BurnPermille = violPermille * 1000 / t.budget
 		}
 	}

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // Stage names along the paper's data path (Figures 7 and 10 break the
@@ -77,7 +75,7 @@ type spanKey struct{ stage, dir string }
 // the spans that then read it for free.
 type spanTable struct {
 	gen uint64
-	m   map[spanKey]*metrics.Histogram
+	m   map[spanKey]*Histogram
 }
 
 // stageTimer resolves "stage.<stage>[.<dir>]" to its histogram. Every span
@@ -108,14 +106,14 @@ func (r *Registry) stageTimer(stage, dir string) Timer {
 // maps first and invalidates second, so an h resolved from the old maps
 // always meets a newer generation here (or is wiped by the invalidation that
 // follows) and a span started after Reset returns lands in the new histogram.
-func (r *Registry) cacheStageTimer(gen uint64, key spanKey, h *metrics.Histogram) {
+func (r *Registry) cacheStageTimer(gen uint64, key spanKey, h *Histogram) {
 	r.spanMu.Lock()
 	defer r.spanMu.Unlock()
 	cur := r.spans.Load()
 	if cur.gen != gen {
 		return
 	}
-	m := make(map[spanKey]*metrics.Histogram, len(cur.m)+1)
+	m := make(map[spanKey]*Histogram, len(cur.m)+1)
 	for k, v := range cur.m {
 		m[k] = v
 	}
@@ -131,7 +129,7 @@ func (r *Registry) dropSpans(dropped func(stage string) bool) {
 	cur := r.spans.Load()
 	next := &spanTable{gen: cur.gen + 1}
 	if dropped != nil {
-		next.m = make(map[spanKey]*metrics.Histogram, len(cur.m))
+		next.m = make(map[spanKey]*Histogram, len(cur.m))
 		for k, h := range cur.m {
 			if !dropped(k.stage) {
 				next.m[k] = h

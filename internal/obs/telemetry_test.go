@@ -42,9 +42,10 @@ func TestSLOWindowRollOver(t *testing.T) {
 	if got := r.Gauge("slo.t1.enc.burn_permille").Value(); got != 5000 {
 		t.Errorf("burn gauge = %d, want 5000", got)
 	}
-	if got := r.Gauge("slo.t1.enc.p99_us").Value(); got != 5000 {
-		t.Errorf("p99 gauge = %d us, want 5000", got)
-	}
+	// The window keeps bucket counts, not samples: p99 is exact to one
+	// bucket (1/16), while ops, violations and burn stay exact because
+	// every sample lies far from the 2ms target.
+	withinBucket(t, "p99 gauge", time.Duration(r.Gauge("slo.t1.enc.p99_us").Value())*time.Microsecond, 5*time.Millisecond)
 	if got := r.Gauge("slo.t1.enc.target_us").Value(); got != target.Microseconds() {
 		t.Errorf("target gauge = %d, want %d", got, target.Microseconds())
 	}
@@ -77,6 +78,13 @@ func TestSLOWindowRollOver(t *testing.T) {
 	st = tr.Tick(now)
 	if st.WindowOps != 0 || st.BurnPermille != 0 {
 		t.Errorf("after idle gap: ops=%d burn=%d, want 0/0", st.WindowOps, st.BurnPermille)
+	}
+
+	// At the target is not over it; the first bucket past the target's is.
+	h.Observe(target)
+	h.Observe(time.Duration(bucketLow(bucketOf(int64(target)) + 1)))
+	if st = tr.Tick(now); st.WindowOps != 2 || st.Violations != 1 {
+		t.Errorf("at the target's edge: ops=%d viol=%d, want 2/1", st.WindowOps, st.Violations)
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/bufpool"
-	"repro/internal/metrics"
 	"repro/internal/middlebox"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 )
 
@@ -89,13 +89,13 @@ type CostModel struct {
 	// PerKiB is the modelled cipher cost per KiB of data.
 	PerKiB time.Duration
 	// CPU receives the charges (nil disables accounting).
-	CPU *metrics.CPUAccount
+	CPU *obs.CPUAccount
 	// Component names the charged component ("cipher" by default).
 	Component string
 }
 
 // DefaultCostModel mirrors the calibration in EXPERIMENTS.md.
-func DefaultCostModel(cpu *metrics.CPUAccount) CostModel {
+func DefaultCostModel(cpu *obs.CPUAccount) CostModel {
 	return CostModel{PerKiB: 500 * time.Nanosecond, CPU: cpu}
 }
 

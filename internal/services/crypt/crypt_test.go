@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 func testKey() []byte {
@@ -325,7 +325,7 @@ func TestWrongKeyReadsGarbage(t *testing.T) {
 }
 
 func TestCostModelCharges(t *testing.T) {
-	cpu := metrics.NewCPUAccount()
+	cpu := obs.NewCPUAccount()
 	m := CostModel{PerKiB: time.Millisecond, CPU: cpu}
 	start := time.Now()
 	m.charge(4096)

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // FioConfig mirrors the paper's fio invocations: vary the I/O request size
@@ -45,9 +45,9 @@ type FioResult struct {
 	Elapsed  time.Duration
 	IOPS     float64
 	MBps     float64
-	Latency  metrics.Summary
-	ReadLat  metrics.Summary
-	WriteLat metrics.Summary
+	Latency  obs.Summary
+	ReadLat  obs.Summary
+	WriteLat obs.Summary
 }
 
 // String renders the headline numbers.
@@ -82,8 +82,7 @@ func RunFio(cfg FioConfig) (*FioResult, error) {
 	maxStart := span - blocksPerOp
 
 	var (
-		all, readLat, writeLat metrics.Histogram
-		reads, writes          int
+		all, readLat, writeLat obs.Histogram
 		mu                     sync.Mutex
 		firstErr               error
 	)
@@ -114,23 +113,19 @@ func RunFio(cfg FioConfig) (*FioResult, error) {
 					err = cfg.Dev.WriteAt(buf, lba)
 				}
 				lat := time.Since(t0)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if err == nil {
-					all.Observe(lat)
-					if isRead {
-						reads++
-						readLat.Observe(lat)
-					} else {
-						writes++
-						writeLat.Observe(lat)
-					}
-				}
-				mu.Unlock()
 				if err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
 					return
+				}
+				all.Observe(lat)
+				if isRead {
+					readLat.Observe(lat)
+				} else {
+					writeLat.Observe(lat)
 				}
 			}
 		}(tIdx)
@@ -141,19 +136,17 @@ func RunFio(cfg FioConfig) (*FioResult, error) {
 		return nil, fmt.Errorf("workload: fio I/O failed: %w", firstErr)
 	}
 
-	total := reads + writes
 	res := &FioResult{
-		Ops:      total,
-		Reads:    reads,
-		Writes:   writes,
-		Bytes:    int64(total) * int64(cfg.RequestSize),
 		Elapsed:  elapsed,
 		Latency:  all.Snapshot(),
 		ReadLat:  readLat.Snapshot(),
 		WriteLat: writeLat.Snapshot(),
 	}
+	res.Reads, res.Writes = res.ReadLat.Count, res.WriteLat.Count
+	res.Ops = res.Reads + res.Writes
+	res.Bytes = int64(res.Ops) * int64(cfg.RequestSize)
 	if sec := elapsed.Seconds(); sec > 0 {
-		res.IOPS = float64(total) / sec
+		res.IOPS = float64(res.Ops) / sec
 		res.MBps = float64(res.Bytes) / sec / (1 << 20)
 	}
 	return res, nil

@@ -40,10 +40,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/extfs"
 	"repro/internal/initiator"
-	"repro/internal/metrics"
 	"repro/internal/minidb"
 	"repro/internal/netsim"
 	"repro/internal/objstore"
+	"repro/internal/obs"
 	"repro/internal/orchestrator"
 	"repro/internal/policy"
 	"repro/internal/semantic"
@@ -120,7 +120,7 @@ type (
 	// (Section V-B3).
 	ReplicaDispatcher = replica.Dispatcher
 	// CPUAccount tracks simulated per-host CPU busy time.
-	CPUAccount = metrics.CPUAccount
+	CPUAccount = obs.CPUAccount
 )
 
 // File system and database types.
