@@ -22,6 +22,8 @@
 # refusal, brownout breaker trip/recover, bounded memory; dated entry in
 # BENCH_results.json). `make lint-taxonomy` greps the data-path services
 # for raw fmt.Errorf at exhaustion sites that should carry an xerr class.
+# `make lint-params` fails when non-test Go outside internal/policy indexes a
+# spec's policy Params map instead of using its typed accessors.
 # `make bench-ab W=<workload> [BASE=<ref>] [PAIRS=10]` measures the working
 # tree against BASE with the repository benchmark (`go run ./bench`) in
 # alternating pairs and prints `bench compare` plus wins per pair.
@@ -30,9 +32,9 @@ GO ?= go
 RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume
 BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments ./internal/blockdev ./internal/services/crypt ./internal/volume
 
-.PHONY: check fmt vet build test race bench bench-ab allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy
+.PHONY: check fmt vet build test race bench bench-ab allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params
 
-check: fmt vet build lint-taxonomy race allocs soak-short backup-short overload-short
+check: fmt vet build lint-taxonomy lint-params race allocs soak-short backup-short overload-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -115,4 +117,13 @@ lint-taxonomy:
 	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' -E 'errors\.New\("[^"]*(full|drain|overload|exhaust|busy)' internal/wal internal/cas internal/middlebox internal/services internal/iscsi 2>/dev/null || true); \
 	if [ -n "$$out" ]; then \
 		echo "untyped exhaustion/overload sentinels (use xerr.New):"; echo "$$out"; exit 1; \
+	fi
+
+# Params lint: policy params are declared, validated and parsed only in
+# internal/policy (its params table); everything else reads them through the
+# typed MiddleBoxSpec accessors, so a second parse cannot drift from the table.
+lint-params:
+	@out=$$(grep -rn --include='*.go' --exclude='*_test.go' -F '.Params[' . | grep -v '^\./internal/policy/' || true); \
+	if [ -n "$$out" ]; then \
+		echo "policy params indexed outside internal/policy (use the typed MiddleBoxSpec accessors):"; echo "$$out"; exit 1; \
 	fi

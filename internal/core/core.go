@@ -10,8 +10,6 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -394,34 +392,19 @@ func (p *Platform) provisionGroupInstances(pol *policy.Policy, spec *policy.Midd
 	return nil
 }
 
-// relayCost maps a spec's sizing knobs onto the relay cost model. With no
-// knobs set it returns the zero model (the relay substitutes its defaults);
-// with any interception param set it starts from the defaults so the other
-// fields stay calibrated.
-func relayCost(spec *policy.MiddleBoxSpec) (middlebox.CostModel, error) {
-	cm := middlebox.CostModel{CopyThreads: spec.CopyThreads()}
-	perBatch, batchBytes := spec.Params["interceptPerBatchNs"], spec.Params["interceptBatchBytes"]
-	if perBatch == "" && batchBytes == "" {
-		return cm, nil
+// relayCost maps a spec's sizing knobs onto the relay cost model: the
+// calibrated defaults with the policy's copy-thread bound and interception
+// overrides.
+func relayCost(spec *policy.MiddleBoxSpec) middlebox.CostModel {
+	cm := middlebox.DefaultCostModel()
+	cm.CopyThreads = spec.CopyThreads()
+	if d, ok := spec.InterceptPerBatch(); ok {
+		cm.ActivePerBatch = d
 	}
-	def := middlebox.DefaultCostModel()
-	def.CopyThreads = cm.CopyThreads
-	cm = def
-	if perBatch != "" {
-		n, err := strconv.Atoi(perBatch)
-		if err != nil || n < 0 {
-			return cm, fmt.Errorf("core: middle-box %q: bad interceptPerBatchNs %q", spec.Name, perBatch)
-		}
-		cm.ActivePerBatch = time.Duration(n) * time.Nanosecond
-	}
-	if batchBytes != "" {
-		n, err := strconv.Atoi(batchBytes)
-		if err != nil || n <= 0 {
-			return cm, fmt.Errorf("core: middle-box %q: bad interceptBatchBytes %q", spec.Name, batchBytes)
-		}
+	if n, ok := spec.InterceptBatchBytes(); ok {
 		cm.BatchSize = n
 	}
-	return cm, nil
+	return cm
 }
 
 // provisionMB launches one service middle-box VM under the given station
@@ -447,12 +430,8 @@ func (p *Platform) provisionMB(pol *policy.Policy, spec *policy.MiddleBoxSpec, d
 			}
 			cpu := p.cloud.HostCPU(mb.Host)
 			cost := crypt.DefaultCostModel(cpu)
-			if v := spec.Params["cipherCostNsPerKiB"]; v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil || n < 0 {
-					return nil, fmt.Errorf("core: middle-box %q: bad cipherCostNsPerKiB %q", spec.Name, v)
-				}
-				cost.PerKiB = time.Duration(n) * time.Nanosecond
+			if d, ok := spec.CipherCostPerKiB(); ok {
+				cost.PerKiB = d
 			}
 			return []middlebox.ServiceFactory{crypt.Service(key, cost)}, nil
 		case policy.TypeReplication:
@@ -463,10 +442,6 @@ func (p *Platform) provisionMB(pol *policy.Policy, spec *policy.MiddleBoxSpec, d
 			return nil, fmt.Errorf("core: middle-box %q: unsupported type %q", spec.Name, spec.Type)
 		}
 	}
-	cost, err := relayCost(spec)
-	if err != nil {
-		return nil, err
-	}
 	jdir, err := p.journalDir(spec, name)
 	if err != nil {
 		return nil, err
@@ -476,7 +451,7 @@ func (p *Platform) provisionMB(pol *policy.Policy, spec *policy.MiddleBoxSpec, d
 		Host:              host,
 		Mode:              mode,
 		BuildServices:     build,
-		Cost:              cost,
+		Cost:              relayCost(spec),
 		JournalDir:        jdir,
 		JournalSyncWindow: spec.JournalFsyncWindow(),
 		ForwardConns:      spec.ForwardConns(),
@@ -506,12 +481,8 @@ func (p *Platform) buildMonitor(pol *policy.Policy, spec *policy.MiddleBoxSpec, 
 		return nil, err
 	}
 	mon := monitor.New(view)
-	if watch := spec.Params["watch"]; watch != "" {
-		for _, prefix := range strings.Split(watch, ",") {
-			if prefix = strings.TrimSpace(prefix); prefix != "" {
-				mon.Watch(prefix)
-			}
-		}
+	for _, prefix := range spec.WatchPrefixes() {
+		mon.Watch(prefix)
 	}
 	return mon, nil
 }
@@ -614,7 +585,7 @@ func (p *Platform) buildReplicate(pol *policy.Policy, spec *policy.MiddleBoxSpec
 	}
 	walDir := filepath.Join(root, pol.Tenant+"-"+spec.Name+"-dispatch")
 
-	chunk := spec.ReplicaChunkBytes()
+	chunk := replicate.DefaultChunkSize
 	bs := primary.Device().BlockSize()
 	if chunk%bs != 0 {
 		return nil, fmt.Errorf("core: replicate %q: chunk size %d is not a multiple of volume block size %d", spec.Name, chunk, bs)
@@ -672,14 +643,11 @@ func (p *Platform) buildReplicate(pol *policy.Policy, spec *policy.MiddleBoxSpec
 			_ = old.Close()
 		}
 		box, err := replicate.New(replicate.Config{
-			Name:               mb.Name,
-			Quorum:             spec.ReplicaQuorum(),
-			ChunkSize:          chunk,
-			WALDir:             walDir,
-			SyncWindow:         spec.JournalFsyncWindow(),
-			QueueHighWatermark: spec.QueueHighWatermark(),
-			BreakerThreshold:   spec.BreakerThreshold(),
-			DegradedQuorum:     spec.DegradedQuorum(),
+			Name:       mb.Name,
+			Quorum:     spec.ReplicaQuorum(),
+			ChunkSize:  chunk,
+			WALDir:     walDir,
+			SyncWindow: spec.JournalFsyncWindow(),
 		}, backend, backends)
 		if err != nil {
 			return nil, err

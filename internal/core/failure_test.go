@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/sdn"
+	"repro/internal/testutil"
 	"repro/internal/vswitch"
 )
 
@@ -192,6 +194,7 @@ func TestTeardownUnderLoad(t *testing.T) {
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
+	var ops atomic.Int64
 	go func() {
 		defer close(done)
 		buf := make([]byte, 4096)
@@ -203,9 +206,10 @@ func TestTeardownUnderLoad(t *testing.T) {
 			}
 			_ = av.Device.WriteAt(buf, 0)
 			_ = av.Device.ReadAt(buf, 0)
+			ops.Add(1)
 		}
 	}()
-	time.Sleep(50 * time.Millisecond)
+	testutil.WaitFor(t, 10*time.Second, "I/O under way", func() bool { return ops.Load() >= 20 })
 
 	tearDone := make(chan error, 1)
 	go func() { tearDone <- p.Teardown("tenantA") }()

@@ -34,17 +34,10 @@ func replicatePolicy(volID, scrubInterval string) *policy.Policy {
 // every enqueued write on every backend.
 func waitReplicateDrained(t *testing.T, dep *TenantDeployment, mb string) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	testutil.WaitFor(t, 10*time.Second, "replication box to drain", func() bool {
 		box := dep.Replicator(mb)
-		if box != nil && box.Drained() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replication box never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return box != nil && box.Drained()
+	})
 }
 
 // imageHash reads the volume's whole logical image through the attached

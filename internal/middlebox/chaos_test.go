@@ -15,6 +15,7 @@ import (
 	"repro/internal/initiator"
 	"repro/internal/netsim"
 	"repro/internal/target"
+	"repro/internal/testutil"
 )
 
 // connQueue is a listener fed by tests: every connection pushed to ch is
@@ -104,17 +105,7 @@ func TestRelayRetiresJournalsAcrossSessionChurn(t *testing.T) {
 
 	// Session teardown on the relay side is asynchronous with Logout's
 	// response; wait for the registry to empty out.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		n := len(relay.AllJournals())
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d journals still registered after %d clean sessions", n, cycles)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.WaitFor(t, 10*time.Second, "clean sessions' journals to retire", func() bool { return len(relay.AllJournals()) == 0 })
 }
 
 // chaosRun drives one write workload from a VM through an active relay to a

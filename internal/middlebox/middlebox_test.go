@@ -12,6 +12,7 @@ import (
 	"repro/internal/initiator"
 	"repro/internal/netsim"
 	"repro/internal/target"
+	"repro/internal/testutil"
 )
 
 func TestJournalLifecycle(t *testing.T) {
@@ -244,14 +245,7 @@ func TestWriteBackBackendFailureSticks(t *testing.T) {
 	if err := wb.WriteAt(make([]byte, 512), 0); err != nil {
 		t.Fatalf("first WriteAt should early-ack: %v", err)
 	}
-	// Wait for the background apply to fail.
-	deadline := time.Now().Add(time.Second)
-	for len(j.Failures()) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if len(j.Failures()) == 0 {
-		t.Fatal("backend failure never recorded")
-	}
+	testutil.WaitFor(t, time.Second, "the backend failure to be recorded", func() bool { return len(j.Failures()) > 0 })
 	// Subsequent writes refuse early-ack with the sticky error.
 	if err := wb.WriteAt(make([]byte, 512), 1); !errors.Is(err, wantErr) {
 		t.Errorf("post-failure WriteAt err = %v, want %v", err, wantErr)

@@ -147,22 +147,6 @@ type Config struct {
 	// JournalCapacity bounds the active relay's NVRAM buffer in bytes
 	// (0 = unbounded).
 	JournalCapacity int
-	// JournalHighWatermark and JournalLowWatermark bound admission into the
-	// write-back journal: once journaled-but-unapplied bytes reach the high
-	// watermark the relay stops early-acking and refuses front writes with a
-	// typed overload error (surfaced on the wire as SCSI BUSY) until the
-	// appliers drain usage back to the low watermark. Zero high watermark
-	// disables admission control (legacy behaviour: block, then write
-	// through). Low defaults to half of high.
-	JournalHighWatermark int
-	JournalLowWatermark  int
-	// CommandTimeout propagates the front initiator's command deadline onto
-	// the relay's forward legs: each pseudo-client command that exceeds it
-	// declares the forward connection dead and triggers redial/reissue, so a
-	// wedged next hop turns into bounded latency plus recovery instead of an
-	// indefinite stall holding journal space. Zero disables forward-leg
-	// deadlines.
-	CommandTimeout time.Duration
 	// JournalDir, when set for an active relay, makes every session journal
 	// crash-durable: a segmented WAL under JournalDir/sess-<n> that a
 	// replacement instance can reopen with RecoverFrom after this one dies.
@@ -385,11 +369,6 @@ func (r *Relay) openBackend(iqn string, next netsim.Addr) (blockdev.Device, iscs
 		DialConn: dial,
 		Obs:      r.cfg.Obs,
 		Stage:    obs.RelayForwardStage(r.cfg.Name),
-		// Deadline propagation: the front command's deadline bounds the
-		// forward leg too, so a wedged next hop fails the command (and the
-		// forward session — the write-back Reopen hook then recovers it)
-		// within the same budget the source gave the relay.
-		CommandTimeout: r.cfg.CommandTimeout,
 	})
 	if err != nil {
 		_ = backConn.Close()
@@ -488,12 +467,6 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 		// burst window, so one coalesced apply is at most one solicited
 		// burst on the wire.
 		wb.SetMaxCoalesce(neg.MaxBurstLength)
-		if hw := r.cfg.JournalHighWatermark; hw > 0 {
-			lw := r.cfg.JournalLowWatermark
-			wb.SetBackpressure(hw, lw,
-				r.cfg.Obs.Gauge("backpressure.relay."+r.cfg.Name+".engaged"),
-				r.cfg.Obs.Counter("backpressure.relay."+r.cfg.Name+".rejects"))
-		}
 		r.journalMu.Lock()
 		r.wbAll = append(r.wbAll, wb)
 		r.journalMu.Unlock()

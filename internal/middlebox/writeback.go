@@ -10,14 +10,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/xerr"
 )
-
-// ErrBackpressure reports a write refused because the write-back journal
-// sits over its high watermark: the relay stops early-acking and pushes the
-// overload to the source (SCSI BUSY on the wire) instead of absorbing it
-// into unbounded ack latency. Classed xerr.Overload — retry after backoff.
-var ErrBackpressure = xerr.New(xerr.Overload, "middlebox: write-back journal over high watermark")
 
 // applyParallelism bounds concurrent backend applies. The relay forwards
 // journaled writes as fast as the pseudo-client connection accepts them,
@@ -90,16 +83,6 @@ type WriteBackDevice struct {
 	maxTries    int
 	backoff     *faults.Backoff
 	maxCoalesce int // adjacent-merge cap in bytes (one wire burst)
-
-	// Admission watermarks (0 = disabled): once journal usage reaches
-	// wmHigh bytes, WriteAt refuses with ErrBackpressure until the appliers
-	// drain usage back to wmLow (hysteresis, so the latch doesn't flap at
-	// the boundary). Guarded by mu.
-	wmHigh     int
-	wmLow      int
-	bpEngaged  bool
-	gBP        *obs.Gauge
-	mBPRejects *obs.Counter
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -220,50 +203,6 @@ func (w *WriteBackDevice) SetMaxCoalesce(n int) {
 	}
 }
 
-// SetBackpressure arms journal admission control: writes are refused with
-// ErrBackpressure while journaled-but-unapplied bytes sit at or above high,
-// and admission resumes once the appliers drain usage to low (low defaults
-// to high/2 when non-positive or not below high). gauge (1 while engaged)
-// and rejects are optional observability hooks. Call before the device
-// carries traffic.
-func (w *WriteBackDevice) SetBackpressure(high, low int, gauge *obs.Gauge, rejects *obs.Counter) {
-	if high <= 0 {
-		return
-	}
-	if low <= 0 || low >= high {
-		low = high / 2
-	}
-	w.mu.Lock()
-	w.wmHigh, w.wmLow = high, low
-	w.gBP, w.mBPRejects = gauge, rejects
-	w.mu.Unlock()
-}
-
-// admitLocked runs the watermark hysteresis against current journal usage.
-// Caller holds w.mu. It returns false when the write must be refused.
-func (w *WriteBackDevice) admitLocked() bool {
-	if w.wmHigh <= 0 {
-		return true
-	}
-	used := w.journal.UsedBytes()
-	switch {
-	case w.bpEngaged && used > w.wmLow:
-		w.mBPRejects.Inc()
-		return false
-	case w.bpEngaged:
-		w.bpEngaged = false
-		w.gBP.Set(0)
-		obs.Default().Eventf("writeback", "backpressure released: journal drained to %d bytes (low watermark %d)", used, w.wmLow)
-	case used >= w.wmHigh:
-		w.bpEngaged = true
-		w.gBP.Set(1)
-		w.mBPRejects.Inc()
-		obs.Default().Eventf("writeback", "backpressure engaged: journal at %d bytes (high watermark %d)", used, w.wmHigh)
-		return false
-	}
-	return true
-}
-
 // BlockSize implements blockdev.Device.
 func (w *WriteBackDevice) BlockSize() int { return w.bs }
 
@@ -290,10 +229,6 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 		err := w.applyErr
 		w.mu.Unlock()
 		return err
-	}
-	if !w.admitLocked() {
-		w.mu.Unlock()
-		return fmt.Errorf("%w (usage %d bytes)", ErrBackpressure, w.journal.UsedBytes())
 	}
 	w.mu.Unlock()
 

@@ -3,6 +3,7 @@ package middlebox
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/faults"
+	"repro/internal/testutil"
 )
 
 // flakyBackend is a unit-test backend over a shared MemDisk: writes fail
@@ -74,16 +76,10 @@ func (b *flakyBackend) applied() []appliedWrite {
 	return append([]appliedWrite(nil), b.log...)
 }
 
-// waitDegraded spins until the device enters (or leaves) degraded mode.
+// waitDegraded waits until the device enters (or leaves) degraded mode.
 func waitDegraded(t *testing.T, wb *WriteBackDevice, want bool) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for wb.Degraded() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("device never reached degraded=%v", want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.WaitFor(t, 5*time.Second, fmt.Sprintf("degraded=%v", want), func() bool { return wb.Degraded() == want })
 }
 
 // TestWriteBackRecoversAndReplaysJournal kills the backend mid-workload via
@@ -230,16 +226,12 @@ func TestWriteBackRecoveryExhaustionFailsTerminally(t *testing.T) {
 	}
 	// The write fails, recovery runs out of reopens, and the device turns
 	// terminal; poll until the terminal error surfaces on new writes.
-	deadline := time.Now().Add(5 * time.Second)
 	var werr error
-	for {
+	testutil.WaitFor(t, 5*time.Second, "a write to fail", func() bool {
 		werr = wb.WriteAt(make([]byte, 512), 1)
-		if werr != nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if werr == nil || !strings.Contains(werr.Error(), "recovery failed") {
+		return werr != nil
+	})
+	if !strings.Contains(werr.Error(), "recovery failed") {
 		t.Fatalf("post-exhaustion WriteAt err = %v, want terminal recovery error", werr)
 	}
 	if err := wb.Flush(); err == nil || !strings.Contains(err.Error(), "recovery failed") {

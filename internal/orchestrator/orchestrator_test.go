@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/policy"
+	"repro/internal/testutil"
 )
 
 const aesKeyHex = "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
@@ -201,13 +203,17 @@ func TestReconcileDrainsIdleMember(t *testing.T) {
 // TestStartStopLoop smoke-tests the background ticker.
 func TestStartStopLoop(t *testing.T) {
 	_, p, _, _ := testbed(t, "tenOrchLoop", 1, 2)
-	o := New(Config{Platform: p, Interval: 2 * time.Millisecond})
+	// Every reconcile pass of a live group reads the clock once.
+	var clockReads atomic.Int64
+	now := func() time.Time { clockReads.Add(1); return time.Now() }
+	o := New(Config{Platform: p, Interval: 2 * time.Millisecond, Now: now})
 	if err := o.Manage("tenOrchLoop", "enc1"); err != nil {
 		t.Fatalf("Manage: %v", err)
 	}
+	base := clockReads.Load()
 	o.Start()
 	o.Start() // idempotent
-	time.Sleep(20 * time.Millisecond)
+	testutil.WaitFor(t, 10*time.Second, "three reconcile passes", func() bool { return clockReads.Load() >= base+3 })
 	o.Stop()
 	o.Stop() // idempotent
 	// The loop ran without panicking and the group held its size.

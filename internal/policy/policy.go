@@ -7,11 +7,8 @@
 package policy
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
-	"time"
 )
 
 // ServiceType names a middle-box service.
@@ -64,33 +61,10 @@ type MiddleBoxSpec struct {
 	// its backup volumes, so splitting their flows would diverge state.
 	MinInstances int `json:"minInstances,omitempty"`
 	MaxInstances int `json:"maxInstances,omitempty"`
-	// Params carries service-specific settings:
-	//   encryption:  "key" (64 hex chars)
-	//   replication: "replicas" (total copies, >= 2)
-	//   access-monitor: "watch" (comma-separated path prefixes)
-	//   replicate:   "replicaBackends" content-addressed backend count
-	//                (2..4), "replicaQuorum" acks per write (1..backends,
-	//                default strict majority), "scrubInterval" background
-	//                integrity-scrub pass interval as a Go duration
-	//                ("500ms", ...; "0" disables scrubbing),
-	//                "replicaChunkBytes" content-addressing granularity
-	//                (block-multiple, default 4096)
-	// plus relay tuning knobs:
-	//   "copyThreads"         concurrent copy paths (overrides VCPUs)
-	//   "interceptPerBatchNs" active-relay per-batch copy cost
-	//   "interceptBatchBytes" active-relay copy batch size
-	//   "forwardConns"        MC/S width of the relay's downstream leg:
-	//                         commands spread across this many connections
-	//                         to the next hop (1..8, default 1)
-	// and durability knobs (active relays only):
-	//   "durableJournal"      "true" backs the write journal with an on-disk
-	//                         WAL that survives a middle-box crash
-	//   "journalFsyncWindow"  WAL group-commit window as a Go duration
-	//                         ("0", "1ms", ...); 0 fsyncs every append
-	// and observability knobs:
-	//   "latencySLO"          per-command service-latency objective as a Go
-	//                         duration ("2ms", ...); arms the orchestrator's
-	//                         rolling p99/error-budget tracker for the group
+	// Params carries service-specific settings as strings. The keys, the
+	// service types that accept each, their syntax and defaults are the
+	// params table (params.go); Validate refuses anything else, and the
+	// typed accessors read them.
 	Params map[string]string `json:"params,omitempty"`
 }
 
@@ -146,59 +120,8 @@ func (p *Policy) Validate() error {
 		}
 		mbs[mb.Name] = mb
 		switch mb.Type {
-		case TypeMonitor, TypeForward:
-		case TypeEncryption:
-			key := mb.Params["key"]
-			raw, err := hex.DecodeString(key)
-			if err != nil || len(raw) != 32 {
-				return fmt.Errorf("policy: middle-box %q needs a 64-hex-char AES-256 key", mb.Name)
-			}
-		case TypeReplication:
-			n, err := strconv.Atoi(mb.Params["replicas"])
-			if err != nil || n < 2 || n > 8 {
-				return fmt.Errorf("policy: middle-box %q needs replicas in [2,8]", mb.Name)
-			}
+		case TypeMonitor, TypeForward, TypeEncryption, TypeReplication:
 		case TypeReplicate:
-			n, err := strconv.Atoi(mb.Params["replicaBackends"])
-			if err != nil || n < 2 || n > 4 {
-				return fmt.Errorf("policy: middle-box %q needs replicaBackends in [2,4]", mb.Name)
-			}
-			if v := mb.Params["replicaQuorum"]; v != "" {
-				q, err := strconv.Atoi(v)
-				if err != nil || q < 1 || q > n {
-					return fmt.Errorf("policy: middle-box %q: replicaQuorum must be in [1,%d], got %q", mb.Name, n, v)
-				}
-			}
-			if v := mb.Params["scrubInterval"]; v != "" {
-				d, err := time.ParseDuration(v)
-				if err != nil || d < 0 {
-					return fmt.Errorf("policy: middle-box %q: bad scrubInterval %q", mb.Name, v)
-				}
-			}
-			if v := mb.Params["replicaChunkBytes"]; v != "" {
-				c, err := strconv.Atoi(v)
-				if err != nil || c < 512 || c%512 != 0 {
-					return fmt.Errorf("policy: middle-box %q: replicaChunkBytes must be a positive multiple of 512, got %q", mb.Name, v)
-				}
-			}
-			if v := mb.Params["queueHighWatermark"]; v != "" {
-				q, err := strconv.Atoi(v)
-				if err != nil || q < 1 {
-					return fmt.Errorf("policy: middle-box %q: queueHighWatermark must be a positive integer, got %q", mb.Name, v)
-				}
-			}
-			if v := mb.Params["breakerThreshold"]; v != "" {
-				b, err := strconv.Atoi(v)
-				if err != nil || b < 1 {
-					return fmt.Errorf("policy: middle-box %q: breakerThreshold must be a positive integer, got %q", mb.Name, v)
-				}
-			}
-			if v := mb.Params["degradedQuorum"]; v != "" {
-				q, err := strconv.Atoi(v)
-				if err != nil || q < 1 || q > mb.ReplicaQuorum() {
-					return fmt.Errorf("policy: middle-box %q: degradedQuorum must be in [1,%d] (the write quorum), got %q", mb.Name, mb.ReplicaQuorum(), v)
-				}
-			}
 			if mb.EffectiveMode() != ModeActive {
 				return fmt.Errorf("policy: middle-box %q: replicate requires an active relay (it intercepts writes)", mb.Name)
 			}
@@ -230,35 +153,8 @@ func (p *Policy) Validate() error {
 		if max > 1 && mb.Type != TypeEncryption && mb.Type != TypeForward {
 			return fmt.Errorf("policy: middle-box %q: type %q cannot scale beyond one instance", mb.Name, mb.Type)
 		}
-		switch mb.Params["durableJournal"] {
-		case "", "false":
-		case "true":
-			if mb.EffectiveMode() != ModeActive {
-				return fmt.Errorf("policy: middle-box %q: durableJournal requires an active relay", mb.Name)
-			}
-		default:
-			return fmt.Errorf("policy: middle-box %q: durableJournal must be true or false", mb.Name)
-		}
-		if v := mb.Params["forwardConns"]; v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 || n > 8 {
-				return fmt.Errorf("policy: middle-box %q: forwardConns must be in [1,8], got %q", mb.Name, v)
-			}
-			if mb.EffectiveMode() == ModeForward {
-				return fmt.Errorf("policy: middle-box %q: forwardConns requires a relay (forward type has no downstream session)", mb.Name)
-			}
-		}
-		if v := mb.Params["journalFsyncWindow"]; v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil || d < 0 {
-				return fmt.Errorf("policy: middle-box %q: bad journalFsyncWindow %q", mb.Name, v)
-			}
-		}
-		if v := mb.Params["latencySLO"]; v != "" {
-			d, err := time.ParseDuration(v)
-			if err != nil || d <= 0 {
-				return fmt.Errorf("policy: middle-box %q: bad latencySLO %q", mb.Name, v)
-			}
+		if err := mb.validateParams(); err != nil {
+			return err
 		}
 	}
 	if len(p.Volumes) == 0 {
@@ -299,21 +195,6 @@ func (m *MiddleBoxSpec) EffectiveMode() Mode {
 	return m.Mode
 }
 
-// Key decodes the encryption key parameter.
-func (m *MiddleBoxSpec) Key() ([]byte, error) {
-	raw, err := hex.DecodeString(m.Params["key"])
-	if err != nil {
-		return nil, fmt.Errorf("policy: middle-box %q key: %w", m.Name, err)
-	}
-	return raw, nil
-}
-
-// Replicas returns the replication factor parameter.
-func (m *MiddleBoxSpec) Replicas() int {
-	n, _ := strconv.Atoi(m.Params["replicas"])
-	return n
-}
-
 // EffectiveMinInstances resolves the group's initial size (default 1).
 func (m *MiddleBoxSpec) EffectiveMinInstances() int {
 	if m.MinInstances <= 0 {
@@ -343,131 +224,4 @@ func (m *MiddleBoxSpec) Scalable() bool {
 // covers it.
 func (m *MiddleBoxSpec) Grouped() bool {
 	return m.Scalable() || m.Type == TypeReplicate
-}
-
-// ReplicaBackends returns the content-addressed backend count for a
-// replicate middle-box.
-func (m *MiddleBoxSpec) ReplicaBackends() int {
-	n, _ := strconv.Atoi(m.Params["replicaBackends"])
-	return n
-}
-
-// ReplicaQuorum resolves the "replicaQuorum" param — how many backend
-// acknowledgements a write waits for. Default: a strict majority of the
-// backends.
-func (m *MiddleBoxSpec) ReplicaQuorum() int {
-	if q, err := strconv.Atoi(m.Params["replicaQuorum"]); err == nil && q >= 1 {
-		return q
-	}
-	return m.ReplicaBackends()/2 + 1
-}
-
-// ScrubInterval resolves the "scrubInterval" param — the background
-// integrity scrubber's pass interval. Unset defaults to 1s; an explicit
-// "0" disables scrubbing.
-func (m *MiddleBoxSpec) ScrubInterval() time.Duration {
-	v, ok := m.Params["scrubInterval"]
-	if !ok {
-		return time.Second
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil || d < 0 {
-		return time.Second
-	}
-	return d
-}
-
-// ReplicaChunkBytes resolves the "replicaChunkBytes" param — the
-// content-addressing granularity. Default 4096.
-func (m *MiddleBoxSpec) ReplicaChunkBytes() int {
-	if c, err := strconv.Atoi(m.Params["replicaChunkBytes"]); err == nil && c >= 512 && c%512 == 0 {
-		return c
-	}
-	return 4096
-}
-
-// QueueHighWatermark resolves the "queueHighWatermark" param — the
-// replication box's bounded-admission dispatch-queue ceiling: a write
-// arriving with that many journaled-but-uncommitted records pending is
-// refused with BUSY instead of queued. 0 (the default) keeps the service
-// default.
-func (m *MiddleBoxSpec) QueueHighWatermark() int {
-	if n, err := strconv.Atoi(m.Params["queueHighWatermark"]); err == nil && n >= 1 {
-		return n
-	}
-	return 0
-}
-
-// BreakerThreshold resolves the "breakerThreshold" param — how many
-// consecutive failures (or over-deadline applies) trip a backend's
-// circuit breaker. 0 (the default) keeps the service default.
-func (m *MiddleBoxSpec) BreakerThreshold() int {
-	if n, err := strconv.Atoi(m.Params["breakerThreshold"]); err == nil && n >= 1 {
-		return n
-	}
-	return 0
-}
-
-// DegradedQuorum resolves the "degradedQuorum" param — the reduced
-// write quorum the box may fall back to while backend breakers are open.
-// 0 (the default) disables degraded mode: writes hedge at full quorum and
-// catch up asynchronously.
-func (m *MiddleBoxSpec) DegradedQuorum() int {
-	if n, err := strconv.Atoi(m.Params["degradedQuorum"]); err == nil && n >= 1 {
-		return n
-	}
-	return 0
-}
-
-// DurableJournal reports whether the middle-box asked for a crash-durable
-// (file-backed WAL) write journal via the "durableJournal" param.
-func (m *MiddleBoxSpec) DurableJournal() bool {
-	return m.Params["durableJournal"] == "true"
-}
-
-// JournalFsyncWindow resolves the "journalFsyncWindow" param — the durable
-// journal's group-commit window. Zero (the default) fsyncs inline on every
-// append.
-func (m *MiddleBoxSpec) JournalFsyncWindow() time.Duration {
-	d, err := time.ParseDuration(m.Params["journalFsyncWindow"])
-	if err != nil || d < 0 {
-		return 0
-	}
-	return d
-}
-
-// LatencySLO resolves the "latencySLO" param — the per-command service
-// latency objective the orchestrator tracks for the group. Zero (the
-// default) disables SLO tracking.
-func (m *MiddleBoxSpec) LatencySLO() time.Duration {
-	d, err := time.ParseDuration(m.Params["latencySLO"])
-	if err != nil || d <= 0 {
-		return 0
-	}
-	return d
-}
-
-// ForwardConns resolves the "forwardConns" param — how many MC/S
-// connections the relay's downstream (pseudo-client) leg spreads commands
-// across. 1 (the default) keeps the single-connection forward leg.
-func (m *MiddleBoxSpec) ForwardConns() int {
-	if n, err := strconv.Atoi(m.Params["forwardConns"]); err == nil && n >= 1 && n <= 8 {
-		return n
-	}
-	return 1
-}
-
-// CopyThreads resolves the relay's concurrent copy-path bound: the
-// "copyThreads" param when set, otherwise the VM's vCPU count, otherwise 0
-// (unbounded).
-func (m *MiddleBoxSpec) CopyThreads() int {
-	if v := m.Params["copyThreads"]; v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			return n
-		}
-	}
-	if m.VCPUs > 0 {
-		return m.VCPUs
-	}
-	return 0
 }

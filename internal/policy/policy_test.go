@@ -99,49 +99,35 @@ func TestEffectiveMode(t *testing.T) {
 	}
 }
 
+// TestOverloadKnobValidation: the replicate box's overload knobs are no
+// longer policy params (the service defaults apply), so a policy that still
+// sets one, valid value or not, is refused naming the key instead of running
+// an admission policy it did not ask for.
 func TestOverloadKnobValidation(t *testing.T) {
-	// Build a policy with a replicate box (3 backends → write quorum 2)
-	// carrying the given overload params.
-	withKnobs := func(params map[string]string) *Policy {
-		params["replicaBackends"] = "3"
-		p := validPolicy()
-		p.MiddleBoxes = append(p.MiddleBoxes, MiddleBoxSpec{Name: "rpl", Type: TypeReplicate, Params: params})
-		p.Volumes[1].Chain = []string{"rpl"}
-		return p
-	}
-	good := withKnobs(map[string]string{
-		"queueHighWatermark": "256",
-		"breakerThreshold":   "5",
-		"degradedQuorum":     "1",
-	})
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid overload knobs rejected: %v", err)
-	}
-	bad := []struct {
-		name   string
-		params map[string]string
-		want   string
+	tests := []struct {
+		name, key, value string
 	}{
-		{"zero watermark", map[string]string{"queueHighWatermark": "0"}, "queueHighWatermark"},
-		{"garbage watermark", map[string]string{"queueHighWatermark": "lots"}, "queueHighWatermark"},
-		{"zero threshold", map[string]string{"breakerThreshold": "0"}, "breakerThreshold"},
-		{"zero degraded quorum", map[string]string{"degradedQuorum": "0"}, "degradedQuorum"},
-		{"degraded above quorum", map[string]string{"degradedQuorum": "3"}, "degradedQuorum"},
+		{"formerly valid", "queueHighWatermark", "256"},
+		{"zero watermark", "queueHighWatermark", "0"},
+		{"garbage watermark", "queueHighWatermark", "lots"},
+		{"zero threshold", "breakerThreshold", "0"},
+		{"zero degraded quorum", "degradedQuorum", "0"},
+		{"degraded above quorum", "degradedQuorum", "3"},
 	}
-	for _, tt := range bad {
+	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := withKnobs(tt.params).Validate()
+			p := validPolicy()
+			p.MiddleBoxes = append(p.MiddleBoxes, MiddleBoxSpec{Name: "rpl", Type: TypeReplicate,
+				Params: map[string]string{"replicaBackends": "3", tt.key: tt.value}})
+			p.Volumes[1].Chain = []string{"rpl"}
+			err := p.Validate()
 			if err == nil {
-				t.Fatal("Validate accepted the broken knob")
+				t.Fatal("Validate accepted a deleted knob")
 			}
-			if !strings.Contains(err.Error(), tt.want) {
-				t.Errorf("error %q does not mention %q", err, tt.want)
+			if !strings.Contains(err.Error(), tt.key) {
+				t.Errorf("error %q does not mention %q", err, tt.key)
 			}
 		})
-	}
-	spec := &MiddleBoxSpec{Type: TypeReplicate, Params: map[string]string{"replicaBackends": "3"}}
-	if spec.QueueHighWatermark() != 0 || spec.BreakerThreshold() != 0 || spec.DegradedQuorum() != 0 {
-		t.Error("unset overload knobs should resolve to 0 (service defaults)")
 	}
 }
 

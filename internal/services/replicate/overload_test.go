@@ -3,7 +3,6 @@ package replicate
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -89,7 +88,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 
 // TestWatermarkBackpressure pins the admission contract: pending depth at
 // the high watermark refuses writes with typed ErrBusy, and the latch only
-// releases once the queue drains to the low watermark.
+// releases once the queue drains to half the high watermark.
 func TestWatermarkBackpressure(t *testing.T) {
 	// Both backends fail so nothing commits: every write stays pending.
 	fb1 := &faultBackend{Backend: cas.NewMemBackend(testSlots)}
@@ -112,7 +111,7 @@ func TestWatermarkBackpressure(t *testing.T) {
 	b, err := New(Config{
 		Name: "bp", Quorum: 2, ChunkSize: testChunk, WALDir: t.TempDir(),
 		HedgeDelay: time.Millisecond, ProbeInterval: time.Hour,
-		QueueHighWatermark: 8, QueueLowWatermark: 2, Obs: reg,
+		QueueHighWatermark: 8, Obs: reg,
 	}, disk, []NamedStore{{Name: "a", Store: s1}, {Name: "b", Store: s2}})
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +143,8 @@ func TestWatermarkBackpressure(t *testing.T) {
 	if reg.Counter("backpressure.bp.rejects").Value() == 0 {
 		t.Fatal("reject counter did not move")
 	}
-	// Still above the low watermark: admission stays shut even though the
-	// depth is below the high one (hysteresis).
+	// Still above the low watermark (high/2): admission stays shut
+	// (hysteresis).
 	if err := b.WriteAt(p, 0); !errors.Is(err, ErrBusy) {
 		t.Fatalf("write while latched: %v, want ErrBusy", err)
 	}
@@ -160,106 +159,6 @@ func TestWatermarkBackpressure(t *testing.T) {
 	}
 	if reg.Gauge("backpressure.bp.engaged").Value() != 0 {
 		t.Fatal("backpressure gauge still engaged after drain")
-	}
-}
-
-// TestDegradedQuorumPolicy: with DegradedQuorum set, writes proceed on the
-// survivors when a breaker is open, and fast-fail typed once the healthy
-// count drops below the floor.
-func TestDegradedQuorumPolicy(t *testing.T) {
-	fbs := make([]*faultBackend, 3)
-	var stores []NamedStore
-	for i := range fbs {
-		fbs[i] = &faultBackend{Backend: cas.NewMemBackend(testSlots)}
-		s, err := cas.Open(fbs[i], testChunk, testSlots)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores = append(stores, NamedStore{Name: fmt.Sprintf("be%d", i), Store: s})
-	}
-	disk, err := blockdev.NewMemDisk(testBS, testBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	b, err := New(Config{
-		Name: "dq", Quorum: 3, DegradedQuorum: 2, ChunkSize: testChunk,
-		WALDir: t.TempDir(), HedgeDelay: 100 * time.Millisecond,
-		ProbeInterval: time.Hour, BreakerThreshold: 1, Obs: reg,
-	}, disk, stores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	p := bytes.Repeat([]byte{7}, testBS)
-	if err := b.WriteAt(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	waitDrained(t, b)
-
-	// One backend down: 2 survivors ≥ floor 2, so writes proceed at the
-	// reduced quorum without waiting out the hedge.
-	fbs[2].setFail(errors.New("down"))
-	writeBlocks(t, b, rand.New(rand.NewSource(9)), 3)
-	testutil.WaitFor(t, 2*time.Second, "third backend eviction", func() bool {
-		return !b.targets[2].Healthy()
-	})
-	start := time.Now()
-	if err := b.WriteAt(p, 8); err != nil {
-		t.Fatalf("degraded write: %v", err)
-	}
-	// The write must return on the survivors' acks (reduced quorum), not by
-	// waiting out the 100ms hedge as a quorum miss.
-	if elapsed := time.Since(start); elapsed > 90*time.Millisecond {
-		t.Fatalf("degraded write took %v — it hedged instead of committing at the reduced quorum", elapsed)
-	}
-	if reg.Counter("replicate.dq.degraded_writes").Value() == 0 {
-		t.Fatal("degraded-write counter did not move")
-	}
-
-	// Two backends down: 1 survivor < floor 2 → typed fast-fail, and the
-	// refusal must arrive without journaling anything new. The trigger
-	// writes may themselves fast-fail once the eviction lands.
-	fbs[1].setFail(errors.New("down"))
-	for i := 0; i < 5 && b.targets[1].Healthy(); i++ {
-		if err := b.WriteAt(p, uint64(i)); err != nil && !errors.Is(err, ErrDegraded) {
-			t.Fatalf("trigger write %d: %v", i, err)
-		}
-	}
-	testutil.WaitFor(t, 2*time.Second, "second backend eviction", func() bool {
-		return !b.targets[1].Healthy()
-	})
-	pendingBefore := b.log.Pending()
-	err = b.WriteAt(p, 16)
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("below-floor write: got %v, want ErrDegraded", err)
-	}
-	if xerr.Classify(err) != xerr.Transient {
-		t.Fatalf("ErrDegraded classed %v, want Transient", xerr.Classify(err))
-	}
-	if got := b.log.Pending(); got != pendingBefore {
-		t.Fatalf("fast-fail journaled a record: pending %d -> %d", pendingBefore, got)
-	}
-
-	// Heal everything: probes close the breakers and full-quorum writes
-	// resume.
-	fbs[1].setFail(nil)
-	fbs[2].setFail(nil)
-	testutil.WaitFor(t, 2*time.Second, "breakers to close", func() bool { return b.Probe() >= 0 && !b.BreakerOpen() })
-	if err := b.WriteAt(p, 24); err != nil {
-		t.Fatalf("write after heal: %v", err)
-	}
-	waitDrained(t, b)
-	want := primaryHash(t, b)
-	for _, ns := range stores {
-		got, err := ns.Store.LogicalHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("backend %s diverged after degraded episode", ns.Name)
-		}
 	}
 }
 

@@ -41,12 +41,11 @@ var (
 	// below the low one. Classed Overload — the iSCSI front maps it to SCSI
 	// BUSY and the initiator retries.
 	ErrBusy = xerr.New(xerr.Overload, "replicate: dispatch queue over high watermark")
-	// ErrDegraded reports a write fast-failed because fewer backends are
-	// healthy than even the degraded-quorum policy tolerates. Classed
-	// Transient: the probe machinery is actively reconverging backends, so
-	// a backed-off retry is the right response.
-	ErrDegraded = xerr.New(xerr.Transient, "replicate: insufficient healthy backends for quorum")
 )
+
+// DefaultChunkSize is the content-addressing granularity when Config leaves
+// ChunkSize zero.
+const DefaultChunkSize = 4096
 
 // Circuit-breaker states, exposed per backend via the
 // replicate.<box>.<backend>.breaker_state gauge.
@@ -65,7 +64,7 @@ type Config struct {
 	// before it returns. 1 ≤ Quorum ≤ len(backends).
 	Quorum int
 	// ChunkSize is the content-addressing granularity in bytes; must be a
-	// multiple of the primary's block size. Default 4096.
+	// multiple of the primary's block size. Default DefaultChunkSize.
 	ChunkSize int
 	// WALDir is the dispatch journal directory (required). An existing
 	// journal is replayed before the box serves I/O.
@@ -80,25 +79,15 @@ type Config struct {
 	// backends. Default 50ms.
 	ProbeInterval time.Duration
 	// QueueHighWatermark bounds the pending (journaled, still below
-	// quorum) dispatch queue: a write arriving with the queue at
-	// or above it gets ErrBusy until the queue drains to QueueLowWatermark.
-	// Default 1024.
+	// quorum) dispatch queue: a write arriving with the queue at or above it
+	// gets ErrBusy until the queue drains to half of it (hysteresis, so
+	// admission doesn't flap at the boundary). Default 1024.
 	QueueHighWatermark int
-	// QueueLowWatermark is where engaged backpressure releases (hysteresis,
-	// so admission doesn't flap at the boundary). Default half the high
-	// watermark.
-	QueueLowWatermark int
 	// BreakerThreshold is the consecutive per-backend failure (or
 	// over-deadline apply) count that trips its circuit breaker. Failed
 	// applies are retried inline with jittered backoff until the threshold
 	// exhausts. Default 3.
 	BreakerThreshold int
-	// DegradedQuorum, when > 0, lets writes proceed at a reduced quorum
-	// while breakers are open: a write finding fewer than Quorum healthy
-	// backends succeeds with the survivors' acks as long as at least
-	// DegradedQuorum remain, and fast-fails with ErrDegraded below that.
-	// 0 keeps the legacy behavior (hedged return, asynchronous catch-up).
-	DegradedQuorum int
 	// ApplyTimeout, when > 0, treats a backend apply slower than this as a
 	// breaker-relevant failure even though it succeeded — the slow-backend
 	// brownout detector. Half-open probes must also beat it to close the
@@ -116,7 +105,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.ChunkSize == 0 {
-		c.ChunkSize = 4096
+		c.ChunkSize = DefaultChunkSize
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 2 * time.Millisecond
@@ -126,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueHighWatermark <= 0 {
 		c.QueueHighWatermark = 1024
-	}
-	if c.QueueLowWatermark <= 0 || c.QueueLowWatermark >= c.QueueHighWatermark {
-		c.QueueLowWatermark = c.QueueHighWatermark / 2
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -161,7 +147,6 @@ type chunkUpdate struct {
 type job struct {
 	seq    uint64
 	chunks []chunkUpdate
-	quorum int           // acks that release the writer; may sit below Config.Quorum in degraded mode
 	done   chan struct{} // closed when acks reach quorum
 
 	// Guarded by Box.mu; bit i stands for Box.targets[i].
@@ -246,7 +231,7 @@ type Box struct {
 	targets    []*Target
 	jobs       map[uint64]*job // journaled, record not yet committed
 	waiting    int             // of those, still below quorum: the admission depth
-	overloaded bool            // admission latched shut until waiting drains to the low watermark
+	overloaded bool            // admission latched shut until waiting drains to half the high watermark
 	killed     bool
 	closed     bool
 
@@ -266,7 +251,7 @@ type Box struct {
 
 	mDispatch, mDedup, mQuorumMiss, mHedged, mReplays *obs.Counter
 	mBytesLogical, mBytesStored                       *obs.Counter
-	mBPRejects, mDegraded                             *obs.Counter
+	mBPRejects                                        *obs.Counter
 	gPending, gAlive, gBackpressure                   *obs.Gauge
 }
 
@@ -314,9 +299,6 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 		jobs:    make(map[uint64]*job),
 		stop:    make(chan struct{}),
 		backoff: faults.NewBackoff(time.Millisecond, 50*time.Millisecond, cfg.Seed),
-	}
-	if cfg.DegradedQuorum > cfg.Quorum {
-		return nil, fmt.Errorf("replicate: degraded quorum %d above quorum %d", cfg.DegradedQuorum, cfg.Quorum)
 	}
 	for i, nb := range backends {
 		if nb.Store.ChunkSize() != cfg.ChunkSize {
@@ -453,7 +435,6 @@ func (b *Box) initMetrics() {
 	b.mBytesLogical = r.Counter(p + "bytes_logical")
 	b.mBytesStored = r.Counter(p + "bytes_stored")
 	b.mBPRejects = r.Counter("backpressure." + b.cfg.Name + ".rejects")
-	b.mDegraded = r.Counter(p + "degraded_writes")
 	b.gPending = r.Gauge(p + "pending")
 	b.gAlive = r.Gauge(p + "backends_alive")
 	b.gBackpressure = r.Gauge("backpressure." + b.cfg.Name + ".engaged")
@@ -479,46 +460,28 @@ func (b *Box) ReadAt(p []byte, lba uint64) error {
 
 // admit is WriteAt's admission control, run before the write journals or
 // touches the primary so a refused write leaves no partial state. It
-// enforces the pending-queue watermarks (with hysteresis: once engaged,
-// backpressure holds until the queue drains to the low watermark) and
-// resolves the write's effective quorum against the healthy backend count —
-// reduced to the survivors when DegradedQuorum allows, typed fast-fail when
-// even that floor can't be met.
-func (b *Box) admit() (quorum int, err error) {
+// enforces the pending-queue watermark with hysteresis: once engaged,
+// backpressure holds until the queue drains to half the high watermark.
+func (b *Box) admit() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	depth := b.waiting
+	depth, high := b.waiting, b.cfg.QueueHighWatermark
 	if b.overloaded {
-		if depth > b.cfg.QueueLowWatermark {
+		if depth > high/2 {
 			b.mBPRejects.Inc()
-			return 0, fmt.Errorf("%w: %d pending, watermark %d/%d", ErrBusy, depth, b.cfg.QueueHighWatermark, b.cfg.QueueLowWatermark)
+			return fmt.Errorf("%w: %d pending, watermark %d/%d", ErrBusy, depth, high, high/2)
 		}
 		b.overloaded = false
 		b.gBackpressure.Set(0)
 		b.cfg.Obs.Eventf("replicate", "box %s backpressure released at %d pending", b.cfg.Name, depth)
-	} else if depth >= b.cfg.QueueHighWatermark {
+	} else if depth >= high {
 		b.overloaded = true
 		b.gBackpressure.Set(1)
 		b.mBPRejects.Inc()
 		b.cfg.Obs.Eventf("replicate", "box %s backpressure engaged at %d pending", b.cfg.Name, depth)
-		return 0, fmt.Errorf("%w: %d pending, watermark %d/%d", ErrBusy, depth, b.cfg.QueueHighWatermark, b.cfg.QueueLowWatermark)
+		return fmt.Errorf("%w: %d pending, watermark %d/%d", ErrBusy, depth, high, high/2)
 	}
-
-	alive := 0
-	for _, t := range b.targets {
-		if t.alive {
-			alive++
-		}
-	}
-	quorum = b.cfg.Quorum
-	if alive < quorum && b.cfg.DegradedQuorum > 0 {
-		if alive < b.cfg.DegradedQuorum {
-			return 0, fmt.Errorf("%w: %d healthy, degraded floor %d", ErrDegraded, alive, b.cfg.DegradedQuorum)
-		}
-		quorum = alive
-		b.mDegraded.Inc()
-	}
-	return quorum, nil
+	return nil
 }
 
 func (b *Box) ioErr() error {
@@ -567,15 +530,13 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	if lba+nblocks > b.Blocks() {
 		return blockdev.ErrOutOfRange
 	}
-	quorum, err := b.admit()
-	if err != nil {
+	if err := b.admit(); err != nil {
 		return err
 	}
 
 	first := lba / b.bpc
 	last := (lba + nblocks - 1) / b.bpc
 	j := &job{
-		quorum: quorum,
 		chunks: make([]chunkUpdate, last-first+1),
 		done:   make(chan struct{}),
 	}
@@ -786,14 +747,14 @@ func (b *Box) settleLocked(j *job, t *Target, applied bool) {
 	}
 	if applied && j.acked&t.bit == 0 {
 		j.acked |= t.bit
-		if bits.OnesCount64(j.acked) == j.quorum {
+		if bits.OnesCount64(j.acked) == b.cfg.Quorum {
 			close(j.done)
 			b.waiting--
 			b.gPending.Set(int64(b.waiting))
 		}
 	}
 	j.owed &^= t.bit
-	if j.owed == 0 && bits.OnesCount64(j.acked) >= j.quorum {
+	if j.owed == 0 && bits.OnesCount64(j.acked) >= b.cfg.Quorum {
 		delete(b.jobs, j.seq)
 		b.commitLocked(j.seq)
 	}
