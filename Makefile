@@ -6,9 +6,9 @@
 # objstore, scrub, services/replicate — the per-byte path every workload
 # shares: blockdev, services/crypt — and volume, which picks the target's
 # execution mode), the allocs/op regression gates for the zero-copy chain hot
-# path, one iSCSI leg at 4 KiB and 64 KiB, the flow lookup, the cipher and
-# a histogram observation, a short-mode soak smoke, and a short-mode backup
-# smoke. `make test` is the full suite. `make bench` prints the data-plane microbenchmarks with
+# path, one iSCSI leg at 4 KiB and 64 KiB, the flow lookup, the cipher, a
+# histogram observation and a journal append and commit, a short-mode soak
+# smoke, and a short-mode backup smoke. `make test` is the full suite. `make bench` prints the data-plane microbenchmarks with
 # allocation stats and appends a dated before/after summary to
 # BENCH_results.json (via stormbench -fastpath). `make crash` runs the
 # WAL durability-cost sweep and the kill/replay scenarios (stormbench
@@ -53,10 +53,11 @@ race:
 
 # Allocation regression gates (skipped under -race, which instruments
 # allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
-# and 64 KiB), the lock-free flow lookup, the per-request (not per-sector) cipher
-# and the bucketed histogram's Observe.
+# and 64 KiB), the lock-free flow lookup, the per-request (not per-sector)
+# cipher, the bucketed histogram's Observe and a journal record's Append and
+# Commit.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestHistogramObserveAllocFree' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal | grep -E 'allocs|FAIL|ok '
 
 test:
 	$(GO) test ./...

@@ -17,31 +17,44 @@ import (
 //	then physSlots ×          chunk slots: 1 header block (magic, length,
 //	  (1 + chunkSize/bs)      chunk ID) followed by the chunk's data blocks
 //
-// PutChunk writes a slot's header and data blocks as one device write, so a
-// crash can tear it: any subset of the slot's blocks may have landed,
-// including a header over partial data. That is safe because nothing
-// references a chunk before its put has returned:
+// The slot table is the only fact on the device. A chunk header is a claim:
+// its slot may hold the chunk with that ID, or may not. What each operation
+// promises:
 //
-//   - Store.WriteID puts a chunk only when no slot references its ID and
-//     flips the mapping only after the put returns, so a torn chunk is an
-//     orphan, and cas.Open deletes orphans before any write can map them. A
-//     put whose write fails without a crash clears the slot's header before
-//     the next put, for the same reason.
-//   - Store.Read verifies Sum(data) == id, so the one caller that puts under
-//     a live mapping, Store.Repair, leaves a torn slot unreadable
-//     (ErrCorrupt, or ErrNoChunk when only its header clear landed) until it
-//     is repaired again — never readable with wrong bytes.
+//   - format zeroes the slot table, then writes the superblock, so a crash
+//     mid-format leaves an unformatted device. It leaves the headers a
+//     previous life wrote: with nothing mapped, each is an orphan claim.
+//   - PutChunk writes a free slot's header and data blocks as one device
+//     write. A crash can tear it: any subset of the blocks may land,
+//     including a header over partial data or a stale header over new data.
+//     A put whose write fails leaves its slot free and its claim behind.
+//   - DeleteChunk writes nothing. The slot goes back on the free list and
+//     its header stays, a stale claim, until a put reuses the slot.
+//   - scan keeps, per ID, the first claim whose data blocks hash to the ID,
+//     or the first claim when none does. It reads chunk data only for an ID
+//     that more than one slot claims. cas.Open then frees, in memory, every
+//     indexed ID that no slot maps: an orphan.
+//
+// Every crash image opens safely because a mapped ID always has an intact
+// claim. Store.WriteID maps an ID only after its put has returned, and a
+// chunk's slot stays off the free list, so no put overwrites it, until the
+// write that unmaps the ID has landed. So a mapped ID claimed once holds
+// intact bytes, a mapped ID claimed several times wins arbitration with
+// intact bytes, and a torn or stale claim of an unmapped ID is an orphan,
+// freed before any write can map it. The one caller that puts under a live
+// mapping, Store.Repair, rewrites the chunk's own slot; torn, it leaves the
+// slot unreadable (Store.Read verifies Sum(data) == id) until it is repaired
+// again, never readable with wrong bytes.
 //
 // The slot table is written one block per SetMapping, composed from the
 // in-memory copy of the table, so a mapping flip is atomic at block
-// granularity. Open rebuilds the ID→slot index and free list purely by
-// scanning headers — no separate allocation metadata to keep consistent.
-// TestCrashPrefixes replays every prefix and tear of a recorded write log
-// against these claims.
+// granularity. TestCrashPrefixes replays every prefix and tear of a recorded
+// write log, from a format over a dirty device on, against these claims.
 const (
 	blockMagic    = "STORMCAS"
 	chunkMagic    = "CASCHUNK"
 	mapEntryBytes = 64
+	formatRun     = 1 << 20 // bytes of slot table per format write, at most
 )
 
 // BlockBackend persists chunks on a blockdev.Device using the layout above.
@@ -61,17 +74,11 @@ type BlockBackend struct {
 	// updated after each map-block write succeeds. SetMapping composes a
 	// block's entries from it, which saves reading the block back.
 	table []ID
-	// torn is the chunk slot of a put whose device write failed and may
-	// have left a header behind; PutChunk clears that header before it
-	// puts anywhere. noSlot when there is none.
-	torn uint64
 	// Scratch, serialised by mu: putBuf is one chunk slot (header block,
 	// then data) with the constant header fields filled in, mapBuf one map
-	// block, zero one block that stays zero.
-	putBuf, mapBuf, zero []byte
+	// block.
+	putBuf, mapBuf []byte
 }
-
-const noSlot = ^uint64(0)
 
 // BlockBackendBytes returns the device size, in bytes, needed for a
 // block-backed CAS replica with the given geometry. The chunk area carries
@@ -98,9 +105,8 @@ func physSlotsFor(slots uint64) uint64 {
 // OpenBlockBackend opens (or formats) a block-backed replica on dev. A
 // device whose superblock is absent or unreadable is formatted fresh; an
 // existing superblock must match the requested geometry, and its chunk
-// headers are scanned to rebuild the ID index and free list, which is what
-// makes the backend crash-recoverable: any torn put shows up as a headerless
-// slot.
+// headers are scanned as claims (see the layout comment) to rebuild the ID
+// index and free list, which is what makes the backend crash-recoverable.
 func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockBackend, error) {
 	bs := dev.BlockSize()
 	if chunkSize <= 0 || chunkSize%bs != 0 {
@@ -119,10 +125,8 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 		slots:     slots,
 		physSlots: physSlotsFor(slots),
 		perSlot:   1 + uint64(chunkSize/bs),
-		torn:      noSlot,
 		putBuf:    make([]byte, bs+chunkSize),
 		mapBuf:    make([]byte, bs),
-		zero:      make([]byte, bs),
 	}
 	copy(b.putBuf, chunkMagic)
 	binary.LittleEndian.PutUint32(b.putBuf[8:12], uint32(chunkSize))
@@ -157,9 +161,9 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 	if err := b.format(); err != nil {
 		return nil, err
 	}
-	// format has just zeroed the slot table and every chunk header, so what
-	// readTable and scan would read back is known: no mapping, no chunk,
-	// every slot free in scan's ascending order (the allocation order is
+	// format has just zeroed the slot table, so every header on the device
+	// is an orphan claim and the state is known without reading: no mapping,
+	// no chunk, every slot free in ascending order (the allocation order is
 	// part of the layout: see TestBlockLayoutUnchanged).
 	b.table = make([]ID, slots)
 	b.index = make(map[ID]uint64)
@@ -170,17 +174,16 @@ func OpenBlockBackend(dev blockdev.Device, chunkSize int, slots uint64) (*BlockB
 	return b, nil
 }
 
-// format zeroes the slot table and chunk headers and writes the superblock
-// last, so a crash mid-format leaves an unformatted device.
+// format zeroes the slot table in runs of at most formatRun bytes and
+// writes the superblock last, so a crash mid-format leaves an unformatted
+// device. Chunk headers stay as they are: see the layout comment.
 func (b *BlockBackend) format() error {
-	for lba := uint64(1); lba < b.dataStart; lba++ {
-		if err := b.dev.WriteAt(b.zero, lba); err != nil {
-			return fmt.Errorf("cas: format map block %d: %w", lba, err)
-		}
-	}
-	for slot := uint64(0); slot < b.physSlots; slot++ {
-		if err := b.dev.WriteAt(b.zero, b.headerLBA(slot)); err != nil {
-			return fmt.Errorf("cas: format chunk header %d: %w", slot, err)
+	per := max(1, min(b.mapBlocks, formatRun/uint64(b.bs)))
+	run := make([]byte, per*uint64(b.bs))
+	for lba := uint64(1); lba < b.dataStart; lba += per {
+		n := min(per, b.dataStart-lba)
+		if err := b.dev.WriteAt(run[:n*uint64(b.bs)], lba); err != nil {
+			return fmt.Errorf("cas: format slot table at block %d: %w", lba, err)
 		}
 	}
 	sb := make([]byte, b.bs)
@@ -194,28 +197,50 @@ func (b *BlockBackend) format() error {
 	return b.dev.Flush()
 }
 
-// scan walks every chunk header rebuilding the ID→slot index and free list.
+// scan rebuilds the ID→slot index and free list from the chunk headers,
+// arbitrating claims as the layout comment describes.
 func (b *BlockBackend) scan() error {
-	b.index = make(map[ID]uint64)
-	b.free = b.free[:0]
+	b.index = make(map[ID]uint64, b.physSlots) // stale claims too, until cas.Open frees them
+	contested := make(map[ID][]uint64)         // every claim of an ID claimed twice
 	hdr := make([]byte, b.bs)
 	for slot := uint64(0); slot < b.physSlots; slot++ {
 		if err := b.dev.ReadAt(hdr, b.headerLBA(slot)); err != nil {
 			return fmt.Errorf("cas: scan header %d: %w", slot, err)
 		}
 		if string(hdr[:8]) != chunkMagic {
-			b.free = append(b.free, slot)
 			continue
 		}
 		var id ID
 		copy(id[:], hdr[12:44])
-		if _, dup := b.index[id]; dup {
-			// PutChunk never writes a second header for an indexed ID; a
-			// device that shows one anyway keeps the first.
-			b.free = append(b.free, slot)
-			continue
+		if first, dup := b.index[id]; !dup {
+			b.index[id] = slot
+		} else if claims, ok := contested[id]; ok {
+			contested[id] = append(claims, slot)
+		} else {
+			contested[id] = []uint64{first, slot}
 		}
-		b.index[id] = slot
+	}
+	data := make([]byte, b.chunkSize)
+	for id, claims := range contested {
+		for _, slot := range claims {
+			if err := b.dev.ReadAt(data, b.headerLBA(slot)+1); err != nil {
+				return fmt.Errorf("cas: scan chunk %d: %w", slot, err)
+			}
+			if Sum(data) == id {
+				b.index[id] = slot
+				break
+			}
+		}
+	}
+	owned := make([]bool, b.physSlots)
+	for _, slot := range b.index {
+		owned[slot] = true
+	}
+	b.free = b.free[:0]
+	for slot, own := range owned {
+		if !own {
+			b.free = append(b.free, uint64(slot))
+		}
 	}
 	return nil
 }
@@ -238,17 +263,10 @@ func (b *BlockBackend) PutChunk(id ID, data []byte) error {
 	if len(b.free) == 0 {
 		return ErrFull
 	}
-	if b.torn != noSlot {
-		if err := b.dev.WriteAt(b.zero, b.headerLBA(b.torn)); err != nil {
-			return fmt.Errorf("cas: clear header of failed put: %w", err)
-		}
-		b.torn = noSlot
-	}
 	slot := b.free[len(b.free)-1]
 	copy(b.putBuf[12:44], id[:])
 	copy(b.putBuf[b.bs:], data)
 	if err := b.dev.WriteAt(b.putBuf, b.headerLBA(slot)); err != nil {
-		b.torn = slot
 		return fmt.Errorf("cas: write chunk: %w", err)
 	}
 	b.free = b.free[:len(b.free)-1]
@@ -271,19 +289,15 @@ func (b *BlockBackend) GetChunk(id ID) ([]byte, error) {
 	return data, nil
 }
 
-// DeleteChunk invalidates a chunk's header, freeing its slot.
+// DeleteChunk frees a chunk's slot. It writes nothing: the header stays, a
+// stale claim, until a put reuses the slot.
 func (b *BlockBackend) DeleteChunk(id ID) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	slot, ok := b.index[id]
-	if !ok {
-		return nil
+	if slot, ok := b.index[id]; ok {
+		delete(b.index, id)
+		b.free = append(b.free, slot)
 	}
-	if err := b.dev.WriteAt(b.zero, b.headerLBA(slot)); err != nil {
-		return fmt.Errorf("cas: clear chunk header: %w", err)
-	}
-	delete(b.index, id)
-	b.free = append(b.free, slot)
 	return nil
 }
 

@@ -19,11 +19,12 @@ type devWrite struct {
 }
 
 // recDisk passes every access through and logs the writes, tagged with the
-// operation the test says is running.
+// operation the test says is running, and counts the flushes.
 type recDisk struct {
 	blockdev.Device
-	op  int
-	log []devWrite
+	op      int
+	log     []devWrite
+	flushes int
 }
 
 func (d *recDisk) WriteAt(p []byte, lba uint64) error {
@@ -31,20 +32,67 @@ func (d *recDisk) WriteAt(p []byte, lba uint64) error {
 	return d.Device.WriteAt(p, lba)
 }
 
+func (d *recDisk) Flush() error {
+	d.flushes++
+	return d.Device.Flush()
+}
+
+// dirtyDisk returns the device a previous life left behind: every chunk
+// slot holds a claim on chunkOf(seed) for a seed below 64 drawn from rng,
+// about a third of them over data that does not hash to the ID, the slot
+// table maps the first slots' chunks, and the superblock is wiped.
+func dirtyDisk(t *testing.T, slots uint64, rng *rand.Rand) *blockdev.MemDisk {
+	t.Helper()
+	disk := newBlockDisk(t, slots)
+	be, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range rng.Perm(64)[:be.physSlots] {
+		data := chunkOf(int64(seed))
+		id := Sum(data)
+		if err := be.PutChunk(id, data); err != nil {
+			t.Fatal(err)
+		}
+		if uint64(i) < slots {
+			if err := be.SetMapping(uint64(i), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rng.Intn(3) == 0 {
+			if err := be.CorruptChunk(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := disk.WriteAt(make([]byte, disk.BlockSize()), 0); err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
 // TestCrashPrefixes is the proof behind the layout comment in block.go. It
-// records the device writes of a seeded mix of unique, duplicate and
-// overwriting Store.Writes and Repairs, then for every crash the log allows
-// — after any whole write, and inside each multi-block write with either a
-// block prefix or all blocks but one landed (the torn one-write put) — it
-// reopens the image and checks what recovery promises.
+// formats a dirty device, whose old claims include torn ones and IDs the
+// run writes again, and records the device writes of that format and of a
+// seeded mix of unique, duplicate, overwriting and previously released
+// Store.Writes and of Repairs. Then for every crash the log allows — after
+// any whole write, and inside each multi-block write with either a block
+// prefix or all blocks but one landed (the torn one-write put, including a
+// put into a released slot that leaves the stale header over new data) —
+// it reopens the image and checks what recovery promises.
 func TestCrashPrefixes(t *testing.T) {
 	const (
 		slots = 8
 		nOps  = 60
 		bs    = 512
 	)
-	disk := newBlockDisk(t, slots)
-	rec := &recDisk{Device: disk}
+	rng := rand.New(rand.NewSource(13))
+	disk := dirtyDisk(t, slots, rng)
+	base, err := disk.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recDisk{Device: disk} // format's writes count as operation 0's
 	be, err := OpenBlockBackend(rec, testChunk, slots)
 	if err != nil {
 		t.Fatal(err)
@@ -53,13 +101,7 @@ func TestCrashPrefixes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := disk.Clone() // formatted, empty
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.log = nil
 
-	rng := rand.New(rand.NewSource(13))
 	content := make([][]byte, slots) // what each slot holds, nil = unmapped
 	table := func() []ID {
 		out := make([]ID, slots)
@@ -88,7 +130,7 @@ func TestCrashPrefixes(t *testing.T) {
 		rec.op = k
 		slot := uint64(rng.Intn(slots))
 		src, have := mapped()
-		switch kind := rng.Intn(5); {
+		switch kind := rng.Intn(6); {
 		case kind == 0 && have: // another slot's content: dedup, no put
 			content[slot] = content[src]
 			_, err = s.Write(slot, content[slot])
@@ -98,6 +140,9 @@ func TestCrashPrefixes(t *testing.T) {
 		case kind == 2: // repair with different content: the Write path
 			content[slot] = chunkOf(int64(1000 + k))
 			err = s.Repair(slot, content[slot])
+		case kind == 3: // earlier content: its stale header may contest the put
+			content[slot] = chunkOf(int64(rng.Intn(k + 1)))
+			_, err = s.Write(slot, content[slot])
 		default: // unique content, over an unmapped or a mapped slot
 			content[slot] = chunkOf(int64(k))
 			_, err = s.Write(slot, content[slot])
@@ -217,15 +262,24 @@ func TestCrashPrefixes(t *testing.T) {
 	t.Logf("%d operations, %d device writes, %d crash images", nOps, len(log), states)
 }
 
-// TestBlockBackendIOBudget pins the device commands a Store.Write costs on
-// a block backend, so the read-modify-write of the slot table and the
-// two-write put cannot come back unnoticed.
+// TestBlockBackendIOBudget pins the device commands a format, a
+// Store.Write and a reopen cost on a block backend, so the read-modify-write
+// of the slot table, the two-write put, the header clear on release, the
+// per-header format and a scan that reads every chunk cannot come back
+// unnoticed.
 func TestBlockBackendIOBudget(t *testing.T) {
 	const slots = 16
-	disk := blockdev.NewCountingDisk(newBlockDisk(t, slots))
+	mem := newBlockDisk(t, slots)
+	rec := &recDisk{Device: mem}
+	disk := blockdev.NewCountingDisk(rec)
 	be, err := OpenBlockBackend(disk, testChunk, slots)
 	if err != nil {
 		t.Fatal(err)
+	}
+	table := int(be.mapBlocks) * mem.BlockSize()
+	if len(rec.log) != 2 || rec.log[0].lba != 1 || len(rec.log[0].data) != table || rec.log[1].lba != 0 || rec.flushes != 1 {
+		t.Fatalf("format: %d writes, first %d bytes at lba %d, %d flushes; want the %d-byte slot table at lba 1, the superblock at 0, one flush",
+			len(rec.log), len(rec.log[0].data), rec.log[0].lba, rec.flushes, table)
 	}
 	s, err := Open(be, testChunk, slots)
 	if err != nil {
@@ -242,8 +296,8 @@ func TestBlockBackendIOBudget(t *testing.T) {
 	if w, r := cost(0, chunkOf(1)); w != 2 || r != 0 {
 		t.Fatalf("unique write to an unmapped slot: %d writes / %d reads, want 2 / 0 (chunk, map)", w, r)
 	}
-	if w, r := cost(0, chunkOf(2)); w != 3 || r != 0 {
-		t.Fatalf("unique overwrite: %d writes / %d reads, want 3 / 0 (chunk, map, old header)", w, r)
+	if w, r := cost(0, chunkOf(2)); w != 2 || r != 0 {
+		t.Fatalf("unique overwrite: %d writes / %d reads, want 2 / 0 (chunk, map)", w, r)
 	}
 	if w, r := cost(0, chunkOf(2)); w != 0 || r != 0 {
 		t.Fatalf("same-ID rewrite: %d writes / %d reads, want 0 / 0", w, r)
@@ -254,41 +308,60 @@ func TestBlockBackendIOBudget(t *testing.T) {
 	if _, err := s.Write(2, chunkOf(3)); err != nil {
 		t.Fatal(err)
 	}
-	if w, r := cost(2, chunkOf(2)); w != 2 || r != 0 {
-		t.Fatalf("same content, other mapped slot: %d writes / %d reads, want 2 / 0 (map, old header)", w, r)
+	if w, r := cost(2, chunkOf(2)); w != 1 || r != 0 {
+		t.Fatalf("same content, other mapped slot: %d writes / %d reads, want 1 / 0 (map)", w, r)
+	}
+
+	// Contest one ID: released twice over, chunk x is put again into y's
+	// old slot, below its own stale claim. A reopen reads the superblock,
+	// the slot table and every header, and chunk data only for x's claims
+	// until one hashes: the first, its live one.
+	x, y := chunkOf(4), chunkOf(5)
+	for _, c := range [][]byte{x, y} {
+		if err := be.PutChunk(Sum(c), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range [][]byte{x, y} {
+		if err := be.DeleteChunk(Sum(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := be.PutChunk(Sum(x), x); err != nil {
+		t.Fatal(err)
+	}
+	r := disk.Reads()
+	reopened, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := disk.Reads()-r, int64(1+be.mapBlocks+be.physSlots+1); got != want {
+		t.Fatalf("reopen: %d reads, want %d (superblock, %d table blocks, %d headers, one chunk)",
+			got, want, be.mapBlocks, be.physSlots)
+	}
+	if reopened.index[Sum(x)] != be.index[Sum(x)] {
+		t.Fatalf("reopen indexed x at slot %d, the live copy is at %d", reopened.index[Sum(x)], be.index[Sum(x)])
 	}
 }
 
 // TestFreshFormatSkipsScan: a fresh format knows what it has just written,
-// so it sets up the index and free list without reading the headers back.
-// The device here carries a previous tenant's chunks under a wiped
-// superblock, so the state is only right if format really cleared them; a
-// reopen of the formatted device, which does scan, must find exactly what
-// the fresh open assumed.
+// so it sets up the index and free list without reading the device back.
+// The device here is dirty, a previous tenant's chunks and slot table under
+// a wiped superblock, and format leaves the old headers as orphan claims.
+// So a store over the formatted device, reopened with a scan, must hold
+// none of the previous tenant's chunks and have every chunk slot free.
 func TestFreshFormatSkipsScan(t *testing.T) {
 	const slots = 16
-	mem := newBlockDisk(t, slots)
-	old, err := OpenBlockBackend(mem, testChunk, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 10; i++ {
-		data := chunkOf(i)
-		if err := old.PutChunk(Sum(data), data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mem.WriteAt(make([]byte, 512), 0); err != nil { // wipe the superblock
-		t.Fatal(err)
-	}
-
-	disk := blockdev.NewCountingDisk(mem)
+	disk := blockdev.NewCountingDisk(dirtyDisk(t, slots, rand.New(rand.NewSource(3))))
 	fresh, err := OpenBlockBackend(disk, testChunk, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r := disk.Reads(); r != 1 {
 		t.Errorf("fresh format read the device %d times, want 1 (the superblock)", r)
+	}
+	if len(fresh.index) != 0 || uint64(len(fresh.free)) != fresh.physSlots {
+		t.Errorf("fresh format assumed %d chunks and %d free slots, want 0 and %d", len(fresh.index), len(fresh.free), fresh.physSlots)
 	}
 	reopened, err := OpenBlockBackend(disk, testChunk, slots)
 	if err != nil {
@@ -297,16 +370,20 @@ func TestFreshFormatSkipsScan(t *testing.T) {
 	if r := disk.Reads(); r < 1+int64(fresh.physSlots) {
 		t.Fatalf("reopen read the device %d times in all: it did not scan", r)
 	}
-	if len(fresh.index) != 0 || len(reopened.index) != 0 {
-		t.Errorf("index after format: %d entries assumed, %d scanned, want 0 and 0", len(fresh.index), len(reopened.index))
+	s, err := Open(reopened, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fmt.Sprint(fresh.free) != fmt.Sprint(reopened.free) || uint64(len(fresh.free)) != fresh.physSlots {
-		t.Errorf("free list after format:\n assumed %v\n scanned %v", fresh.free, reopened.free)
-	}
-	for i, id := range fresh.table {
-		if id != reopened.table[i] || id != (ID{}) {
-			t.Errorf("slot %d mapped after format: assumed %s, read %s", i, id, reopened.table[i])
+	for slot := uint64(0); slot < slots; slot++ {
+		if id := s.IDAt(slot); !id.IsZero() {
+			t.Errorf("slot %d maps %s after format", slot, id)
 		}
+	}
+	if live := reopened.Chunks(); len(live) != 0 {
+		t.Errorf("%d of the previous tenant's chunks live after format and reopen", len(live))
+	}
+	if uint64(len(reopened.free)+len(reopened.index)) != reopened.physSlots {
+		t.Errorf("%d free + %d indexed slots, want %d", len(reopened.free), len(reopened.index), reopened.physSlots)
 	}
 }
 
@@ -415,10 +492,11 @@ func (d *tearDisk) WriteAt(p []byte, lba uint64) error {
 	return d.Device.WriteAt(p, lba)
 }
 
-// TestFailedPutLeavesNoHeader: a put whose device write fails part-way, in
-// a process that keeps running, must not leave a header over partial data
-// where a later reopen would index it ahead of the chunk's good copy.
-func TestFailedPutLeavesNoHeader(t *testing.T) {
+// TestFailedPutLosesToIntactCopy: a put whose device write fails part-way,
+// in a process that keeps running, leaves a header over partial data. When
+// the chunk is then put intact into another slot, a reopen meets the torn
+// claim first and must index the intact one.
+func TestFailedPutLosesToIntactCopy(t *testing.T) {
 	const slots = 8
 	disk := newBlockDisk(t, slots)
 	td := &tearDisk{Device: disk}
@@ -436,16 +514,20 @@ func TestFailedPutLeavesNoHeader(t *testing.T) {
 	if _, err := s.Write(1, chunkOf(2)); err != nil {
 		t.Fatal(err)
 	}
+	torn, id := be.free[len(be.free)-1], Sum(chunkOf(3))
 	td.armed = true
 	if _, err := s.Write(2, chunkOf(3)); err == nil {
 		t.Fatal("torn put reported success")
 	}
-	// Free a chunk slot above the torn one, so the retry lands elsewhere.
+	// Free a chunk slot above the torn one, so the retry lands there.
 	if _, err := s.Write(1, chunkOf(1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Write(2, chunkOf(3)); err != nil {
 		t.Fatalf("retry after torn put: %v", err)
+	}
+	if intact := be.index[id]; intact <= torn {
+		t.Fatalf("retry put slot %d, not above the torn claim in slot %d", intact, torn)
 	}
 	be2, err := OpenBlockBackend(disk, testChunk, slots)
 	if err != nil {
@@ -454,6 +536,9 @@ func TestFailedPutLeavesNoHeader(t *testing.T) {
 	s2, err := Open(be2, testChunk, slots)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if be2.index[id] != be.index[id] {
+		t.Fatalf("reopen indexed the chunk at slot %d, the intact copy is at %d", be2.index[id], be.index[id])
 	}
 	for slot := uint64(0); slot < 3; slot++ {
 		if err := s2.VerifySlot(slot); err != nil {
@@ -477,9 +562,12 @@ func imageHash(t *testing.T, d blockdev.Device) string {
 }
 
 // TestBlockLayoutUnchanged pins the on-device format: the image a seeded
-// run leaves must hash to what the same run left under the two-write put
-// and the read-modify-write slot table (commit adb49c3), so replicas written
-// by either open under the other.
+// run leaves must hash to a fixed value. Since a release stopped clearing
+// the chunk header, the image keeps stale claims that earlier versions
+// zeroed, so its hash moved; the formats still open under each other. An
+// older image has no stale claims to arbitrate. And in a newer, clean,
+// crash-free image, every claim of an ID that several slots claim holds
+// intact bytes, which is what lets the older first-claim-wins scan open it.
 func TestBlockLayoutUnchanged(t *testing.T) {
 	const slots = 12
 	disk := newBlockDisk(t, slots)
@@ -503,8 +591,40 @@ func TestBlockLayoutUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const want = "9b36a73fb0071a5377fe5d7790b2fab531519415dfd60a11a439fc734e96e7b9"
+	const want = "5eaaa1bd49912f3b1e0e2eab892af601df38fac6ad8ac3240f1d7052fde6f91c"
 	if got := imageHash(t, disk); got != want {
 		t.Fatalf("device image hashes to %s, want %s", got, want)
 	}
+
+	claims := map[ID][]uint64{}
+	hdr := make([]byte, disk.BlockSize())
+	for slot := uint64(0); slot < be.physSlots; slot++ {
+		if err := disk.ReadAt(hdr, be.headerLBA(slot)); err != nil {
+			t.Fatal(err)
+		}
+		if string(hdr[:8]) == chunkMagic {
+			id := ID(hdr[12:44])
+			claims[id] = append(claims[id], slot)
+		}
+	}
+	contested := 0
+	data := make([]byte, testChunk)
+	for id, slots := range claims {
+		if len(slots) < 2 {
+			continue
+		}
+		contested++
+		for _, slot := range slots {
+			if err := disk.ReadAt(data, be.headerLBA(slot)+1); err != nil {
+				t.Fatal(err)
+			}
+			if Sum(data) != id {
+				t.Errorf("chunk slot %d claims %s over other bytes", slot, id)
+			}
+		}
+	}
+	if contested == 0 {
+		t.Fatal("the run left no ID claimed twice: nothing checked")
+	}
+	t.Logf("%d IDs claimed more than once, every claim intact", contested)
 }

@@ -150,9 +150,10 @@ func Open(b Backend, chunkSize int, slots uint64) (*Store, error) {
 		}
 	}
 	// Orphans: chunks present with no referencing slot are leftovers of a
-	// crash during PutChunk or between it and SetMapping. They must go
-	// before anything can map them: a block backend's torn put may have
-	// left a header over partial data.
+	// crash during PutChunk or between it and SetMapping, or stale claims a
+	// block backend's scan found. They must go before anything can map
+	// them: a block backend's torn put may have left a header over partial
+	// data. A block backend frees them in memory, writing nothing.
 	for _, id := range b.Chunks() {
 		if s.refs[id] == 0 {
 			if err := b.DeleteChunk(id); err != nil {
@@ -268,8 +269,8 @@ func (s *Store) Read(slot uint64, dst []byte) error {
 // path: when the slot already maps to Sum(data) — the corrupted-chunk case,
 // where the mapping is intact but the stored bytes rotted — the chunk is
 // re-put over the rotten copy, healing every slot that references it. A
-// crash between the delete and the re-put leaves the slot unreadable
-// rather than silently wrong; the next scrub pass repairs it again.
+// crash that tears the re-put leaves the slot unreadable rather than
+// silently wrong; the next scrub pass repairs it again.
 func (s *Store) Repair(slot uint64, data []byte) error {
 	if len(data) != s.chunkSize {
 		return fmt.Errorf("cas: repair of %d bytes, chunk size %d", len(data), s.chunkSize)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/obs"
+	"repro/internal/testutil"
 )
 
 const (
@@ -207,16 +208,10 @@ func TestBackgroundLoopRepairs(t *testing.T) {
 	s := scrubber(reps)
 	s.Start()
 	defer s.Stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, err := reps[0].ReadChunk(7); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background loop never repaired the corrupt chunk")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.WaitFor(t, 2*time.Second, "the background loop to repair the corrupt chunk", func() bool {
+		_, err := reps[0].ReadChunk(7)
+		return err == nil
+	})
 	s.Stop() // idempotent
 }
 

@@ -1,0 +1,30 @@
+//go:build !race
+
+// The race detector instruments allocations, so this gate runs on plain
+// builds only; `make allocs` runs it alongside (not inside) the race pass.
+
+package wal
+
+import "testing"
+
+// TestAppendCommitAllocFree gates the journal's record path: a 4 KiB
+// Append and its Commit, synced inline at window 0, allocate nothing. Each
+// record is framed in one pooled buffer.
+func TestAppendCommitAllocFree(t *testing.T) {
+	l, _ := mustCreate(t, Options{SegmentBytes: 64 << 20})
+	defer l.Close()
+	data := make([]byte, 4096)
+	allocs := testing.AllocsPerRun(200, func() {
+		seq, err := l.Append(0, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(seq); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Append+Commit 4 KiB: %.1f allocs/op", allocs)
+	if allocs != 0 {
+		t.Errorf("Append+Commit allocates %.1f objects, want 0", allocs)
+	}
+}

@@ -24,8 +24,9 @@
 //
 // A crash can only tear the tail of the newest segment: record writes are
 // appended in order and fsync covers the whole file prefix, so the durable
-// image is always a prefix of what was written. Recovery leans on exactly
-// that — an unreadable record mid-log means corruption, not a crash.
+// image is always a prefix of what was written, and a record write that
+// fails part-way is cut back before anything follows it. Recovery leans on
+// exactly that — an unreadable record mid-log means corruption, not a crash.
 package wal
 
 import (
@@ -34,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,6 +43,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/obs"
 	"repro/internal/xerr"
 )
@@ -91,8 +94,13 @@ const (
 	recCommit byte = 3
 )
 
-// recHeaderSize is the fixed per-record header: length + CRC.
-const recHeaderSize = 8
+// recHeaderSize is the fixed per-record header: length + CRC. A record's
+// payload opens with its type byte and its sequence number; recBody is
+// where the rest starts, counted from the record's first byte.
+const (
+	recHeaderSize = 8
+	recBody       = recHeaderSize + 1 + 8
+)
 
 // maxRecordBytes bounds a single record's payload; anything larger in a
 // header is corruption, not a real record.
@@ -417,8 +425,10 @@ func (l *Log) Pending() int {
 // Append writes one record and blocks until it is durable (fsynced). The
 // returned sequence number is the handle Commit takes.
 func (l *Log) Append(lba uint64, data []byte) (uint64, error) {
-	payload := make([]byte, 1+8+8+len(data))
-	payload[0] = recAppend
+	rec := newRecord(recAppend, 8+len(data))
+	defer rec.Release()
+	binary.LittleEndian.PutUint64(rec.B[recBody:], lba)
+	copy(rec.B[recBody+8:], data)
 
 	l.mu.Lock()
 	if l.closed {
@@ -430,10 +440,7 @@ func (l *Log) Append(lba uint64, data []byte) (uint64, error) {
 	// append would create an on-disk append-seq gap that Open (rightly)
 	// rejects as corruption.
 	seq := l.nextSeq + 1
-	binary.LittleEndian.PutUint64(payload[1:], seq)
-	binary.LittleEndian.PutUint64(payload[9:], lba)
-	copy(payload[17:], data)
-	idx, err := l.writeRecordLocked(payload)
+	idx, err := l.writeRecordLocked(rec.B, seq)
 	if err != nil {
 		l.mu.Unlock()
 		return 0, err
@@ -455,9 +462,8 @@ func (l *Log) Append(lba uint64, data []byte) (uint64, error) {
 // a commit only means recovery replays an already-applied (idempotent)
 // write. Fully applied segments older than the current one are deleted.
 func (l *Log) Commit(seq uint64) error {
-	payload := make([]byte, 1+8)
-	payload[0] = recCommit
-	binary.LittleEndian.PutUint64(payload[1:], seq)
+	rec := newRecord(recCommit, 0)
+	defer rec.Release()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -467,7 +473,7 @@ func (l *Log) Commit(seq uint64) error {
 	if _, ok := l.segOf[seq]; !ok {
 		return fmt.Errorf("wal: commit of unknown seq %d", seq)
 	}
-	if _, err := l.writeRecordLocked(payload); err != nil {
+	if _, err := l.writeRecordLocked(rec.B, seq); err != nil {
 		return err
 	}
 	seg := l.segOf[seq]
@@ -551,14 +557,27 @@ func (l *Log) Remove() error {
 	return os.RemoveAll(l.dir)
 }
 
-// writeRecordLocked frames and writes one record to the current segment,
-// rotating first when the append would overflow it. Returns the record's
-// write index for durability waits. Caller holds l.mu.
-func (l *Log) writeRecordLocked(payload []byte) (uint64, error) {
+// newRecord returns a pooled buffer for one record of type typ carrying n
+// bytes after its sequence number, at rec.B[recBody:]; writeRecordLocked
+// fills in the rest.
+func newRecord(typ byte, n int) *bufpool.Buf {
+	rec := bufpool.Get(recBody + n)
+	rec.B[recHeaderSize] = typ
+	return rec
+}
+
+// writeRecordLocked stamps seq into a newRecord buffer, frames it and
+// writes it to the current segment, rotating first when the record would
+// overflow it. Returns the record's write index for durability waits.
+// Caller holds l.mu.
+func (l *Log) writeRecordLocked(rec []byte, seq uint64) (uint64, error) {
 	if l.f == nil {
 		return 0, ErrClosed
 	}
-	need := int64(recHeaderSize + len(payload))
+	if l.syncErr != nil {
+		return 0, l.syncErr
+	}
+	need := int64(len(rec))
 	if l.curSize > 0 && l.curSize+need > int64(l.opts.SegmentBytes) {
 		if err := l.rotateLocked(); err != nil {
 			return 0, err
@@ -575,20 +594,30 @@ func (l *Log) writeRecordLocked(payload []byte) (uint64, error) {
 			}
 		}
 	}
-	buf := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, castagnoli))
-	copy(buf[recHeaderSize:], payload)
-	if _, err := l.f.Write(buf); err != nil {
+	payload := rec[recHeaderSize:]
+	binary.LittleEndian.PutUint64(payload[1:], seq)
+	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
+	if _, err := l.f.Write(rec); err != nil {
 		if q := l.opts.Quota; q != nil {
 			q.Release(uint64(need))
+		}
+		// The write may have stored part of the record. Cut it back, or the
+		// next record lands after a fragment Open takes for corruption; if
+		// that fails too, the log takes no more writes.
+		cut := l.f.Truncate(l.curSize)
+		if cut == nil {
+			_, cut = l.f.Seek(l.curSize, io.SeekStart)
+		}
+		if cut != nil {
+			l.syncErr = fmt.Errorf("wal: cut back a failed write: %w", cut)
 		}
 		if errors.Is(err, syscall.ENOSPC) {
 			return 0, fmt.Errorf("%w: %v", ErrWALFull, err)
 		}
 		return 0, fmt.Errorf("wal: write record: %w", err)
 	}
-	l.curSize += int64(len(buf))
+	l.curSize += need
 	l.writeIdx++
 	l.dirty = true
 	return l.writeIdx, nil
@@ -600,10 +629,10 @@ func (l *Log) writeMetaLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: encode meta: %w", err)
 	}
-	payload := make([]byte, 1+8+len(attrs))
-	payload[0] = recMeta
-	copy(payload[9:], attrs)
-	_, err = l.writeRecordLocked(payload)
+	rec := newRecord(recMeta, len(attrs))
+	defer rec.Release()
+	copy(rec.B[recBody:], attrs)
+	_, err = l.writeRecordLocked(rec.B, 0)
 	return err
 }
 
