@@ -4,11 +4,14 @@
 # scale-out control plane — sdn, splice, vswitch, core, cloud,
 # orchestrator — the content-addressed replication stack: cas,
 # objstore, scrub, services/replicate — the per-byte path every workload
-# shares: blockdev, services/crypt — and volume, which picks the target's
-# execution mode), the allocs/op regression gates for the zero-copy chain hot
-# path, one iSCSI leg at 4 KiB and 64 KiB, the flow lookup, the cipher, a
-# histogram observation and a journal append and commit, a short-mode soak
-# smoke, and a short-mode backup smoke. `make test` is the full suite. `make bench` prints the data-plane microbenchmarks with
+# shares: blockdev, services/crypt — volume, which picks the target's
+# execution mode, and the monitor chain: extfs, semantic, services/monitor),
+# the allocs/op regression gates for the zero-copy chain hot path, one iSCSI
+# leg at 4 KiB and 64 KiB, the flow lookup, the cipher, a histogram
+# observation, a journal append and commit, the monitor's per-access path,
+# a directory lookup, a write-back admit and apply and a goroutine-executed
+# target command, a few seconds of fuzzing per trust-boundary parser
+# (`make fuzz-short`), a short-mode soak smoke, and a short-mode backup smoke. `make test` is the full suite. `make bench` prints the data-plane microbenchmarks with
 # allocation stats and appends a dated before/after summary to
 # BENCH_results.json (via stormbench -fastpath). `make crash` runs the
 # WAL durability-cost sweep and the kill/replay scenarios (stormbench
@@ -29,12 +32,12 @@
 # alternating pairs and prints `bench compare` plus wins per pair.
 
 GO ?= go
-RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume
+RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume ./internal/extfs ./internal/semantic ./internal/services/monitor
 BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments ./internal/blockdev ./internal/services/crypt ./internal/volume
 
-.PHONY: check fmt vet build test race bench bench-ab allocs crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params
+.PHONY: check fmt vet build test race bench bench-ab allocs fuzz-short crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params
 
-check: fmt vet build lint-taxonomy lint-params race allocs soak-short backup-short overload-short
+check: fmt vet build lint-taxonomy lint-params race allocs fuzz-short soak-short backup-short overload-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -54,10 +57,19 @@ race:
 # Allocation regression gates (skipped under -race, which instruments
 # allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
 # and 64 KiB), the lock-free flow lookup, the per-request (not per-sector)
-# cipher, the bucketed histogram's Observe and a journal record's Append and
-# Commit.
+# cipher and one Transform, the bucketed histogram's Observe, a journal
+# record's Append and Commit, the monitor's data-block access and one-entry
+# directory change, a directory lookup, a write-back admit and apply, and a
+# target command run on its own goroutine.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestGoroutineCommandAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target | grep -E 'allocs|FAIL|ok '
+
+# A few seconds of native fuzzing per parser of tenant-written bytes, from
+# the corpora under each package's testdata/fuzz. Minimization is capped so a
+# new input cannot spend the budget shrinking itself.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzWalkDirBlock$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/extfs
+	$(GO) test -run '^$$' -fuzz '^FuzzReconstructorMetadata$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/semantic
 
 test:
 	$(GO) test ./...

@@ -81,31 +81,35 @@ func (fs *FS) Check() (*CheckReport, error) {
 				if err != nil {
 					return err
 				}
-				ents, err := parseDirBlock(buf)
-				if err != nil {
-					r.Problems = append(r.Problems, fmt.Sprintf("%s: corrupt dirent block %d: %v", path, blk, err))
-					continue
-				}
-				for _, e := range ents {
-					if e.Name == "." || e.Name == ".." {
-						continue
+				// A corrupt record is a problem, not a failure: the entries
+				// before it are still checked.
+				var werr error
+				if err := WalkDirBlock(buf, func(cino uint32, ctyp FileType, name []byte) bool {
+					if isDotName(name) {
+						return true
 					}
-					child, err := fs.readInode(e.Ino)
+					cpath := joinPath(path, string(name))
+					child, err := fs.readInode(cino)
 					if err != nil {
-						return err
+						werr = err
+						return false
 					}
 					if child.Type == TypeFree {
 						r.Problems = append(r.Problems,
-							fmt.Sprintf("%s/%s references freed inode %d", path, e.Name, e.Ino))
-						continue
+							fmt.Sprintf("%s references freed inode %d", cpath, cino))
+						return true
 					}
-					if child.Type != e.Type {
+					if child.Type != ctyp {
 						r.Problems = append(r.Problems,
-							fmt.Sprintf("%s/%s: dirent type %v != inode type %v", path, e.Name, e.Type, child.Type))
+							fmt.Sprintf("%s: dirent type %v != inode type %v", cpath, ctyp, child.Type))
 					}
-					if err := walk(joinPath(path, e.Name), e.Ino); err != nil {
-						return err
-					}
+					werr = walk(cpath, cino)
+					return werr == nil
+				}); err != nil {
+					r.Problems = append(r.Problems, fmt.Sprintf("%s: corrupt dirent block %d: %v", path, blk, err))
+				}
+				if werr != nil {
+					return werr
 				}
 			}
 		case TypeFile, TypeSymlink:

@@ -10,7 +10,7 @@ import (
 // preceding record's length.
 const direntHeader = 8 // inode(4) + recLen(2) + nameLen(1) + fileType(1)
 
-// Dirent is one parsed directory entry.
+// Dirent is one directory entry.
 type Dirent struct {
 	Ino  uint32
 	Type FileType
@@ -40,59 +40,65 @@ func initDirBlock(blk []byte, self, parent uint32) {
 	blk[off+9] = '.'
 }
 
-// parseDirBlock yields the live entries of a directory block.
-func parseDirBlock(blk []byte) ([]Dirent, error) {
-	var out []Dirent
+// WalkDirBlock calls fn with each live entry of a raw directory block, in
+// block order, stopping early when fn returns false. name aliases blk: fn
+// must copy what it keeps. A record that does not fit the block fails the
+// walk with the offset it starts at; entries before it have been yielded.
+func WalkDirBlock(blk []byte, fn func(ino uint32, typ FileType, name []byte) bool) error {
 	off := 0
 	for off < len(blk) {
 		if off+direntHeader > len(blk) {
-			return nil, fmt.Errorf("extfs: corrupt dirent at offset %d", off)
+			return fmt.Errorf("extfs: corrupt dirent at offset %d", off)
 		}
 		ino := binary.LittleEndian.Uint32(blk[off : off+4])
 		recLen := int(binary.LittleEndian.Uint16(blk[off+4 : off+6]))
 		nameLen := int(blk[off+6])
 		if recLen < direntHeader || off+recLen > len(blk) || direntHeader+nameLen > recLen {
-			return nil, fmt.Errorf("extfs: corrupt dirent record at offset %d (recLen=%d nameLen=%d)", off, recLen, nameLen)
+			return fmt.Errorf("extfs: corrupt dirent record at offset %d (recLen=%d nameLen=%d)", off, recLen, nameLen)
 		}
-		if ino != 0 && nameLen > 0 {
-			out = append(out, Dirent{
-				Ino:  ino,
-				Type: FileType(blk[off+7]),
-				Name: string(blk[off+direntHeader : off+direntHeader+nameLen]),
-			})
+		if ino != 0 && nameLen > 0 && !fn(ino, FileType(blk[off+7]), blk[off+direntHeader:off+direntHeader+nameLen]) {
+			return nil
 		}
 		off += recLen
 	}
-	return out, nil
+	return nil
 }
+
+// isDotName reports whether a directory entry name is "." or "..".
+func isDotName(name []byte) bool { return string(name) == "." || string(name) == ".." }
 
 // dirBlocks iterates the data blocks of a directory inode.
 func (fs *FS) dirBlocks(in *Inode) ([]uint64, error) {
 	return fs.fileBlocks(in)
 }
 
-// lookupInDir finds name in the directory, returning its entry.
-func (fs *FS) lookupInDir(dir *Inode, name string) (*Dirent, error) {
+// lookupInDir finds name in the directory, returning its entry. Names are
+// compared in place, so a lookup allocates only its block reads.
+func (fs *FS) lookupInDir(dir *Inode, name string) (Dirent, error) {
 	blocks, err := fs.dirBlocks(dir)
 	if err != nil {
-		return nil, err
+		return Dirent{}, err
 	}
 	for _, blk := range blocks {
 		buf, err := fs.readBlock(blk)
 		if err != nil {
-			return nil, err
+			return Dirent{}, err
 		}
-		ents, err := parseDirBlock(buf)
-		if err != nil {
-			return nil, err
-		}
-		for i := range ents {
-			if ents[i].Name == name {
-				return &ents[i], nil
+		var found Dirent
+		if err := WalkDirBlock(buf, func(ino uint32, typ FileType, n []byte) bool {
+			if string(n) != name {
+				return true
 			}
+			found = Dirent{Ino: ino, Type: typ, Name: name}
+			return false
+		}); err != nil {
+			return Dirent{}, err
+		}
+		if found.Ino != 0 {
+			return found, nil
 		}
 	}
-	return nil, ErrNotFound
+	return Dirent{}, ErrNotFound
 }
 
 // addDirEntry inserts (name -> ino) into the directory, growing it by one
@@ -227,19 +233,17 @@ func (fs *FS) dirIsEmpty(dir *Inode) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	empty := true
 	for _, blk := range blocks {
 		buf, err := fs.readBlock(blk)
 		if err != nil {
 			return false, err
 		}
-		ents, err := parseDirBlock(buf)
-		if err != nil {
+		if err := WalkDirBlock(buf, func(_ uint32, _ FileType, name []byte) bool {
+			empty = isDotName(name)
+			return empty
+		}); err != nil || !empty {
 			return false, err
-		}
-		for _, e := range ents {
-			if e.Name != "." && e.Name != ".." {
-				return false, nil
-			}
 		}
 	}
 	return true, nil

@@ -75,38 +75,36 @@ func (fs *FS) dumpDir(path string, ino uint32, v *View, seen map[uint32]bool) er
 		if err != nil {
 			return err
 		}
-		ents, err := parseDirBlock(buf)
-		if err != nil {
+		var werr error
+		if err := WalkDirBlock(buf, func(cino uint32, ctyp FileType, name []byte) bool {
+			if !isDotName(name) {
+				werr = fs.dumpEntry(joinPath(path, string(name)), cino, ctyp, v, seen)
+			}
+			return werr == nil
+		}); err != nil {
 			return err
 		}
-		for _, e := range ents {
-			if e.Name == "." || e.Name == ".." {
-				continue
-			}
-			child := joinPath(path, e.Name)
-			if e.Type == TypeDir {
-				if err := fs.dumpDir(child, e.Ino, v, seen); err != nil {
-					return err
-				}
-				continue
-			}
-			cin, err := fs.readInode(e.Ino)
-			if err != nil {
-				return err
-			}
-			cblocks, err := fs.fileBlocks(cin)
-			if err != nil {
-				return err
-			}
-			v.Files = append(v.Files, FileRecord{
-				Ino:    e.Ino,
-				Path:   child,
-				Type:   cin.Type,
-				Size:   cin.Size,
-				Blocks: cblocks,
-			})
+		if werr != nil {
+			return werr
 		}
 	}
+	return nil
+}
+
+// dumpEntry adds one directory entry, recursing into subdirectories.
+func (fs *FS) dumpEntry(path string, ino uint32, typ FileType, v *View, seen map[uint32]bool) error {
+	if typ == TypeDir {
+		return fs.dumpDir(path, ino, v, seen)
+	}
+	in, err := fs.readInode(ino)
+	if err != nil {
+		return err
+	}
+	blocks, err := fs.fileBlocks(in)
+	if err != nil {
+		return err
+	}
+	v.Files = append(v.Files, FileRecord{Ino: ino, Path: path, Type: in.Type, Size: in.Size, Blocks: blocks})
 	return nil
 }
 

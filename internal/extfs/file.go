@@ -481,14 +481,13 @@ func (fs *FS) ReadDir(path string) ([]Dirent, error) {
 		if err != nil {
 			return nil, err
 		}
-		ents, err := parseDirBlock(buf)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range ents {
-			if e.Name != "." && e.Name != ".." {
-				out = append(out, e)
+		if err := WalkDirBlock(buf, func(ino uint32, typ FileType, name []byte) bool {
+			if !isDotName(name) {
+				out = append(out, Dirent{Ino: ino, Type: typ, Name: string(name)})
 			}
+			return true
+		}); err != nil {
+			return nil, err
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })

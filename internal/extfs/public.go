@@ -36,11 +36,6 @@ func DecodeInodeRecord(b []byte) InodeRecord {
 	}
 }
 
-// ParseDirBlock parses the live entries of a raw directory block.
-func ParseDirBlock(b []byte) ([]Dirent, error) {
-	return parseDirBlock(b)
-}
-
 // DecodeSuperblock parses an on-disk superblock, returning ErrNotFormatted
 // when the magic is absent.
 func DecodeSuperblock(b []byte) (Superblock, error) {

@@ -87,8 +87,10 @@ type WriteBackDevice struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	cov      coverage
-	ready    []*wbItem // ndeps==0, not yet dispatched, FIFO
+	ready    []*wbItem // ready[readyAt:]: ndeps==0, not yet dispatched, FIFO
+	readyAt  int
 	tail     *wbItem   // most recently admitted undispatched item, if any
+	free     []*wbItem // completed items kept for reuse (see recycle)
 	items    int       // pending applies (admitted, not yet completed)
 	inflight int       // dispatched applies not yet completed
 	pending  int       // journaled writes not yet applied (≥ items with coalescing)
@@ -108,6 +110,7 @@ type WriteBackDevice struct {
 type wbItem struct {
 	lba, end uint64
 	seqs     []uint64
+	seq0     [1]uint64 // seqs' first backing array, so a new item is one object
 	data     []byte
 	dbuf     *bufpool.Buf
 
@@ -142,14 +145,54 @@ func (it *wbItem) appendData(p []byte) {
 	it.data = nb.B
 }
 
-// release drops the item's data reference, returning owned storage to the
-// pool (aliased journal storage is the journal's to reclaim on Complete).
-func (it *wbItem) release() {
-	it.data = nil
-	if it.dbuf != nil {
-		it.dbuf.Release()
-		it.dbuf = nil
+// newItem takes an item off the free list, or allocates one. Caller holds
+// w.mu.
+func (w *WriteBackDevice) newItem() *wbItem {
+	n := len(w.free)
+	if n == 0 {
+		it := new(wbItem)
+		it.seqs = it.seq0[:0]
+		return it
 	}
+	it := w.free[n-1]
+	w.free[n-1] = nil
+	w.free = w.free[:n-1]
+	return it
+}
+
+// recycle returns a completed item's owned storage to the pool (aliased
+// journal storage is the journal's to reclaim on Complete) and the item to
+// the free list; seqs and dependents keep their backing arrays. The item
+// must be unreachable: out of cov and ready, and its predecessors, whose
+// dependents lists name it, complete. Caller holds w.mu.
+func (w *WriteBackDevice) recycle(it *wbItem) {
+	it.dbuf.Release()
+	clear(it.dependents)
+	*it = wbItem{seqs: it.seqs[:0], dependents: it.dependents[:0]}
+	w.free = append(w.free, it)
+}
+
+// pushReady appends it to the ready FIFO. Consumed slots ahead of readyAt
+// are reclaimed by sliding the live items down once they are the larger
+// part of a full backing array, so a queue that keeps draining reuses its
+// capacity instead of allocating.
+func (w *WriteBackDevice) pushReady(it *wbItem) {
+	if len(w.ready) == cap(w.ready) && w.readyAt > len(w.ready)/2 {
+		n := copy(w.ready, w.ready[w.readyAt:])
+		clear(w.ready[n:])
+		w.ready, w.readyAt = w.ready[:n], 0
+	}
+	w.ready = append(w.ready, it)
+}
+
+// popReady removes the head of the ready FIFO, which must not be empty.
+func (w *WriteBackDevice) popReady() *wbItem {
+	it := w.ready[w.readyAt]
+	w.ready[w.readyAt] = nil
+	if w.readyAt++; w.readyAt == len(w.ready) {
+		w.ready, w.readyAt = w.ready[:0], 0
+	}
+	return it
 }
 
 var _ blockdev.Device = (*WriteBackDevice)(nil)
@@ -289,7 +332,9 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 	// single copy Append already made is the only one on the early-ack
 	// path. The journal keeps those bytes alive until Complete, which the
 	// applier only calls after the backend write.
-	item := &wbItem{lba: lba, end: end, seqs: []uint64{seq}, data: stable}
+	item := w.newItem()
+	item.lba, item.end, item.data = lba, end, stable
+	item.seqs = append(item.seqs, seq)
 	if tc, ok := obs.Current(); ok {
 		item.tctx = tc
 	}
@@ -305,7 +350,7 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 	w.pending++
 	w.tail = item
 	if item.ndeps == 0 {
-		w.ready = append(w.ready, item)
+		w.pushReady(item)
 	}
 	w.mu.Unlock()
 	w.cond.Broadcast()
@@ -424,16 +469,14 @@ func (w *WriteBackDevice) applyLoop() {
 	defer w.wg.Done()
 	for {
 		w.mu.Lock()
-		for (len(w.ready) == 0 || w.degraded) && !w.closed {
+		for (w.readyAt == len(w.ready) || w.degraded) && !w.closed {
 			w.cond.Wait()
 		}
 		if w.closed {
 			w.mu.Unlock()
 			return
 		}
-		item := w.ready[0]
-		w.ready[0] = nil
-		w.ready = w.ready[1:]
+		item := w.popReady()
 		item.dispatched = true
 		if w.tail == item {
 			w.tail = nil
@@ -463,7 +506,7 @@ func (w *WriteBackDevice) applyLoop() {
 		for _, d := range item.dependents {
 			d.ndeps--
 			if d.ndeps == 0 {
-				w.ready = append(w.ready, d)
+				w.pushReady(d)
 			}
 		}
 		if err != nil {
@@ -478,8 +521,8 @@ func (w *WriteBackDevice) applyLoop() {
 				go w.recoverBackend()
 			}
 		}
+		w.recycle(item)
 		w.mu.Unlock()
-		item.release()
 		w.cond.Broadcast()
 	}
 }
@@ -567,7 +610,7 @@ func (w *WriteBackDevice) replay(dev blockdev.Device) error {
 // exhausted, so drains terminate and the journal records each early-acked
 // write that never reached the backend. Caller holds w.mu; inflight is zero.
 func (w *WriteBackDevice) failParked(err error) {
-	queue := append([]*wbItem(nil), w.ready...)
+	queue := append([]*wbItem(nil), w.ready[w.readyAt:]...)
 	seen := make(map[*wbItem]bool, len(queue))
 	for _, it := range queue {
 		seen[it] = true
@@ -587,8 +630,9 @@ func (w *WriteBackDevice) failParked(err error) {
 		w.cov.clearOwned(it)
 		w.items--
 		w.pending -= len(it.seqs)
-		it.release()
+		w.recycle(it)
 	}
-	w.ready = w.ready[:0]
+	clear(w.ready)
+	w.ready, w.readyAt = w.ready[:0], 0
 	w.tail = nil
 }

@@ -92,6 +92,16 @@ type inoMeta struct {
 	path   string
 	size   uint64
 	blocks map[uint64]bool
+	// dot caches the "<dir>/." path for dotOf, the path it was built from.
+	dot, dotOf string
+}
+
+// dotPath returns the "<dir>/." path of a directory, built once per path.
+func (m *inoMeta) dotPath() string {
+	if m.dot == "" || m.dotOf != m.path {
+		m.dot, m.dotOf = dirDot(m.path), m.path
+	}
+	return m.dot
 }
 
 // Reconstructor converts block accesses into file-level events.
@@ -104,8 +114,7 @@ type Reconstructor struct {
 	seq uint64
 
 	inodes     map[uint32]*inoMeta
-	blockOwner map[uint64]uint32            // data block -> ino
-	dirEntries map[uint32]map[string]uint32 // dir ino -> name -> child ino
+	blockOwner map[uint64]uint32 // data block -> ino
 	// pendingData holds writes to blocks not yet attributed to a file;
 	// they are emitted once a metadata update maps the block.
 	pendingData map[uint64]pendingWrite
@@ -114,13 +123,18 @@ type Reconstructor struct {
 	orphaned map[uint32]string
 	// ptrBlocks tracks indirect pointer blocks by owning inode.
 	ptrBlocks map[uint64]ptrRef
-	// dirShadow holds the last seen entry set per directory block.
-	dirShadow map[uint64]map[string]uint32
-	// currentDirBlock is the block being diffed by updateFromDirBlock.
-	currentDirBlock uint64
+	// dirShadow holds the entries last seen in each directory block, and
+	// gen numbers the diffs that mark them (see updateFromDirBlock).
+	dirShadow map[uint64]*dirShadow
+	gen       uint64
+	// metaPaths interns the per-group "META: ..." paths.
+	metaPaths map[metaKey]string
 
-	events []Event
-	onEvt  func(Event)
+	// events is the retained log; the current access's events start at
+	// accessStart.
+	events      []Event
+	accessStart int
+	onEvt       func(Event)
 }
 
 type pendingWrite struct {
@@ -138,13 +152,10 @@ func New(view *extfs.View) *Reconstructor {
 			InodesPerGroup: view.InodesPerGroup,
 			GroupCount:     uint32(len(view.Groups)),
 		},
-		geom:        view.Groups,
-		inodes:      make(map[uint32]*inoMeta),
-		blockOwner:  make(map[uint64]uint32),
-		dirEntries:  make(map[uint32]map[string]uint32),
-		pendingData: make(map[uint64]pendingWrite),
-		orphaned:    make(map[uint32]string),
+		geom: view.Groups,
 	}
+	r.reset()
+	byPath := make(map[string]*inoMeta, len(view.Files))
 	for _, f := range view.Files {
 		m := &inoMeta{
 			ino:    f.Ino,
@@ -158,22 +169,32 @@ func New(view *extfs.View) *Reconstructor {
 			r.blockOwner[b] = f.Ino
 		}
 		r.inodes[f.Ino] = m
-		if f.Type == extfs.TypeDir {
-			r.dirEntries[f.Ino] = make(map[string]uint32)
-		}
+		byPath[f.Path] = m
 	}
-	// Populate directory contents from the path tree.
+	// Single-block directories are shadowed exactly from the view;
+	// multi-block directories start empty and converge as their blocks are
+	// rewritten.
 	for _, f := range view.Files {
-		if f.Path == "/" {
+		parent := byPath[path.Dir(f.Path)]
+		if f.Path == "/" || parent == nil || parent.typ != extfs.TypeDir || len(parent.blocks) != 1 {
 			continue
 		}
-		dir := path.Dir(f.Path)
-		name := path.Base(f.Path)
-		if parent := r.inodeByPath(dir); parent != nil {
-			r.dirEntries[parent.ino][name] = f.Ino
+		for blk := range parent.blocks {
+			r.shadowOf(blk).add(path.Base(f.Path), f.Ino, 0)
 		}
 	}
 	return r
+}
+
+// reset drops all attribution state.
+func (r *Reconstructor) reset() {
+	r.inodes = make(map[uint32]*inoMeta)
+	r.blockOwner = make(map[uint64]uint32)
+	r.pendingData = make(map[uint64]pendingWrite)
+	r.orphaned = make(map[uint32]string)
+	r.ptrBlocks = make(map[uint64]ptrRef)
+	r.dirShadow = make(map[uint64]*dirShadow)
+	r.metaPaths = make(map[metaKey]string)
 }
 
 // OnEvent registers a callback invoked (without the lock held) for every
@@ -221,26 +242,19 @@ func (r *Reconstructor) PathOf(fsBlock uint64) (string, bool) {
 	return m.path, true
 }
 
-func (r *Reconstructor) inodeByPath(p string) *inoMeta {
-	for _, m := range r.inodes {
-		if m.path == p {
-			return m
-		}
-	}
-	return nil
-}
-
 // OnAccess feeds one block-level access: write says the direction,
 // sectorLBA is the device sector, and data is the transferred payload
 // (required for writes so metadata updates can be parsed; may be nil for
-// reads, in which case length gives the size).
+// reads, in which case length gives the size). The events go straight into
+// the retained log; the returned slice is that part of the log, clipped so
+// appending to it cannot write into the log.
 func (r *Reconstructor) OnAccess(write bool, sectorLBA uint64, data []byte, length int) []Event {
 	r.mu.Lock()
 	if data != nil {
 		length = len(data)
 	}
 	r.seq++
-	seq := r.seq
+	r.accessStart = len(r.events)
 	spb := uint64(r.view.SectorsPerBlock)
 	bs := uint64(r.view.BlockSize)
 	firstBlock := sectorLBA / spb
@@ -249,19 +263,6 @@ func (r *Reconstructor) OnAccess(write bool, sectorLBA uint64, data []byte, leng
 	nBlocks := (uint64(length) + bs - 1) / bs
 	if nBlocks == 0 {
 		nBlocks = 1
-	}
-	var out []Event
-	emit := func(e Event) {
-		e.Seq = seq
-		out = append(out, e)
-	}
-	// Aggregate contiguous same-file data accesses into one event.
-	var agg *Event
-	flushAgg := func() {
-		if agg != nil {
-			emit(*agg)
-			agg = nil
-		}
 	}
 	for i := uint64(0); i < nBlocks; i++ {
 		blk := firstBlock + i
@@ -274,25 +275,10 @@ func (r *Reconstructor) OnAccess(write bool, sectorLBA uint64, data []byte, leng
 		if data != nil && off < len(data) {
 			chunk = data[off:min(end, len(data))]
 		}
-		evs := r.classifyBlock(write, blk, chunk, end-off)
-		for _, e := range evs {
-			if (e.Type == EvRead || e.Type == EvWrite) && agg != nil && agg.Path == e.Path && agg.Type == e.Type {
-				agg.Size += e.Size
-				continue
-			}
-			if e.Type == EvRead || e.Type == EvWrite {
-				flushAgg()
-				cp := e
-				agg = &cp
-				continue
-			}
-			flushAgg()
-			emit(e)
-		}
+		r.classifyBlock(write, blk, chunk, end-off)
 	}
-	flushAgg()
-
-	r.events = append(r.events, out...)
+	n := len(r.events)
+	out := r.events[r.accessStart:n:n]
 	cb := r.onEvt
 	r.mu.Unlock()
 	if cb != nil {
@@ -303,86 +289,115 @@ func (r *Reconstructor) OnAccess(write bool, sectorLBA uint64, data []byte, leng
 	return out
 }
 
+// emit appends one event of the current access to the log. A data access
+// right after one to the same file merges into it: contiguous same-file
+// blocks are one event.
+func (r *Reconstructor) emit(e Event) {
+	if n := len(r.events); (e.Type == EvRead || e.Type == EvWrite) && n > r.accessStart {
+		if last := &r.events[n-1]; last.Type == e.Type && last.Path == e.Path {
+			last.Size += e.Size
+			return
+		}
+	}
+	e.Seq = r.seq
+	r.events = append(r.events, e)
+}
+
 // classifyBlock is the Classification phase for one fs block.
-func (r *Reconstructor) classifyBlock(write bool, blk uint64, data []byte, size int) []Event {
+func (r *Reconstructor) classifyBlock(write bool, blk uint64, data []byte, size int) {
 	class, group := r.sb.Classify(blk, r.geom)
 	switch class {
 	case extfs.ClassSuperblock:
 		if write && data != nil {
 			r.learnSuperblock(data)
 		}
-		return []Event{metaEvent(write, "superblock", size)}
-	case extfs.ClassBlockBitmap:
-		return []Event{metaEvent(write, fmt.Sprintf("block_bitmap_group_%d", group), size)}
-	case extfs.ClassInodeBitmap:
-		return []Event{metaEvent(write, fmt.Sprintf("inode_bitmap_group_%d", group), size)}
+		r.emitMeta(write, "META: superblock", size)
+	case extfs.ClassBlockBitmap, extfs.ClassInodeBitmap:
+		r.emitMeta(write, r.metaPath(class, group), size)
 	case extfs.ClassInodeTable:
 		if write && data != nil {
-			evs := r.updateFromInodeTable(blk, group, data)
-			evs = append(evs, metaEvent(true, fmt.Sprintf("inode_group_%d", group), size))
-			return evs
+			r.updateFromInodeTable(blk, group, data)
 		}
-		return []Event{metaEvent(write, fmt.Sprintf("inode_group_%d", group), size)}
+		r.emitMeta(write, r.metaPath(class, group), size)
 	default:
-		return r.dataAccess(write, blk, data, size)
+		r.dataAccess(write, blk, data, size)
 	}
 }
 
-func metaEvent(write bool, detail string, size int) Event {
+func (r *Reconstructor) emitMeta(write bool, path string, size int) {
 	t := EvMetaRead
 	if write {
 		t = EvMetaWrite
 	}
-	return Event{Type: t, Path: "META: " + detail, Size: size}
+	r.emit(Event{Type: t, Path: path, Size: size})
+}
+
+// metaKey names a per-group metadata path.
+type metaKey struct {
+	class extfs.BlockClass
+	group uint32
+}
+
+// metaPath returns the interned "META: ..." path of a group's bitmap or
+// inode-table block.
+func (r *Reconstructor) metaPath(class extfs.BlockClass, group uint32) string {
+	k := metaKey{class, group}
+	if p, ok := r.metaPaths[k]; ok {
+		return p
+	}
+	detail := "inode_group"
+	switch class {
+	case extfs.ClassBlockBitmap:
+		detail = "block_bitmap_group"
+	case extfs.ClassInodeBitmap:
+		detail = "inode_bitmap_group"
+	}
+	p := fmt.Sprintf("META: %s_%d", detail, group)
+	r.metaPaths[k] = p
+	return p
 }
 
 // dataAccess attributes a data-block access to a file or directory.
-func (r *Reconstructor) dataAccess(write bool, blk uint64, data []byte, size int) []Event {
-	r.ensurePtrMaps()
+func (r *Reconstructor) dataAccess(write bool, blk uint64, data []byte, size int) {
+	t := EvRead
+	if write {
+		t = EvWrite
+	}
 	// Indirect pointer blocks masquerade as data; interpret their writes
 	// as metadata updates.
 	if _, isPtr := r.ptrBlocks[blk]; isPtr {
-		var evs []Event
 		if write {
-			evs, _ = r.handlePtrBlock(blk, data)
+			r.handlePtrBlock(blk, data)
 		}
-		return append(evs, metaEvent(write, "indirect_block", size))
+		r.emitMeta(write, "META: indirect_block", size)
+		return
 	}
 	ino, known := r.blockOwner[blk]
 	if !known {
 		if write {
 			// Data written ahead of its metadata update: hold it.
 			r.pendingData[blk] = pendingWrite{seq: r.seq, size: size}
-			return nil
+			return
 		}
-		return []Event{{Type: EvRead, Path: fmt.Sprintf("block_%d", blk), Size: size}}
+		r.emit(Event{Type: EvRead, Path: fmt.Sprintf("block_%d", blk), Size: size})
+		return
 	}
 	m := r.inodes[ino]
 	if m == nil {
-		return nil
+		return
 	}
 	if m.typ == extfs.TypeDir {
-		var evs []Event
 		if write && data != nil {
-			r.currentDirBlock = blk
-			evs = r.updateFromDirBlock(m, data)
+			r.updateFromDirBlock(m, blk, data)
 		}
-		t := EvRead
-		if write {
-			t = EvWrite
-		}
-		evs = append(evs, Event{Type: t, Path: dirDot(m.path), Size: size})
-		return evs
-	}
-	t := EvRead
-	if write {
-		t = EvWrite
+		r.emit(Event{Type: t, Path: m.dotPath(), Size: size})
+		return
 	}
 	p := m.path
 	if p == "" {
 		p = fmt.Sprintf("inode_%d", ino)
 	}
-	return []Event{{Type: t, Path: p, Size: size}}
+	r.emit(Event{Type: t, Path: p, Size: size})
 }
 
 func dirDot(p string) string {

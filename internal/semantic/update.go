@@ -19,32 +19,6 @@ const (
 	ptrL2 ptrKind = 2 // entries point at L1 pointer blocks
 )
 
-// ensurePtrMaps lazily initializes the pointer-block tracking maps.
-func (r *Reconstructor) ensurePtrMaps() {
-	if r.ptrBlocks == nil {
-		r.ptrBlocks = make(map[uint64]ptrRef)
-	}
-	if r.dirShadow == nil {
-		r.dirShadow = make(map[uint64]map[string]uint32)
-		// Single-block directories from the initial view can be shadowed
-		// exactly; multi-block directories start empty and converge as
-		// their blocks are rewritten.
-		for ino, entries := range r.dirEntries {
-			m := r.inodes[ino]
-			if m == nil || len(m.blocks) != 1 {
-				continue
-			}
-			for blk := range m.blocks {
-				shadow := make(map[string]uint32, len(entries))
-				for name, child := range entries {
-					shadow[name] = child
-				}
-				r.dirShadow[blk] = shadow
-			}
-		}
-	}
-}
-
 type ptrRef struct {
 	ino  uint32
 	kind ptrKind
@@ -78,21 +52,14 @@ func (r *Reconstructor) learnSuperblock(data []byte) {
 	r.view.BlocksCount = sb.BlocksCount
 	r.view.InodesPerGroup = sb.InodesPerGroup
 	r.view.Groups = r.geom
-	// A fresh file system invalidates all prior attribution state.
-	r.inodes = make(map[uint32]*inoMeta)
-	r.blockOwner = make(map[uint64]uint32)
-	r.dirEntries = make(map[uint32]map[string]uint32)
-	r.pendingData = make(map[uint64]pendingWrite)
-	r.orphaned = make(map[uint32]string)
-	r.ptrBlocks = make(map[uint64]ptrRef)
-	r.dirShadow = make(map[uint64]map[string]uint32)
+	// A fresh file system invalidates all prior attribution state, and the
+	// interned metadata paths with the geometry they named.
+	r.reset()
 }
 
 // updateFromInodeTable diffs a written inode-table block against the live
 // view, detecting allocations, deletions, growth, and block mappings.
-func (r *Reconstructor) updateFromInodeTable(blk uint64, group uint32, data []byte) []Event {
-	r.ensurePtrMaps()
-	var evs []Event
+func (r *Reconstructor) updateFromInodeTable(blk uint64, group uint32, data []byte) {
 	perBlock := int(r.view.BlockSize) / extfs.InodeSize
 	tableStart := r.geom[group].InodeTable
 	blockIdx := blk - tableStart
@@ -112,7 +79,7 @@ func (r *Reconstructor) updateFromInodeTable(blk uint64, group uint32, data []by
 				if p == "" {
 					p = "inode_?"
 				}
-				evs = append(evs, Event{Type: EvDelete, Path: p})
+				r.emit(Event{Type: EvDelete, Path: p})
 				r.dropInode(ino)
 			}
 		default:
@@ -124,25 +91,20 @@ func (r *Reconstructor) updateFromInodeTable(blk uint64, group uint32, data []by
 					old.path = "/"
 				}
 				r.inodes[ino] = old
-				if rec.Type == extfs.TypeDir {
-					r.dirEntries[ino] = make(map[string]uint32)
-				}
 			}
 			old.typ = rec.Type
 			old.size = rec.Size
-			evs = append(evs, r.syncBlockMap(old, rec)...)
+			r.syncBlockMap(old, rec)
 		}
 	}
-	return evs
 }
 
 // syncBlockMap registers the inode's direct blocks and pointer blocks,
 // attributing any pending data writes.
-func (r *Reconstructor) syncBlockMap(m *inoMeta, rec extfs.InodeRecord) []Event {
-	var evs []Event
+func (r *Reconstructor) syncBlockMap(m *inoMeta, rec extfs.InodeRecord) {
 	for _, b := range rec.Direct {
 		if b != 0 {
-			evs = append(evs, r.claimBlock(m, b)...)
+			r.claimBlock(m, b)
 		}
 	}
 	if rec.Indirect != 0 {
@@ -151,15 +113,14 @@ func (r *Reconstructor) syncBlockMap(m *inoMeta, rec extfs.InodeRecord) []Event 
 	if rec.DoubleIndirect != 0 {
 		r.ptrBlocks[rec.DoubleIndirect] = ptrRef{ino: m.ino, kind: ptrL2}
 	}
-	return evs
 }
 
 // claimBlock maps a data block to its owner, emitting held writes. A block
 // freed by one file and reallocated to another transfers ownership here,
 // keeping attribution correct across reuse.
-func (r *Reconstructor) claimBlock(m *inoMeta, blk uint64) []Event {
+func (r *Reconstructor) claimBlock(m *inoMeta, blk uint64) {
 	if m.blocks[blk] {
-		return nil
+		return
 	}
 	if prev, ok := r.blockOwner[blk]; ok && prev != m.ino {
 		if old := r.inodes[prev]; old != nil {
@@ -170,7 +131,7 @@ func (r *Reconstructor) claimBlock(m *inoMeta, blk uint64) []Event {
 	r.blockOwner[blk] = m.ino
 	pend, ok := r.pendingData[blk]
 	if !ok {
-		return nil
+		return
 	}
 	delete(r.pendingData, blk)
 	p := m.path
@@ -178,9 +139,9 @@ func (r *Reconstructor) claimBlock(m *inoMeta, blk uint64) []Event {
 	case p == "":
 		p = "inode_?"
 	case m.typ == extfs.TypeDir:
-		p = dirDot(p)
+		p = m.dotPath()
 	}
-	return []Event{{Type: EvWrite, Path: p, Size: pend.size}}
+	r.emit(Event{Type: EvWrite, Path: p, Size: pend.size})
 }
 
 // dropInode removes all state for a freed inode.
@@ -199,22 +160,16 @@ func (r *Reconstructor) dropInode(ino uint32) {
 		}
 	}
 	delete(r.inodes, ino)
-	delete(r.dirEntries, ino)
 	delete(r.orphaned, ino)
 }
 
 // handlePtrBlock interprets a write to an indirect pointer block.
-func (r *Reconstructor) handlePtrBlock(blk uint64, data []byte) ([]Event, bool) {
-	r.ensurePtrMaps()
-	ref, ok := r.ptrBlocks[blk]
-	if !ok || data == nil {
-		return nil, ok
-	}
+func (r *Reconstructor) handlePtrBlock(blk uint64, data []byte) {
+	ref := r.ptrBlocks[blk]
 	m := r.inodes[ref.ino]
 	if m == nil {
-		return nil, true
+		return
 	}
-	var evs []Event
 	for off := 0; off+extfs.PointerSize <= len(data); off += extfs.PointerSize {
 		ptr := binary.LittleEndian.Uint64(data[off : off+extfs.PointerSize])
 		if ptr == 0 {
@@ -223,76 +178,121 @@ func (r *Reconstructor) handlePtrBlock(blk uint64, data []byte) ([]Event, bool) 
 		if ref.kind == ptrL2 {
 			r.ptrBlocks[ptr] = ptrRef{ino: ref.ino, kind: ptrL1}
 		} else {
-			evs = append(evs, r.claimBlock(m, ptr)...)
+			r.claimBlock(m, ptr)
 		}
 	}
-	return evs, true
 }
 
-// updateFromDirBlock diffs a written directory block against its shadow,
-// recovering create, delete and rename operations.
-func (r *Reconstructor) updateFromDirBlock(dir *inoMeta, data []byte) []Event {
-	r.ensurePtrMaps()
-	ents, err := extfs.ParseDirBlock(data)
-	if err != nil {
-		return nil
-	}
-	// Locate the block this data belongs to: the caller resolved the block
-	// owner before calling us, so re-derive from the access path — instead
-	// the caller passes the block through dirShadowKey.
-	blk := r.currentDirBlock
-	newSet := make(map[string]uint32, len(ents))
-	for _, e := range ents {
-		if e.Name == "." || e.Name == ".." {
-			continue
-		}
-		newSet[e.Name] = e.Ino
-	}
-	oldSet := r.dirShadow[blk]
+// dirShadow is the entry set last seen in one directory block: ents holds
+// the entries, idx finds one by name. seen is the generation of the diff
+// that last found an entry.
+type dirShadow struct {
+	idx  map[string]int
+	ents []shadowEnt
+}
 
-	var evs []Event
-	// Additions (and renames).
-	for name, ino := range newSet {
-		if oldSet[name] == ino {
-			continue
-		}
-		child := r.inodes[ino]
-		if child == nil {
-			child = &inoMeta{ino: ino, typ: extfs.TypeFile, blocks: make(map[uint64]bool)}
-			r.inodes[ino] = child
-		}
-		newPath := joinPath(dir.path, name)
-		switch {
-		case child.path == "":
-			child.path = newPath
-			evs = append(evs, Event{Type: EvCreate, Path: newPath})
-			delete(r.orphaned, ino)
-		case child.path != newPath:
-			oldPath := child.path
-			r.repath(child, newPath)
-			evs = append(evs, Event{Type: EvRename, Path: newPath, OldPath: oldPath})
-			delete(r.orphaned, ino)
-		}
-		if r.dirEntries[dir.ino] == nil {
-			r.dirEntries[dir.ino] = make(map[string]uint32)
-		}
-		r.dirEntries[dir.ino][name] = ino
+type shadowEnt struct {
+	name string
+	ino  uint32
+	seen uint64
+}
+
+func (r *Reconstructor) shadowOf(blk uint64) *dirShadow {
+	s := r.dirShadow[blk]
+	if s == nil {
+		s = &dirShadow{idx: make(map[string]int)}
+		r.dirShadow[blk] = s
 	}
+	return s
+}
+
+func (s *dirShadow) add(name string, ino uint32, seen uint64) {
+	s.idx[name] = len(s.ents)
+	s.ents = append(s.ents, shadowEnt{name: name, ino: ino, seen: seen})
+}
+
+// updateFromDirBlock diffs a written directory block against its shadow in
+// place, recovering create, delete and rename operations. The walk marks
+// the entries that still match and links new or changed ones, allocating
+// only a new entry's path (its name is a suffix of it); a sweep then
+// orphans the entries left unmarked. A block that does not parse leaves
+// the shadow as it was.
+func (r *Reconstructor) updateFromDirBlock(dir *inoMeta, blk uint64, data []byte) {
+	if extfs.WalkDirBlock(data, func(uint32, extfs.FileType, []byte) bool { return true }) != nil {
+		return
+	}
+	s := r.shadowOf(blk)
+	r.gen++
+	gen := r.gen
+	_ = extfs.WalkDirBlock(data, func(ino uint32, _ extfs.FileType, name []byte) bool {
+		if string(name) == "." || string(name) == ".." {
+			return true
+		}
+		i, ok := s.idx[string(name)]
+		switch {
+		case !ok:
+			p := dirBase(dir.path) + "/" + string(name) // one allocation, no temporary
+			s.add(p[len(p)-len(name):], ino, gen)
+			r.link(dir, s.ents[len(s.ents)-1].name, ino, p)
+		case s.ents[i].seen == gen:
+			// A name repeated within one block: the first record wins.
+		default:
+			s.ents[i].seen = gen
+			if s.ents[i].ino != ino {
+				s.ents[i].ino = ino
+				r.link(dir, s.ents[i].name, ino, "")
+			}
+		}
+		return true
+	})
 	// Removals: mark orphaned; deletion is confirmed when the inode frees.
-	for name, ino := range oldSet {
-		if _, still := newSet[name]; still {
+	for i := 0; i < len(s.ents); {
+		e := s.ents[i]
+		if e.seen == gen {
+			i++
 			continue
 		}
-		delete(r.dirEntries[dir.ino], name)
-		child := r.inodes[ino]
-		removedPath := joinPath(dir.path, name)
-		if child != nil && child.path == removedPath {
-			r.orphaned[ino] = removedPath
+		if child := r.inodes[e.ino]; child != nil && joined(child.path, dir.path, e.name) {
+			r.orphaned[e.ino] = child.path
 			child.path = ""
 		}
+		last := len(s.ents) - 1
+		s.ents[i] = s.ents[last]
+		s.ents[last] = shadowEnt{}
+		s.ents = s.ents[:last]
+		delete(s.idx, e.name)
+		if i < last {
+			s.idx[s.ents[i].name] = i
+		}
 	}
-	r.dirShadow[blk] = newSet
-	return evs
+}
+
+// link records that dir names ino as name, recovering the create or rename
+// that implies. p is the entry's joined path, or "" to build it only when
+// the child's path differs.
+func (r *Reconstructor) link(dir *inoMeta, name string, ino uint32, p string) {
+	child := r.inodes[ino]
+	if child == nil {
+		child = &inoMeta{ino: ino, typ: extfs.TypeFile, blocks: make(map[uint64]bool)}
+		r.inodes[ino] = child
+	}
+	if p == "" {
+		if joined(child.path, dir.path, name) {
+			return
+		}
+		p = joinPath(dir.path, name)
+	}
+	switch {
+	case child.path == "":
+		child.path = p
+		r.emit(Event{Type: EvCreate, Path: p})
+		delete(r.orphaned, ino)
+	case child.path != p:
+		oldPath := child.path
+		r.repath(child, p)
+		r.emit(Event{Type: EvRename, Path: p, OldPath: oldPath})
+		delete(r.orphaned, ino)
+	}
 }
 
 // repath renames an inode and, for directories, every descendant path.
@@ -310,12 +310,22 @@ func (r *Reconstructor) repath(m *inoMeta, newPath string) {
 	}
 }
 
-func joinPath(dir, name string) string {
-	if dir == "" {
-		return "?/" + name
+// dirBase is what a directory's path contributes to its entries' paths:
+// "" for the root, "?" for a directory whose path is unknown.
+func dirBase(dir string) string {
+	switch dir {
+	case "":
+		return "?"
+	case "/":
+		return ""
 	}
-	if dir == "/" {
-		return "/" + name
-	}
-	return dir + "/" + name
+	return dir
+}
+
+func joinPath(dir, name string) string { return dirBase(dir) + "/" + name }
+
+// joined reports whether p == joinPath(dir, name) without building it.
+func joined(p, dir, name string) bool {
+	dir = dirBase(dir)
+	return len(p) == len(dir)+1+len(name) && p[:len(dir)] == dir && p[len(dir)] == '/' && p[len(dir)+1:] == name
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/blockdev"
@@ -75,11 +76,17 @@ func (c *Cipher) xor(dst, src []byte, sector uint64, sectorSize int) {
 	hi, lo := bits.Mul64(sector, uint64(sectorSize/aes.BlockSize))
 	lo, carry := bits.Add64(c.baseLo, lo, 0)
 	hi, _ = bits.Add64(c.baseHi, hi, carry)
-	var iv [aes.BlockSize]byte
+	iv := ivPool.Get().(*[aes.BlockSize]byte)
 	binary.BigEndian.PutUint64(iv[:8], hi)
 	binary.BigEndian.PutUint64(iv[8:], lo)
 	cipher.NewCTR(c.data, iv[:]).XORKeyStream(dst, src)
+	ivPool.Put(iv)
 }
+
+// ivPool holds counter blocks. cipher.NewCTR takes the IV through an
+// interface, so a stack array would escape on every transform; the AES
+// stream copies it, so a pooled one is free again once NewCTR returns.
+var ivPool = sync.Pool{New: func() any { return new([aes.BlockSize]byte) }}
 
 // CostModel charges the cipher's CPU work. The real AES runs regardless
 // (data is genuinely transformed); the model adds the scaled-down service

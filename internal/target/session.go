@@ -474,7 +474,7 @@ func (sc *sessConn) startCommand(cmd *iscsi.SCSICommand, pdu *iscsi.PDU, quiet b
 		(cmd.Read || (cmd.Write && len(cmd.Data) >= int(cmd.ExpectedDataTransferLength)))
 	c := &sc.inline
 	if !solo {
-		c = new(command)
+		c = commandPool.Get().(*command)
 	}
 	c.cmd = *cmd
 	_, c.imm = pdu.TakeData() // c.cmd.Data aliases it
@@ -489,8 +489,14 @@ func (sc *sessConn) startCommand(cmd *iscsi.SCSICommand, pdu *iscsi.PDU, quiet b
 		defer ss.cmdWG.Done()
 		defer ss.inflight.Add(-1)
 		sc.runCommand(c)
+		*c = command{}
+		commandPool.Put(c)
 	}()
 }
+
+// commandPool recycles the commands of goroutine-executed arrivals, so a
+// pipelined command costs no heap object of its own.
+var commandPool = sync.Pool{New: func() any { return new(command) }}
 
 // runCommand executes one command end to end: data solicitation for
 // writes, device execution, Data-In or response with status.
