@@ -57,12 +57,13 @@ race:
 # Allocation regression gates (skipped under -race, which instruments
 # allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
 # and 64 KiB), the lock-free flow lookup, the per-request (not per-sector)
-# cipher and one Transform, the bucketed histogram's Observe, a journal
-# record's Append and Commit, the monitor's data-block access and one-entry
+# cipher and one Transform, the bucketed histogram's Observe, a WAL
+# record's Append and Commit, a relay journal record's Append and Complete
+# (in memory and WAL-backed), the monitor's data-block access and one-entry
 # directory change, a directory lookup, a write-back admit and apply, and a
 # target command run on its own goroutine.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestGoroutineCommandAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target | grep -E 'allocs|FAIL|ok '
 
 # A few seconds of native fuzzing per parser of tenant-written bytes, from
 # the corpora under each package's testdata/fuzz. Minimization is capped so a

@@ -4,8 +4,8 @@
 // are stored once and reference-counted, so rewriting an image with a small
 // delta (the backup workload) stores only the changed chunks. Chunk storage
 // and the slot→ID table are persisted by a pluggable Backend — an on-device
-// layout over internal/blockdev (crash recovery by scan), an object-store
-// layout over internal/objstore, or a plain in-memory map for tests.
+// layout over internal/blockdev (crash recovery by scan), or a plain
+// in-memory map for tests.
 //
 // The design follows kopia's CAS flows (SNIPPETS.md snippet 1): content
 // hashes are both the storage key and the integrity check — a chunk that no

@@ -8,8 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
-	"repro/internal/extfs"
-	"repro/internal/objstore"
 )
 
 const testChunk = 2048
@@ -254,69 +252,6 @@ func TestBlockBackendFull(t *testing.T) {
 	}
 }
 
-func newObjStore(t *testing.T) *objstore.Store {
-	t.Helper()
-	disk, err := blockdev.NewMemDisk(512, 65536)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := extfs.Mkfs(disk, extfs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := objstore.New(fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestObjBackendRoundtrip(t *testing.T) {
-	const slots = 8
-	os := newObjStore(t)
-	b, err := NewObjBackend(os, "cas", slots)
-	if err != nil {
-		t.Fatalf("NewObjBackend: %v", err)
-	}
-	s, err := Open(b, testChunk, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for slot := uint64(0); slot < slots; slot++ {
-		if _, err := s.Write(slot, chunkOf(int64(slot%3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := s.LogicalHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reopen from the same bucket: the slot table and chunks are objects.
-	b2, err := NewObjBackend(os, "cas", slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(b2, testChunk, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.LogicalHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatal("obj-backed content diverged across reopen")
-	}
-	// Silent corruption: the rewritten object is self-consistent for the
-	// object store but fails the CAS content check.
-	if err := s2.Corrupt(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.VerifySlot(0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("verify corrupted = %v, want ErrCorrupt", err)
-	}
-}
-
 func TestBackendContract(t *testing.T) {
 	const slots = 4
 	for _, tc := range []struct {
@@ -326,13 +261,6 @@ func TestBackendContract(t *testing.T) {
 		{"mem", func(t *testing.T) Backend { return NewMemBackend(slots) }},
 		{"block", func(t *testing.T) Backend {
 			b, err := OpenBlockBackend(newBlockDisk(t, slots), testChunk, slots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
-		}},
-		{"obj", func(t *testing.T) Backend {
-			b, err := NewObjBackend(newObjStore(t), "contract", slots)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -71,7 +71,7 @@ func FormatChaos(results []ChaosResult) string {
 // chaosRelayWorkload runs one VM→active-relay→target write workload over
 // the netsim fabric, cutting the relay→storage link at the given logical
 // ticks, and returns the read-back content hash plus the session journal.
-func chaosRelayWorkload(cuts ...uint64) (sum [32]byte, j middlebox.Journal, err error) {
+func chaosRelayWorkload(cuts ...uint64) (sum [32]byte, j *middlebox.Journal, err error) {
 	model := netsim.Model{MTU: 8 * 1024, Bandwidth: 1 << 32,
 		Latency: map[netsim.HopKind]time.Duration{}, PerPacket: map[netsim.HopKind]time.Duration{}}
 	fab := netsim.NewFabric(model)
@@ -134,7 +134,11 @@ func chaosRelayWorkload(cuts ...uint64) (sum [32]byte, j middlebox.Journal, err 
 	if err != nil {
 		return sum, nil, fmt.Errorf("login through relay: %w", err)
 	}
-	j = <-relay.Journals()
+	js := relay.AllJournals()
+	if len(js) != 1 {
+		return sum, nil, fmt.Errorf("relay lists %d session journals after login, want 1", len(js))
+	}
+	j = js[0]
 
 	sched := faults.NewSchedule()
 	for _, tick := range cuts {

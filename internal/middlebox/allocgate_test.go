@@ -45,3 +45,25 @@ func TestWriteBackAdmitApplyAllocBudget(t *testing.T) {
 		t.Errorf("write-back admit+apply allocates %.1f objects, want <= 1 (the journal entry)", allocs)
 	}
 }
+
+// TestJournalAppendCompleteAllocBudget gates one 4 KiB journal record in both
+// modes: Append + Complete allocates the entry and nothing else — the data
+// copy is pooled, and the WAL's record buffer is pooled too.
+func TestJournalAppendCompleteAllocBudget(t *testing.T) {
+	buf := make([]byte, 4096)
+	forEachMode(t, 0, func(t *testing.T, j *Journal) {
+		op := func() {
+			seq, _, err := j.Append(0, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Complete(seq, nil)
+		}
+		op() // warm the pools
+		allocs := testing.AllocsPerRun(1000, op)
+		t.Logf("journal append+complete: %.1f allocs/record", allocs)
+		if allocs > 1 {
+			t.Errorf("journal append+complete allocates %.1f objects, want <= 1 (the entry)", allocs)
+		}
+	})
+}

@@ -108,12 +108,76 @@ func TestRelayRetiresJournalsAcrossSessionChurn(t *testing.T) {
 	testutil.WaitFor(t, 10*time.Second, "clean sessions' journals to retire", func() bool { return len(relay.AllJournals()) == 0 })
 }
 
+// TestRelayKeepsDirtySessionJournal: a session whose early-acknowledged
+// write never reached the backend stays in the registry after logout, its
+// failure on record for audit, and a later crash-kill passes over it.
+func TestRelayKeepsDirtySessionJournal(t *testing.T) {
+	mem, err := blockdev.NewMemDisk(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := blockdev.NewFaultDisk(mem)
+	tsrv := target.NewServer()
+	const iqn = "iqn.2016-04.edu.purdue.storm:dirty"
+	if err := tsrv.AddTarget(iqn, disk); err != nil {
+		t.Fatal(err)
+	}
+	backendQ := newConnQueue()
+	go tsrv.Serve(backendQ)
+	relay, err := NewRelay(Config{
+		Name: "mb-dirty",
+		Mode: Active,
+		Dial: func(netsim.Addr) (net.Conn, error) {
+			c, s := net.Pipe()
+			backendQ.ch <- s
+			return c, nil
+		},
+		NextHop:  netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
+		Cost:     CostModel{MTU: 8192, BatchSize: 65536},
+		Recovery: RecoveryConfig{MaxReopens: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontQ := newConnQueue()
+	go relay.Serve(frontQ)
+	t.Cleanup(func() {
+		relay.Close()
+		tsrv.Close()
+	})
+
+	front, back := net.Pipe()
+	frontQ.ch <- back
+	sess, err := initiator.Login(front, initiator.Config{InitiatorIQN: "iqn.vm-dirty", TargetIQN: iqn})
+	if err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	disk.Trip(errors.New("medium gone"))
+	if err := sess.Write(3, bytes.Repeat([]byte{0xD1}, 512), 512); err != nil {
+		t.Fatalf("write should early-ack: %v", err)
+	}
+	if err := sess.Flush(); err == nil {
+		t.Fatal("flush succeeded with the backend gone")
+	}
+	_ = sess.Logout()
+	testutil.WaitFor(t, 10*time.Second, "the session to close", func() bool { return relay.ActiveSessions() == 0 })
+
+	js := relay.AllJournals()
+	if len(js) != 1 || len(js[0].Failures()) == 0 {
+		t.Fatalf("after a dirty logout the relay lists %d journal(s), want 1 holding the failure", len(js))
+	}
+	relay.Kill()
+	if got := relay.AllJournals(); len(got) != 1 || got[0] != js[0] {
+		t.Fatal("crash-kill dropped the dirty session's journal from the audit list")
+	}
+}
+
 // chaosRun drives one write workload from a VM through an active relay to a
 // storage target over the netsim fabric, cutting the relay→storage link at
 // the given logical ticks, and returns the content hash read back through
 // the relay plus the session journal for post-run audit. Fault timing is
 // purely schedule-driven: the clock advances once per acknowledged write.
-func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, Journal) {
+func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, *Journal) {
 	t.Helper()
 	model := netsim.Model{MTU: 8 * 1024, Bandwidth: 1 << 32,
 		Latency: map[netsim.HopKind]time.Duration{}, PerPacket: map[netsim.HopKind]time.Duration{}}
@@ -177,7 +241,11 @@ func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, Journal) {
 	if err != nil {
 		t.Fatalf("login through relay: %v", err)
 	}
-	j := <-relay.Journals()
+	js := relay.AllJournals()
+	if len(js) != 1 {
+		t.Fatalf("relay lists %d session journals after login, want 1", len(js))
+	}
+	j := js[0]
 
 	sched := faults.NewSchedule()
 	for _, tick := range cuts {

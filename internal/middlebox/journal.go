@@ -14,12 +14,14 @@
 package middlebox
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/bufpool"
 	"repro/internal/obs"
+	"repro/internal/wal"
 	"repro/internal/xerr"
 )
 
@@ -43,66 +45,20 @@ const (
 	// StateAcked: the initiator has been acknowledged; the data lives only
 	// in the journal.
 	StateAcked EntryState = iota + 1
-	// StateApplied: the write reached the backend (next hop acknowledged).
-	StateApplied
 	// StateFailed: the backend rejected the write after acknowledgement.
 	StateFailed
 )
 
 // Entry is one journaled write. Data is pooled storage owned by the journal;
 // it returns to the pool when the entry completes successfully (failed
-// entries keep their data for fault-tolerance inspection).
+// entries keep their data for replay).
 type Entry struct {
-	Seq      uint64
-	LBA      uint64
-	Data     []byte
-	State    EntryState
-	ApplyErr error
+	Seq   uint64
+	LBA   uint64
+	Data  []byte
+	State EntryState
 
 	dbuf *bufpool.Buf
-}
-
-// Journal is the middle-box's non-volatile write buffer: a copy of every
-// early-acknowledged packet is kept until delivered and acknowledged by the
-// next hop (Section III-B's consistency mechanism for the split
-// connections). MemJournal stands in for NVRAM; DurableJournal backs the
-// same contract with an on-disk WAL that survives a middle-box crash.
-type Journal interface {
-	// Append records a write before it is acknowledged to the source,
-	// copying the data exactly once into journal-owned storage. The
-	// returned slice is that stable copy: callers may alias it (read-only)
-	// until they Complete the sequence — the relay's write-back pipeline
-	// forwards straight out of it instead of keeping a second copy.
-	// Durable implementations do not return until the record would survive
-	// a crash. Fails with ErrJournalFull at capacity.
-	Append(lba uint64, data []byte) (uint64, []byte, error)
-	// Complete marks the entry applied (applyErr nil) or failed, releasing
-	// its space on success.
-	Complete(seq uint64, applyErr error)
-	// Unapplied returns a snapshot of every entry whose data has not
-	// reached the backend — StateAcked and StateFailed alike — sorted by
-	// sequence number. Callers must treat the entries as read-only.
-	Unapplied() []*Entry
-	// Pending returns the number of journaled-but-unapplied StateAcked
-	// entries.
-	Pending() int
-	// UsedBytes returns the bytes held by unapplied entries.
-	UsedBytes() int
-	// Failures returns backend apply errors recorded after early
-	// acknowledgement — the data-loss surface fault-tolerance machinery
-	// must cover. The slice is bounded; FailuresDropped counts overflow.
-	Failures() []error
-	// FailuresDropped reports how many failures fell out of the bounded
-	// Failures window.
-	FailuresDropped() int
-	// Kill freezes the journal as a simulated crash would: appends and
-	// completes fail or no-op, and durable state is left on disk exactly
-	// as the crash found it.
-	Kill()
-	// Close releases the journal. A clean journal (nothing unapplied, no
-	// failures) also releases any durable state; a dirty one keeps it for
-	// recovery.
-	Close() error
 }
 
 // maxFailures bounds the per-journal failure list: under a long backend
@@ -111,9 +67,8 @@ type Journal interface {
 // of the newest half (where it stands now) and count the middle.
 const maxFailures = 32
 
-// failureRing is the capped first/last-N failure window shared by journal
-// implementations. Not safe for concurrent use; callers hold their own
-// mutex.
+// failureRing is the journal's capped first/last-N failure window. Not safe
+// for concurrent use; the journal's mutex guards it.
 type failureRing struct {
 	first   []error // the first maxFailures/2 ever recorded
 	last    []error // ring of the most recent maxFailures/2
@@ -121,10 +76,6 @@ type failureRing struct {
 	dropped int
 
 	droppedCounter *obs.Counter
-}
-
-func newFailureRing() failureRing {
-	return failureRing{droppedCounter: obs.Default().Counter("journal.failures_dropped")}
 }
 
 func (r *failureRing) add(err error) {
@@ -153,14 +104,25 @@ func (r *failureRing) snapshot() []error {
 
 func (r *failureRing) count() int { return len(r.first) + len(r.last) }
 
-// MemJournal is the in-memory Journal: capacity-bounded, fast, and lost
-// with the process — the data-loss surface the durable variant closes.
-type MemJournal struct {
+// Journal is the middle-box's non-volatile write buffer: a copy of every
+// early-acknowledged write is kept until the next hop acknowledges it
+// (Section III-B's consistency mechanism for the split connections). It is
+// capacity-bounded and optionally durable. Without a WAL (NewJournal) it
+// stands in for NVRAM: fast, and lost with the process. With one
+// (NewDurableJournal) every append is fsynced to a segmented on-disk log
+// before Append returns, so the early-ack contract holds across a
+// middle-box crash and a replacement instance replays the log
+// (Relay.RecoverFrom). Either way the in-memory entry map mirrors the
+// unapplied set for the hot paths: dispatch, drain gates, backend-outage
+// replay.
+type Journal struct {
+	log *wal.Log // nil for the in-memory journal
+
 	mu       sync.Mutex
 	capacity int
 	used     int
 	pending  int
-	nextSeq  uint64
+	nextSeq  uint64 // sequence source when log is nil
 	entries  map[uint64]*Entry
 	failures failureRing
 	closed   bool
@@ -170,49 +132,110 @@ type MemJournal struct {
 
 // NewJournal creates an in-memory journal holding up to capacity bytes of
 // unacknowledged write data (0 means unbounded).
-func NewJournal(capacity int) *MemJournal {
-	return &MemJournal{
+func NewJournal(capacity int) *Journal {
+	return &Journal{
 		capacity:  capacity,
 		entries:   make(map[uint64]*Entry),
-		failures:  newFailureRing(),
+		failures:  failureRing{droppedCounter: obs.Default().Counter("journal.failures_dropped")},
 		usedGauge: obs.Default().Gauge("journal.used_bytes"),
 	}
 }
 
-// Append records a write before it is acknowledged to the source. The data
-// is copied once into journal-owned storage (NVRAM persistence); the
-// returned slice is that stable copy, valid until the entry completes. It
-// fails with ErrJournalFull when capacity would be exceeded.
-func (j *MemJournal) Append(lba uint64, data []byte) (uint64, []byte, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return 0, nil, ErrJournalClosed
+// NewDurableJournal creates a journal backed by a fresh WAL in dir. Meta
+// identifies the journal to recovery (the relay records the backend volume
+// and next hop). Capacity bounds in-flight bytes (0 means unbounded); opts
+// tunes segment size and the group-commit fsync window.
+func NewDurableJournal(dir string, meta wal.Meta, capacity int, opts wal.Options) (*Journal, error) {
+	log, err := wal.Create(dir, meta, opts)
+	if err != nil {
+		return nil, err
 	}
-	if j.capacity > 0 && j.used+len(data) > j.capacity {
-		obs.Default().Eventf("journal", "full: %d bytes used of %d, falling back to write-through", j.used, j.capacity)
-		return 0, nil, fmt.Errorf("%w: %d bytes used of %d", ErrJournalFull, j.used, j.capacity)
-	}
-	j.nextSeq++
-	dbuf := bufpool.Get(len(data))
-	copy(dbuf.B, data)
-	e := &Entry{
-		Seq:   j.nextSeq,
-		LBA:   lba,
-		Data:  dbuf.B,
-		State: StateAcked,
-		dbuf:  dbuf,
-	}
-	j.entries[e.Seq] = e
-	j.used += len(data)
-	j.pending++
-	j.usedGauge.Add(int64(len(data)))
-	return e.Seq, e.Data, nil
+	j := NewJournal(capacity)
+	j.log = log
+	return j, nil
 }
 
-// Complete marks the entry applied (applyErr nil) or failed, releasing its
-// space on success.
-func (j *MemJournal) Complete(seq uint64, applyErr error) {
+// Append records a write before it is acknowledged to the source, copying
+// the data once into journal-owned storage. The returned slice is that
+// stable copy: callers may alias it (read-only) until they Complete the
+// sequence — the relay's write-back pipeline forwards straight out of it.
+// With a WAL, Append returns only once the record is durable (possibly
+// batched with concurrent appends by the group-commit window), and the WAL
+// write happens outside the journal mutex so completes and drain polls
+// never stall behind an fsync.
+//
+// Its errors are a closed list:
+//   - ErrJournalFull (capacity) or wal.ErrWALFull (log disk space): no room
+//     now; space frees as entries complete (see noRoom);
+//   - ErrJournalClosed: the journal was closed or crash-killed;
+//   - anything else, classed xerr.Terminal: the WAL could not record the
+//     write (a failed fsync, a closed log), and refuses every later one.
+func (j *Journal) Append(lba uint64, data []byte) (uint64, []byte, error) {
+	n := len(data)
+	j.mu.Lock()
+	if j.closed {
+		j.mu.Unlock()
+		return 0, nil, ErrJournalClosed
+	}
+	if j.capacity > 0 && j.used+n > j.capacity {
+		used := j.used
+		j.mu.Unlock()
+		obs.Default().Eventf("journal", "full: %d bytes used of %d, falling back to write-through", used, j.capacity)
+		return 0, nil, fmt.Errorf("%w: %d bytes used of %d", ErrJournalFull, used, j.capacity)
+	}
+	// Reserve the bytes first, so concurrent appends cannot oversubscribe
+	// the capacity while this one is out fsyncing.
+	j.used += n
+	j.usedGauge.Add(int64(n))
+	var seq uint64
+	if j.log == nil {
+		j.nextSeq++
+		seq = j.nextSeq
+	} else {
+		j.mu.Unlock()
+		var err error
+		seq, err = j.log.Append(lba, data)
+		j.mu.Lock()
+		if err != nil || j.closed {
+			j.used -= n
+			j.usedGauge.Add(-int64(n))
+			closed := j.closed
+			j.mu.Unlock()
+			switch {
+			case closed:
+				// Killed while the append was in flight: the record may be on
+				// disk, but the source was never acked — recovery replaying it
+				// is harmless (idempotent), acking here would be wrong.
+				return 0, nil, ErrJournalClosed
+			case errors.Is(err, wal.ErrWALFull):
+				return 0, nil, err
+			default:
+				return 0, nil, xerr.Wrap(xerr.Terminal, fmt.Errorf("middlebox: journal cannot record: %w", err))
+			}
+		}
+	}
+	dbuf := bufpool.Get(n)
+	copy(dbuf.B, data)
+	e := &Entry{Seq: seq, LBA: lba, Data: dbuf.B, State: StateAcked, dbuf: dbuf}
+	j.entries[seq] = e
+	j.pending++
+	j.mu.Unlock()
+	return seq, e.Data, nil
+}
+
+// noRoom reports whether an Append error only means the journal has no room
+// right now — the one refusal a writer may wait out, or write around while
+// nothing is in flight. Every other Append error refuses the write.
+func noRoom(err error) bool {
+	return errors.Is(err, ErrJournalFull) || errors.Is(err, wal.ErrWALFull)
+}
+
+// Complete marks the entry applied (applyErr nil) or failed. Success releases
+// its space and, with a WAL, writes a buffered commit record — its
+// durability is not awaited because losing a commit only costs an idempotent
+// replay, never an acknowledged write. A failed entry keeps its bytes until
+// a later successful Complete (the replay) reclaims them.
+func (j *Journal) Complete(seq uint64, applyErr error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
@@ -227,24 +250,27 @@ func (j *MemJournal) Complete(seq uint64, applyErr error) {
 	}
 	if applyErr != nil {
 		e.State = StateFailed
-		e.ApplyErr = applyErr
 		j.failures.add(fmt.Errorf("middlebox: journal seq %d (lba %d): %w", seq, e.LBA, applyErr))
 		return
 	}
-	e.State = StateApplied
 	j.used -= len(e.Data)
 	j.usedGauge.Add(-int64(len(e.Data)))
 	delete(j.entries, seq)
 	e.Data = nil
 	e.dbuf.Release()
 	e.dbuf = nil
+	if j.log != nil {
+		if err := j.log.Commit(seq); err != nil {
+			obs.Default().Eventf("journal", "durable commit seq %d: %v", seq, err)
+		}
+	}
 }
 
 // Unapplied returns a snapshot of every entry whose data has not reached the
 // backend — StateAcked (never dispatched) and StateFailed (dispatched, backend
 // rejected) alike — sorted by sequence number. Recovery replays this list in
 // order; callers must treat the entries as read-only.
-func (j *MemJournal) Unapplied() []*Entry {
+func (j *Journal) Unapplied() []*Entry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := make([]*Entry, 0, len(j.entries))
@@ -255,31 +281,17 @@ func (j *MemJournal) Unapplied() []*Entry {
 	return out
 }
 
-// Pending returns the number of journaled-but-unapplied entries. It is a
-// counter maintained by Append/Complete, not a scan — drain quiesce gates
-// and recovery loops poll it hot.
-func (j *MemJournal) Pending() int {
+// Pending returns the number of journaled-but-unapplied StateAcked entries.
+// It is a counter maintained by Append/Complete, not a scan — drain quiesce
+// gates and recovery loops poll it hot.
+func (j *Journal) Pending() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.pending
 }
 
-// pendingScan recounts pending entries the slow way; tests assert it always
-// matches the counter.
-func (j *MemJournal) pendingScan() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, e := range j.entries {
-		if e.State == StateAcked {
-			n++
-		}
-	}
-	return n
-}
-
 // UsedBytes returns the bytes held by unapplied entries.
-func (j *MemJournal) UsedBytes() int {
+func (j *Journal) UsedBytes() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.used
@@ -289,32 +301,56 @@ func (j *MemJournal) UsedBytes() int {
 // acknowledgement — the data-loss surface existing fault-tolerance
 // machinery must cover (Section III-B). The window is capped at maxFailures
 // (oldest and newest halves); FailuresDropped counts what fell out.
-func (j *MemJournal) Failures() []error {
+func (j *Journal) Failures() []error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.failures.snapshot()
 }
 
 // FailuresDropped reports how many failures the capped window discarded.
-func (j *MemJournal) FailuresDropped() int {
+func (j *Journal) FailuresDropped() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.failures.dropped
 }
 
-// Kill freezes the journal: a crashed middle-box can neither ack new writes
-// nor complete old ones. In-memory state is unrecoverable by design — that
-// is exactly the gap DurableJournal closes.
-func (j *MemJournal) Kill() {
+// clean reports whether every acknowledged write reached the backend: nothing
+// unapplied and no failure ever recorded.
+func (j *Journal) clean() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.closed = true
+	return len(j.entries) == 0 && j.failures.count() == 0
 }
 
-// Close releases the journal.
-func (j *MemJournal) Close() error {
+// shut marks the journal closed, reporting whether this call did so. From
+// then on appends fail and completes no-op, so its contents are frozen.
+func (j *Journal) shut() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	was := j.closed
 	j.closed = true
-	return nil
+	return !was
+}
+
+// Kill freezes the journal as a middle-box crash would: appends fail with
+// ErrJournalClosed and completes no-op. In-memory contents are lost by
+// design; a WAL is left on disk exactly as the crash found it, for a
+// replacement instance to reopen and replay.
+func (j *Journal) Kill() {
+	if j.shut() && j.log != nil {
+		j.log.Kill()
+	}
+}
+
+// Close releases the journal. A clean journal's WAL owes recovery nothing
+// and its directory is deleted; a dirty one keeps it on disk for replay or
+// audit.
+func (j *Journal) Close() error {
+	if !j.shut() || j.log == nil {
+		return nil
+	}
+	if j.clean() {
+		return j.log.Remove()
+	}
+	return j.log.Close()
 }

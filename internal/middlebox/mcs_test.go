@@ -27,7 +27,7 @@ import (
 // reordering of overlapping commands during redistribution changes the
 // final content hash. Fault timing is schedule-driven, one tick per
 // acknowledged write.
-func mcsRun(t *testing.T, forwardConns int, cuts ...uint64) ([32]byte, Journal) {
+func mcsRun(t *testing.T, forwardConns int, cuts ...uint64) ([32]byte, *Journal) {
 	t.Helper()
 	model := netsim.Model{MTU: 8 * 1024, Bandwidth: 1 << 32,
 		Latency: map[netsim.HopKind]time.Duration{}, PerPacket: map[netsim.HopKind]time.Duration{}}
@@ -110,7 +110,11 @@ func mcsRun(t *testing.T, forwardConns int, cuts ...uint64) ([32]byte, Journal) 
 	if err != nil {
 		t.Fatalf("login through relay: %v", err)
 	}
-	j := <-relay.Journals()
+	js := relay.AllJournals()
+	if len(js) != 1 {
+		t.Fatalf("relay lists %d session journals after login, want 1", len(js))
+	}
+	j := js[0]
 
 	var aborted atomic.Int32
 	sched := faults.NewSchedule()

@@ -33,16 +33,6 @@ func TestJournalLifecycle(t *testing.T) {
 	}
 }
 
-func TestJournalCapacity(t *testing.T) {
-	j := NewJournal(8)
-	if _, _, err := j.Append(0, []byte("12345678")); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if _, _, err := j.Append(1, []byte("x")); !errors.Is(err, ErrJournalFull) {
-		t.Errorf("err = %v, want ErrJournalFull", err)
-	}
-}
-
 func TestJournalFailureRecorded(t *testing.T) {
 	j := NewJournal(0)
 	seq, _, _ := j.Append(5, []byte("data"))

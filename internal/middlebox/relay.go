@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -190,12 +191,12 @@ type Relay struct {
 	cfg Config
 	srv *target.Server
 
-	journals chan Journal // best-effort stream of newly created journals
-
-	journalMu  sync.Mutex
-	journalAll []Journal          // every journal created for active sessions
-	wbAll      []*WriteBackDevice // live write-back devices (for crash kill)
-	killables  []Killable         // service-chain devices with own crash state
+	// regMu guards the per-session registry: the write-back device of every
+	// live active-mode session, and of every closed one whose journal ended
+	// dirty (kept for audit, see retire), in creation order.
+	regMu     sync.Mutex
+	wbs       []*WriteBackDevice
+	killables []Killable // service-chain devices with own crash state
 
 	draining atomic.Bool
 	sessions atomic.Int64
@@ -224,7 +225,7 @@ func NewRelay(cfg Config) (*Relay, error) {
 		def.CopyThreads = threads
 		cfg.Cost = def
 	}
-	r := &Relay{cfg: cfg, journals: make(chan Journal, 64)}
+	r := &Relay{cfg: cfg}
 	if cfg.Cost.CopyThreads > 0 {
 		r.copyGate = make(chan struct{}, cfg.Cost.CopyThreads)
 	}
@@ -322,20 +323,18 @@ func (r *Relay) DrainStatus() DrainStatus {
 	}
 }
 
-// Journals returns a channel delivering the journal of each active-mode
-// session as it is created (for observability and tests). Delivery is
-// best-effort: when no consumer keeps up, journals are still retained in the
-// registry (AllJournals) and the drop is counted under
-// "relay.journal_stream_drops".
-func (r *Relay) Journals() <-chan Journal { return r.journals }
-
-// AllJournals returns every journal created for this relay's active-mode
-// sessions, in creation order. Unlike the Journals stream it never loses an
-// entry, so post-run fault audits (Journal.Failures) see every session.
-func (r *Relay) AllJournals() []Journal {
-	r.journalMu.Lock()
-	defer r.journalMu.Unlock()
-	return append([]Journal(nil), r.journalAll...)
+// AllJournals returns the journal of every live active-mode session, and of
+// every closed one that ended with unapplied bytes or recorded failures, in
+// creation order — so post-run fault audits (Journal.Failures) see every
+// loss surface. A session's journal is listed once its login completes.
+func (r *Relay) AllJournals() []*Journal {
+	r.regMu.Lock()
+	defer r.regMu.Unlock()
+	out := make([]*Journal, len(r.wbs))
+	for i, wb := range r.wbs {
+		out[i] = wb.Journal()
+	}
+	return out
 }
 
 // openBackend dials the next hop, logs in with the front session's target
@@ -393,9 +392,9 @@ func (r *Relay) openBackend(iqn string, next netsim.Addr) (blockdev.Device, iscs
 		// replicate box's dispatch journal) register for Relay.Kill, so a
 		// crash freezes them at the same instant as the session journals.
 		if k, ok := stack.(Killable); ok {
-			r.journalMu.Lock()
+			r.regMu.Lock()
 			r.killables = append(r.killables, k)
-			r.journalMu.Unlock()
+			r.regMu.Unlock()
 		}
 	}
 	return stack, neg, nil
@@ -425,15 +424,18 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 	if err != nil {
 		return nil, false, err
 	}
+	var wb *WriteBackDevice
 	if r.cfg.Mode == Active {
 		capacity := r.cfg.JournalCapacity
 		if capacity == 0 {
 			capacity = DefaultJournalCapacity
 		}
-		var j Journal
-		if r.cfg.JournalDir != "" {
+		var j *Journal
+		if r.cfg.JournalDir == "" {
+			j = NewJournal(capacity)
+		} else {
 			dir := filepath.Join(r.cfg.JournalDir, fmt.Sprintf("sess-%d", r.sessSeq.Add(1)))
-			dj, err := NewDurableJournal(dir, wal.Meta{Attrs: map[string]string{
+			j, err = NewDurableJournal(dir, wal.Meta{Attrs: map[string]string{
 				"iqn":     iqn,
 				"net":     strconv.Itoa(int(next.Net)),
 				"nexthop": next.String(),
@@ -442,43 +444,21 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 				_ = stack.Close()
 				return nil, false, fmt.Errorf("middlebox: durable journal: %w", err)
 			}
-			j = dj
-		} else {
-			j = NewJournal(capacity)
-		}
-		r.journalMu.Lock()
-		r.journalAll = append(r.journalAll, j)
-		r.journalMu.Unlock()
-		select {
-		case r.journals <- j:
-		default:
-			// No consumer kept up with the stream; the registry above
-			// still holds the journal, so nothing is lost — record the
-			// drop so operators notice a stalled consumer.
-			obs.Default().Counter("relay.journal_stream_drops").Inc()
 		}
 		rc := r.cfg.Recovery
 		rc.Reopen = func() (blockdev.Device, error) {
 			dev, _, err := r.openBackend(iqn, next)
 			return dev, err
 		}
-		wb := NewWriteBackRecovering(stack, j, rc)
+		wb = NewWriteBackRecovering(stack, j, rc)
 		// Cap adjacent-write coalescing at the forward leg's negotiated
 		// burst window, so one coalesced apply is at most one solicited
 		// burst on the wire.
 		wb.SetMaxCoalesce(neg.MaxBurstLength)
-		r.journalMu.Lock()
-		r.wbAll = append(r.wbAll, wb)
-		r.journalMu.Unlock()
+		r.regMu.Lock()
+		r.wbs = append(r.wbs, wb)
+		r.regMu.Unlock()
 		stack = wb
-		// Retire the journal from the registry once the session tears
-		// down clean; journals holding failures (or bytes) stay for audit.
-		// Closing the journal lets a clean durable journal delete its WAL.
-		stack = &closeHookDevice{Device: stack, hook: func() {
-			r.retireJournal(j)
-			r.retireWriteBack(wb)
-			_ = j.Close()
-		}}
 	}
 	id := newInterceptDevice(stack, r.cfg.Mode, r.cfg.Cost, r.cfg.CPU)
 	id.gate = r.copyGate
@@ -487,27 +467,36 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 	// The outermost probe times the whole relay service path: interception,
 	// tenant services, journaling, and the downstream forward.
 	stack = blockdev.NewObservedDisk(stack, r.cfg.Obs, obs.RelayServiceStage(r.cfg.Name))
-	// Count the session for drain tracking; the hook fires when the
-	// pseudo-server closes the session's device at logout.
+	// Count the session for drain tracking. The hook fires when the
+	// pseudo-server closes the session's device at logout: it retires the
+	// session from the registry and closes its journal (a clean durable
+	// journal deletes its WAL) before the session stops counting.
 	r.sessions.Add(1)
 	r.sessionsGauge.Add(1)
 	stack = &closeHookDevice{Device: stack, hook: func() {
+		if wb != nil {
+			r.retire(wb)
+			_ = wb.Journal().Close()
+		}
 		r.sessions.Add(-1)
 		r.sessionsGauge.Add(-1)
 	}}
 	return stack, true, nil
 }
 
-// retireWriteBack drops a closed session's write-back device from the
-// crash-kill registry.
-func (r *Relay) retireWriteBack(wb *WriteBackDevice) {
-	r.journalMu.Lock()
-	defer r.journalMu.Unlock()
-	for i, e := range r.wbAll {
-		if e == wb {
-			r.wbAll = append(r.wbAll[:i], r.wbAll[i+1:]...)
-			return
-		}
+// retire drops a closed session's write-back device from the registry if its
+// journal ended clean: nothing unapplied and no recorded failures. One that
+// still holds early-acked data or failure records stays, so post-run audits
+// (AllJournals → Failures) see every loss surface; without retirement the
+// registry grows without bound across session churn.
+func (r *Relay) retire(wb *WriteBackDevice) {
+	if !wb.Journal().clean() {
+		return
+	}
+	r.regMu.Lock()
+	defer r.regMu.Unlock()
+	if i := slices.Index(r.wbs, wb); i >= 0 {
+		r.wbs = slices.Delete(r.wbs, i, i+1)
 	}
 }
 
@@ -523,13 +512,13 @@ func (r *Relay) Kill() {
 		return
 	}
 	obs.Default().Eventf("relay", "%s: crash-killed (%d sessions)", r.cfg.Name, r.sessions.Load())
-	for _, j := range r.AllJournals() {
-		j.Kill()
+	r.regMu.Lock()
+	wbs := slices.Clone(r.wbs)
+	ks := slices.Clone(r.killables)
+	r.regMu.Unlock()
+	for _, wb := range wbs {
+		wb.Journal().Kill()
 	}
-	r.journalMu.Lock()
-	wbs := append([]*WriteBackDevice(nil), r.wbAll...)
-	ks := append([]Killable(nil), r.killables...)
-	r.journalMu.Unlock()
 	for _, wb := range wbs {
 		wb.Kill()
 	}
@@ -637,25 +626,6 @@ func (r *Relay) replayRecovered(rec *wal.Recovery) (int, error) {
 		return 0, err
 	}
 	return len(rec.Records), nil
-}
-
-// retireJournal drops j from the registry if its session ended with nothing
-// pending, no stranded bytes, and no recorded failures. Journals that still
-// hold early-acked data or failure records are kept so post-run audits
-// (AllJournals → Failures) see every loss surface; without retirement the
-// registry grows without bound across session churn.
-func (r *Relay) retireJournal(j Journal) {
-	if j.Pending() != 0 || j.UsedBytes() != 0 || len(j.Failures()) != 0 {
-		return
-	}
-	r.journalMu.Lock()
-	defer r.journalMu.Unlock()
-	for i, e := range r.journalAll {
-		if e == j {
-			r.journalAll = append(r.journalAll[:i], r.journalAll[i+1:]...)
-			return
-		}
-	}
 }
 
 // closeHookDevice runs a hook after the wrapped device finishes closing —

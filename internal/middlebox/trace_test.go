@@ -13,6 +13,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/target"
+	"repro/internal/testutil"
 )
 
 // TestTraceSpansAcrossTwoMiddleBoxChain verifies end-to-end trace
@@ -238,26 +239,19 @@ func TestTracePropagationTwoMiddleBoxChain(t *testing.T) {
 	// retention grace window absorbs them): poll until the slowest trace
 	// carries the target stage.
 	var tr obs.TraceRecord
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	testutil.WaitFor(t, 5*time.Second, "the slowest trace to carry the target stage", func() bool {
 		slow := reg.SlowTraces(1)
-		if len(slow) == 1 {
-			tr = slow[0]
-			complete := false
-			for _, sp := range tr.Spans {
-				if sp.Stage == obs.StageTarget {
-					complete = true
-				}
-			}
-			if complete {
-				break
+		if len(slow) != 1 {
+			return false
+		}
+		tr = slow[0]
+		for _, sp := range tr.Spans {
+			if sp.Stage == obs.StageTarget {
+				return true
 			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace never completed; got %d slow traces, spans: %+v", len(slow), tr.Spans)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return false
+	})
 	if tr.Root != obs.StageInitiator {
 		t.Errorf("slowest trace root = %q, want %q", tr.Root, obs.StageInitiator)
 	}

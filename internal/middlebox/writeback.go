@@ -1,7 +1,6 @@
 package middlebox
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -78,7 +77,7 @@ type WriteBackDevice struct {
 	dev         blockdev.Device // current backend; swapped during recovery (under mu)
 	bs          int             // backend geometry, fixed across reopens
 	nblocks     uint64
-	journal     Journal
+	journal     *Journal
 	rec         RecoveryConfig
 	maxTries    int
 	backoff     *faults.Backoff
@@ -199,13 +198,13 @@ var _ blockdev.Device = (*WriteBackDevice)(nil)
 
 // NewWriteBack wraps dev with active-relay write-back semantics using the
 // given journal. Without a recovery path, the first backend failure sticks.
-func NewWriteBack(dev blockdev.Device, journal Journal) *WriteBackDevice {
+func NewWriteBack(dev blockdev.Device, journal *Journal) *WriteBackDevice {
 	return NewWriteBackRecovering(dev, journal, RecoveryConfig{})
 }
 
 // NewWriteBackRecovering wraps dev like NewWriteBack and arms the recovery
 // path when rc.Reopen is non-nil.
-func NewWriteBackRecovering(dev blockdev.Device, journal Journal, rc RecoveryConfig) *WriteBackDevice {
+func NewWriteBackRecovering(dev blockdev.Device, journal *Journal, rc RecoveryConfig) *WriteBackDevice {
 	if rc.MaxReopens <= 0 {
 		rc.MaxReopens = 4
 	}
@@ -232,7 +231,7 @@ func NewWriteBackRecovering(dev blockdev.Device, journal Journal, rc RecoveryCon
 }
 
 // Journal returns the backing journal.
-func (w *WriteBackDevice) Journal() Journal { return w.journal }
+func (w *WriteBackDevice) Journal() *Journal { return w.journal }
 
 // SetMaxCoalesce caps adjacent-write coalescing at n bytes — the relay sets
 // it to the forward leg's negotiated MaxBurstLength so one merged apply is at
@@ -255,9 +254,10 @@ func (w *WriteBackDevice) Blocks() uint64 { return w.nblocks }
 // WriteAt journals the write and returns without waiting for the backend.
 // The data is copied into pooled owned storage before return, so the caller
 // may reuse p immediately (the blockdev.Device contract). When the journal
-// is full it falls back to a synchronous write (after draining, to preserve
-// ordering) — except while the backend is down, when it waits for recovery
-// instead (the journal is the only safe place for the data).
+// has no room it falls back to a synchronous write (after draining, to
+// preserve ordering) — except while the backend is down, when it waits for
+// recovery instead (the journal is the only safe place for the data). Any
+// other journal error refuses the write (see Journal.Append).
 func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 	bs := w.bs
 	if len(p) == 0 || len(p)%bs != 0 {
@@ -281,12 +281,13 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 	// interval, exactly the split-connection flow control of the paper.
 	seq, stable, err := w.journal.Append(lba, p)
 	for err != nil {
-		if errors.Is(err, ErrJournalClosed) {
-			// Not a full buffer: the journal is gone — closed, or frozen by
-			// a crash-kill that has not reached this device yet. Nothing is
-			// acknowledged past that line, least of all by writing around
-			// the journal: recovery replays the frozen journal over whatever
-			// a write-through put on the backend after it.
+		if !noRoom(err) {
+			// Not a full buffer: the journal is closed, frozen by a
+			// crash-kill that has not reached this device yet, or cannot
+			// record at all. Never write around it: recovery replays a
+			// frozen journal over whatever a write-through put on the
+			// backend after it, and a log that failed an fsync holds
+			// nothing a relay may acknowledge against.
 			return err
 		}
 		w.mu.Lock()
