@@ -11,20 +11,19 @@
 # observation, a journal append and commit, the monitor's per-access path,
 # a directory lookup, a write-back admit and apply and a goroutine-executed
 # target command, a few seconds of fuzzing per trust-boundary parser
-# (`make fuzz-short`), a short-mode soak smoke, and a short-mode backup smoke. `make test` is the full suite. `make bench` prints the data-plane microbenchmarks with
-# allocation stats and appends a dated before/after summary to
-# BENCH_results.json (via stormbench -fastpath). `make crash` runs the
-# WAL durability-cost sweep and the kill/replay scenarios (stormbench
-# -crash, non-zero exit on data loss). `make trace` runs the end-to-end
-# tracing experiment. `make soak` runs the sustained multi-tenant churn
-# soak at full scale (500 tenants, dated entry in BENCH_results.json,
-# non-zero exit on any failed gate). `make backup` runs the
-# content-addressed replication suite (dedup ratio, fan-out throughput,
-# scrub repair after corruption; dated entry in BENCH_results.json).
-# `make overload` runs the resource-exhaustion suite (WAL/CAS full typed
-# refusal, brownout breaker trip/recover, bounded memory; dated entry in
-# BENCH_results.json). `make lint-taxonomy` greps the data-path services
-# for raw fmt.Errorf at exhaustion sites that should carry an xerr class.
+# (`make fuzz-short`), and short-mode soak, backup and overload smokes
+# (`stormbench -short`). `make test` is the full suite; `make check-stable`
+# repeats it 20 times on one P and 20 times on two to hunt flakes (not part
+# of `make check`). `make bench` prints the data-plane microbenchmarks with
+# allocation stats. `make soak` runs the sustained multi-tenant churn soak at
+# full scale (500 tenants, dated entry in BENCH_results.json, non-zero exit
+# on any failed gate). `make backup` runs the content-addressed replication
+# suite (dedup ratio, fan-out throughput, scrub repair after corruption;
+# dated entry in BENCH_results.json). `make overload` runs the
+# resource-exhaustion suite (WAL/CAS full typed refusal, brownout breaker
+# trip/recover, bounded memory; dated entry in BENCH_results.json).
+# `make lint-taxonomy` greps the data-path services for raw fmt.Errorf at
+# exhaustion sites that should carry an xerr class.
 # `make lint-params` fails when non-test Go outside internal/policy indexes a
 # spec's policy Params map instead of using its typed accessors.
 # `make bench-ab W=<workload> [BASE=<ref>] [PAIRS=10]` measures the working
@@ -33,9 +32,9 @@
 
 GO ?= go
 RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume ./internal/extfs ./internal/semantic ./internal/services/monitor
-BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/experiments ./internal/blockdev ./internal/services/crypt ./internal/volume
+BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/blockdev ./internal/services/crypt ./internal/volume
 
-.PHONY: check fmt vet build test race bench bench-ab allocs fuzz-short crash trace soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params
+.PHONY: check check-stable fmt vet build test race bench bench-ab allocs fuzz-short soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params
 
 check: fmt vet build lint-taxonomy lint-params race allocs fuzz-short soak-short backup-short overload-short
 
@@ -63,7 +62,7 @@ race:
 # directory change, a directory lookup, a write-back admit and apply, and a
 # target command run on its own goroutine.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget' -count=1 -v ./internal/experiments ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target | grep -E 'allocs|FAIL|ok '
 
 # A few seconds of native fuzzing per parser of tenant-written bytes, from
 # the corpora under each package's testdata/fuzz. Minimization is capped so a
@@ -75,9 +74,20 @@ fuzz-short:
 test:
 	$(GO) test ./...
 
+# Flake hunt, kept out of `make check` for its length: the full suite 20 times
+# at GOMAXPROCS=1, then 20 times at GOMAXPROCS=2, stopping at the first
+# failing run.
+check-stable:
+	@for procs in 1 2; do \
+		for i in $$(seq 1 20); do \
+			echo "check-stable: GOMAXPROCS=$$procs run $$i/20"; \
+			GOMAXPROCS=$$procs $(GO) test -count=1 ./... || exit 1; \
+		done; \
+	done; \
+	echo "check-stable: 40 runs passed"
+
 bench:
 	$(GO) test -run '^$$' -bench 'PDU|Encode|Writeback|Chain|Leg4K|Leg64K|GetRelease|Transform|MemDiskRW' -benchmem $(BENCH_PKGS)
-	$(GO) run ./cmd/stormbench -fastpath
 
 # Paired A/B of one benchmark workload, BASE against the working tree; see
 # scripts/bench-ab.sh.
@@ -85,12 +95,6 @@ BASE ?= HEAD
 PAIRS ?= 10
 bench-ab:
 	scripts/bench-ab.sh $(W) $(BASE) $(PAIRS)
-
-crash:
-	$(GO) run ./cmd/stormbench -crash
-
-trace:
-	$(GO) run ./cmd/stormbench -trace
 
 # Full-scale sustained soak: 500 tenants with deploy/teardown churn,
 # p99/alloc/lock-wait telemetry, dated entry in BENCH_results.json.
@@ -100,7 +104,7 @@ soak:
 # Short soak smoke for the pre-commit gate: small tenant count, short
 # measured window, results not recorded.
 soak-short:
-	$(GO) run ./cmd/stormbench -soak -soaktenants 96 -soakdur 1500ms -json ''
+	$(GO) run ./cmd/stormbench -soak -short
 
 # Full backup suite: multi-round delta workload through the replication
 # box, dedup/convergence/scrub-repair gates, dated entry in
@@ -111,7 +115,7 @@ backup:
 # Short backup smoke for the pre-commit gate: small image, results not
 # recorded.
 backup-short:
-	$(GO) run ./cmd/stormbench -backup -backupchunks 128 -backuprounds 3 -json ''
+	$(GO) run ./cmd/stormbench -backup -short
 
 # Full overload suite: WAL-full and CAS-full typed refusal and recovery,
 # 1-slow-of-3 brownout with breaker trip/recover, bounded heap growth;
@@ -122,7 +126,7 @@ overload:
 # Short overload smoke for the pre-commit gate: fewer brownout writes,
 # results not recorded.
 overload-short:
-	$(GO) run ./cmd/stormbench -overload -overloadwrites 200 -json ''
+	$(GO) run ./cmd/stormbench -overload -short
 
 # Taxonomy lint: exhaustion/overload/draining sentinels on the data path
 # must carry an xerr class (xerr.New), not a bare errors.New — an untyped

@@ -10,16 +10,11 @@
 //	stormbench -fig 4          # one figure (4,5,6,7,8,9,10,11,13)
 //	stormbench -table 1        # one table (1 or 3)
 //	stormbench -ablations      # the design-choice sweeps
-//	stormbench -fastpath       # data-plane microbenchmarks vs recorded baseline
 //	stormbench -scale          # throughput-vs-instances scale-out sweep
-//	stormbench -chaos          # failure-injection smoke suite (non-zero exit on data loss)
-//	stormbench -crash          # WAL durability cost + kill/replay suite (non-zero exit on data loss)
-//	stormbench -trace          # end-to-end tracing: slowest traces hop by hop + overhead
 //	stormbench -soak           # sustained multi-tenant soak with churn (non-zero exit on a failed gate)
-//	stormbench -soaktenants 500 -soakdur 10s   # soak scale and measured duration
 //	stormbench -backup         # content-addressed backup suite: dedup ratio, fan-out, scrub repair
-//	stormbench -backupchunks 512 -backuprounds 4   # backup image size and generations
 //	stormbench -overload       # overload suite: WAL/CAS exhaustion, breaker trip/recover (non-zero exit on a failed gate)
+//	stormbench -soak -short    # smoke sizes for -soak, -backup and -overload; records nothing
 //	stormbench -ops 200        # fio ops per point (accuracy vs. runtime)
 //	stormbench -json out.json  # machine-readable results (default BENCH_results.json)
 //	stormbench -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -51,35 +46,27 @@ type benchResults struct {
 	CPUBreakdown        []experiments.CPURow                 `json:"cpu_breakdown,omitempty"`
 	Ablations           map[string][]experiments.AblationRow `json:"ablations,omitempty"`
 	Replication         *experiments.ReplicationRun          `json:"replication,omitempty"`
-	FastPath            []experiments.FastPathRun            `json:"fastpath,omitempty"`
 	Scaling             []experiments.ScalingRun             `json:"scaling,omitempty"`
-	Chaos               []experiments.ChaosResult            `json:"chaos,omitempty"`
-	Crash               []experiments.CrashRun               `json:"crash,omitempty"`
-	Tracing             []experiments.TracingRun             `json:"tracing,omitempty"`
 	Soak                []experiments.SoakRun                `json:"soak,omitempty"`
 	Backup              []experiments.BackupRun              `json:"backup,omitempty"`
 	Overload            []experiments.OverloadRun            `json:"overload,omitempty"`
 	Observability       obs.Snapshot                         `json:"observability"`
 }
 
+// histories names the dated sections of the results file: a run appends to
+// them instead of replacing them.
+var histories = map[string]bool{"scaling": true, "soak": true, "backup": true, "overload": true}
+
 func main() {
 	var (
 		fig        = flag.Int("fig", 0, "run a single figure (4-11, 13); 0 = all")
 		table      = flag.Int("table", 0, "run a single table (1 or 3); 0 = all")
 		ablations  = flag.Bool("ablations", false, "run only the ablation sweeps")
-		fastpath   = flag.Bool("fastpath", false, "run only the data-plane microbenchmarks (before/after comparison)")
 		scale      = flag.Bool("scale", false, "run only the scale-out throughput-vs-instances sweep")
-		chaos      = flag.Bool("chaos", false, "run only the failure-injection smoke suite (exit non-zero on data loss)")
-		crash      = flag.Bool("crash", false, "run only the WAL durability-cost and kill/replay suite (exit non-zero on data loss)")
-		trace      = flag.Bool("trace", false, "run only the end-to-end tracing experiment (slowest traces hop by hop + overhead)")
 		soak       = flag.Bool("soak", false, "run only the sustained multi-tenant soak (exit non-zero on a failed gate)")
-		soakN      = flag.Int("soaktenants", 500, "steady tenant count for -soak")
-		soakDur    = flag.Duration("soakdur", 10*time.Second, "measured soak duration (half quiet, half churn)")
 		backup     = flag.Bool("backup", false, "run only the content-addressed backup suite (exit non-zero on a failed gate)")
-		backupN    = flag.Int("backupchunks", 512, "backup image size in chunks for -backup")
-		backupR    = flag.Int("backuprounds", 4, "backup generations for -backup")
 		overload   = flag.Bool("overload", false, "run only the overload/exhaustion suite (exit non-zero on a failed gate)")
-		overloadW  = flag.Int("overloadwrites", 400, "writes per measured brownout phase for -overload")
+		short      = flag.Bool("short", false, "run the soak, backup and overload suites at smoke sizes and record nothing")
 		ops        = flag.Int("ops", 150, "fio operations per data point")
 		repDur     = flag.Duration("repdur", 3*time.Second, "replication run duration")
 		jsonPath   = flag.String("json", "BENCH_results.json", "write machine-readable results here (empty disables)")
@@ -92,14 +79,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stormbench:", err)
 		os.Exit(1)
 	}
-	err = run(runCfg{
-		fig: *fig, table: *table, ablationsOnly: *ablations, fastpathOnly: *fastpath,
-		scaleOnly: *scale, chaosOnly: *chaos, crashOnly: *crash, traceOnly: *trace,
-		soakOnly: *soak, soakTenants: *soakN, soakDur: *soakDur,
-		backupOnly: *backup, backupChunks: *backupN, backupRounds: *backupR,
-		overloadOnly: *overload, overloadWrites: *overloadW,
+	cfg := runCfg{
+		fig: *fig, table: *table, ablationsOnly: *ablations, scaleOnly: *scale,
+		soakOnly: *soak, backupOnly: *backup, overloadOnly: *overload,
 		ops: *ops, repDur: *repDur, jsonPath: *jsonPath,
-	})
+	}
+	if *short {
+		cfg.soak = experiments.SoakConfig{Tenants: 96, Duration: 1500 * time.Millisecond}
+		cfg.backup = experiments.BackupConfig{Chunks: 128, Rounds: 3}
+		cfg.overload = experiments.OverloadConfig{BrownoutWrites: 200}
+		cfg.jsonPath = ""
+	}
+	err = run(cfg)
 	stop()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stormbench:", err)
@@ -142,29 +133,24 @@ func startProfiles(cpuPath, memPath string) (func(), error) {
 	}, nil
 }
 
-// runCfg bundles the CLI selection for run.
+// runCfg bundles the CLI selection for run. The suite configs are zero
+// (each suite's full-size defaults) unless -short picked the smoke sizes.
 type runCfg struct {
-	fig, table                                                              int
-	ablationsOnly, fastpathOnly, scaleOnly, chaosOnly, crashOnly, traceOnly bool
-	soakOnly                                                                bool
-	soakTenants                                                             int
-	soakDur                                                                 time.Duration
-	backupOnly                                                              bool
-	backupChunks, backupRounds                                              int
-	overloadOnly                                                            bool
-	overloadWrites                                                          int
-	ops                                                                     int
-	repDur                                                                  time.Duration
-	jsonPath                                                                string
+	fig, table                                                   int
+	ablationsOnly, scaleOnly, soakOnly, backupOnly, overloadOnly bool
+	soak                                                         experiments.SoakConfig
+	backup                                                       experiments.BackupConfig
+	overload                                                     experiments.OverloadConfig
+	ops                                                          int
+	repDur                                                       time.Duration
+	jsonPath                                                     string
 }
 
 func run(cfg runCfg) error {
 	fig, table := cfg.fig, cfg.table
-	ablationsOnly, fastpathOnly, scaleOnly := cfg.ablationsOnly, cfg.fastpathOnly, cfg.scaleOnly
-	chaosOnly, crashOnly, traceOnly, soakOnly := cfg.chaosOnly, cfg.crashOnly, cfg.traceOnly, cfg.soakOnly
 	ops, repDur, jsonPath := cfg.ops, cfg.repDur, cfg.jsonPath
 	opts := experiments.Options{FioOps: ops}
-	all := fig == 0 && table == 0 && !ablationsOnly && !fastpathOnly && !scaleOnly && !chaosOnly && !crashOnly && !traceOnly && !soakOnly && !cfg.backupOnly && !cfg.overloadOnly
+	all := fig == 0 && table == 0 && !cfg.ablationsOnly && !cfg.scaleOnly && !cfg.soakOnly && !cfg.backupOnly && !cfg.overloadOnly
 	results := &benchResults{FioOps: ops, Ablations: make(map[string][]experiments.AblationRow)}
 	if jsonPath != "" {
 		defer func() {
@@ -181,66 +167,9 @@ func run(cfg runCfg) error {
 		fmt.Printf("\n================ %s ================\n", title)
 	}
 
-	if chaosOnly || all {
-		section("Chaos: failure injection, reconnect, journal replay")
-		chaosRows, err := experiments.RunChaosSuite()
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.FormatChaos(chaosRows))
-		results.Chaos = chaosRows
-		for _, r := range chaosRows {
-			if r.DataLoss {
-				return fmt.Errorf("chaos scenario %s lost data: %s", r.Scenario, r.Detail)
-			}
-		}
-		if chaosOnly {
-			return nil
-		}
-	}
-
-	if crashOnly || all {
-		section("Crash durability: WAL fsync cost and kill/replay")
-		crashRun, err := experiments.RunCrashSuite()
-		if err != nil {
-			return err
-		}
-		crashRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatCrash(crashRun))
-		results.Crash = []experiments.CrashRun{*crashRun}
-		for _, r := range crashRun.Replay {
-			if r.DataLoss {
-				return fmt.Errorf("crash scenario %s lost data: %s", r.Scenario, r.Detail)
-			}
-		}
-		if crashOnly {
-			return nil
-		}
-	}
-
-	if traceOnly || all {
-		section("Tracing: end-to-end trace breakdown and overhead")
-		traceRun, err := experiments.Tracing(ops)
-		if err != nil {
-			return err
-		}
-		traceRun.When = time.Now().UTC().Format(time.RFC3339)
-		fmt.Print(experiments.FormatTracing(traceRun))
-		results.Tracing = []experiments.TracingRun{*traceRun}
-		if traceRun.OverheadPct > 5 {
-			fmt.Printf("WARNING: tracing overhead %.2f%% exceeds the 5%% budget\n", traceRun.OverheadPct)
-		}
-		if traceOnly {
-			return nil
-		}
-	}
-
-	if soakOnly {
+	if cfg.soakOnly {
 		section("Soak: sustained multi-tenant churn under load")
-		soakRun, err := experiments.RunSoak(experiments.SoakConfig{
-			Tenants:  cfg.soakTenants,
-			Duration: cfg.soakDur,
-		})
+		soakRun, err := experiments.RunSoak(cfg.soak)
 		if err != nil {
 			return err
 		}
@@ -255,10 +184,7 @@ func run(cfg runCfg) error {
 
 	if cfg.backupOnly || all {
 		section("Backup: content-addressed replication, dedup, scrub repair")
-		backupRun, err := experiments.RunBackup(experiments.BackupConfig{
-			Chunks: cfg.backupChunks,
-			Rounds: cfg.backupRounds,
-		})
+		backupRun, err := experiments.RunBackup(cfg.backup)
 		if err != nil {
 			return err
 		}
@@ -275,9 +201,7 @@ func run(cfg runCfg) error {
 
 	if cfg.overloadOnly || all {
 		section("Overload: exhaustion, backpressure, circuit breakers")
-		overloadRun, err := experiments.RunOverload(experiments.OverloadConfig{
-			BrownoutWrites: cfg.overloadWrites,
-		})
+		overloadRun, err := experiments.RunOverload(cfg.overload)
 		if err != nil {
 			return err
 		}
@@ -292,20 +216,7 @@ func run(cfg runCfg) error {
 		}
 	}
 
-	if fastpathOnly || all {
-		section("Fast path: data-plane microbenchmarks (before → after)")
-		rows := experiments.FastPath()
-		fmt.Print(experiments.FormatFastPath(rows))
-		results.FastPath = []experiments.FastPathRun{{
-			When: time.Now().UTC().Format(time.RFC3339),
-			Rows: rows,
-		}}
-		if fastpathOnly {
-			return nil
-		}
-	}
-
-	if scaleOnly || all {
+	if cfg.scaleOnly || all {
 		section("Scale-out: aggregate write throughput vs group size")
 		rows, err := experiments.Scaling(nil, 0, 0)
 		if err != nil {
@@ -316,12 +227,12 @@ func run(cfg runCfg) error {
 			When: time.Now().UTC().Format(time.RFC3339),
 			Rows: rows,
 		}}
-		if scaleOnly {
+		if cfg.scaleOnly {
 			return nil
 		}
 	}
 
-	if ablationsOnly || all {
+	if cfg.ablationsOnly || all {
 		defer func() {
 			section("Ablations (design choices)")
 			if rows, err := experiments.AblationGatewayPlacement(ops); err == nil {
@@ -349,7 +260,7 @@ func run(cfg runCfg) error {
 				fmt.Println("replica factor failed:", err)
 			}
 		}()
-		if ablationsOnly {
+		if cfg.ablationsOnly {
 			return nil
 		}
 	}
@@ -439,34 +350,41 @@ func run(cfg runCfg) error {
 	return nil
 }
 
-// writeResults marshals the collected rows to path. The fastpath and
-// scaling sections are dated histories: a new run appends to the entries
-// already in the file, and runs that skipped those suites (e.g. -fig 4)
-// carry the existing entries forward rather than erasing them.
+// writeResults merges this run's sections into the results file at path.
+// The dated histories (see histories) get this run's entry appended; every
+// other section this run wrote replaces the file's, and sections it did not
+// write (e.g. everything but routing after -fig 4) are kept byte for byte,
+// whatever their shape — including those of suites this command no longer
+// runs.
 func writeResults(path string, r *benchResults) error {
-	if old, err := os.ReadFile(path); err == nil {
-		var prev struct {
-			FastPath []experiments.FastPathRun `json:"fastpath"`
-			Scaling  []experiments.ScalingRun  `json:"scaling"`
-			Crash    []experiments.CrashRun    `json:"crash"`
-			Tracing  []experiments.TracingRun  `json:"tracing"`
-			Soak     []experiments.SoakRun     `json:"soak"`
-			Backup   []experiments.BackupRun   `json:"backup"`
-			Overload []experiments.OverloadRun `json:"overload"`
-		}
-		if json.Unmarshal(old, &prev) == nil {
-			r.FastPath = append(prev.FastPath, r.FastPath...)
-			r.Scaling = append(prev.Scaling, r.Scaling...)
-			r.Crash = append(prev.Crash, r.Crash...)
-			r.Tracing = append(prev.Tracing, r.Tracing...)
-			r.Soak = append(prev.Soak, r.Soak...)
-			r.Backup = append(prev.Backup, r.Backup...)
-			r.Overload = append(prev.Overload, r.Overload...)
-		}
-	}
-	data, err := json.MarshalIndent(r, "", "  ")
+	data, err := json.Marshal(r)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	var cur map[string]json.RawMessage
+	if err := json.Unmarshal(data, &cur); err != nil {
+		return err
+	}
+	merged := make(map[string]json.RawMessage)
+	if old, err := os.ReadFile(path); err == nil {
+		if json.Unmarshal(old, &merged) != nil {
+			merged = make(map[string]json.RawMessage) // unreadable: start over
+		}
+	}
+	for k, v := range cur {
+		if prev, ok := merged[k]; ok && histories[k] {
+			var entries, added []json.RawMessage
+			if json.Unmarshal(prev, &entries) == nil && json.Unmarshal(v, &added) == nil {
+				if v, err = json.Marshal(append(entries, added...)); err != nil {
+					return err
+				}
+			}
+		}
+		merged[k] = v
+	}
+	out, err := json.MarshalIndent(merged, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

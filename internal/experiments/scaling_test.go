@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/policy"
+	"repro/internal/testutil"
 )
 
 // TestScalingThroughputMonotonic is the scale-out acceptance sweep: with the
@@ -105,33 +106,24 @@ func drainEqualityRun(t *testing.T, drain bool) map[string][32]byte {
 			t.Fatalf("close vmA device: %v", err)
 		}
 		idle := ""
-		deadline := time.Now().Add(2 * time.Second)
-		for idle == "" {
+		testutil.WaitFor(t, 5*time.Second, "a member to go idle after logout", func() bool {
 			for _, ms := range dep.GroupStatus("enc1") {
 				if ms.Sessions == 0 {
 					idle = ms.Name
 				}
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("no member went idle after logout: %+v", dep.GroupStatus("enc1"))
-			}
-		}
+			return idle != ""
+		})
 		if err := dep.BeginDrain("enc1", idle); err != nil {
 			t.Fatalf("BeginDrain(%s): %v", idle, err)
 		}
-		for {
+		testutil.WaitFor(t, 5*time.Second, "member "+idle+" to quiesce", func() bool {
 			st, err := dep.DrainStatus("enc1", idle)
 			if err != nil {
 				t.Fatalf("DrainStatus: %v", err)
 			}
-			if st.Sessions == 0 && st.JournalBytes == 0 && st.JournalPending == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("member %s never quiesced: %+v", idle, st)
-			}
-			time.Sleep(time.Millisecond)
-		}
+			return st.Sessions == 0 && st.JournalBytes == 0 && st.JournalPending == 0
+		})
 		// Zero-loss gate: the drained member's journal is empty.
 		if st, _ := dep.DrainStatus("enc1", idle); st.JournalBytes != 0 {
 			t.Fatalf("drained member holds %d journal bytes", st.JournalBytes)

@@ -172,12 +172,14 @@ func TestRelayKeepsDirtySessionJournal(t *testing.T) {
 	}
 }
 
-// chaosRun drives one write workload from a VM through an active relay to a
-// storage target over the netsim fabric, cutting the relay→storage link at
-// the given logical ticks, and returns the content hash read back through
-// the relay plus the session journal for post-run audit. Fault timing is
-// purely schedule-driven: the clock advances once per acknowledged write.
-func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, *Journal) {
+// chaosRun drives one write workload from a VM through an active relay, whose
+// forward session has forwardConns MC/S connections, to a storage target over
+// the netsim fabric, cutting the relay→storage link (every forward
+// connection) at the given logical ticks, and returns the content hash read
+// back through the relay plus the session journal for post-run audit. Fault
+// timing is purely schedule-driven: the clock advances once per acknowledged
+// write.
+func chaosRun(t *testing.T, forwardConns int, cuts ...uint64) ([32]byte, *Journal) {
 	t.Helper()
 	model := netsim.Model{MTU: 8 * 1024, Bandwidth: 1 << 32,
 		Latency: map[netsim.HopKind]time.Duration{}, PerPacket: map[netsim.HopKind]time.Duration{}}
@@ -204,19 +206,21 @@ func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, *Journal) {
 	if err := tsrv.AddTarget(iqn, disk); err != nil {
 		t.Fatal(err)
 	}
-	storLn, err := storHost.NewEndpoint("tgt").Listen(netsim.StorageNet, 3260)
+	ln, err := storHost.NewEndpoint("tgt").Listen(netsim.StorageNet, 3260)
 	if err != nil {
 		t.Fatal(err)
 	}
+	storLn := &countingListener{Listener: ln}
 	go tsrv.Serve(storLn)
 
 	relay, err := NewRelay(Config{
-		Name:     "mb1",
-		Mode:     Active,
-		Endpoint: mbHost.NewEndpoint("relay"),
-		NextHop:  netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
-		Cost:     CostModel{MTU: 8192, BatchSize: 65536},
-		Recovery: RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
+		Name:         "mb1",
+		Mode:         Active,
+		Endpoint:     mbHost.NewEndpoint("relay"),
+		NextHop:      netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
+		Cost:         CostModel{MTU: 8192, BatchSize: 65536},
+		ForwardConns: forwardConns,
+		Recovery:     RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,6 +245,7 @@ func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, *Journal) {
 	if err != nil {
 		t.Fatalf("login through relay: %v", err)
 	}
+	requireAccepted(t, storLn, forwardConns)
 	js := relay.AllJournals()
 	if len(js) != 1 {
 		t.Fatalf("relay lists %d session journals after login, want 1", len(js))
@@ -291,24 +296,30 @@ func chaosRun(t *testing.T, cuts ...uint64) ([32]byte, *Journal) {
 // TestChaosBackendCutReplaysJournal is the acceptance chaos scenario: the
 // relay's backend link is cut twice mid-workload; the relay must reconnect,
 // replay the journal in sequence order, and finish the workload with content
-// identical to a no-fault run and zero stuck journal bytes.
+// identical to a no-fault single-connection run and zero stuck journal
+// bytes — over a single-connection forward session and over a
+// two-connection MC/S one, where the cut takes down every member at once.
 func TestChaosBackendCutReplaysJournal(t *testing.T) {
-	wantHash, cleanJournal := chaosRun(t)
+	wantHash, cleanJournal := chaosRun(t, 1)
 	if used := cleanJournal.UsedBytes(); used != 0 {
 		t.Fatalf("no-fault run left %d journal bytes", used)
 	}
 
-	gotHash, j := chaosRun(t, 10, 30)
-	if gotHash != wantHash {
-		t.Fatal("content hash after backend cuts differs from no-fault run (lost or misordered blocks)")
-	}
-	if used := j.UsedBytes(); used != 0 {
-		t.Errorf("Journal.UsedBytes() = %d after recovered run, want 0", used)
-	}
-	if j.Pending() != 0 {
-		t.Errorf("Journal.Pending() = %d after recovered run, want 0", j.Pending())
-	}
-	if len(j.Failures()) == 0 {
-		t.Error("backend cuts recorded no journal failures (fault never bit the data path?)")
+	for _, conns := range []int{1, 2} {
+		t.Run(fmt.Sprintf("conns%d", conns), func(t *testing.T) {
+			gotHash, j := chaosRun(t, conns, 10, 30)
+			if gotHash != wantHash {
+				t.Fatal("content hash after backend cuts differs from no-fault run (lost or misordered blocks)")
+			}
+			if used := j.UsedBytes(); used != 0 {
+				t.Errorf("Journal.UsedBytes() = %d after recovered run, want 0", used)
+			}
+			if j.Pending() != 0 {
+				t.Errorf("Journal.Pending() = %d after recovered run, want 0", j.Pending())
+			}
+			if len(j.Failures()) == 0 {
+				t.Error("backend cuts recorded no journal failures (fault never bit the data path?)")
+			}
+		})
 	}
 }

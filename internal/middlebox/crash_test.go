@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,20 +34,49 @@ func (d *slowDisk) WriteAt(p []byte, lba uint64) error {
 	return d.Device.WriteAt(p, lba)
 }
 
+// countingListener counts the connections a target accepts, so a test can
+// check how wide the relay's forward session really is.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// requireAccepted fails the test unless the target behind ln has accepted
+// exactly want connections: called after the first login, before any
+// reconnect or replay dials more, it pins the forward session's MC/S width,
+// so a relay that ignores ForwardConns fails.
+func requireAccepted(t *testing.T, ln *countingListener, want int) {
+	t.Helper()
+	if got := int(ln.accepted.Load()); got != want {
+		t.Fatalf("target accepted %d connections for the relay's forward session, want %d (ForwardConns)", got, want)
+	}
+}
+
 // crashHarness is one relay-over-netsim universe for the crash tests.
 type crashHarness struct {
 	fab     *netsim.Fabric
 	vmHost  *netsim.Host
 	mbHost  *netsim.Host
 	tsrv    *target.Server
+	storLn  *countingListener
 	iqn     string
 	relaySN int // relay serial for unique endpoint/listener names
+	// forwardConns is every relay's forward-session width (ForwardConns).
+	forwardConns int
 }
 
 const crashWrites = 48
 const crashLBAs = 32 // < crashWrites so later writes overwrite earlier ones
 
-func newCrashHarness(t *testing.T) *crashHarness {
+func newCrashHarness(t *testing.T, forwardConns int) *crashHarness {
 	t.Helper()
 	model := netsim.Model{MTU: 8 * 1024, Bandwidth: 1 << 32,
 		Latency: map[netsim.HopKind]time.Duration{}, PerPacket: map[netsim.HopKind]time.Duration{}}
@@ -71,13 +102,14 @@ func newCrashHarness(t *testing.T) *crashHarness {
 	if err := tsrv.AddTarget(iqn, &slowDisk{Device: disk, delay: 200 * time.Microsecond}); err != nil {
 		t.Fatal(err)
 	}
-	storLn, err := storHost.NewEndpoint("tgt").Listen(netsim.StorageNet, 3260)
+	ln, err := storHost.NewEndpoint("tgt").Listen(netsim.StorageNet, 3260)
 	if err != nil {
 		t.Fatal(err)
 	}
+	storLn := &countingListener{Listener: ln}
 	go tsrv.Serve(storLn)
 	t.Cleanup(func() { tsrv.Close() })
-	return &crashHarness{fab: fab, vmHost: vmHost, mbHost: mbHost, tsrv: tsrv, iqn: iqn}
+	return &crashHarness{fab: fab, vmHost: vmHost, mbHost: mbHost, tsrv: tsrv, storLn: storLn, iqn: iqn, forwardConns: forwardConns}
 }
 
 // startRelay launches an active relay with a durable journal under dir on a
@@ -88,13 +120,14 @@ func (h *crashHarness) startRelay(t *testing.T, dir string) (*Relay, string) {
 	port := 3260 + h.relaySN
 	name := fmt.Sprintf("mb1-%d", h.relaySN)
 	relay, err := NewRelay(Config{
-		Name:       name,
-		Mode:       Active,
-		Endpoint:   h.mbHost.NewEndpoint("relay-" + name),
-		NextHop:    netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
-		Cost:       CostModel{MTU: 8192, BatchSize: 65536},
-		JournalDir: dir,
-		Recovery:   RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
+		Name:         name,
+		Mode:         Active,
+		Endpoint:     h.mbHost.NewEndpoint("relay-" + name),
+		NextHop:      netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
+		Cost:         CostModel{MTU: 8192, BatchSize: 65536},
+		JournalDir:   dir,
+		ForwardConns: h.forwardConns,
+		Recovery:     RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +184,7 @@ func readBackHash(t *testing.T, sess *initiator.Session) [32]byte {
 
 // crashBaseline runs the workload with no crash and returns the content hash.
 func crashBaseline(t *testing.T) [32]byte {
-	h := newCrashHarness(t)
+	h := newCrashHarness(t, 1)
 	_, addr := h.startRelay(t, filepath.Join(t.TempDir(), "j"))
 	sess := h.login(t, addr, "vm")
 	for i := 0; i < crashWrites; i++ {
@@ -169,12 +202,13 @@ func crashBaseline(t *testing.T) [32]byte {
 	return sum
 }
 
-// crashRun kills the relay at the seed-chosen tick mid-workload, recovers
-// onto a replacement relay (WAL reopen + replay), finishes the workload
-// there, and returns the content hash plus how many journal records the
-// replay delivered.
-func crashRun(t *testing.T, seed int64) (sum [32]byte, tick uint64, replayed int) {
-	h := newCrashHarness(t)
+// crashRun kills the relay, whose forward session has forwardConns MC/S
+// connections, at the seed-chosen tick mid-workload, recovers onto a
+// replacement relay (WAL reopen + replay), finishes the workload there, and
+// returns the content hash plus how many journal records the replay
+// delivered.
+func crashRun(t *testing.T, seed int64, forwardConns int) (sum [32]byte, tick uint64, replayed int) {
+	h := newCrashHarness(t, forwardConns)
 	stateDir := t.TempDir()
 	dir1 := filepath.Join(stateDir, "mb1")
 	relay1, addr1 := h.startRelay(t, dir1)
@@ -183,6 +217,7 @@ func crashRun(t *testing.T, seed int64) (sum [32]byte, tick uint64, replayed int
 	tick = faults.Crash(sched, seed, 2, crashWrites-2, relay1.Kill)
 
 	sess := h.login(t, addr1, "vm")
+	requireAccepted(t, h.storLn, forwardConns)
 	var sess2 *initiator.Session
 	crashed := false
 	for i := 0; i < crashWrites; i++ {
@@ -238,35 +273,43 @@ func crashRun(t *testing.T, seed int64) (sum [32]byte, tick uint64, replayed int
 // at ≥ 20 distinct seed-chosen points mid-workload, reopen the WAL from
 // disk on a replacement instance, replay, and end byte-identical to the
 // no-crash baseline with empty journals — zero acknowledged writes lost.
+// Every point runs twice: with a single-connection forward session, and
+// with a two-connection MC/S one (subtests suffixed _conns2), whose replay
+// must land the same bytes as the single-connection baseline.
 func TestCrashReplayAtManyPoints(t *testing.T) {
 	want := crashBaseline(t)
 
 	const distinctPoints = 20
-	seen := make(map[uint64]bool)
-	totalReplayed := 0
-	for seed := int64(0); len(seen) < distinctPoints && seed < 200; seed++ {
-		tick := faults.CrashPoint(seed, 2, crashWrites-2)
-		if seen[tick] {
-			continue
+	for _, conns := range []int{1, 2} {
+		seen := make(map[uint64]bool)
+		totalReplayed := 0
+		for seed := int64(0); len(seen) < distinctPoints && seed < 200; seed++ {
+			tick := faults.CrashPoint(seed, 2, crashWrites-2)
+			if seen[tick] {
+				continue
+			}
+			name := fmt.Sprintf("seed%d_tick%d", seed, tick)
+			if conns > 1 {
+				name += fmt.Sprintf("_conns%d", conns)
+			}
+			t.Run(name, func(t *testing.T) {
+				got, gotTick, replayed := crashRun(t, seed, conns)
+				if gotTick != tick {
+					t.Fatalf("CrashPoint not deterministic: %d then %d", tick, gotTick)
+				}
+				if got != want {
+					t.Fatalf("content hash after crash at tick %d differs from no-crash baseline (acknowledged write lost or misordered)", tick)
+				}
+				totalReplayed += replayed
+			})
+			seen[tick] = true
 		}
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d_tick%d", seed, tick), func(t *testing.T) {
-			got, gotTick, replayed := crashRun(t, seed)
-			if gotTick != tick {
-				t.Fatalf("CrashPoint not deterministic: %d then %d", tick, gotTick)
-			}
-			if got != want {
-				t.Fatalf("content hash after crash at tick %d differs from no-crash baseline (acknowledged write lost or misordered)", tick)
-			}
-			totalReplayed += replayed
-		})
-		seen[tick] = true
-	}
-	if len(seen) < distinctPoints {
-		t.Fatalf("only %d distinct crash points out of %d required", len(seen), distinctPoints)
-	}
-	if totalReplayed == 0 {
-		t.Fatal("no run replayed any journal record — the crash never caught unapplied acknowledged writes (vacuous test)")
+		if len(seen) < distinctPoints {
+			t.Fatalf("only %d distinct crash points out of %d required", len(seen), distinctPoints)
+		}
+		if totalReplayed == 0 {
+			t.Fatalf("no %d-connection run replayed any journal record — the crash never caught unapplied acknowledged writes (vacuous test)", conns)
+		}
 	}
 }
 
@@ -277,7 +320,7 @@ func TestCrashReplayAtManyPoints(t *testing.T) {
 // replay. The empty husk is cleared, the corrupt WAL is kept for another
 // attempt, and the aggregate error is typed.
 func TestRecoverFromIsolatesBrokenSessions(t *testing.T) {
-	h := newCrashHarness(t)
+	h := newCrashHarness(t, 1)
 	stateDir := t.TempDir()
 	dir1 := filepath.Join(stateDir, "mb1")
 	meta := wal.Meta{Attrs: map[string]string{
@@ -369,7 +412,7 @@ func TestRecoverFromIsolatesBrokenSessions(t *testing.T) {
 func TestCrashRecoverySurvivesSecondCrash(t *testing.T) {
 	want := crashBaseline(t)
 
-	h := newCrashHarness(t)
+	h := newCrashHarness(t, 1)
 	stateDir := t.TempDir()
 	dirs := []string{filepath.Join(stateDir, "mb1"), filepath.Join(stateDir, "mb2"), filepath.Join(stateDir, "mb3")}
 	relay, addr := h.startRelay(t, dirs[0])

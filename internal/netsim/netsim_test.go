@@ -183,12 +183,13 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
+	// Accept must end with ErrListenerClosed whichever of the two runs
+	// first: blocked when Close lands, or called on a closed listener.
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := ln.Accept()
 		errCh <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
 	ln.Close()
 	select {
 	case err := <-errCh:
@@ -197,6 +198,9 @@ func TestListenerCloseUnblocksAccept(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("Accept did not unblock on Close")
+	}
+	if _, err := ln.Accept(); !errors.Is(err, ErrListenerClosed) {
+		t.Errorf("Accept after Close err = %v, want ErrListenerClosed", err)
 	}
 }
 

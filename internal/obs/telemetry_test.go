@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 	"time"
 )
@@ -162,7 +163,7 @@ func TestTraceTailRetention(t *testing.T) {
 	for i := 0; i < 18; i++ {
 		run(time.Millisecond)
 	}
-	slow := r.SlowTraces(10)
+	slow := slowTraces(r)
 	if len(slow) != 2 {
 		t.Fatalf("retained %d slow traces, want 2 (SlowPerStage)", len(slow))
 	}
@@ -194,9 +195,21 @@ func TestTraceTailRetention(t *testing.T) {
 	sp := r.StartTraced("initiator", "read", 512)
 	now = now.Add(time.Hour) // would dominate any exemplar list
 	sp.Abort()
-	if got := r.SlowTraces(1); len(got) != 0 {
+	if got := r.Traces(); len(got) != 0 {
 		t.Errorf("aborted trace retained: %+v", got)
 	}
+}
+
+// slowTraces returns the retained tail exemplars, slowest first.
+func slowTraces(r *Registry) []TraceRecord {
+	var out []TraceRecord
+	for _, tr := range r.Traces() {
+		if tr.Slow {
+			out = append(out, tr)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
+	return out
 }
 
 // TestTraceHeadSampleEvery pins the head-sampling stride: of the finished

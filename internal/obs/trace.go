@@ -370,30 +370,6 @@ func (r *Registry) Traces() []TraceRecord {
 	return out
 }
 
-// SlowTraces returns up to n retained tail exemplars, slowest first.
-func (r *Registry) SlowTraces(n int) []TraceRecord {
-	if r == nil || n <= 0 {
-		return nil
-	}
-	ts := r.trace.Load()
-	if ts == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	var out []TraceRecord
-	for _, slow := range ts.slow {
-		for _, e := range slow {
-			out = append(out, copyTrace(e))
-		}
-	}
-	ts.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Dur > out[j].Dur })
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
 func copyTrace(e *traceEntry) TraceRecord {
 	rec := e.rec
 	rec.Spans = append([]SpanRecord(nil), e.rec.Spans...)
