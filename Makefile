@@ -26,6 +26,9 @@
 # exhaustion sites that should carry an xerr class.
 # `make lint-params` fails when non-test Go outside internal/policy indexes a
 # spec's policy Params map instead of using its typed accessors.
+# `make lint-reach` fails when a non-test function is linked by none of the
+# programs (cmd/*, bench, examples/*) and is not on scripts/lintreach/allow.txt,
+# or when an entry there is linked or gone (~3.5 s with a warm build cache).
 # `make bench-ab W=<workload> [BASE=<ref>] [PAIRS=10]` measures the working
 # tree against BASE with the repository benchmark (`go run ./bench`) in
 # alternating pairs and prints `bench compare` plus wins per pair.
@@ -34,9 +37,9 @@ GO ?= go
 RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume ./internal/extfs ./internal/semantic ./internal/services/monitor
 BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/blockdev ./internal/services/crypt ./internal/volume
 
-.PHONY: check check-stable fmt vet build test race bench bench-ab allocs fuzz-short soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params
+.PHONY: check check-stable fmt vet build test race bench bench-ab allocs fuzz-short soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params lint-reach
 
-check: fmt vet build lint-taxonomy lint-params race allocs fuzz-short soak-short backup-short overload-short
+check: fmt vet build lint-taxonomy lint-params lint-reach race allocs fuzz-short soak-short backup-short overload-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -70,6 +73,8 @@ allocs:
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkDirBlock$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/extfs
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstructorMetadata$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/semantic
+	$(GO) test -run '^$$' -fuzz '^FuzzPDUReader$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/iscsi
+	$(GO) test -run '^$$' -fuzz '^FuzzLoginPairs$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/iscsi
 
 test:
 	$(GO) test ./...
@@ -145,3 +150,10 @@ lint-params:
 	if [ -n "$$out" ]; then \
 		echo "policy params indexed outside internal/policy (use the typed MiddleBoxSpec accessors):"; echo "$$out"; exit 1; \
 	fi
+
+# Reach lint: builds every program without inlining, reads its symbols with
+# `go tool nm`, and fails on a non-test function none of them links unless
+# scripts/lintreach/allow.txt lists it with a reason; an entry that is linked
+# or no longer declared fails too, so the list only shrinks.
+lint-reach:
+	$(GO) run ./scripts/lintreach

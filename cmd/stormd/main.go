@@ -26,7 +26,6 @@ import (
 
 	storm "repro"
 	"repro/internal/obs"
-	"repro/internal/workload"
 )
 
 const demoPolicy = `{
@@ -182,7 +181,7 @@ func run(policyPath string, hosts int, metricsAddr string) error {
 
 	// Exercise each attached volume with a short mixed workload.
 	for key, av := range dep.Volumes {
-		res, err := workload.RunFio(workload.FioConfig{
+		res, err := storm.RunFio(storm.FioConfig{
 			Dev:          av.Device,
 			RequestSize:  16 * 1024,
 			Threads:      4,

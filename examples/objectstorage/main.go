@@ -11,7 +11,6 @@ import (
 	"log"
 
 	storm "repro"
-	"repro/internal/objstore"
 )
 
 func main() {
@@ -57,7 +56,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store, err := objstore.New(fs)
+	store, err := storm.NewObjectStore(fs)
 	if err != nil {
 		return err
 	}

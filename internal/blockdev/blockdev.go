@@ -151,19 +151,6 @@ func (d *MemDisk) Close() error {
 	return nil
 }
 
-// AllocatedBlocks returns the number of blocks backed by real storage,
-// exposing the thin-provisioning behaviour for tests and capacity reporting.
-// Backing is extent-granular: one written block pins its whole extent.
-func (d *MemDisk) AllocatedBlocks() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	bytes := 0
-	for _, ext := range d.extents {
-		bytes += len(ext)
-	}
-	return bytes / d.blockSize
-}
-
 // Clone returns a point-in-time copy of the device (same geometry, deep
 // copy of allocated extents) — the substrate for volume snapshots.
 func (d *MemDisk) Clone() (*MemDisk, error) {

@@ -17,8 +17,6 @@ type CacheDisk struct {
 	blocks  map[uint64][]byte
 	order   []uint64
 	maxBlks int
-	hits    int64
-	misses  int64
 
 	obsHits   *obs.Counter
 	obsMisses *obs.Counter
@@ -39,31 +37,6 @@ func NewCacheDisk(dev Device, capacityBytes int) *CacheDisk {
 		obsHits:   obs.Default().Counter("blockcache.hits"),
 		obsMisses: obs.Default().Counter("blockcache.misses"),
 	}
-}
-
-// HitRatio returns hits/(hits+misses), or 0 before any read.
-func (d *CacheDisk) HitRatio() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	total := d.hits + d.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(d.hits) / float64(total)
-}
-
-// Hits returns the number of block reads served from the cache.
-func (d *CacheDisk) Hits() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.hits
-}
-
-// Misses returns the number of block reads that went to the device.
-func (d *CacheDisk) Misses() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.misses
 }
 
 // BlockSize implements Device.
@@ -92,12 +65,10 @@ func (d *CacheDisk) ReadAt(p []byte, lba uint64) error {
 		for i := uint64(0); i < n; i++ {
 			copy(p[int(i)*bs:int(i+1)*bs], d.blocks[lba+i])
 		}
-		d.hits += int64(n)
 		d.mu.Unlock()
 		d.obsHits.Add(int64(n))
 		return nil
 	}
-	d.misses += int64(n)
 	d.mu.Unlock()
 	d.obsMisses.Add(int64(n))
 

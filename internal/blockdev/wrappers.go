@@ -38,19 +38,9 @@ type LatencyDisk struct {
 
 var _ Device = (*LatencyDisk)(nil)
 
-// NewLatencyDisk wraps dev with the same service model for both
-// directions.
-func NewLatencyDisk(dev Device, model ServiceModel) *LatencyDisk {
-	return &LatencyDisk{dev: dev, read: model, write: model}
-}
-
-// NewLatencyDiskRW wraps dev with separate read and write service models.
-func NewLatencyDiskRW(dev Device, read, write ServiceModel) *LatencyDisk {
-	return &LatencyDisk{dev: dev, read: read, write: write}
-}
-
 // NewLatencyDiskQueued wraps dev with separate read and write models and a
-// bounded queue of concurrent medium accesses; excess requests wait.
+// bounded queue of concurrent medium accesses (concurrency <= 0: unbounded);
+// excess requests wait.
 func NewLatencyDiskQueued(dev Device, read, write ServiceModel, concurrency int) *LatencyDisk {
 	d := &LatencyDisk{dev: dev, read: read, write: write}
 	if concurrency > 0 {
@@ -125,9 +115,6 @@ func (d *FaultDisk) Trip(err error) {
 	d.tripped.Store(true)
 }
 
-// Tripped reports whether the device has been failed.
-func (d *FaultDisk) Tripped() bool { return d.tripped.Load() }
-
 // Heal clears a tripped fault; subsequent accesses reach the medium again
 // (the recovery half of Figure 13's kill/heal cycle).
 func (d *FaultDisk) Heal() {
@@ -179,21 +166,19 @@ func (d *FaultDisk) Flush() error {
 // Close implements Device.
 func (d *FaultDisk) Close() error { return d.dev.Close() }
 
-// CountingDisk wraps a Device and counts operations and bytes, used by
-// tests and the monitoring examples.
+// CountingDisk wraps a Device and counts successful reads and writes, the
+// probe tests use to see what reached a device.
 type CountingDisk struct {
-	dev        Device
-	reads      atomic.Int64
-	writes     atomic.Int64
-	readBytes  atomic.Int64
-	writeBytes atomic.Int64
+	Device
+	reads  atomic.Int64
+	writes atomic.Int64
 }
 
 var _ Device = (*CountingDisk)(nil)
 
 // NewCountingDisk wraps dev with counters.
 func NewCountingDisk(dev Device) *CountingDisk {
-	return &CountingDisk{dev: dev}
+	return &CountingDisk{Device: dev}
 }
 
 // Reads returns the number of read requests.
@@ -202,40 +187,20 @@ func (d *CountingDisk) Reads() int64 { return d.reads.Load() }
 // Writes returns the number of write requests.
 func (d *CountingDisk) Writes() int64 { return d.writes.Load() }
 
-// ReadBytes returns the number of bytes read.
-func (d *CountingDisk) ReadBytes() int64 { return d.readBytes.Load() }
-
-// WriteBytes returns the number of bytes written.
-func (d *CountingDisk) WriteBytes() int64 { return d.writeBytes.Load() }
-
-// BlockSize implements Device.
-func (d *CountingDisk) BlockSize() int { return d.dev.BlockSize() }
-
-// Blocks implements Device.
-func (d *CountingDisk) Blocks() uint64 { return d.dev.Blocks() }
-
 // ReadAt implements Device.
 func (d *CountingDisk) ReadAt(p []byte, lba uint64) error {
-	err := d.dev.ReadAt(p, lba)
+	err := d.Device.ReadAt(p, lba)
 	if err == nil {
 		d.reads.Add(1)
-		d.readBytes.Add(int64(len(p)))
 	}
 	return err
 }
 
 // WriteAt implements Device.
 func (d *CountingDisk) WriteAt(p []byte, lba uint64) error {
-	err := d.dev.WriteAt(p, lba)
+	err := d.Device.WriteAt(p, lba)
 	if err == nil {
 		d.writes.Add(1)
-		d.writeBytes.Add(int64(len(p)))
 	}
 	return err
 }
-
-// Flush implements Device.
-func (d *CountingDisk) Flush() error { return d.dev.Flush() }
-
-// Close implements Device.
-func (d *CountingDisk) Close() error { return d.dev.Close() }

@@ -16,7 +16,6 @@ package bufpool
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // Size classes are powers of two. Requests below the smallest class still
@@ -41,13 +40,6 @@ type Buf struct {
 
 var pools [numClasses]sync.Pool
 
-// Stats counters (atomic; read via Snapshot).
-var (
-	gets      atomic.Int64
-	misses    atomic.Int64
-	oversized atomic.Int64
-)
-
 // classFor returns the class index for a request of n bytes, or -1 when n
 // exceeds the largest class.
 func classFor(n int) int {
@@ -67,10 +59,8 @@ func Get(n int) *Buf {
 	if n <= 0 {
 		return &Buf{B: nil, class: -1}
 	}
-	gets.Add(1)
 	c := classFor(n)
 	if c < 0 {
-		oversized.Add(1)
 		return &Buf{B: make([]byte, n), class: -1}
 	}
 	if v := pools[c].Get(); v != nil {
@@ -78,7 +68,6 @@ func Get(n int) *Buf {
 		b.B = b.B[:cap(b.B)][:n]
 		return b
 	}
-	misses.Add(1)
 	return &Buf{B: make([]byte, 1<<(uint(c)+minClassBits))[:n], class: int8(c)}
 }
 
@@ -97,10 +86,4 @@ func (b *Buf) Release() {
 		return
 	}
 	pools[b.class].Put(b)
-}
-
-// Snapshot reports cumulative pool activity: total Gets, pool misses (new
-// allocations), and oversized requests that bypassed the pool.
-func Snapshot() (total, missed, over int64) {
-	return gets.Load(), misses.Load(), oversized.Load()
 }

@@ -70,19 +70,6 @@ func TestOversizedAndZero(t *testing.T) {
 	nilBuf.Release() // no-op
 }
 
-func TestSnapshotCounts(t *testing.T) {
-	g0, _, o0 := Snapshot()
-	Get(64).Release()
-	Get(1 << 23).Release()
-	g1, _, o1 := Snapshot()
-	if g1-g0 != 2 {
-		t.Errorf("gets delta = %d, want 2", g1-g0)
-	}
-	if o1-o0 != 1 {
-		t.Errorf("oversized delta = %d, want 1", o1-o0)
-	}
-}
-
 // TestConcurrentGetRelease exercises the pool under -race.
 func TestConcurrentGetRelease(t *testing.T) {
 	var wg sync.WaitGroup

@@ -301,14 +301,6 @@ func (b *BlockBackend) DeleteChunk(id ID) error {
 	return nil
 }
 
-// HasChunk reports chunk presence.
-func (b *BlockBackend) HasChunk(id ID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.index[id]
-	return ok
-}
-
 // Chunks lists every indexed chunk ID.
 func (b *BlockBackend) Chunks() []ID {
 	b.mu.Lock()

@@ -188,8 +188,8 @@ func TestCrashPrefixes(t *testing.T) {
 			t.Fatalf("%s: %d live chunks, table references %d", name, got, len(count))
 		}
 		for id, n := range count {
-			if s.Refs(id) != n {
-				t.Fatalf("%s: refs[%s] = %d, table holds %d", name, id, s.Refs(id), n)
+			if refs(s, id) != n {
+				t.Fatalf("%s: refs[%s] = %d, table holds %d", name, id, refs(s, id), n)
 			}
 		}
 		for _, id := range be.Chunks() {
@@ -419,8 +419,8 @@ func TestWriteIDEquivalence(t *testing.T) {
 		t.Fatalf("stats differ: %+v vs %+v", a.Stats(), b.Stats())
 	}
 	for slot := uint64(0); slot < slots; slot++ {
-		if id := a.IDAt(slot); id != b.IDAt(slot) || a.Refs(id) != b.Refs(id) {
-			t.Fatalf("slot %d: %s ×%d vs %s ×%d", slot, id, a.Refs(id), b.IDAt(slot), b.Refs(b.IDAt(slot)))
+		if id := a.IDAt(slot); id != b.IDAt(slot) || refs(a, id) != refs(b, id) {
+			t.Fatalf("slot %d: %s ×%d vs %s ×%d", slot, id, refs(a, id), b.IDAt(slot), refs(b, b.IDAt(slot)))
 		}
 	}
 	ha, err := a.LogicalHash()

@@ -81,13 +81,13 @@ func TestRefcountAtExactCapacity(t *testing.T) {
 	if !dup {
 		t.Fatal("overwrite with existing content was not a dedup hit")
 	}
-	if s.Refs(oldID) != 0 {
-		t.Fatalf("displaced chunk still has %d refs", s.Refs(oldID))
+	if refs(s, oldID) != 0 {
+		t.Fatalf("displaced chunk still has %d refs", refs(s, oldID))
 	}
-	if got := s.Refs(s.IDAt(0)); got != 2 {
+	if got := refs(s, s.IDAt(0)); got != 2 {
 		t.Fatalf("shared chunk refcount = %d, want 2", got)
 	}
-	if be.HasChunk(oldID) {
+	if hasChunk(be, oldID) {
 		t.Fatal("zero-ref chunk not deleted from the backend")
 	}
 

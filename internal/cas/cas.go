@@ -14,7 +14,6 @@
 package cas
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -66,8 +65,6 @@ type Backend interface {
 	GetChunk(id ID) ([]byte, error)
 	// DeleteChunk removes a chunk (no-op when absent).
 	DeleteChunk(id ID) error
-	// HasChunk reports chunk presence.
-	HasChunk(id ID) bool
 	// Chunks lists every stored chunk ID (recovery/GC).
 	Chunks() []ID
 	// SetMapping durably records slot→id.
@@ -299,13 +296,6 @@ func (s *Store) VerifySlot(slot uint64) error {
 	return s.Read(slot, buf)
 }
 
-// Refs returns a chunk's live reference count.
-func (s *Store) Refs(id ID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int(s.refs[id])
-}
-
 // Stats returns the cumulative dedup accounting.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -364,9 +354,4 @@ func flipped(data []byte) []byte {
 		out[i] = ^b
 	}
 	return out
-}
-
-// equalZero reports whether b is all zeros.
-func equalZero(b []byte) bool {
-	return bytes.Count(b, []byte{0}) == len(b)
 }

@@ -53,14 +53,6 @@ func (m *MemBackend) DeleteChunk(id ID) error {
 	return nil
 }
 
-// HasChunk reports chunk presence.
-func (m *MemBackend) HasChunk(id ID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.chunks[id]
-	return ok
-}
-
 // Chunks lists every stored chunk ID.
 func (m *MemBackend) Chunks() []ID {
 	m.mu.Lock()

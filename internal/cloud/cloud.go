@@ -455,18 +455,6 @@ func (c *Cloud) LaunchMiddleBox(spec MBSpec) (*MiddleBox, error) {
 	return mb, nil
 }
 
-// MiddleBox returns a launched middle-box by name.
-func (c *Cloud) MiddleBox(name string) (*MiddleBox, error) {
-	sh := c.shard(name)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	mb, ok := sh.mbs[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchMiddleBox, name)
-	}
-	return mb, nil
-}
-
 // RemoveMiddleBox tears down a middle-box VM: the relay stops, the splice
 // plane forgets the station, and the host releases the guest's address so
 // the slot can be reused. The orchestrator calls this only after the

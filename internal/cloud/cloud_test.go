@@ -89,7 +89,7 @@ func TestAttachDetachVolume(t *testing.T) {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	// Attribution recorded.
-	if b, ok := c.Plane.Attributions().ByIQN(vol.IQN); !ok || !b.Complete() {
+	if b, ok := c.Plane.Attributions().ByIQN(vol.IQN); !ok || b.VM == "" || b.SourcePort == 0 {
 		t.Errorf("attribution = %+v, %v", b, ok)
 	}
 	_ = dev.Close()
@@ -130,11 +130,7 @@ func TestLaunchMiddleBoxAndDataPath(t *testing.T) {
 	if mb.RelayAddr.IsZero() || mb.InstanceIP == "" {
 		t.Errorf("mb = %+v", mb)
 	}
-	got, err := c.MiddleBox("mb1")
-	if err != nil || got != mb {
-		t.Errorf("MiddleBox() = %v, %v", got, err)
-	}
-	if _, err := c.MiddleBox("ghost"); !errors.Is(err, ErrNoSuchMiddleBox) {
+	if err := c.RemoveMiddleBox("ghost"); !errors.Is(err, ErrNoSuchMiddleBox) {
 		t.Errorf("unknown MB err = %v", err)
 	}
 	// Duplicate name fails (instance IP and registration conflicts).

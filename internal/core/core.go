@@ -155,14 +155,6 @@ func (t *TenantDeployment) setScrubber(mb string, s *scrub.Scrubber) {
 	}
 }
 
-// Scrubber returns the live scrubber of a replicate middle-box (nil when
-// scrubbing is disabled).
-func (t *TenantDeployment) Scrubber(mb string) *scrub.Scrubber {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.Scrubbers[mb]
-}
-
 // tenantShards stripes the platform's tenant registry so Apply/Teardown of
 // different tenants never serialize on one mutex.
 const tenantShards = 32
@@ -209,9 +201,6 @@ func (p *Platform) shard(tenant string) *tenantShard {
 	}
 	return &p.shards[h%tenantShards]
 }
-
-// Cloud returns the underlying infrastructure.
-func (p *Platform) Cloud() *cloud.Cloud { return p.cloud }
 
 // SetStateDir points the platform at the directory holding durable
 // middle-box journals. Policies with the "durableJournal" param refuse to
@@ -1074,23 +1063,6 @@ func (t *TenantDeployment) BeginDrain(mbName, inst string) error {
 	}
 	if in.MB != nil {
 		in.MB.Relay.Drain()
-	}
-	return nil
-}
-
-// CancelDrain returns a draining instance to full service.
-func (t *TenantDeployment) CancelDrain(mbName, inst string) error {
-	t.scaleMu.Lock()
-	defer t.scaleMu.Unlock()
-	in := t.instance(mbName, inst)
-	if in == nil {
-		return fmt.Errorf("core: middle-box %q has no instance %q", mbName, inst)
-	}
-	if g := t.steeringGroup(mbName); g != nil {
-		g.SetDraining(inst, false)
-	}
-	if in.MB != nil {
-		in.MB.Relay.CancelDrain()
 	}
 	return nil
 }

@@ -275,7 +275,7 @@ func TestRecoveryRetryAfterTransientReplayFailure(t *testing.T) {
 // must be refused while the platform has nowhere durable to keep them.
 func TestDurableJournalRequiresStateDir(t *testing.T) {
 	_, p := fastCloud(t)
-	c := p.Cloud()
+	c := p.cloud
 	_, volID := launchAndVolume(t, c, "vm1")
 	if _, err := p.Apply(crashPolicy(volID)); err == nil ||
 		!strings.Contains(err.Error(), "state dir") {

@@ -164,7 +164,7 @@ func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 	}
 	waitReplicateDrained(t, dep, "cas1")
 
-	if dep.Scrubber("cas1") == nil {
+	if dep.Scrubbers["cas1"] == nil {
 		t.Fatal("no scrubber despite scrubInterval=5ms")
 	}
 	// The scrubber has run since Apply. A pass that read slot 0 while the

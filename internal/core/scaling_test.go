@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
+	"repro/internal/cloud"
 	"repro/internal/policy"
 	"repro/internal/sdn"
 	"repro/internal/vswitch"
@@ -48,14 +50,10 @@ func TestScalableGroupLifecycle(t *testing.T) {
 		t.Fatal("group data path corrupted data")
 	}
 
-	g := c.Controller.Group("tenantS-enc1")
-	if g == nil {
+	if c.Controller.Group("tenantS-enc1") == nil {
 		t.Fatal("no steering group installed")
 	}
-	before := g.Bindings()
-	if len(before) != 1 {
-		t.Fatalf("bindings = %v, want the one spliced flow", before)
-	}
+	before := servingMember(t, dep, "enc1").Name
 
 	if err := dep.Scale("enc1", 4); err != nil {
 		t.Fatalf("Scale to 4: %v", err)
@@ -64,11 +62,8 @@ func TestScalableGroupLifecycle(t *testing.T) {
 		t.Fatalf("group size after scale = %d, want 4", got)
 	}
 	// Flow affinity: the established connection keeps its serving instance.
-	after := g.Bindings()
-	for f, st := range before {
-		if after[f] != st {
-			t.Fatalf("scale event moved flow %v: %s -> %s", f, st, after[f])
-		}
+	if after := servingMember(t, dep, "enc1").Name; after != before {
+		t.Fatalf("scale event moved the session: %s -> %s", before, after)
 	}
 	// The established device keeps working through the scaled group.
 	if err := av.Device.WriteAt(want, 64); err != nil {
@@ -110,30 +105,12 @@ func TestDrainScaleDownKeepsService(t *testing.T) {
 	if err := av.Device.WriteAt(want, 8); err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
-	g := c.Controller.Group("tenantS-enc1")
-	var serving string
-	for _, st := range g.Bindings() {
-		serving = st
-	}
-	if serving == "" {
-		t.Fatal("no serving instance bound")
-	}
+	serving := servingMember(t, dep, "enc1").Name
 	var idle string
 	for _, in := range dep.Group("enc1") {
 		if in.Name != serving {
 			idle = in.Name
 		}
-	}
-
-	// The serving instance cannot finish draining while its session lives.
-	if err := dep.BeginDrain("enc1", serving); err != nil {
-		t.Fatalf("BeginDrain(serving): %v", err)
-	}
-	if err := dep.FinishDrain("enc1", serving); err == nil {
-		t.Fatal("FinishDrain with a live session: want not-quiesced error")
-	}
-	if err := dep.CancelDrain("enc1", serving); err != nil {
-		t.Fatalf("CancelDrain: %v", err)
 	}
 
 	// The idle member quiesces immediately and tears down with zero loss.
@@ -150,7 +127,7 @@ func TestDrainScaleDownKeepsService(t *testing.T) {
 	if got := len(dep.Group("enc1")); got != 1 {
 		t.Fatalf("group size after drain = %d, want 1", got)
 	}
-	if _, err := c.MiddleBox(idle); err == nil {
+	if err := c.RemoveMiddleBox(idle); !errors.Is(err, cloud.ErrNoSuchMiddleBox) {
 		t.Fatal("drained instance VM still registered in the cloud")
 	}
 
@@ -162,15 +139,25 @@ func TestDrainScaleDownKeepsService(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("scale-down lost data")
 	}
-	for _, st := range g.Bindings() {
-		if st != serving {
-			t.Fatalf("flow rebound to %s after unrelated drain", st)
-		}
+	if st := servingMember(t, dep, "enc1").Name; st != serving {
+		t.Fatalf("session moved to %s after unrelated drain", st)
 	}
 
 	// The last instance is never drained away.
 	if err := dep.FinishDrain("enc1", serving); err == nil {
 		t.Fatal("draining the last instance: want refusal")
+	}
+
+	// With a second instance back, the serving one still cannot finish
+	// draining while its session lives.
+	if err := dep.Scale("enc1", 2); err != nil {
+		t.Fatalf("Scale: %v", err)
+	}
+	if err := dep.BeginDrain("enc1", serving); err != nil {
+		t.Fatalf("BeginDrain(serving): %v", err)
+	}
+	if err := dep.FinishDrain("enc1", serving); err == nil {
+		t.Fatal("FinishDrain with a live session: want not-quiesced error")
 	}
 }
 

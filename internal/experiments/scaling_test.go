@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func drainEqualityRun(t *testing.T, drain bool) map[string][32]byte {
 		if err := dep.FinishDrain("enc1", idle); err != nil {
 			t.Fatalf("FinishDrain(%s): %v", idle, err)
 		}
-		if _, err := c.MiddleBox(idle); err == nil {
+		if err := c.RemoveMiddleBox(idle); !errors.Is(err, cloud.ErrNoSuchMiddleBox) {
 			t.Fatalf("drained instance %s still registered", idle)
 		}
 		// A reconnects: the fresh flow hashes onto the surviving member.

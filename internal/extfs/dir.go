@@ -226,25 +226,3 @@ func (fs *FS) removeFromDirBlock(buf []byte, name string) bool {
 	}
 	return false
 }
-
-// dirIsEmpty reports whether the directory holds only "." and "..".
-func (fs *FS) dirIsEmpty(dir *Inode) (bool, error) {
-	blocks, err := fs.dirBlocks(dir)
-	if err != nil {
-		return false, err
-	}
-	empty := true
-	for _, blk := range blocks {
-		buf, err := fs.readBlock(blk)
-		if err != nil {
-			return false, err
-		}
-		if err := WalkDirBlock(buf, func(_ uint32, _ FileType, name []byte) bool {
-			empty = isDotName(name)
-			return empty
-		}); err != nil || !empty {
-			return false, err
-		}
-	}
-	return true, nil
-}

@@ -16,9 +16,6 @@ type FileInfo struct {
 	Mtime uint64
 }
 
-// IsDir reports whether the entry is a directory.
-func (fi FileInfo) IsDir() bool { return fi.Type == TypeDir }
-
 // splitPath normalizes an absolute path into components.
 func splitPath(path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {
@@ -362,51 +359,6 @@ func (fs *FS) Remove(path string) error {
 	return fs.writeInode(parentIno, parent)
 }
 
-// Rmdir removes an empty directory.
-func (fs *FS) Rmdir(path string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	parentIno, parent, name, err := fs.resolveParent(path)
-	if err != nil {
-		return err
-	}
-	ent, err := fs.lookupInDir(parent, name)
-	if err != nil {
-		return err
-	}
-	in, err := fs.readInode(ent.Ino)
-	if err != nil {
-		return err
-	}
-	if in.Type != TypeDir {
-		return ErrNotDir
-	}
-	empty, err := fs.dirIsEmpty(in)
-	if err != nil {
-		return err
-	}
-	if !empty {
-		return ErrNotEmpty
-	}
-	if err := fs.removeDirEntry(parent, name); err != nil {
-		return err
-	}
-	if err := fs.freeInodeBlocks(in); err != nil {
-		return err
-	}
-	in.Type = TypeFree
-	in.Links = 0
-	if err := fs.writeInode(ent.Ino, in); err != nil {
-		return err
-	}
-	if err := fs.freeInode(ent.Ino); err != nil {
-		return err
-	}
-	parent.Links--
-	parent.Mtime = fs.tick()
-	return fs.writeInode(parentIno, parent)
-}
-
 // Rename moves oldPath to newPath (which must not exist).
 func (fs *FS) Rename(oldPath, newPath string) error {
 	fs.mu.Lock()
@@ -508,80 +460,6 @@ func (fs *FS) Stat(path string) (FileInfo, error) {
 		name = parts[len(parts)-1]
 	}
 	return FileInfo{Name: name, Ino: ino, Type: in.Type, Size: in.Size, Mtime: in.Mtime}, nil
-}
-
-// Truncate sets the file size. Shrinking frees whole blocks past the new
-// end; growing leaves a sparse hole.
-func (fs *FS) Truncate(path string, size uint64) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	ino, in, err := fs.resolve(path)
-	if err != nil {
-		return err
-	}
-	if in.Type == TypeDir {
-		return ErrIsDir
-	}
-	bs := uint64(fs.sb.BlockSize)
-	if size < in.Size {
-		keep := (size + bs - 1) / bs
-		total := (in.Size + bs - 1) / bs
-		for idx := keep; idx < total; idx++ {
-			blk, err := fs.blockOfFile(in, idx, false)
-			if err != nil {
-				return err
-			}
-			if blk == 0 {
-				continue
-			}
-			if err := fs.freeBlock(blk); err != nil {
-				return err
-			}
-			if err := fs.clearBlockPointer(in, idx); err != nil {
-				return err
-			}
-		}
-	}
-	if (size+bs-1)/bs > fs.maxFileBlocks() {
-		return ErrFileTooBig
-	}
-	in.Size = size
-	in.Mtime = fs.tick()
-	return fs.writeInode(ino, in)
-}
-
-// clearBlockPointer zeroes the mapping for logical block idx.
-func (fs *FS) clearBlockPointer(in *Inode, idx uint64) error {
-	p := fs.ptrsPerBlock()
-	switch {
-	case idx < directBlocks:
-		in.Direct[idx] = 0
-		return nil
-	case idx < directBlocks+p:
-		if in.Indirect == 0 {
-			return nil
-		}
-		return fs.zeroPtrSlot(in.Indirect, idx-directBlocks)
-	default:
-		if in.DoubleIndirect == 0 {
-			return nil
-		}
-		rest := idx - directBlocks - p
-		mid, err := fs.ptrInBlock(in.DoubleIndirect, rest/p, false)
-		if err != nil || mid == 0 {
-			return err
-		}
-		return fs.zeroPtrSlot(mid, rest%p)
-	}
-}
-
-func (fs *FS) zeroPtrSlot(blk, i uint64) error {
-	buf, err := fs.readBlock(blk)
-	if err != nil {
-		return err
-	}
-	clear(buf[int(i)*ptrSize : int(i)*ptrSize+8])
-	return fs.writeBlock(blk, buf)
 }
 
 // Sync flushes the backing device.

@@ -139,26 +139,6 @@ func Mount(dev blockdev.Device) (*FS, error) {
 	return fs, nil
 }
 
-// Superblock returns a copy of the superblock.
-func (fs *FS) Superblock() Superblock {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.sb
-}
-
-// Geometry returns the block group layout.
-func (fs *FS) Geometry() []GroupLayout {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return append([]GroupLayout(nil), fs.geom...)
-}
-
-// BlockSize returns the fs block size.
-func (fs *FS) BlockSize() int { return int(fs.sb.BlockSize) }
-
-// Device returns the backing device.
-func (fs *FS) Device() blockdev.Device { return fs.dev }
-
 // tick advances the logical clock.
 func (fs *FS) tick() uint64 {
 	fs.clock++

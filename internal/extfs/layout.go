@@ -62,7 +62,6 @@ var (
 	ErrNotFound     = errors.New("extfs: no such file or directory")
 	ErrNotDir       = errors.New("extfs: not a directory")
 	ErrIsDir        = errors.New("extfs: is a directory")
-	ErrNotEmpty     = errors.New("extfs: directory not empty")
 	ErrNoSpace      = errors.New("extfs: no space left on device")
 	ErrNameTooLong  = errors.New("extfs: file name too long")
 	ErrFileTooBig   = errors.New("extfs: file exceeds maximum size")

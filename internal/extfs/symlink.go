@@ -34,24 +34,3 @@ func (fs *FS) Symlink(target, linkPath string) error {
 	in.Mtime = fs.tick()
 	return fs.writeInode(ino, in)
 }
-
-// Readlink returns the target of the symbolic link at path.
-func (fs *FS) Readlink(path string) (string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, in, err := fs.resolve(path)
-	if err != nil {
-		return "", err
-	}
-	if in.Type != TypeSymlink {
-		return "", ErrNotFound
-	}
-	if in.Direct[0] == 0 {
-		return "", nil
-	}
-	buf, err := fs.readBlock(in.Direct[0])
-	if err != nil {
-		return "", err
-	}
-	return string(buf[:in.Size]), nil
-}

@@ -60,13 +60,6 @@ func (d *DiskFull) Grow(n uint64) {
 	d.quota += n
 }
 
-// Used reports the bytes currently charged.
-func (d *DiskFull) Used() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
-}
-
 // SlowBackend is a token-bucket pacer that turns a healthy component into a
 // brownout: each operation of n bytes must draw n tokens, and the bucket
 // refills at Rate bytes/sec up to Burst. Callers sleep for the returned
@@ -120,59 +113,4 @@ func (p *SlowBackend) Pace(n int) {
 	if d := p.Delay(n); d > 0 {
 		time.Sleep(d)
 	}
-}
-
-// RetryBudget caps how much retrying a recovery loop may do before it gives
-// up, replacing retry-forever loops: each failure spends one attempt, and a
-// success refunds the budget to full (errors must be consecutive to
-// exhaust it). Safe for concurrent use.
-type RetryBudget struct {
-	mu      sync.Mutex
-	max     int
-	left    int
-	backoff *Backoff
-}
-
-// NewRetryBudget allows max consecutive failed attempts, with backoff
-// spacing them (may be nil for no delay guidance).
-func NewRetryBudget(max int, backoff *Backoff) *RetryBudget {
-	if max < 1 {
-		max = 1
-	}
-	return &RetryBudget{max: max, left: max, backoff: backoff}
-}
-
-// Spend consumes one attempt after a failure. It returns the jittered delay
-// to wait before the next try and ok=false when the budget is exhausted —
-// the caller must stop retrying and surface the error.
-func (r *RetryBudget) Spend() (delay time.Duration, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.left <= 0 {
-		return 0, false
-	}
-	r.left--
-	attempt := r.max - r.left - 1
-	if r.left == 0 {
-		return 0, false
-	}
-	if r.backoff != nil {
-		delay = r.backoff.Delay(attempt)
-	}
-	return delay, true
-}
-
-// Refund restores the full budget after a success — only consecutive
-// failures exhaust it.
-func (r *RetryBudget) Refund() {
-	r.mu.Lock()
-	r.left = r.max
-	r.mu.Unlock()
-}
-
-// Left reports the remaining attempts.
-func (r *RetryBudget) Left() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.left
 }

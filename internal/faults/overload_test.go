@@ -16,7 +16,7 @@ func TestDiskFullQuota(t *testing.T) {
 	if err := d.Consume(50); !errors.Is(err, ErrDiskFull) {
 		t.Fatalf("consume past quota: got %v, want ErrDiskFull", err)
 	}
-	if got := d.Used(); got != 60 {
+	if got := d.used; got != 60 {
 		t.Fatalf("failed consume charged bytes: used = %d, want 60", got)
 	}
 	if xerr.Classify(ErrDiskFull) != xerr.Exhausted {
@@ -43,7 +43,7 @@ func TestDiskFullReleaseClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Release(500)
-	if got := d.Used(); got != 0 {
+	if got := d.used; got != 0 {
 		t.Fatalf("release over-refunded: used = %d", got)
 	}
 }
@@ -69,28 +69,5 @@ func TestSlowBackendZeroDisabled(t *testing.T) {
 	p2 := NewSlowBackend(0, 0)
 	if d := p2.Delay(1 << 20); d != 0 {
 		t.Fatalf("rate-0 pacer delayed %v", d)
-	}
-}
-
-func TestRetryBudgetExhaustsOnConsecutiveFailures(t *testing.T) {
-	r := NewRetryBudget(3, NewBackoff(time.Millisecond, 8*time.Millisecond, 1))
-	var spends int
-	for {
-		_, ok := r.Spend()
-		spends++
-		if !ok {
-			break
-		}
-	}
-	if spends != 3 {
-		t.Fatalf("budget allowed %d spends, want 3", spends)
-	}
-	if _, ok := r.Spend(); ok {
-		t.Fatal("exhausted budget granted another attempt")
-	}
-	// A success refunds in full.
-	r.Refund()
-	if r.Left() != 3 {
-		t.Fatalf("refund left %d, want 3", r.Left())
 	}
 }

@@ -1,8 +1,6 @@
 package initiator
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/blockdev"
@@ -43,84 +41,10 @@ func (s *Session) Capacity() (scsi.Capacity, error) {
 	return scsi.DecodeCapacity16(data)
 }
 
-// Inquiry queries the standard inquiry data.
-func (s *Session) Inquiry() (*scsi.InquiryData, error) {
-	data, err := s.adminRead(scsi.NewInquiry(36), 36)
-	if err != nil {
-		return nil, err
-	}
-	return scsi.DecodeInquiry(data)
-}
-
-// TestUnitReady probes the logical unit.
-func (s *Session) TestUnitReady() error {
-	_, err := s.adminRead(scsi.NewTestUnitReady(), 0)
-	return err
-}
-
 // Flush issues SYNCHRONIZE CACHE over the whole medium.
 func (s *Session) Flush() error {
 	_, err := s.adminRead(scsi.NewSyncCache(0, 0), 0)
 	return err
-}
-
-// Ping round-trips a NOP-Out/NOP-In pair.
-func (s *Session) Ping() error {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	p := &pendingCmd{done: make(chan struct{}, 1)}
-	itt, cmdSN, expStatSN, sc, err := s.register(p)
-	if err != nil {
-		return err
-	}
-	nop := &iscsi.NopOut{ITT: itt, TTT: 0xFFFFFFFF, CmdSN: cmdSN, ExpStatSN: expStatSN}
-	if err := s.send(sc, nop); err != nil {
-		s.unregister(itt)
-		return err
-	}
-	<-p.done
-	return p.err
-}
-
-// Discover issues a SendTargets=All text request and returns the target
-// names the server exports (the discovery-session flow).
-func (s *Session) Discover() ([]string, error) {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	p := &pendingCmd{done: make(chan struct{}, 1)}
-	itt, cmdSN, expStatSN, sc, err := s.register(p)
-	if err != nil {
-		return nil, err
-	}
-	req := &iscsi.PDU{}
-	req.SetOp(iscsi.OpTextReq)
-	req.SetImmediate(true)
-	req.BHS[1] = 0x80 // final
-	req.SetITT(itt)
-	binary.BigEndian.PutUint32(req.BHS[20:24], 0xFFFFFFFF) // TTT reserved
-	binary.BigEndian.PutUint32(req.BHS[24:28], cmdSN)
-	binary.BigEndian.PutUint32(req.BHS[28:32], expStatSN)
-	data := []byte("SendTargets=All\x00")
-	req.Data = data
-	req.BHS[5] = byte(len(data) >> 16)
-	req.BHS[6] = byte(len(data) >> 8)
-	req.BHS[7] = byte(len(data))
-	if err := s.send(sc, req); err != nil {
-		s.unregister(itt)
-		return nil, err
-	}
-	<-p.done
-	if p.err != nil {
-		return nil, p.err
-	}
-	var names []string
-	for _, kv := range bytes.Split(p.buf[:p.filled], []byte{0}) {
-		const prefix = "TargetName="
-		if v, ok := bytes.CutPrefix(kv, []byte(prefix)); ok && len(v) > 0 {
-			names = append(names, string(v))
-		}
-	}
-	return names, nil
 }
 
 // Logout ends the session gracefully and closes every connection (a session

@@ -519,25 +519,6 @@ func (s *Session) readLoop(sc *sconn) {
 			} else {
 				r2tPool.Put(r2t)
 			}
-		case iscsi.OpNopIn:
-			n, err := iscsi.ParseNopIn(pdu)
-			if err != nil {
-				s.connFailed(sc, err, false)
-				return
-			}
-			s.completeNop(n)
-		case iscsi.OpTextResp:
-			s.mu.Lock()
-			p := s.pending[pdu.ITT()]
-			if p != nil {
-				p.buf = append([]byte(nil), pdu.Data...)
-				p.filled = len(pdu.Data)
-				delete(s.pending, pdu.ITT())
-			}
-			s.mu.Unlock()
-			if p != nil {
-				p.done <- struct{}{}
-			}
 		case iscsi.OpLogoutResp:
 			s.connFailed(sc, ErrSessionClosed, false)
 			return
@@ -613,18 +594,6 @@ func (s *Session) handleResponse(sc *sconn, resp *iscsi.SCSIResponse) {
 	delete(s.pending, resp.ITT)
 	s.mu.Unlock()
 	p.done <- struct{}{}
-}
-
-func (s *Session) completeNop(n *iscsi.NopIn) {
-	s.mu.Lock()
-	p := s.pending[n.ITT]
-	if p != nil {
-		delete(s.pending, n.ITT)
-	}
-	s.mu.Unlock()
-	if p != nil {
-		p.done <- struct{}{}
-	}
 }
 
 // connFailed reacts to the loss of one connection. A transient loss of a

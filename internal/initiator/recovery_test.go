@@ -80,7 +80,7 @@ func TestDataInOutOfBoundsFailsCommandAndSession(t *testing.T) {
 			BufferOffset:  1 << 20, // far beyond the 512-byte buffer
 			Data:          bytes.Repeat([]byte{0xAB}, 64),
 		}
-		din.Encode().WriteTo(conn)
+		din.EncodeInto(&iscsi.PDU{}).WriteTo(conn)
 	})
 	_, err := sess.Read(0, 1, 512)
 	if err == nil {
@@ -110,12 +110,12 @@ func TestDataInOverDeliveryFails(t *testing.T) {
 		}
 		seg := bytes.Repeat([]byte{0x11}, 512)
 		first := &iscsi.DataIn{ITT: cmd.ITT, BufferOffset: 0, Data: seg}
-		first.Encode().WriteTo(conn)
+		first.EncodeInto(&iscsi.PDU{}).WriteTo(conn)
 		second := &iscsi.DataIn{
 			Final: true, StatusPresent: true, Status: byte(scsi.StatusGood),
 			ITT: cmd.ITT, StatSN: 2, BufferOffset: 0, Data: seg,
 		}
-		second.Encode().WriteTo(conn)
+		second.EncodeInto(&iscsi.PDU{}).WriteTo(conn)
 	})
 	if _, err := sess.Read(0, 1, 512); err == nil || !strings.Contains(err.Error(), "over-delivers") {
 		t.Fatalf("Read error = %v, want over-delivery protocol error", err)
@@ -142,14 +142,14 @@ func TestStatSNWraparound(t *testing.T) {
 			}
 			exps = append(exps, cmd.ExpStatSN)
 			resp := &iscsi.SCSIResponse{ITT: cmd.ITT, Status: byte(scsi.StatusGood), StatSN: sn}
-			if _, err := resp.Encode().WriteTo(conn); err != nil {
+			if _, err := resp.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 				return
 			}
 		}
 		got <- exps
 	})
 	for i := range statSNs {
-		if err := sess.TestUnitReady(); err != nil {
+		if err := sess.Flush(); err != nil {
 			t.Fatalf("command %d: %v", i, err)
 		}
 	}

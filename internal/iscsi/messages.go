@@ -22,9 +22,6 @@ type SCSICommand struct {
 	Data []byte
 }
 
-// Encode builds the wire PDU.
-func (c *SCSICommand) Encode() *PDU { return c.EncodeInto(&PDU{}) }
-
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
 func (c *SCSICommand) EncodeInto(p *PDU) *PDU {
@@ -108,10 +105,6 @@ type SCSIResponse struct {
 	Sense []byte
 }
 
-// Encode builds the wire PDU. Sense data, when present, is framed with the
-// standard two-byte SenseLength prefix in the data segment.
-func (r *SCSIResponse) Encode() *PDU { return r.EncodeInto(&PDU{}) }
-
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
 func (r *SCSIResponse) EncodeInto(p *PDU) *PDU {
@@ -139,15 +132,6 @@ func (r *SCSIResponse) EncodeInto(p *PDU) *PDU {
 		p.setDataSegment(data)
 	}
 	return p
-}
-
-// ParseSCSIResponse decodes a SCSI Response PDU.
-func ParseSCSIResponse(p *PDU) (*SCSIResponse, error) {
-	r := new(SCSIResponse)
-	if err := ParseSCSIResponseInto(r, p); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // ParseSCSIResponseInto decodes p into r, a caller-owned (typically reused)
@@ -199,9 +183,6 @@ type DataIn struct {
 	Data          []byte
 }
 
-// Encode builds the wire PDU.
-func (d *DataIn) Encode() *PDU { return d.EncodeInto(&PDU{}) }
-
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
 func (d *DataIn) EncodeInto(p *PDU) *PDU {
@@ -229,15 +210,6 @@ func (d *DataIn) EncodeInto(p *PDU) *PDU {
 	binary.BigEndian.PutUint32(p.BHS[44:48], d.ResidualCount)
 	p.setDataSegment(d.Data)
 	return p
-}
-
-// ParseDataIn decodes a Data-In PDU.
-func ParseDataIn(p *PDU) (*DataIn, error) {
-	d := new(DataIn)
-	if err := ParseDataInInto(d, p); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // ParseDataInInto decodes p into d, a caller-owned (typically reused)
@@ -278,9 +250,6 @@ type DataOut struct {
 	BufferOffset uint32
 	Data         []byte
 }
-
-// Encode builds the wire PDU.
-func (d *DataOut) Encode() *PDU { return d.EncodeInto(&PDU{}) }
 
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
@@ -334,9 +303,6 @@ type R2T struct {
 	DesiredLength uint32
 }
 
-// Encode builds the wire PDU.
-func (r *R2T) Encode() *PDU { return r.EncodeInto(&PDU{}) }
-
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
 func (r *R2T) EncodeInto(p *PDU) *PDU {
@@ -354,15 +320,6 @@ func (r *R2T) EncodeInto(p *PDU) *PDU {
 	binary.BigEndian.PutUint32(p.BHS[40:44], r.BufferOffset)
 	binary.BigEndian.PutUint32(p.BHS[44:48], r.DesiredLength)
 	return p
-}
-
-// ParseR2T decodes an R2T PDU.
-func ParseR2T(p *PDU) (*R2T, error) {
-	r := new(R2T)
-	if err := ParseR2TInto(r, p); err != nil {
-		return nil, err
-	}
-	return r, nil
 }
 
 // ParseR2TInto decodes p into r, a caller-owned (typically pooled) struct.
@@ -394,9 +351,6 @@ type NopOut struct {
 	ExpStatSN uint32
 	Data      []byte
 }
-
-// Encode builds the wire PDU. NOP-Out is always sent immediate here.
-func (n *NopOut) Encode() *PDU { return n.EncodeInto(&PDU{}) }
 
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
@@ -436,9 +390,6 @@ type NopIn struct {
 	MaxCmdSN uint32
 	Data     []byte
 }
-
-// Encode builds the wire PDU.
-func (n *NopIn) Encode() *PDU { return n.EncodeInto(&PDU{}) }
 
 // EncodeInto encodes into a caller-provided (typically per-session,
 // reused) PDU, overwriting its previous contents.
@@ -527,20 +478,6 @@ func (l *LogoutResponse) Encode() *PDU {
 	binary.BigEndian.PutUint32(p.BHS[28:32], l.ExpCmdSN)
 	binary.BigEndian.PutUint32(p.BHS[32:36], l.MaxCmdSN)
 	return p
-}
-
-// ParseLogoutResponse decodes a Logout Response PDU.
-func ParseLogoutResponse(p *PDU) (*LogoutResponse, error) {
-	if p.Op() != OpLogoutResp {
-		return nil, opError(OpLogoutResp, p.Op())
-	}
-	return &LogoutResponse{
-		Response: p.BHS[2],
-		ITT:      p.ITT(),
-		StatSN:   binary.BigEndian.Uint32(p.BHS[24:28]),
-		ExpCmdSN: binary.BigEndian.Uint32(p.BHS[28:32]),
-		MaxCmdSN: binary.BigEndian.Uint32(p.BHS[32:36]),
-	}, nil
 }
 
 // Reject is the typed view of a Reject PDU (opcode 0x3F).

@@ -91,9 +91,6 @@ func (o Opcode) String() string {
 	}
 }
 
-// FromTarget reports whether the opcode originates at the target side.
-func (o Opcode) FromTarget() bool { return o >= 0x20 }
-
 // MaxDataSegment is the largest data segment this implementation accepts,
 // guarding against corrupt length fields (the 24-bit wire maximum).
 const MaxDataSegment = 1<<24 - 1
@@ -107,7 +104,7 @@ type PDU struct {
 
 	// dataBuf is the pooled backing store for Data when the PDU was read
 	// with ReadPDU. Release returns it to the pool; PDUs whose data was
-	// never pooled (typed Encode views, DecodePDU) release as a no-op.
+	// never pooled (typed Encode views) release as a no-op.
 	dataBuf *bufpool.Buf
 
 	// vec is WriteTo's header/payload/padding vector. It lives in the PDU
@@ -131,8 +128,8 @@ func (p *PDU) Release() {
 // TakeData transfers ownership of the PDU's pooled data segment to the
 // caller: the returned buffer backs the returned slice and the caller becomes
 // responsible for releasing it. The PDU is left without data, so a subsequent
-// Release is a no-op. PDUs whose data was never pooled (typed Encode views,
-// DecodePDU) return (nil, nil) and the caller must copy instead.
+// Release is a no-op. PDUs whose data was never pooled (typed Encode views)
+// return (nil, nil) and the caller must copy instead.
 func (p *PDU) TakeData() ([]byte, *bufpool.Buf) {
 	if p.dataBuf == nil {
 		return nil, nil
@@ -170,9 +167,6 @@ func (p *PDU) SetImmediate(v bool) {
 		p.BHS[0] &^= 0x40
 	}
 }
-
-// Final reports the F bit (bit 7 of byte 1).
-func (p *PDU) Final() bool { return p.BHS[1]&0x80 != 0 }
 
 // ITT returns the initiator task tag.
 func (p *PDU) ITT() uint32 { return binary.BigEndian.Uint32(p.BHS[16:20]) }
@@ -277,14 +271,6 @@ func WritePDUs(w io.Writer, pdus []PDU) (int64, error) {
 	return int64(n), err
 }
 
-// Bytes returns the full wire encoding of the PDU.
-func (p *PDU) Bytes() []byte {
-	buf := make([]byte, p.WireLen())
-	copy(buf, p.BHS[:])
-	copy(buf[BHSLen:], p.Data)
-	return buf
-}
-
 // ReadPDU reads one PDU from the stream. The data segment is staged in a
 // pooled buffer: callers on the hot path should call Release once the PDU is
 // fully consumed; callers that skip Release only cost the pool a miss.
@@ -310,25 +296,6 @@ func ReadPDU(r io.Reader) (*PDU, error) {
 		p.dataBuf = buf
 	}
 	return &p, nil
-}
-
-// DecodePDU parses a PDU from a contiguous buffer, returning the PDU and the
-// number of bytes consumed.
-func DecodePDU(b []byte) (*PDU, int, error) {
-	if len(b) < BHSLen {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	var p PDU
-	copy(p.BHS[:], b[:BHSLen])
-	n := p.DataSegmentLength()
-	total := BHSLen + pad4(n)
-	if len(b) < total {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	if n > 0 {
-		p.Data = append([]byte(nil), b[BHSLen:BHSLen+n]...)
-	}
-	return &p, total, nil
 }
 
 func pad4(n int) int { return (n + 3) &^ 3 }

@@ -65,7 +65,7 @@ func BenchmarkEncodeWrite4K(b *testing.B) {
 			ExpectedDataTransferLength: 4096,
 			Data:                       data,
 		}
-		if cmd.Encode() == nil {
+		if cmd.EncodeInto(&PDU{}) == nil {
 			b.Fatal("nil PDU")
 		}
 	}
@@ -95,7 +95,7 @@ func BenchmarkEncodeIntoWrite4K(b *testing.B) {
 // the pooled segment each op (steady-state read loop).
 func BenchmarkReadPDU64K(b *testing.B) {
 	din := &DataIn{Final: true, ITT: 7, Data: make([]byte, 64*1024)}
-	wire := din.Encode().Bytes()
+	wire := wireOf(din.EncodeInto(&PDU{}))
 	r := bytes.NewReader(wire)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -2,6 +2,8 @@ package iscsi
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -20,7 +22,7 @@ func TestPDUWireRoundTrip(t *testing.T) {
 		Data:                       bytes.Repeat([]byte{0xAB}, 101), // non-multiple of 4 to exercise padding
 	}
 	var buf bytes.Buffer
-	p := cmd.Encode()
+	p := cmd.EncodeInto(&PDU{})
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
@@ -50,9 +52,9 @@ func TestReadPDUStream(t *testing.T) {
 	// Several PDUs back to back must parse cleanly from a stream.
 	var buf bytes.Buffer
 	pdus := []*PDU{
-		(&NopOut{ITT: 1, CmdSN: 1}).Encode(),
-		(&SCSICommand{ITT: 2, Read: true, Final: true}).Encode(),
-		(&DataIn{ITT: 2, Final: true, Data: []byte("payload!")}).Encode(),
+		(&NopOut{ITT: 1, CmdSN: 1}).EncodeInto(&PDU{}),
+		(&SCSICommand{ITT: 2, Read: true, Final: true}).EncodeInto(&PDU{}),
+		(&DataIn{ITT: 2, Final: true, Data: []byte("payload!")}).EncodeInto(&PDU{}),
 	}
 	for _, p := range pdus {
 		if _, err := p.WriteTo(&buf); err != nil {
@@ -74,7 +76,7 @@ func TestReadPDUStream(t *testing.T) {
 }
 
 func TestReadPDUTruncated(t *testing.T) {
-	full := (&DataIn{ITT: 9, Data: []byte("0123456789")}).Encode().Bytes()
+	full := wireOf((&DataIn{ITT: 9, Data: []byte("0123456789")}).EncodeInto(&PDU{}))
 	for _, cut := range []int{1, BHSLen - 1, BHSLen + 1, len(full) - 1} {
 		if _, err := ReadPDU(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("ReadPDU(truncated at %d): want error", cut)
@@ -83,41 +85,53 @@ func TestReadPDUTruncated(t *testing.T) {
 }
 
 func TestReadPDURejectsAHS(t *testing.T) {
-	p := (&NopOut{ITT: 1}).Encode()
-	raw := p.Bytes()
+	p := (&NopOut{ITT: 1}).EncodeInto(&PDU{})
+	raw := wireOf(p)
 	raw[4] = 2 // TotalAHSLength
 	if _, err := ReadPDU(bytes.NewReader(raw)); err == nil {
 		t.Error("ReadPDU with AHS: want error")
 	}
 }
 
+// TestDecodePDU decodes one PDU from a buffer with the reader; a buffer
+// that ends inside the BHS or inside the data segment yields
+// io.ErrUnexpectedEOF, never a PDU.
 func TestDecodePDU(t *testing.T) {
-	p := (&DataOut{ITT: 5, Data: []byte("abc")}).Encode()
-	raw := p.Bytes()
-	got, n, err := DecodePDU(raw)
+	raw := wireOf((&DataOut{ITT: 5, Data: []byte("abc")}).EncodeInto(&PDU{}))
+	pr := NewPDUReader(bytes.NewReader(raw))
+	got, err := pr.ReadPDU()
 	if err != nil {
-		t.Fatalf("DecodePDU: %v", err)
+		t.Fatalf("ReadPDU: %v", err)
 	}
-	if n != len(raw) {
-		t.Errorf("consumed %d bytes, want %d", n, len(raw))
+	if got.Op() != OpSCSIDataOut || string(got.Data) != "abc" || got.ITT() != 5 {
+		t.Errorf("decoded op=%v itt=%d data=%q", got.Op(), got.ITT(), got.Data)
 	}
-	if got.Op() != OpSCSIDataOut || !bytes.Equal(got.Data, []byte("abc")) {
-		t.Errorf("DecodePDU mismatch: op=%v data=%q", got.Op(), got.Data)
+	if _, err := pr.ReadPDU(); err != io.EOF {
+		t.Errorf("ReadPDU after the last PDU: err = %v, want EOF", err)
 	}
-	if _, _, err := DecodePDU(raw[:10]); err != io.ErrUnexpectedEOF {
-		t.Errorf("DecodePDU(short) err = %v, want ErrUnexpectedEOF", err)
+	pr.Close()
+	for _, cut := range []int{10, BHSLen + 2} {
+		pr := NewPDUReader(bytes.NewReader(raw[:cut]))
+		if p, err := pr.ReadPDU(); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("ReadPDU(%d of %d bytes) = %v, %v; want io.ErrUnexpectedEOF", cut, len(raw), p, err)
+		}
+		pr.Close()
 	}
 }
 
+// TestDecodePDUCopiesData: a decoded PDU's data segment does not alias the
+// bytes it was read from.
 func TestDecodePDUCopiesData(t *testing.T) {
-	raw := (&DataOut{ITT: 5, Data: []byte("abc")}).Encode().Bytes()
-	got, _, err := DecodePDU(raw)
+	raw := wireOf((&DataOut{ITT: 5, Data: []byte("abc")}).EncodeInto(&PDU{}))
+	pr := NewPDUReader(bytes.NewReader(raw))
+	defer pr.Close()
+	got, err := pr.ReadPDU()
 	if err != nil {
-		t.Fatalf("DecodePDU: %v", err)
+		t.Fatalf("ReadPDU: %v", err)
 	}
 	raw[BHSLen] = 'X'
 	if got.Data[0] == 'X' {
-		t.Error("DecodePDU aliases the input buffer")
+		t.Error("decoded PDU aliases the input buffer")
 	}
 }
 
@@ -162,9 +176,6 @@ func TestOpcodeStrings(t *testing.T) {
 	if got := Opcode(0x11).String(); got != "Opcode(0x11)" {
 		t.Errorf("unknown opcode String() = %q", got)
 	}
-	if OpNopOut.FromTarget() || !OpSCSIResponse.FromTarget() {
-		t.Error("FromTarget classification wrong")
-	}
 }
 
 func TestSCSIResponseRoundTrip(t *testing.T) {
@@ -179,19 +190,19 @@ func TestSCSIResponseRoundTrip(t *testing.T) {
 		Underflow:     true,
 		Sense:         []byte{0x70, 0, 5, 0, 0, 0, 0, 10, 0, 0, 0, 0, 0x24, 0},
 	}
-	got, err := ParseSCSIResponse(roundTrip(t, give.Encode()))
-	if err != nil {
-		t.Fatalf("ParseSCSIResponse: %v", err)
+	var got SCSIResponse
+	if err := ParseSCSIResponseInto(&got, roundTrip(t, give.EncodeInto(&PDU{}))); err != nil {
+		t.Fatalf("ParseSCSIResponseInto: %v", err)
 	}
-	if !reflect.DeepEqual(got, give) {
+	if !reflect.DeepEqual(&got, give) {
 		t.Errorf("round trip:\n got  %+v\n want %+v", got, give)
 	}
 }
 
 func TestSCSIResponseBadSenseLength(t *testing.T) {
-	p := (&SCSIResponse{ITT: 1}).Encode()
+	p := (&SCSIResponse{ITT: 1}).EncodeInto(&PDU{})
 	p.setDataSegment([]byte{0xFF, 0xFF, 0x00}) // claims 65535 sense bytes
-	if _, err := ParseSCSIResponse(p); err == nil {
+	if err := ParseSCSIResponseInto(&SCSIResponse{}, p); err == nil {
 		t.Error("want error for sense length exceeding data segment")
 	}
 }
@@ -211,11 +222,11 @@ func TestDataInRoundTrip(t *testing.T) {
 		BufferOffset:  8192,
 		Data:          []byte("block data"),
 	}
-	got, err := ParseDataIn(roundTrip(t, give.Encode()))
-	if err != nil {
-		t.Fatalf("ParseDataIn: %v", err)
+	var got DataIn
+	if err := ParseDataInInto(&got, roundTrip(t, give.EncodeInto(&PDU{}))); err != nil {
+		t.Fatalf("ParseDataInInto: %v", err)
 	}
-	if !reflect.DeepEqual(got, give) {
+	if !reflect.DeepEqual(&got, give) {
 		t.Errorf("round trip:\n got  %+v\n want %+v", got, give)
 	}
 }
@@ -231,7 +242,7 @@ func TestDataOutRoundTrip(t *testing.T) {
 		BufferOffset: 65536,
 		Data:         bytes.Repeat([]byte{7}, 4096),
 	}
-	got, err := ParseDataOut(roundTrip(t, give.Encode()))
+	got, err := ParseDataOut(roundTrip(t, give.EncodeInto(&PDU{})))
 	if err != nil {
 		t.Fatalf("ParseDataOut: %v", err)
 	}
@@ -252,18 +263,18 @@ func TestR2TRoundTrip(t *testing.T) {
 		BufferOffset:  128 * 1024,
 		DesiredLength: 64 * 1024,
 	}
-	got, err := ParseR2T(roundTrip(t, give.Encode()))
-	if err != nil {
-		t.Fatalf("ParseR2T: %v", err)
+	var got R2T
+	if err := ParseR2TInto(&got, roundTrip(t, give.EncodeInto(&PDU{}))); err != nil {
+		t.Fatalf("ParseR2TInto: %v", err)
 	}
-	if *got != *give {
+	if got != *give {
 		t.Errorf("round trip: got %+v, want %+v", got, give)
 	}
 }
 
 func TestNopRoundTrips(t *testing.T) {
 	out := &NopOut{ITT: 1, TTT: 0xFFFFFFFF, CmdSN: 2, ExpStatSN: 3, Data: []byte("ping")}
-	gotOut, err := ParseNopOut(roundTrip(t, out.Encode()))
+	gotOut, err := ParseNopOut(roundTrip(t, out.EncodeInto(&PDU{})))
 	if err != nil {
 		t.Fatalf("ParseNopOut: %v", err)
 	}
@@ -271,7 +282,7 @@ func TestNopRoundTrips(t *testing.T) {
 		t.Errorf("NopOut round trip: got %+v, want %+v", gotOut, out)
 	}
 	in := &NopIn{ITT: 1, TTT: 5, StatSN: 2, ExpCmdSN: 3, MaxCmdSN: 60, Data: []byte("pong")}
-	gotIn, err := ParseNopIn(roundTrip(t, in.Encode()))
+	gotIn, err := ParseNopIn(roundTrip(t, in.EncodeInto(&PDU{})))
 	if err != nil {
 		t.Fatalf("ParseNopIn: %v", err)
 	}
@@ -289,13 +300,11 @@ func TestLogoutRoundTrips(t *testing.T) {
 	if *gotReq != *req {
 		t.Errorf("LogoutRequest round trip: got %+v, want %+v", gotReq, req)
 	}
-	resp := &LogoutResponse{Response: 0, ITT: 2, StatSN: 6, ExpCmdSN: 5, MaxCmdSN: 69}
-	gotResp, err := ParseLogoutResponse(roundTrip(t, resp.Encode()))
-	if err != nil {
-		t.Fatalf("ParseLogoutResponse: %v", err)
-	}
-	if *gotResp != *resp {
-		t.Errorf("LogoutResponse round trip: got %+v, want %+v", gotResp, resp)
+	resp := &LogoutResponse{Response: 1, ITT: 2, StatSN: 6, ExpCmdSN: 5, MaxCmdSN: 69}
+	p := roundTrip(t, resp.Encode())
+	if p.Op() != OpLogoutResp || p.BHS[2] != 1 || p.ITT() != 2 || binary.BigEndian.Uint32(p.BHS[24:28]) != 6 ||
+		binary.BigEndian.Uint32(p.BHS[28:32]) != 5 || binary.BigEndian.Uint32(p.BHS[32:36]) != 69 {
+		t.Errorf("LogoutResponse encoding: BHS %x", p.BHS)
 	}
 }
 
@@ -313,15 +322,15 @@ func TestRejectRoundTrip(t *testing.T) {
 }
 
 func TestParseWrongOpcode(t *testing.T) {
-	nop := (&NopOut{}).Encode()
+	nop := (&NopOut{}).EncodeInto(&PDU{})
 	if _, err := ParseSCSICommand(nop); err == nil {
 		t.Error("ParseSCSICommand(NopOut): want error")
 	}
-	if _, err := ParseDataIn(nop); err == nil {
-		t.Error("ParseDataIn(NopOut): want error")
+	if err := ParseDataInInto(&DataIn{}, nop); err == nil {
+		t.Error("ParseDataInInto(NopOut): want error")
 	}
-	if _, err := ParseR2T(nop); err == nil {
-		t.Error("ParseR2T(NopOut): want error")
+	if err := ParseR2TInto(&R2T{}, nop); err == nil {
+		t.Error("ParseR2TInto(NopOut): want error")
 	}
 	if _, err := ParseLoginRequest(nop); err == nil {
 		t.Error("ParseLoginRequest(NopOut): want error")
@@ -336,15 +345,15 @@ func TestPDUDataSegmentProperty(t *testing.T) {
 		}
 		d := &DataIn{ITT: itt, Data: data}
 		var buf bytes.Buffer
-		if _, err := d.Encode().WriteTo(&buf); err != nil {
+		if _, err := d.EncodeInto(&PDU{}).WriteTo(&buf); err != nil {
 			return false
 		}
 		p, err := ReadPDU(&buf)
 		if err != nil {
 			return false
 		}
-		got, err := ParseDataIn(p)
-		if err != nil {
+		var got DataIn
+		if err := ParseDataInInto(&got, p); err != nil {
 			return false
 		}
 		return got.ITT == itt && bytes.Equal(got.Data, data)

@@ -28,7 +28,7 @@ func TestPDUReaderOwnsItsPDU(t *testing.T) {
 	cmd := &SCSICommand{Final: true, Write: true, ITT: 7, CmdSN: 3, ExpectedDataTransferLength: 4096 + 3*8192, Data: imm}
 	cmd.CDB[0] = 0x2A
 	var wire bytes.Buffer
-	if _, err := cmd.Encode().WriteTo(&wire); err != nil {
+	if _, err := cmd.EncodeInto(&PDU{}).WriteTo(&wire); err != nil {
 		t.Fatal(err)
 	}
 	var train [][]byte
@@ -36,7 +36,7 @@ func TestPDUReaderOwnsItsPDU(t *testing.T) {
 		seg := pattern(8192, byte(50+i))
 		train = append(train, seg)
 		dout := &DataOut{Final: i == 2, ITT: 7, TTT: 7, DataSN: uint32(i), BufferOffset: uint32(4096 + i*8192), Data: seg}
-		if _, err := dout.Encode().WriteTo(&wire); err != nil {
+		if _, err := dout.EncodeInto(&PDU{}).WriteTo(&wire); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestPDUReaderOwnsItsPDU(t *testing.T) {
 func TestParseSCSICommandIntoMatchesParse(t *testing.T) {
 	cmd := &SCSICommand{Immediate: true, Final: true, Read: true, LUN: 3, ITT: 9, ExpectedDataTransferLength: 512, CmdSN: 4, ExpStatSN: 5}
 	cmd.CDB[0], cmd.CDB[15] = 0x28, 0xEE
-	p := cmd.Encode()
+	p := cmd.EncodeInto(&PDU{})
 	want, err := ParseSCSICommand(p)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestParseSCSICommandIntoMatchesParse(t *testing.T) {
 		got.CmdSN != want.CmdSN || got.ExpStatSN != want.ExpStatSN || got.ExpectedDataTransferLength != want.ExpectedDataTransferLength {
 		t.Errorf("ParseSCSICommandInto = %+v, ParseSCSICommand = %+v", got, *want)
 	}
-	if err := ParseSCSICommandInto(&got, (&NopOut{}).Encode()); err == nil {
+	if err := ParseSCSICommandInto(&got, (&NopOut{}).EncodeInto(&PDU{})); err == nil {
 		t.Error("a NOP-Out parsed as a SCSI command")
 	}
 }
@@ -178,15 +178,15 @@ func (s *frameStream) Read(b []byte) (int, error) {
 }
 
 func dataOut(itt uint32, n int, seed byte) *PDU {
-	return (&DataOut{ITT: itt, TTT: itt, Final: true, Data: pattern(n, seed)}).Encode()
+	return (&DataOut{ITT: itt, TTT: itt, Final: true, Data: pattern(n, seed)}).EncodeInto(&PDU{})
 }
 
 func wireOf(pdus ...*PDU) []byte {
-	var b []byte
+	var b bytes.Buffer
 	for _, p := range pdus {
-		b = append(b, p.Bytes()...)
+		p.WriteTo(&b)
 	}
-	return b
+	return b.Bytes()
 }
 
 // readAll decodes every PDU from pr, checking each against want byte for
@@ -216,9 +216,9 @@ func readAll(t *testing.T, pr *PDUReader, want []*PDU, after func(i int, p *PDU)
 // window) decodes byte for byte. Buffered stays non-zero while a frame is
 // queued behind the PDU just read.
 func TestPDUReaderTakesFrames(t *testing.T) {
-	cmd := (&SCSICommand{Final: true, Write: true, ITT: 1, ExpectedDataTransferLength: 4096, Data: pattern(4096, 1)}).Encode()
+	cmd := (&SCSICommand{Final: true, Write: true, ITT: 1, ExpectedDataTransferLength: 4096, Data: pattern(4096, 1)}).EncodeInto(&PDU{})
 	burst := []*PDU{dataOut(2, 8192, 2), dataOut(2, 8192, 3), dataOut(2, 1001, 4)}
-	nop := (&NopOut{ITT: 3, TTT: 0xFFFFFFFF}).Encode()
+	nop := (&NopOut{ITT: 3, TTT: 0xFFFFFFFF}).EncodeInto(&PDU{})
 	big := []*PDU{dataOut(4, 40000, 5), dataOut(4, 40000, 6)} // > readerBufSize together
 	last := dataOut(5, 999, 7)
 	want := append(append(append(append([]*PDU{cmd}, burst...), nop), big...), last)
@@ -260,7 +260,7 @@ func TestPDUReaderTakesFrames(t *testing.T) {
 // the next frame, which is then partly read and must not be taken, decode
 // byte for byte, and taking resumes on the next whole frame.
 func TestPDUReaderFramesAcrossBoundaries(t *testing.T) {
-	a, b, c, d := dataOut(1, 5000, 1), (&NopOut{ITT: 2, TTT: 0xFFFFFFFF}).Encode(), dataOut(3, 3000, 2), dataOut(4, 512, 3)
+	a, b, c, d := dataOut(1, 5000, 1), (&NopOut{ITT: 2, TTT: 0xFFFFFFFF}).EncodeInto(&PDU{}), dataOut(3, 3000, 2), dataOut(4, 512, 3)
 	e := dataOut(5, 2048, 4)
 	stream := wireOf(a, b, c, d)
 	cut1 := a.WireLen() + 20                // mid-header of b

@@ -163,7 +163,7 @@ func TestRelayKeepsDirtySessionJournal(t *testing.T) {
 	testutil.WaitFor(t, 10*time.Second, "the session to close", func() bool { return relay.ActiveSessions() == 0 })
 
 	js := relay.AllJournals()
-	if len(js) != 1 || len(js[0].Failures()) == 0 {
+	if len(js) != 1 || failures(js[0]) == 0 {
 		t.Fatalf("after a dirty logout the relay lists %d journal(s), want 1 holding the failure", len(js))
 	}
 	relay.Kill()
@@ -317,7 +317,7 @@ func TestChaosBackendCutReplaysJournal(t *testing.T) {
 			if j.Pending() != 0 {
 				t.Errorf("Journal.Pending() = %d after recovered run, want 0", j.Pending())
 			}
-			if len(j.Failures()) == 0 {
+			if failures(j) == 0 {
 				t.Error("backend cuts recorded no journal failures (fault never bit the data path?)")
 			}
 		})

@@ -61,49 +61,6 @@ type Entry struct {
 	dbuf *bufpool.Buf
 }
 
-// maxFailures bounds the per-journal failure list: under a long backend
-// outage every parked write eventually fails and an unbounded slice grows
-// without limit. We keep the oldest half (how the outage began) and a ring
-// of the newest half (where it stands now) and count the middle.
-const maxFailures = 32
-
-// failureRing is the journal's capped first/last-N failure window. Not safe
-// for concurrent use; the journal's mutex guards it.
-type failureRing struct {
-	first   []error // the first maxFailures/2 ever recorded
-	last    []error // ring of the most recent maxFailures/2
-	lastPos int
-	dropped int
-
-	droppedCounter *obs.Counter
-}
-
-func (r *failureRing) add(err error) {
-	if len(r.first) < maxFailures/2 {
-		r.first = append(r.first, err)
-		return
-	}
-	if len(r.last) < maxFailures/2 {
-		r.last = append(r.last, err)
-		return
-	}
-	// Overwrite the oldest of the recent ring; one failure leaves the window.
-	r.last[r.lastPos] = err
-	r.lastPos = (r.lastPos + 1) % len(r.last)
-	r.dropped++
-	r.droppedCounter.Inc()
-}
-
-func (r *failureRing) snapshot() []error {
-	out := make([]error, 0, len(r.first)+len(r.last))
-	out = append(out, r.first...)
-	out = append(out, r.last[r.lastPos:]...)
-	out = append(out, r.last[:r.lastPos]...)
-	return out
-}
-
-func (r *failureRing) count() int { return len(r.first) + len(r.last) }
-
 // Journal is the middle-box's non-volatile write buffer: a copy of every
 // early-acknowledged write is kept until the next hop acknowledges it
 // (Section III-B's consistency mechanism for the split connections). It is
@@ -124,7 +81,7 @@ type Journal struct {
 	pending  int
 	nextSeq  uint64 // sequence source when log is nil
 	entries  map[uint64]*Entry
-	failures failureRing
+	failed   int // applies that failed after early acknowledgement
 	closed   bool
 
 	usedGauge *obs.Gauge
@@ -136,7 +93,6 @@ func NewJournal(capacity int) *Journal {
 	return &Journal{
 		capacity:  capacity,
 		entries:   make(map[uint64]*Entry),
-		failures:  failureRing{droppedCounter: obs.Default().Counter("journal.failures_dropped")},
 		usedGauge: obs.Default().Gauge("journal.used_bytes"),
 	}
 }
@@ -250,7 +206,7 @@ func (j *Journal) Complete(seq uint64, applyErr error) {
 	}
 	if applyErr != nil {
 		e.State = StateFailed
-		j.failures.add(fmt.Errorf("middlebox: journal seq %d (lba %d): %w", seq, e.LBA, applyErr))
+		j.failed++
 		return
 	}
 	j.used -= len(e.Data)
@@ -297,29 +253,12 @@ func (j *Journal) UsedBytes() int {
 	return j.used
 }
 
-// Failures returns backend apply errors recorded after early
-// acknowledgement — the data-loss surface existing fault-tolerance
-// machinery must cover (Section III-B). The window is capped at maxFailures
-// (oldest and newest halves); FailuresDropped counts what fell out.
-func (j *Journal) Failures() []error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failures.snapshot()
-}
-
-// FailuresDropped reports how many failures the capped window discarded.
-func (j *Journal) FailuresDropped() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.failures.dropped
-}
-
 // clean reports whether every acknowledged write reached the backend: nothing
 // unapplied and no failure ever recorded.
 func (j *Journal) clean() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries) == 0 && j.failures.count() == 0
+	return len(j.entries) == 0 && j.failed == 0
 }
 
 // shut marks the journal closed, reporting whether this call did so. From

@@ -192,8 +192,8 @@ func TestMCSForwardCutRedistributes(t *testing.T) {
 	// A 1-of-N cut is handled inside the MC/S session: surviving connections
 	// pick up the dead connection's commands and the backend WriteAt never
 	// surfaces an error, so the journal must record no failures.
-	if f := j.Failures(); len(f) != 0 {
-		t.Errorf("journal recorded %d failures %v, want 0 (cut should be absorbed by MC/S redistribution)", len(f), f)
+	if n := failures(j); n != 0 {
+		t.Errorf("journal recorded %d failures, want 0 (cut should be absorbed by MC/S redistribution)", n)
 	}
 }
 

@@ -265,9 +265,6 @@ func (r *Relay) Close() { r.srv.Close() }
 // instance so a scale-down can tear it down with zero data loss.
 func (r *Relay) Drain() { r.draining.Store(true) }
 
-// CancelDrain returns a draining relay to normal service.
-func (r *Relay) CancelDrain() { r.draining.Store(false) }
-
 // Draining reports whether the relay refuses new sessions.
 func (r *Relay) Draining() bool { return r.draining.Load() }
 
@@ -325,8 +322,8 @@ func (r *Relay) DrainStatus() DrainStatus {
 
 // AllJournals returns the journal of every live active-mode session, and of
 // every closed one that ended with unapplied bytes or recorded failures, in
-// creation order — so post-run fault audits (Journal.Failures) see every
-// loss surface. A session's journal is listed once its login completes.
+// creation order — so post-run fault audits (Journal.Pending, UsedBytes)
+// see every loss surface. A session's journal is listed once its login completes.
 func (r *Relay) AllJournals() []*Journal {
 	r.regMu.Lock()
 	defer r.regMu.Unlock()
@@ -486,8 +483,8 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 
 // retire drops a closed session's write-back device from the registry if its
 // journal ended clean: nothing unapplied and no recorded failures. One that
-// still holds early-acked data or failure records stays, so post-run audits
-// (AllJournals → Failures) see every loss surface; without retirement the
+// still holds early-acked data or failed entries stays, so post-run audits
+// (AllJournals) see every loss surface; without retirement the
 // registry grows without bound across session churn.
 func (r *Relay) retire(wb *WriteBackDevice) {
 	if !wb.Journal().clean() {

@@ -149,7 +149,7 @@ func (d *delayDisk) WriteAt(p []byte, lba uint64) error {
 
 // TestTracePropagationTwoMiddleBoxChain exercises the tracing plane end
 // to end: with tracing enabled and every inter-station connection backed
-// by a TracedPipe carrier, each command's spans — initiator root, both
+// by a tracedPipe carrier, each command's spans — initiator root, both
 // relays' service and forward legs, target — must collect under one
 // stable trace ID with parent links forming a causal chain, and the
 // tail-based retention must keep an injected slow read as the top
@@ -173,7 +173,7 @@ func TestTracePropagationTwoMiddleBoxChain(t *testing.T) {
 		Name: "mb2",
 		Mode: Active,
 		Dial: func(netsim.Addr) (net.Conn, error) {
-			c, s := obs.TracedPipe()
+			c, s := tracedPipe()
 			go tsrv.Serve(newOneShotListener(s))
 			return c, nil
 		},
@@ -188,7 +188,7 @@ func TestTracePropagationTwoMiddleBoxChain(t *testing.T) {
 		Name: "mb1",
 		Mode: Passive,
 		Dial: func(netsim.Addr) (net.Conn, error) {
-			c, s := obs.TracedPipe()
+			c, s := tracedPipe()
 			go relay2.Serve(newOneShotListener(s))
 			return c, nil
 		},
@@ -200,7 +200,7 @@ func TestTracePropagationTwoMiddleBoxChain(t *testing.T) {
 		t.Fatalf("NewRelay mb1: %v", err)
 	}
 
-	front, back := obs.TracedPipe()
+	front, back := tracedPipe()
 	go relay1.Serve(newOneShotListener(back))
 	t.Cleanup(func() {
 		relay1.Close()
@@ -320,4 +320,19 @@ func TestTracePropagationTwoMiddleBoxChain(t *testing.T) {
 			t.Errorf("target span ancestry ends at %d (%s), want root %d", cur.ID, cur.Stage, rootID)
 		}
 	}
+}
+
+// tracedConn overlays a shared trace table on an in-memory pipe end.
+type tracedConn struct {
+	net.Conn
+	tbl *obs.TraceTable
+}
+
+func (c tracedConn) TraceTable() *obs.TraceTable { return c.tbl }
+
+// tracedPipe is net.Pipe plus a shared trace carrier (obs.TraceCarrier).
+func tracedPipe() (net.Conn, net.Conn) {
+	c1, c2 := net.Pipe()
+	tbl := obs.NewTraceTable()
+	return tracedConn{c1, tbl}, tracedConn{c2, tbl}
 }

@@ -92,7 +92,6 @@ type WriteBackDevice struct {
 	free     []*wbItem // completed items kept for reuse (see recycle)
 	items    int       // pending applies (admitted, not yet completed)
 	inflight int       // dispatched applies not yet completed
-	pending  int       // journaled writes not yet applied (≥ items with coalescing)
 	closed   bool
 	degraded bool  // backend lost; appliers parked, recovery running
 	applyErr error // legacy: sticky first failure; recovery: terminal error
@@ -324,7 +323,6 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 		t.seqs = append(t.seqs, seq)
 		w.cov.paint(lba, end, t)
 		t.end = end
-		w.pending++
 		w.mu.Unlock()
 		return nil
 	}
@@ -348,7 +346,6 @@ func (w *WriteBackDevice) WriteAt(p []byte, lba uint64) error {
 		o.dependents = append(o.dependents, item)
 	}
 	w.items++
-	w.pending++
 	w.tail = item
 	if item.ndeps == 0 {
 		w.pushReady(item)
@@ -435,22 +432,6 @@ func (w *WriteBackDevice) Kill() {
 	_ = dev.Close()
 }
 
-// Pending returns the number of journaled-but-unapplied writes. Coalesced
-// writes count individually until their merged apply lands.
-func (w *WriteBackDevice) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.pending
-}
-
-// Degraded reports whether the device is currently riding out a backend
-// outage on the journal.
-func (w *WriteBackDevice) Degraded() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.degraded
-}
-
 // drain blocks until every pending write has been applied and any backend
 // recovery has settled (swapped in a new device or turned terminal) — all
 // dispatched items can complete as failed while the reopen is still in
@@ -503,7 +484,6 @@ func (w *WriteBackDevice) applyLoop() {
 		w.cov.clearOwned(item)
 		w.items--
 		w.inflight--
-		w.pending -= len(item.seqs)
 		for _, d := range item.dependents {
 			d.ndeps--
 			if d.ndeps == 0 {
@@ -630,7 +610,6 @@ func (w *WriteBackDevice) failParked(err error) {
 		}
 		w.cov.clearOwned(it)
 		w.items--
-		w.pending -= len(it.seqs)
 		w.recycle(it)
 	}
 	clear(w.ready)

@@ -87,7 +87,7 @@ func BenchmarkWritebackCoalesce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	slow := blockdev.NewLatencyDisk(disk, blockdev.ServiceModel{PerRequest: 20 * time.Microsecond})
+	slow := blockdev.NewLatencyDiskQueued(disk, blockdev.ServiceModel{PerRequest: 20 * time.Microsecond}, blockdev.ServiceModel{PerRequest: 20 * time.Microsecond}, 0)
 	counting := blockdev.NewCountingDisk(slow)
 	wb := NewWriteBack(counting, NewJournal(0))
 	defer wb.Close()

@@ -79,7 +79,7 @@ func (b *flakyBackend) applied() []appliedWrite {
 // waitDegraded waits until the device enters (or leaves) degraded mode.
 func waitDegraded(t *testing.T, wb *WriteBackDevice, want bool) {
 	t.Helper()
-	testutil.WaitFor(t, 5*time.Second, fmt.Sprintf("degraded=%v", want), func() bool { return wb.Degraded() == want })
+	testutil.WaitFor(t, 5*time.Second, fmt.Sprintf("degraded=%v", want), func() bool { return degraded(wb) == want })
 }
 
 // TestWriteBackRecoversAndReplaysJournal kills the backend mid-workload via
@@ -131,7 +131,7 @@ func TestWriteBackRecoversAndReplaysJournal(t *testing.T) {
 	if got := reopens.Load(); got != 3 {
 		t.Errorf("reopen attempts = %d, want 3 (two failures then success)", got)
 	}
-	if len(j.Failures()) == 0 {
+	if failures(j) == 0 {
 		t.Error("backend outage recorded no journal failures")
 	}
 	if used := j.UsedBytes(); used != 0 {
@@ -140,7 +140,7 @@ func TestWriteBackRecoversAndReplaysJournal(t *testing.T) {
 	if p := j.Pending(); p != 0 {
 		t.Errorf("Journal.Pending() = %d after recovery, want 0", p)
 	}
-	if wb.Degraded() {
+	if degraded(wb) {
 		t.Error("device still degraded after recovery")
 	}
 	if err := wb.Close(); err != nil {
@@ -237,7 +237,7 @@ func TestWriteBackRecoveryExhaustionFailsTerminally(t *testing.T) {
 	if err := wb.Flush(); err == nil || !strings.Contains(err.Error(), "recovery failed") {
 		t.Fatalf("Flush err = %v, want terminal recovery error", err)
 	}
-	if len(j.Failures()) == 0 {
+	if failures(j) == 0 {
 		t.Error("stranded writes recorded no journal failures")
 	}
 	done := make(chan error, 1)
@@ -262,7 +262,7 @@ func TestJournalRecompleteReclaimsFailedBytes(t *testing.T) {
 	if used := j.UsedBytes(); used != 512 {
 		t.Fatalf("UsedBytes after failure = %d, want 512 (kept for replay)", used)
 	}
-	if got := len(j.Failures()); got != 1 {
+	if got := failures(j); got != 1 {
 		t.Fatalf("Failures = %d, want 1", got)
 	}
 	un := j.Unapplied()

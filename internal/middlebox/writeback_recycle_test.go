@@ -29,9 +29,9 @@ func checkRecycled(t *testing.T, wb *WriteBackDevice) {
 	t.Helper()
 	wb.mu.Lock()
 	defer wb.mu.Unlock()
-	if wb.items != 0 || wb.pending != 0 || len(wb.cov.r) != 0 || len(wb.ready) != wb.readyAt || wb.tail != nil {
-		t.Fatalf("idle device still holds items: items %d pending %d cov %d ready %d tail %v",
-			wb.items, wb.pending, len(wb.cov.r), len(wb.ready)-wb.readyAt, wb.tail != nil)
+	if wb.items != 0 || len(wb.cov.r) != 0 || len(wb.ready) != wb.readyAt || wb.tail != nil {
+		t.Fatalf("idle device still holds items: items %d cov %d ready %d tail %v",
+			wb.items, len(wb.cov.r), len(wb.ready)-wb.readyAt, wb.tail != nil)
 	}
 	seen := make(map[*wbItem]bool, len(wb.free))
 	for _, it := range wb.free {

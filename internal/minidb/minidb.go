@@ -43,9 +43,6 @@ type DB struct {
 
 	// pageLocks stripe write access.
 	pageLocks []sync.Mutex
-
-	mu     sync.Mutex
-	nextID uint64
 }
 
 // Open creates a database view over the device. pageSize must be a
@@ -69,13 +66,9 @@ func Open(dev blockdev.Device, pageSize int) (*DB, error) {
 		rowsPerPage: rowsPerPage,
 		capacity:    (totalPages - 1) * uint64(rowsPerPage), // page 0 reserved
 		pageLocks:   make([]sync.Mutex, 64),
-		nextID:      1,
 	}
 	return db, nil
 }
-
-// Capacity returns the maximum number of rows.
-func (db *DB) Capacity() uint64 { return db.capacity }
 
 // rowLocation maps an id to (device lba, offset in page, lock stripe).
 func (db *DB) rowLocation(id uint64) (lba uint64, off int, stripe int, err error) {
@@ -125,35 +118,11 @@ func decodeRow(src []byte, wantID uint64) ([]byte, error) {
 	return payload, nil
 }
 
-// Insert stores a new row and returns its id.
-func (db *DB) Insert(payload []byte) (uint64, error) {
-	if len(payload) > MaxPayload {
-		return 0, ErrTooLarge
-	}
-	db.mu.Lock()
-	if db.nextID > db.capacity {
-		db.mu.Unlock()
-		return 0, errors.New("minidb: table full")
-	}
-	id := db.nextID
-	db.nextID++
-	db.mu.Unlock()
-	if err := db.writeRow(id, payload); err != nil {
-		return 0, err
-	}
-	return id, nil
-}
-
-// Put writes a row at an explicit id (used to preload test fixtures).
+// Put writes (or overwrites) the row with the given id.
 func (db *DB) Put(id uint64, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return ErrTooLarge
 	}
-	db.mu.Lock()
-	if id >= db.nextID {
-		db.nextID = id + 1
-	}
-	db.mu.Unlock()
 	return db.writeRow(id, payload)
 }
 
@@ -184,17 +153,6 @@ func (db *DB) Get(id uint64) ([]byte, error) {
 		return nil, err
 	}
 	return decodeRow(page[off:off+RowSize], id)
-}
-
-// Update rewrites an existing row.
-func (db *DB) Update(id uint64, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return ErrTooLarge
-	}
-	if _, err := db.Get(id); err != nil {
-		return err
-	}
-	return db.writeRow(id, payload)
 }
 
 // Delete clears a row.
@@ -228,13 +186,3 @@ func (db *DB) RangeScan(id uint64, n int) ([][]byte, error) {
 	}
 	return out, nil
 }
-
-// MaxID returns the highest id handed out so far.
-func (db *DB) MaxID() uint64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.nextID - 1
-}
-
-// Flush syncs the device.
-func (db *DB) Flush() error { return db.dev.Flush() }

@@ -40,14 +40,10 @@ func TestOpenValidation(t *testing.T) {
 func TestInsertGetRoundTrip(t *testing.T) {
 	db := newDB(t)
 	want := []byte("hello row")
-	id, err := db.Insert(want)
-	if err != nil {
-		t.Fatalf("Insert: %v", err)
+	if err := db.Put(1, want); err != nil {
+		t.Fatalf("Put: %v", err)
 	}
-	if id != 1 {
-		t.Errorf("first id = %d, want 1", id)
-	}
-	got, err := db.Get(id)
+	got, err := db.Get(1)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -64,37 +60,17 @@ func TestGetMissing(t *testing.T) {
 	if _, err := db.Get(0); !errors.Is(err, ErrRowNotFound) {
 		t.Errorf("Get(0) err = %v, want ErrRowNotFound", err)
 	}
-	if _, err := db.Get(db.Capacity() + 1); !errors.Is(err, ErrRowNotFound) {
+	if _, err := db.Get(db.capacity + 1); !errors.Is(err, ErrRowNotFound) {
 		t.Errorf("Get(beyond) err = %v, want ErrRowNotFound", err)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	db := newDB(t)
-	id, _ := db.Insert([]byte("v1"))
-	if err := db.Update(id, []byte("v2-longer")); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	got, _ := db.Get(id)
-	if string(got) != "v2-longer" {
-		t.Errorf("after Update = %q", got)
-	}
-	// Shrinking works too (stale bytes cleared).
-	if err := db.Update(id, []byte("v3")); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = db.Get(id)
-	if string(got) != "v3" {
-		t.Errorf("after shrink = %q", got)
-	}
-	if err := db.Update(999, []byte("x")); !errors.Is(err, ErrRowNotFound) {
-		t.Errorf("Update(missing) err = %v", err)
 	}
 }
 
 func TestDelete(t *testing.T) {
 	db := newDB(t)
-	id, _ := db.Insert([]byte("gone"))
+	const id = 1
+	if err := db.Put(id, []byte("gone")); err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Delete(id); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
@@ -106,19 +82,15 @@ func TestDelete(t *testing.T) {
 func TestPayloadTooLarge(t *testing.T) {
 	db := newDB(t)
 	big := make([]byte, MaxPayload+1)
-	if _, err := db.Insert(big); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("Insert(big) err = %v", err)
-	}
-	id, _ := db.Insert([]byte("x"))
-	if err := db.Update(id, big); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("Update(big) err = %v", err)
+	if err := db.Put(1, big); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("Put(big) err = %v", err)
 	}
 }
 
 func TestRangeScanSkipsHoles(t *testing.T) {
 	db := newDB(t)
 	for i := 0; i < 10; i++ {
-		if _, err := db.Insert([]byte{byte(i)}); err != nil {
+		if err := db.Put(uint64(i+1), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,13 +111,22 @@ func TestPutPreload(t *testing.T) {
 	if err := db.Put(100, []byte("row100")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if db.MaxID() != 100 {
-		t.Errorf("MaxID = %d, want 100", db.MaxID())
+	if got, err := db.Get(100); err != nil || string(got) != "row100" {
+		t.Errorf("Get(100) = %q, %v", got, err)
 	}
-	// Insert continues after the preloaded id.
-	id, _ := db.Insert([]byte("next"))
-	if id != 101 {
-		t.Errorf("Insert after Put = %d, want 101", id)
+}
+
+// TestUpdate: rewriting a row with Put grows and shrinks it in place (stale
+// bytes cleared).
+func TestUpdate(t *testing.T) {
+	db := newDB(t)
+	for _, want := range []string{"v1", "v2-longer", "v3"} {
+		if err := db.Put(1, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := db.Get(1); err != nil || string(got) != want {
+			t.Errorf("after Put(%q) = %q, %v", want, got, err)
+		}
 	}
 }
 
@@ -154,7 +135,7 @@ func TestRowsSpanPages(t *testing.T) {
 	perPage := 4096 / RowSize
 	// Fill two pages worth.
 	for i := 0; i < perPage*2; i++ {
-		if _, err := db.Insert(bytes.Repeat([]byte{byte(i)}, 50)); err != nil {
+		if err := db.Put(uint64(i+1), bytes.Repeat([]byte{byte(i)}, 50)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,12 +222,5 @@ func TestDBModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFlush(t *testing.T) {
-	db := newDB(t)
-	if err := db.Flush(); err != nil {
-		t.Errorf("Flush: %v", err)
 	}
 }

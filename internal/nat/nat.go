@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
@@ -77,12 +76,7 @@ type Rule struct {
 	Priority int
 	Match    Match
 	Action   Action
-
-	hits atomic.Int64
 }
-
-// Hits returns how many flows the rule has rewritten.
-func (r *Rule) Hits() int64 { return r.hits.Load() }
 
 // String renders the rule compactly.
 func (r *Rule) String() string {
@@ -145,15 +139,6 @@ func (t *Table) Remove(id string) {
 	}
 }
 
-// Rules returns a snapshot of the table in evaluation order.
-func (t *Table) Rules() []*Rule {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*Rule, len(t.rules))
-	copy(out, t.rules)
-	return out
-}
-
 // Len returns the number of installed rules.
 func (t *Table) Len() int {
 	t.mu.Lock()
@@ -175,7 +160,6 @@ func (t *Table) Apply(f netsim.Flow) (netsim.Flow, *Rule, bool) {
 	t.mu.Unlock()
 	for _, r := range rules {
 		if r.Match.Matches(f) {
-			r.hits.Add(1)
 			t.rewrites.Inc()
 			out := r.Action.Apply(f)
 			obs.Default().Eventf("nat", "rule %s rewrote %s:%d->%s:%d to %s:%d->%s:%d",
@@ -186,11 +170,6 @@ func (t *Table) Apply(f netsim.Flow) (netsim.Flow, *Rule, bool) {
 	}
 	return f, nil, false
 }
-
-// Masquerade returns an action that rewrites the source IP while keeping
-// the source port, as StorM's gateways do to hide storage-network addresses
-// from the instance network.
-func Masquerade(ip string) Action { return Action{SNATIP: ip} }
 
 // Redirect returns an action that rewrites the destination address.
 func Redirect(ip string, port int) Action { return Action{DNATIP: ip, DNATPort: port} }

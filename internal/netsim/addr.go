@@ -53,9 +53,6 @@ func (a Addr) Network() string { return a.Net.String() }
 // String implements net.Addr.
 func (a Addr) String() string { return fmt.Sprintf("%s:%d", a.IP, a.Port) }
 
-// HostPort returns the ip:port form without the network name.
-func (a Addr) HostPort() string { return a.String() }
-
 // IsZero reports whether the address is unset.
 func (a Addr) IsZero() bool { return a.IP == "" && a.Port == 0 && a.Net == 0 }
 
@@ -84,17 +81,6 @@ type Flow struct {
 	SrcPort int
 	DstIP   string
 	DstPort int
-}
-
-// Src returns the source endpoint of the flow.
-func (f Flow) Src() Addr { return Addr{Net: f.Net, IP: f.SrcIP, Port: f.SrcPort} }
-
-// Dst returns the destination endpoint of the flow.
-func (f Flow) Dst() Addr { return Addr{Net: f.Net, IP: f.DstIP, Port: f.DstPort} }
-
-// Reverse returns the flow seen from the opposite direction.
-func (f Flow) Reverse() Flow {
-	return Flow{Net: f.Net, SrcIP: f.DstIP, SrcPort: f.DstPort, DstIP: f.SrcIP, DstPort: f.SrcPort}
 }
 
 // String renders the flow as "src -> dst (network)".

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/bufpool"
@@ -25,6 +26,20 @@ type Route struct {
 	// Hops is the forward-direction traversal; the reverse direction uses
 	// the same stations in reverse order.
 	Hops []Hop
+	// Release, when set, runs once when the connection closes or aborts
+	// (whichever half goes first), or when the dial fails after the route
+	// was resolved: it hands back what resolving the route reserved, such
+	// as select-group bindings.
+	Release func()
+
+	releaseOnce sync.Once
+}
+
+// release runs the route's Release hook at most once.
+func (r *Route) release() {
+	if r != nil && r.Release != nil {
+		r.releaseOnce.Do(r.Release)
+	}
 }
 
 // Conn is a simulated connection. It implements net.Conn. Data written on
@@ -104,6 +119,7 @@ func (c *Conn) Close() error {
 	c.out.close(nil)
 	c.in.close(nil)
 	c.track.remove()
+	c.route.release()
 	return nil
 }
 
@@ -128,6 +144,7 @@ func (c *Conn) Abort(err error) {
 	first.signal()
 	second.signal()
 	c.track.remove()
+	c.route.release()
 }
 
 // LocalAddr implements net.Conn.
@@ -142,9 +159,6 @@ func (c *Conn) Route() *Route { return c.route }
 // TraceTable returns the connection's out-of-band trace carrier, shared
 // by both endpoints (obs.TraceCarrier).
 func (c *Conn) TraceTable() *obs.TraceTable { return c.trace }
-
-// BytesWritten returns the number of payload bytes written on this side.
-func (c *Conn) BytesWritten() int64 { return c.out.bytes() }
 
 // SetDeadline implements net.Conn (read side only; writes never block).
 func (c *Conn) SetDeadline(t time.Time) error {

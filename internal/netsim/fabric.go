@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
 
@@ -39,12 +38,9 @@ type Fabric struct {
 	route     RouteFunc
 	nextPort  int
 
-	// Fault plane (see faults.go). All lazily allocated.
-	tracks       map[*connTrack]struct{}
-	downHosts    map[string]struct{}
-	parts        map[partKey]struct{}
-	hostDelay    map[string]time.Duration
-	hostThrottle map[string]*faults.SlowBackend
+	// Fault plane (see faults.go). Both lazily allocated.
+	tracks    map[*connTrack]struct{}
+	downHosts map[string]struct{}
 }
 
 // NewFabric creates a fabric with the given cost model and the direct
@@ -57,9 +53,6 @@ func NewFabric(model Model) *Fabric {
 		nextPort:  33000,
 	}
 }
-
-// Model returns the fabric's cost model.
-func (f *Fabric) Model() Model { return f.model }
 
 // SetRoute installs the forwarding plane. A nil route restores direct
 // routing.
@@ -94,17 +87,6 @@ func (f *Fabric) Host(name string) *Host {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.hosts[name]
-}
-
-// Hosts returns all registered host names.
-func (f *Fabric) Hosts() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	names := make([]string, 0, len(f.hosts))
-	for n := range f.hosts {
-		names = append(names, n)
-	}
-	return names
 }
 
 // HostByIP returns the host owning ip on the given network, or nil.
@@ -201,6 +183,7 @@ func (f *Fabric) dial(src *Endpoint, dst Addr) (*Conn, error) {
 
 	ln := f.FindListener(route.Terminate)
 	if ln == nil {
+		route.release()
 		return nil, fmt.Errorf("%w: %v (dialed %v)", ErrConnRefused, route.Terminate, dst)
 	}
 
@@ -266,21 +249,14 @@ func (f *Fabric) dial(src *Endpoint, dst Addr) (*Conn, error) {
 		bHost:  ln.endpoint.host.name,
 		dial:   dialSide,
 	}
-	extra, throttles, err := f.admitConn(track)
-	if err != nil {
+	if err := f.admitConn(track); err != nil {
+		route.release()
 		return nil, err
 	}
 	dialSide.track, acceptSide.track = track, track
-	if extra > 0 {
-		dialSide.out.setExtra(extra)
-		dialSide.in.setExtra(extra)
-	}
-	if len(throttles) > 0 {
-		dialSide.out.setThrottles(throttles)
-		dialSide.in.setThrottles(throttles)
-	}
 	if err := ln.deliver(acceptSide); err != nil {
 		track.remove()
+		route.release()
 		return nil, err
 	}
 	return dialSide, nil

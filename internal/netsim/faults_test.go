@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 
 	"repro/internal/faults"
 )
@@ -73,51 +72,6 @@ func TestCutHostAbortsConnsAndRefusesDials(t *testing.T) {
 	}
 }
 
-func TestPartitionIsolatesOnlyThePair(t *testing.T) {
-	f, compute, storage := twoHostFabric(t, fastModel())
-	other, err := f.AddHost("storage2", map[Network]string{StorageNet: "10.0.0.101"})
-	if err != nil {
-		t.Fatalf("AddHost: %v", err)
-	}
-	ln1, err := storage.NewEndpoint("t1").Listen(StorageNet, 3260)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln1.Close()
-	ln2, err := other.NewEndpoint("t2").Listen(StorageNet, 3260)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln2.Close()
-
-	vm := compute.NewEndpoint("vm")
-	conn := dialEcho(t, ln1, vm, "10.0.0.100:3260")
-
-	if n := f.Partition("compute1", "storage1"); n != 1 {
-		t.Fatalf("Partition aborted %d conns, want 1", n)
-	}
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("read across partition: err = %v, want ErrPartitioned", err)
-	}
-	if _, err := vm.Dial(StorageNet, "10.0.0.100:3260"); !errors.Is(err, ErrPartitioned) {
-		t.Fatalf("dial across partition: err = %v, want ErrPartitioned", err)
-	}
-	// The unpartitioned pair still works.
-	conn2 := dialEcho(t, ln2, vm, "10.0.0.101:3260")
-	defer conn2.Close()
-	if err := echoOnce(conn2, []byte("ok")); err != nil {
-		t.Fatalf("echo to third host during partition: %v", err)
-	}
-
-	f.HealPartition("compute1", "storage1")
-	conn3 := dialEcho(t, ln1, vm, "10.0.0.100:3260")
-	defer conn3.Close()
-	if err := echoOnce(conn3, []byte("ok")); err != nil {
-		t.Fatalf("echo after heal: %v", err)
-	}
-}
-
 func TestCutLinkAllowsImmediateRedial(t *testing.T) {
 	f, compute, storage := twoHostFabric(t, fastModel())
 	ln, err := storage.NewEndpoint("target").Listen(StorageNet, 3260)
@@ -143,39 +97,11 @@ func TestCutLinkAllowsImmediateRedial(t *testing.T) {
 	}
 }
 
-func TestSetHostDelaySlowsLiveConn(t *testing.T) {
-	f, compute, storage := twoHostFabric(t, fastModel())
-	ln, err := storage.NewEndpoint("target").Listen(StorageNet, 3260)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln.Close()
-
-	vm := compute.NewEndpoint("vm")
-	conn := dialEcho(t, ln, vm, "10.0.0.100:3260")
-	defer conn.Close()
-	if err := echoOnce(conn, []byte("warm")); err != nil {
-		t.Fatalf("echo: %v", err)
-	}
-
-	const d = 10 * time.Millisecond
-	f.SetHostDelay("storage1", d)
-	start := time.Now()
-	if err := echoOnce(conn, []byte("slow")); err != nil {
-		t.Fatalf("echo with delay: %v", err)
-	}
-	// The echo crosses the delayed host twice (request + response).
-	if got := time.Since(start); got < 2*d {
-		t.Fatalf("delayed echo took %v, want >= %v", got, 2*d)
-	}
-	f.SetHostDelay("storage1", 0)
-	start = time.Now()
-	if err := echoOnce(conn, []byte("fast")); err != nil {
-		t.Fatalf("echo after delay removed: %v", err)
-	}
-	if got := time.Since(start); got >= 2*d {
-		t.Fatalf("echo after heal took %v, want < %v", got, 2*d)
-	}
+// liveConns is the number of connections the fault plane still tracks.
+func liveConns(f *Fabric) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.tracks)
 }
 
 func TestLiveConnTrackingRetiresOnClose(t *testing.T) {
@@ -199,13 +125,57 @@ func TestLiveConnTrackingRetiresOnClose(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	srv := <-accepted
-	if n := f.LiveConns(); n != 1 {
-		t.Fatalf("LiveConns = %d, want 1", n)
+	if n := liveConns(f); n != 1 {
+		t.Fatalf("live conns = %d, want 1", n)
 	}
 	conn.Close()
 	srv.Close()
-	if n := f.LiveConns(); n != 0 {
-		t.Fatalf("LiveConns after close = %d, want 0", n)
+	if n := liveConns(f); n != 0 {
+		t.Fatalf("live conns after close = %d, want 0", n)
+	}
+}
+
+// TestRouteReleaseRunsOnce: a route's Release runs once per connection, on
+// the first Close or Abort of either half, and once for a dial that fails
+// after its route was resolved.
+func TestRouteReleaseRunsOnce(t *testing.T) {
+	f, compute, storage := twoHostFabric(t, fastModel())
+	ln, err := storage.NewEndpoint("target").Listen(StorageNet, 3260)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer ln.Close()
+	released := 0
+	f.SetRoute(func(f *Fabric, src *Endpoint, srcAddr, dst Addr) (*Route, error) {
+		r, err := DirectRoute(f, src, srcAddr, dst)
+		if r != nil {
+			r.Release = func() { released++ }
+		}
+		return r, err
+	})
+	vm := compute.NewEndpoint("vm")
+	accepted := make(chan *Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c.(*Conn)
+		}
+	}()
+	conn, err := vm.Dial(StorageNet, "10.0.0.100:3260")
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	srv := <-accepted
+	srv.Close()
+	conn.Abort(ErrConnReset)
+	conn.Close()
+	if released != 1 {
+		t.Fatalf("Release ran %d times for one connection, want 1", released)
+	}
+	if _, err := vm.Dial(StorageNet, "10.0.0.100:9999"); err == nil {
+		t.Fatal("dial to a port nobody listens on succeeded")
+	}
+	if released != 2 {
+		t.Fatalf("Release ran %d times after a refused dial, want 2", released)
 	}
 }
 
@@ -243,47 +213,5 @@ func TestScheduleDrivenCut(t *testing.T) {
 	}
 	if fired := sched.Fired(); len(fired) != 1 || fired[0] != "cut-link" {
 		t.Fatalf("Fired() = %v", fired)
-	}
-}
-
-// TestHostThrottleCapsBandwidth: a throttled storage host must stretch a
-// payload's transfer to roughly bytes/rate, a fresh bucket (after removal)
-// restores full speed, and the cap applies to live connections.
-func TestHostThrottleCapsBandwidth(t *testing.T) {
-	f, compute, storage := twoHostFabric(t, fastModel())
-	tgt := storage.NewEndpoint("target")
-	ln, err := tgt.Listen(StorageNet, 3260)
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	defer ln.Close()
-	vm := compute.NewEndpoint("vm")
-	conn := dialEcho(t, ln, vm, "10.0.0.100:3260")
-	defer conn.Close()
-
-	payload := make([]byte, 64*1024)
-	if err := echoOnce(conn, payload); err != nil {
-		t.Fatalf("echo before throttle: %v", err)
-	}
-
-	// 1 MiB/s with a 4 KiB burst: a 64 KiB echo moves 128 KiB through the
-	// host, so it must take >= ~120ms of modelled time.
-	f.SetHostThrottle("storage1", 1<<20, 4096)
-	start := time.Now()
-	if err := echoOnce(conn, payload); err != nil {
-		t.Fatalf("echo under throttle: %v", err)
-	}
-	throttled := time.Since(start)
-	if throttled < 100*time.Millisecond {
-		t.Fatalf("throttled 128KiB round trip took %v, want >= 100ms at 1MiB/s", throttled)
-	}
-
-	f.SetHostThrottle("storage1", 0, 0)
-	start = time.Now()
-	if err := echoOnce(conn, payload); err != nil {
-		t.Fatalf("echo after removing throttle: %v", err)
-	}
-	if unthrottled := time.Since(start); unthrottled > throttled/2 {
-		t.Fatalf("unthrottled round trip %v not faster than throttled %v", unthrottled, throttled)
 	}
 }

@@ -34,9 +34,6 @@ func (h *Host) IP(n Network) string { return h.ips[n] }
 // CPU returns the host's CPU account.
 func (h *Host) CPU() *obs.CPUAccount { return h.cpu }
 
-// Fabric returns the owning fabric.
-func (h *Host) Fabric() *Fabric { return h.fabric }
-
 // NewEndpoint creates a host-level endpoint (no virtio boundary), such as
 // the iSCSI target daemon or a storage gateway.
 func (h *Host) NewEndpoint(name string) *Endpoint {

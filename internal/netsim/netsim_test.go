@@ -73,20 +73,6 @@ func TestParseHostPort(t *testing.T) {
 	}
 }
 
-func TestFlowReverse(t *testing.T) {
-	f := Flow{Net: StorageNet, SrcIP: "a", SrcPort: 1, DstIP: "b", DstPort: 2}
-	r := f.Reverse()
-	if r.SrcIP != "b" || r.DstIP != "a" || r.SrcPort != 2 || r.DstPort != 1 {
-		t.Errorf("Reverse() = %+v", r)
-	}
-	if r.Reverse() != f {
-		t.Error("double Reverse is not identity")
-	}
-	if f.Src().IP != "a" || f.Dst().Port != 2 {
-		t.Error("Src/Dst accessors wrong")
-	}
-}
-
 func TestDialAndEcho(t *testing.T) {
 	_, compute, storage := twoHostFabric(t, fastModel())
 	tgt := storage.NewEndpoint("target")

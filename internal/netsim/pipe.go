@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/faults"
 )
 
 // ErrTimeout is returned by reads that exceed the configured deadline.
@@ -42,12 +41,9 @@ type framePipe struct {
 	closed      bool
 	closeErr    error
 	deadline    time.Time
-	extra       time.Duration         // fault-injected added delay per frame
-	throttles   []*faults.SlowBackend // host bandwidth caps; each frame draws its bytes
 
-	wake    chan struct{} // buffered(1): new data / close / deadline change
-	charge  func(time.Duration)
-	bytesIn int64
+	wake   chan struct{} // buffered(1): new data / close / deadline change
+	charge func(time.Duration)
 }
 
 func newFramePipe(cost PathCost, mtu int, charge func(time.Duration)) *framePipe {
@@ -135,7 +131,7 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 		}
 		return 0, err
 	}
-	timed := p.cost != (PathCost{}) || p.extra != 0 || len(p.throttles) != 0
+	timed := p.cost != (PathCost{})
 	chunk := bufpool.MaxPooled
 	if timed {
 		chunk = p.mtu
@@ -160,19 +156,12 @@ func (p *framePipe) writeBufs(bufs [][]byte) (int, error) {
 		if timed {
 			delay := p.cost.FrameDelay(n)
 			processing += delay
-			// Host bandwidth caps stretch the frame's serialization (queueing,
-			// not processing — no CPU charge): the shared bucket may run a
-			// debt, so a saturated host delays every flow crossing it.
-			for _, th := range p.throttles {
-				delay += th.Delay(n)
-			}
 			p.lastArrival = p.lastArrival.Add(delay)
-			at = p.lastArrival.Add(p.cost.Propagation + p.extra)
+			at = p.lastArrival.Add(p.cost.Propagation)
 		}
 		p.push(frame{at: at, data: fb.B, buf: fb})
 		remaining -= n
 	}
-	p.bytesIn += int64(total)
 	p.mu.Unlock()
 	if p.charge != nil {
 		p.charge(processing)
@@ -344,31 +333,9 @@ func (p *framePipe) closeLocked(err error) {
 	}
 }
 
-// setExtra installs the fault-injected per-frame delay (0 removes it).
-// Frames already in flight keep their computed arrival times.
-func (p *framePipe) setExtra(d time.Duration) {
-	p.mu.Lock()
-	p.extra = d
-	p.mu.Unlock()
-}
-
-// setThrottles installs the host bandwidth caps future frames draw from
-// (nil removes them). Frames already in flight keep their arrival times.
-func (p *framePipe) setThrottles(ts []*faults.SlowBackend) {
-	p.mu.Lock()
-	p.throttles = ts
-	p.mu.Unlock()
-}
-
 func (p *framePipe) setDeadline(t time.Time) {
 	p.mu.Lock()
 	p.deadline = t
 	p.mu.Unlock()
 	p.signal()
-}
-
-func (p *framePipe) bytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytesIn
 }

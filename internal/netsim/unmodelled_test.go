@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/faults"
 )
 
 // readFull fills b from the pipe (framePipe.read returns what has arrived).
@@ -24,8 +23,8 @@ func readFull(t *testing.T, p *framePipe, b []byte) {
 }
 
 // TestUnmodelledPipeTransitions walks one pipe through modelled → unmodelled
-// → modelled stretches (an injected host delay set and healed, a bandwidth
-// cap set and lifted, mid-stream, with earlier frames still queued) and
+// → modelled stretches (a propagation delay set and healed, per-byte pacing
+// set and lifted, mid-stream, with earlier frames still queued) and
 // checks what the clock-free fast path must not break: frames written while
 // nothing is modelled carry no arrival time, bytes come out in the order
 // they went in, no delayed frame is delivered before its time, and no frame
@@ -43,18 +42,16 @@ func testPipeTransitions(t *testing.T, take bool) {
 		perPhase = 3
 		delay    = 40 * time.Millisecond
 	)
-	throttle := []*faults.SlowBackend{faults.NewSlowBackend(100<<10, chunk)} // 100 KiB/s: ~10 ms per chunk once the burst is spent
 	phases := []struct {
-		name      string
-		extra     time.Duration
-		throttles []*faults.SlowBackend
+		name string
+		cost PathCost // set on the pipe for the phase's writes
 	}{
 		{name: "quiet"},
-		{name: "delayed", extra: delay},
+		{name: "delayed", cost: PathCost{Propagation: delay}},
 		{name: "healed"},
-		{name: "throttled", throttles: throttle},
-		{name: "unthrottled"},
-		{name: "delayed again", extra: delay},
+		{name: "paced", cost: PathCost{PerByte: 10 * time.Microsecond}}, // ~10 ms per chunk
+		{name: "unpaced"},
+		{name: "delayed again", cost: PathCost{Propagation: delay}},
 		{name: "healed again"},
 	}
 
@@ -67,11 +64,12 @@ func testPipeTransitions(t *testing.T, take bool) {
 	var log []sent
 	buf := make([]byte, chunk)
 	for pi, ph := range phases {
-		p.setExtra(ph.extra)
-		p.setThrottles(ph.throttles)
+		p.mu.Lock()
+		p.cost = ph.cost
+		p.mu.Unlock()
 		for i := 0; i < perPhase; i++ {
 			binary.BigEndian.PutUint64(buf, uint64(len(log)))
-			log = append(log, sent{phase: pi, at: time.Now(), minDelay: ph.extra})
+			log = append(log, sent{phase: pi, at: time.Now(), minDelay: ph.cost.Propagation})
 			if _, err := p.write(buf); err != nil {
 				t.Fatalf("%s: write: %v", ph.name, err)
 			}
@@ -85,7 +83,7 @@ func testPipeTransitions(t *testing.T, take bool) {
 	}
 	for i, s := range log {
 		ph := phases[s.phase]
-		timed := ph.extra != 0 || ph.throttles != nil
+		timed := ph.cost != PathCost{}
 		if got := !p.frames[p.head+i].at.IsZero(); got != timed {
 			t.Errorf("frame %d (%s): carries an arrival time = %v, want %v", i, ph.name, got, timed)
 		}
@@ -95,7 +93,7 @@ func testPipeTransitions(t *testing.T, take bool) {
 	got := make([]byte, chunk)
 	for i, s := range log {
 		ph := phases[s.phase]
-		timed := ph.extra != 0 || ph.throttles != nil
+		timed := ph.cost != PathCost{}
 		var taken bool
 		if take {
 			f, _, err := p.take()
@@ -127,11 +125,11 @@ func testPipeTransitions(t *testing.T, take bool) {
 			t.Errorf("chunk %d (%s) read %v early", i, ph.name, barrier.Sub(now))
 		}
 	}
-	// The cap stretched its phase: three chunks at 100 KiB/s with one chunk
-	// of burst cannot all arrive inside 15 ms of the first write.
+	// Pacing stretched its phase: three chunks at ~10 ms each cannot all
+	// arrive inside 15 ms of the first write.
 	first := log[3*perPhase].at
 	if !p.lastArrival.After(first.Add(15 * time.Millisecond)) {
-		t.Errorf("throttled frames paced to %v after the phase began, want > 15ms", p.lastArrival.Sub(first))
+		t.Errorf("paced frames paced to %v after the phase began, want > 15ms", p.lastArrival.Sub(first))
 	}
 	if p.head != 0 || len(p.frames) != 0 {
 		t.Errorf("drained queue not reset: head %d len %d", p.head, len(p.frames))
@@ -281,15 +279,12 @@ func TestTakeFrameAtCloseAndAbort(t *testing.T) {
 
 // TestUntimedWriteOverPoolMaxStaysPooled: an untimed write is one frame only
 // up to the largest pooled size; past it the pipe still chunks, so nothing
-// on it becomes an unpooled allocation.
+// on it becomes an unpooled allocation (every frame is at most
+// bufpool.MaxPooled bytes).
 func TestUntimedWriteOverPoolMaxStaysPooled(t *testing.T) {
 	p := newFramePipe(PathCost{}, 1024, nil)
-	_, _, over := bufpool.Snapshot()
 	if _, err := p.write(make([]byte, bufpool.MaxPooled+1)); err != nil {
 		t.Fatal(err)
-	}
-	if _, _, now := bufpool.Snapshot(); now != over {
-		t.Errorf("%d oversized (unpooled) frames", now-over)
 	}
 	for _, want := range []int{bufpool.MaxPooled, 1} {
 		f, _, err := p.take()

@@ -28,7 +28,6 @@ var (
 	ErrNoBucket     = errors.New("objstore: bucket does not exist")
 	ErrNoObject     = errors.New("objstore: object does not exist")
 	ErrBucketExists = errors.New("objstore: bucket already exists")
-	ErrNotEmpty     = errors.New("objstore: bucket not empty")
 	ErrCorrupt      = errors.New("objstore: content does not match its etag")
 	ErrBadName      = errors.New("objstore: invalid bucket or object name")
 )
@@ -88,40 +87,6 @@ func (s *Store) CreateBucket(bucket string) error {
 		return err
 	}
 	return nil
-}
-
-// DeleteBucket removes an empty bucket.
-func (s *Store) DeleteBucket(bucket string) error {
-	bp, err := bucketPath(bucket)
-	if err != nil {
-		return err
-	}
-	switch err := s.fs.Rmdir(bp); err {
-	case nil:
-		return nil
-	case extfs.ErrNotFound:
-		return fmt.Errorf("%w: %s", ErrNoBucket, bucket)
-	case extfs.ErrNotEmpty:
-		return fmt.Errorf("%w: %s", ErrNotEmpty, bucket)
-	default:
-		return err
-	}
-}
-
-// ListBuckets returns all bucket names, sorted.
-func (s *Store) ListBuckets() ([]string, error) {
-	ents, err := s.fs.ReadDir(root)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range ents {
-		if e.Type == extfs.TypeDir {
-			out = append(out, e.Name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // Put stores an object, returning its ETag.
@@ -190,20 +155,6 @@ func (s *Store) Head(bucket, key string) (ObjectInfo, error) {
 		size = fi.Size - 64
 	}
 	return ObjectInfo{Key: key, Size: size, ETag: string(etagBuf)}, nil
-}
-
-// Delete removes an object.
-func (s *Store) Delete(bucket, key string) error {
-	op, err := objectPath(bucket, key)
-	if err != nil {
-		return err
-	}
-	if err := s.fs.Remove(op); err == extfs.ErrNotFound {
-		return s.missing(bucket, key)
-	} else if err != nil {
-		return err
-	}
-	return nil
 }
 
 // List returns the bucket's objects with the given key prefix, sorted.

@@ -14,7 +14,6 @@
 package obs
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,7 +130,7 @@ const (
 // DefaultSeriesLimit caps the number of named series (counters + gauges +
 // histograms) a registry creates before it starts refusing new names.
 // Per-instance relay metrics would otherwise grow without bound across
-// scale/crash-replace events; see SetSeriesLimit and RetireInstance.
+// scale/crash-replace events; see RetireInstance.
 const DefaultSeriesLimit = 4096
 
 // regShards is the number of lock stripes a registry's series maps are
@@ -203,7 +202,7 @@ func (r *Registry) shard(name string) *regShard {
 var epoch = time.Now()
 
 // Now returns the registry's notion of current time: the injected clock if
-// one is set (SetClock), else the process-start wall time advanced by the
+// one is set (tests), else the process-start wall time advanced by the
 // monotonic clock. It is the one clock behind span edges, trace hops, events
 // and the SLO window, so every timestamp in a dump lies on one timeline; the
 // price is that a wall-clock step (NTP) after start-up does not show in it.
@@ -216,30 +215,6 @@ func (r *Registry) Now() time.Time {
 		}
 	}
 	return epoch.Add(time.Since(epoch))
-}
-
-// SetClock injects a time source for span, event, and trace timestamps —
-// the simtime-style hook that makes latency tests deterministic. A nil
-// clock restores the default (see Now).
-func (r *Registry) SetClock(now func() time.Time) {
-	if r == nil {
-		return
-	}
-	if now == nil {
-		r.clock.Store(nil)
-		return
-	}
-	r.clock.Store(&now)
-}
-
-// SetSeriesLimit caps the number of distinct metric names this registry
-// will create (n <= 0 restores DefaultSeriesLimit). Creations beyond the
-// cap return nil no-op handles and bump the DroppedMetric counter.
-func (r *Registry) SetSeriesLimit(n int) {
-	if r == nil {
-		return
-	}
-	r.limit.Store(int64(n))
 }
 
 // admit reserves one series slot against the global cap, returning false
@@ -402,24 +377,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Timer returns a nil-safe handle on the named latency histogram.
 func (r *Registry) Timer(name string) Timer {
 	return Timer{h: r.Histogram(name)}
-}
-
-// HistogramNames returns the sorted names of all histograms.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for name := range sh.hists {
-			out = append(out, name)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Reset discards every metric and event (tests; registry handles held by

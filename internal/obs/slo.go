@@ -109,9 +109,6 @@ func NewSLOTracker(reg *Registry, group string, target time.Duration, cfg SLOCon
 	return t
 }
 
-// Group returns the tracker's group key.
-func (t *SLOTracker) Group() string { return t.group }
-
 // Watch adds a registry histogram (by name) as a latency source. Adding
 // an already-watched name is a no-op, so callers can re-assert the watch
 // set each pass as group membership changes; watches on retired members

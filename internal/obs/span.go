@@ -141,7 +141,7 @@ func (r *Registry) dropSpans(dropped func(stage string) bool) {
 
 // StartSpan opens a span recording into "stage.<stage>". On a nil
 // registry the span is a no-op. Timestamps come from the registry clock
-// (SetClock, Now).
+// (Now).
 func (r *Registry) StartSpan(stage string) Span {
 	if r == nil {
 		return Span{}

@@ -110,7 +110,7 @@ func TestSpanResetRace(t *testing.T) {
 // and the span starts recording once room appears.
 func TestCappedSpanCountsEveryAttempt(t *testing.T) {
 	r := NewRegistry()
-	r.SetSeriesLimit(2)
+	setSeriesLimit(r, 2)
 	r.Counter("relay.mb0.busy_ns").Inc() // these two fill the registry
 	r.Gauge("relay.mb0.sessions").Set(1)
 	for i := 0; i < 5; i++ {
@@ -140,7 +140,7 @@ func TestCappedSpanCountsEveryAttempt(t *testing.T) {
 func TestSetClockGovernsSpans(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(100, 0)
-	r.SetClock(func() time.Time { return now })
+	setClock(r, func() time.Time { return now })
 	r.EnableTracing(TraceConfig{SampleEvery: 1})
 	for i := 1; i <= 3; i++ { // the first resolves, the rest hit the cache
 		sp := r.StartTraced("initiator", "write", 4096)
@@ -157,7 +157,7 @@ func TestSetClockGovernsSpans(t *testing.T) {
 		}
 	}
 	// Removing the clock returns spans to real time.
-	r.SetClock(nil)
+	setClock(r, nil)
 	sp := r.StartSpan("gateway.egress")
 	sp.End()
 	if d := r.Histogram("stage.gateway.egress").Snapshot().Max; d < 0 || d > time.Second {

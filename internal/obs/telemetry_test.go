@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,7 +20,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 func TestSLOWindowRollOver(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(1000, 0)
-	r.SetClock(func() time.Time { return now })
+	setClock(r, func() time.Time { return now })
 
 	const target = 2 * time.Millisecond
 	tr := NewSLOTracker(r, "t1.enc", target, SLOConfig{
@@ -94,7 +95,7 @@ func TestSLOWindowRollOver(t *testing.T) {
 // counts them) and RetireInstance frees an instance's series for reuse.
 func TestSeriesLimitAndRetire(t *testing.T) {
 	r := NewRegistry()
-	r.SetSeriesLimit(8)
+	setSeriesLimit(r, 8)
 	for i := 0; i < 8; i++ {
 		r.Counter(fmt.Sprintf("relay.inst-%d.busy_ns", i)).Inc()
 	}
@@ -122,7 +123,7 @@ func TestSeriesLimitAndRetire(t *testing.T) {
 	// Retiring an instance deletes its series (all three prefixes) and
 	// makes room for new ones.
 	r2 := NewRegistry()
-	r2.SetSeriesLimit(6)
+	setSeriesLimit(r2, 6)
 	r2.Counter("relay.t1-enc-0.busy_ns").Add(7)
 	r2.Gauge("orch.member.t1-enc-0.util_permille").Set(500)
 	r2.Timer("stage.relay.t1-enc-0.service.read").Observe(time.Millisecond)
@@ -148,7 +149,7 @@ func TestSeriesLimitAndRetire(t *testing.T) {
 func TestTraceTailRetention(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(0, 0)
-	r.SetClock(func() time.Time { return now })
+	setClock(r, func() time.Time { return now })
 	r.EnableTracing(TraceConfig{SlowPerStage: 2, SampleEvery: 10})
 
 	run := func(d time.Duration) {
@@ -219,7 +220,7 @@ func TestTraceHeadSampleEvery(t *testing.T) {
 	for _, tc := range []struct{ every, want int }{{1, 128}, {2, 64}, {64, 2}} {
 		r := NewRegistry()
 		now := time.Unix(0, 0)
-		r.SetClock(func() time.Time { return now })
+		setClock(r, func() time.Time { return now })
 		r.EnableTracing(TraceConfig{SlowPerStage: 1, SampleEvery: tc.every, MaxSampled: 256})
 		run := func(d time.Duration) {
 			sp := r.StartTraced("initiator", "read", 4096)
@@ -247,7 +248,7 @@ func TestTraceHeadSampleEvery(t *testing.T) {
 func TestTracedPipeCarrier(t *testing.T) {
 	r := NewRegistry()
 	r.EnableTracing(TraceConfig{})
-	c1, c2 := TracedPipe()
+	c1, c2 := tracedPipe()
 	defer c1.Close()
 	defer c2.Close()
 
@@ -258,7 +259,7 @@ func TestTracedPipeCarrier(t *testing.T) {
 	sp := r.StartTraced("initiator", "read", 0)
 	tbl1.Put(42, sp.Context())
 	sc, ok := tbl2.Take(42)
-	if !ok || sc.Trace() != sp.Context().Trace() {
+	if !ok || sc.trace != sp.Context().trace {
 		t.Fatalf("Take(42) = %+v, %v", sc, ok)
 	}
 	if _, ok := tbl2.Take(42); ok {
@@ -275,7 +276,7 @@ func TestTracedPipeCarrier(t *testing.T) {
 // +Inf, _sum and _count. Regenerate with -update-golden.
 func TestPrometheusGolden(t *testing.T) {
 	r := NewRegistry()
-	r.SetClock(func() time.Time { return time.Unix(42, 0) })
+	setClock(r, func() time.Time { return time.Unix(42, 0) })
 	r.Counter("nat.rewrites").Add(3)
 	r.Counter("relay.mb1.busy_ns").Add(1500000)
 	r.Gauge("journal.used_bytes").Set(128)
@@ -314,4 +315,33 @@ func TestPrometheusGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("exposition differs from golden file:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
 	}
+}
+
+// setClock injects a time source for span, event and trace timestamps; nil
+// restores the default.
+func setClock(r *Registry, now func() time.Time) {
+	if now == nil {
+		r.clock.Store(nil)
+		return
+	}
+	r.clock.Store(&now)
+}
+
+// setSeriesLimit caps the distinct metric names r creates (n <= 0 restores
+// DefaultSeriesLimit).
+func setSeriesLimit(r *Registry, n int) { r.limit.Store(int64(n)) }
+
+// tracedConn overlays a shared TraceTable on an in-memory pipe end.
+type tracedConn struct {
+	net.Conn
+	tbl *TraceTable
+}
+
+func (c tracedConn) TraceTable() *TraceTable { return c.tbl }
+
+// tracedPipe is net.Pipe plus a shared trace carrier.
+func tracedPipe() (net.Conn, net.Conn) {
+	c1, c2 := net.Pipe()
+	tbl := NewTraceTable()
+	return tracedConn{c1, tbl}, tracedConn{c2, tbl}
 }

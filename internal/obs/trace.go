@@ -41,9 +41,6 @@ type SpanContext struct {
 // Valid reports whether the context belongs to a live trace.
 func (sc SpanContext) Valid() bool { return sc.reg != nil && sc.trace != 0 }
 
-// Trace returns the trace ID (0 when invalid).
-func (sc SpanContext) Trace() TraceID { return sc.trace }
-
 // SpanRecord is one finished stage span of a trace.
 type SpanRecord struct {
 	ID     uint64        `json:"id"`
@@ -537,7 +534,7 @@ func (t *TraceTable) Take(tag uint32) (SpanContext, bool) {
 }
 
 // TraceCarrier is implemented by connections whose two ends share a
-// TraceTable (netsim connections; TracedPipe for tests).
+// TraceTable (netsim connections).
 type TraceCarrier interface {
 	TraceTable() *TraceTable
 }
@@ -549,20 +546,4 @@ func CarrierOf(conn net.Conn) *TraceTable {
 		return tc.TraceTable()
 	}
 	return nil
-}
-
-// tracedConn overlays a shared TraceTable on an in-memory pipe end.
-type tracedConn struct {
-	net.Conn
-	tbl *TraceTable
-}
-
-func (c tracedConn) TraceTable() *TraceTable { return c.tbl }
-
-// TracedPipe is net.Pipe plus a shared trace carrier — the test
-// transport for exercising cross-station trace propagation.
-func TracedPipe() (net.Conn, net.Conn) {
-	c1, c2 := net.Pipe()
-	tbl := NewTraceTable()
-	return tracedConn{c1, tbl}, tracedConn{c2, tbl}
 }

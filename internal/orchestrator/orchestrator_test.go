@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -180,7 +181,7 @@ func TestReconcileDrainsIdleMember(t *testing.T) {
 	if got := len(dep.Group("enc1")); got != 1 {
 		t.Fatalf("group size after drain completes = %d, want 1", got)
 	}
-	if _, err := c.MiddleBox(drained); err == nil {
+	if err := c.RemoveMiddleBox(drained); !errors.Is(err, cloud.ErrNoSuchMiddleBox) {
 		t.Fatalf("drained instance %s still registered in the cloud", drained)
 	}
 	step() // cooldown

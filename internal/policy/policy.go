@@ -99,11 +99,6 @@ func Parse(data []byte) (*Policy, error) {
 	return &p, nil
 }
 
-// Encode renders the policy as JSON.
-func (p *Policy) Encode() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}
-
 // Validate checks structural and service-specific constraints.
 func (p *Policy) Validate() error {
 	if p.Tenant == "" {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -30,7 +31,7 @@ func TestValidateAccepts(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	data, err := validPolicy().Encode()
+	data, err := json.MarshalIndent(validPolicy(), "", "  ")
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}

@@ -26,7 +26,6 @@ import (
 type Replica interface {
 	Name() string
 	Healthy() bool
-	IDAt(slot uint64) cas.ID
 	ReadChunk(slot uint64) ([]byte, error)
 	WriteChunk(slot uint64, data []byte) error
 }

@@ -25,9 +25,8 @@ type storeReplica struct {
 	healthy bool
 }
 
-func (r *storeReplica) Name() string            { return r.name }
-func (r *storeReplica) Healthy() bool           { return r.healthy }
-func (r *storeReplica) IDAt(slot uint64) cas.ID { return r.store.IDAt(slot) }
+func (r *storeReplica) Name() string  { return r.name }
+func (r *storeReplica) Healthy() bool { return r.healthy }
 
 func (r *storeReplica) ReadChunk(slot uint64) ([]byte, error) {
 	buf := make([]byte, r.store.ChunkSize())

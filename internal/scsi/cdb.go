@@ -58,18 +58,8 @@ type CDB struct {
 	Blocks uint32
 	// AllocationLength is meaningful for INQUIRY and READ CAPACITY(16).
 	AllocationLength uint32
-	// Raw holds the original bytes the CDB was decoded from (or encoded to).
+	// Raw holds the original bytes the CDB was decoded from.
 	Raw []byte
-}
-
-// IsRead reports whether the CDB transfers data from the device to the
-// initiator.
-func (c *CDB) IsRead() bool {
-	switch c.Op {
-	case OpRead10, OpRead16, OpReadCapacity10, OpReadCapacity16, OpInquiry:
-		return true
-	}
-	return false
 }
 
 // IsWrite reports whether the CDB transfers data from the initiator to the
@@ -78,46 +68,8 @@ func (c *CDB) IsWrite() bool {
 	return c.Op == OpWrite10 || c.Op == OpWrite16
 }
 
-// IsMediumAccess reports whether the CDB reads or writes medium blocks.
-func (c *CDB) IsMediumAccess() bool {
-	switch c.Op {
-	case OpRead10, OpRead16, OpWrite10, OpWrite16:
-		return true
-	}
-	return false
-}
-
-// String renders a compact human-readable description.
-func (c *CDB) String() string {
-	switch c.Op {
-	case OpRead10, OpRead16:
-		return fmt.Sprintf("READ lba=%d blocks=%d", c.LBA, c.Blocks)
-	case OpWrite10, OpWrite16:
-		return fmt.Sprintf("WRITE lba=%d blocks=%d", c.LBA, c.Blocks)
-	case OpReadCapacity10:
-		return "READ CAPACITY(10)"
-	case OpReadCapacity16:
-		return "READ CAPACITY(16)"
-	case OpInquiry:
-		return "INQUIRY"
-	case OpTestUnitReady:
-		return "TEST UNIT READY"
-	case OpSyncCache10:
-		return fmt.Sprintf("SYNCHRONIZE CACHE lba=%d blocks=%d", c.LBA, c.Blocks)
-	default:
-		return fmt.Sprintf("CDB(0x%02x)", c.Op)
-	}
-}
-
-// NewRead returns a READ CDB addressing the given extent, choosing READ(10)
+// ReadCDB returns a READ CDB addressing the given extent, choosing READ(10)
 // when the extent fits and READ(16) otherwise.
-func NewRead(lba uint64, blocks uint32) *CDB {
-	c := ReadCDB(lba, blocks)
-	return &c
-}
-
-// ReadCDB is the value form of NewRead, for hot paths that keep the CDB on
-// the stack.
 func ReadCDB(lba uint64, blocks uint32) CDB {
 	op := OpRead10
 	if lba > 0xFFFFFFFF || blocks > 0xFFFF {
@@ -126,15 +78,8 @@ func ReadCDB(lba uint64, blocks uint32) CDB {
 	return CDB{Op: op, LBA: lba, Blocks: blocks}
 }
 
-// NewWrite returns a WRITE CDB addressing the given extent, choosing
+// WriteCDB returns a WRITE CDB addressing the given extent, choosing
 // WRITE(10) when the extent fits and WRITE(16) otherwise.
-func NewWrite(lba uint64, blocks uint32) *CDB {
-	c := WriteCDB(lba, blocks)
-	return &c
-}
-
-// WriteCDB is the value form of NewWrite, for hot paths that keep the CDB on
-// the stack.
 func WriteCDB(lba uint64, blocks uint32) CDB {
 	op := OpWrite10
 	if lba > 0xFFFFFFFF || blocks > 0xFFFF {
@@ -151,30 +96,10 @@ func NewReadCapacity16() *CDB {
 	return &CDB{Op: OpReadCapacity16, AllocationLength: 32}
 }
 
-// NewInquiry returns a standard INQUIRY CDB.
-func NewInquiry(alloc uint32) *CDB {
-	return &CDB{Op: OpInquiry, AllocationLength: alloc}
-}
-
-// NewTestUnitReady returns a TEST UNIT READY CDB.
-func NewTestUnitReady() *CDB { return &CDB{Op: OpTestUnitReady} }
-
 // NewSyncCache returns a SYNCHRONIZE CACHE(10) CDB covering the extent; a
 // zero extent requests syncing the whole medium.
 func NewSyncCache(lba uint64, blocks uint32) *CDB {
 	return &CDB{Op: OpSyncCache10, LBA: lba, Blocks: blocks}
-}
-
-// Encode serializes the CDB to its wire form (6/10/16 bytes depending on the
-// operation code), storing the bytes in c.Raw.
-func (c *CDB) Encode() ([]byte, error) {
-	b := make([]byte, 16)
-	n, err := c.EncodeInto(b)
-	if err != nil {
-		return nil, err
-	}
-	c.Raw = b[:n]
-	return c.Raw, nil
 }
 
 // EncodeInto serializes the CDB into dst without allocating and without

@@ -3,7 +3,6 @@ package scsi
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 )
 
 // InquiryData is the standard INQUIRY response payload.
@@ -27,18 +26,6 @@ func (d *InquiryData) Encode() []byte {
 	return b
 }
 
-// DecodeInquiry parses a standard INQUIRY response.
-func DecodeInquiry(b []byte) (*InquiryData, error) {
-	if len(b) < 36 {
-		return nil, fmt.Errorf("scsi: inquiry data too short (%d bytes)", len(b))
-	}
-	return &InquiryData{
-		Vendor:   strings.TrimRight(string(b[8:16]), " "),
-		Product:  strings.TrimRight(string(b[16:32]), " "),
-		Revision: strings.TrimRight(string(b[32:36]), " "),
-	}, nil
-}
-
 func copyPadded(dst []byte, s string) {
 	for i := range dst {
 		dst[i] = ' '
@@ -56,9 +43,6 @@ type Capacity struct {
 
 // Blocks returns the total number of logical blocks.
 func (c Capacity) Blocks() uint64 { return c.LastLBA + 1 }
-
-// Bytes returns the device size in bytes.
-func (c Capacity) Bytes() uint64 { return c.Blocks() * uint64(c.BlockSize) }
 
 // EncodeCapacity10 serializes the 8-byte READ CAPACITY(10) response. A device
 // larger than 2^32-1 blocks reports 0xFFFFFFFF per SBC-3, directing the

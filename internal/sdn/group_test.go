@@ -146,7 +146,7 @@ func TestUpdateChainRollbackRestoresPreviousChain(t *testing.T) {
 	if err := c.UpdateChain("c", bad); err == nil {
 		t.Fatal("UpdateChain with duplicate instance stations: want error")
 	}
-	got := c.Chain("c")
+	got := installed(c, "c")
 	if got == nil {
 		t.Fatal("chain deregistered by failed update")
 	}

@@ -78,9 +78,11 @@ type Chain struct {
 }
 
 // Step is one resolved steering step for a flow. For group positions the
-// MB names the selected member instance.
+// MB names the selected member instance and Group is the select group that
+// bound the flow to it (nil for a fixed station).
 type Step struct {
-	MB MBSpec
+	MB    MBSpec
+	Group *vswitch.Group
 }
 
 // groupEntry tracks a shared select group and the chains referencing it.
@@ -148,7 +150,7 @@ func (c *Controller) Group(name string) *vswitch.Group {
 func (c *Controller) groupLocked(name string) *groupEntry {
 	ge, ok := c.groups[name]
 	if !ok {
-		ge = &groupEntry{g: vswitch.NewGroup(name), chains: make(map[string]bool)}
+		ge = &groupEntry{g: vswitch.NewGroup(), chains: make(map[string]bool)}
 		c.groups[name] = ge
 	}
 	return ge
@@ -319,19 +321,6 @@ func (c *Controller) RemoveChain(id string) {
 	delete(c.chains, id)
 }
 
-// Chain returns a copy of the installed chain, or nil.
-func (c *Controller) Chain(id string) *Chain {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	ch, ok := c.chains[id]
-	if !ok {
-		return nil
-	}
-	cp := *ch
-	cp.MBs = copyMBs(ch.MBs)
-	return &cp
-}
-
 // UpdateChain atomically replaces the chain's middle-box list — the
 // on-demand scaling path: new flows see the new chain immediately. On a
 // failed reinstall the previous middle-box list and its rules are restored,
@@ -408,7 +397,7 @@ func (c *Controller) Walk(flow netsim.Flow, startHost, startStation string) []St
 			Host:      act.Host,
 			Mode:      act.Mode,
 			RelayAddr: act.TerminateAddr,
-		}})
+		}, Group: act.Group})
 		if act.Mode == vswitch.ModeTerminate {
 			return steps
 		}

@@ -100,7 +100,7 @@ func TestRemoveChain(t *testing.T) {
 	if steps := c.Walk(testFlow(), "gwhost", IngressStation); steps != nil {
 		t.Errorf("Walk after RemoveChain = %v, want nil", steps)
 	}
-	if c.Chain("c") != nil {
+	if installed(c, "c") != nil {
 		t.Error("Chain still registered after RemoveChain")
 	}
 	c.RemoveChain("c") // no-op
@@ -194,13 +194,15 @@ func TestChainCopySemantics(t *testing.T) {
 	if err := c.InstallChain(orig); err != nil {
 		t.Fatalf("InstallChain: %v", err)
 	}
-	got := c.Chain("c")
-	got.MBs[0].Name = "tampered"
-	if c.Chain("c").MBs[0].Name != "mb1" {
-		t.Error("Chain() exposes internal state")
-	}
-	orig.MBs[0].Name = "tampered2"
-	if c.Chain("c").MBs[0].Name != "mb1" {
+	orig.MBs[0].Name = "tampered"
+	if installed(c, "c").MBs[0].Name != "mb1" {
 		t.Error("InstallChain aliases caller slice")
 	}
+}
+
+// installed is the controller's chain id, or nil.
+func installed(c *Controller, id string) *Chain {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.chains[id]
 }

@@ -70,7 +70,10 @@ func TestCorruptDirBlockLeavesShadow(t *testing.T) {
 		t.Fatal(err)
 	}
 	var creates []string
-	for _, e := range r.EventsSince(seq) {
+	for _, e := range r.Events() {
+		if e.Seq <= seq {
+			continue
+		}
 		switch e.Type {
 		case EvCreate:
 			creates = append(creates, e.Path)

@@ -212,36 +212,6 @@ func (r *Reconstructor) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// EventsSince returns events with Seq > seq — the tenant's periodic log
-// retrieval interface (each poll passes the last sequence it saw).
-func (r *Reconstructor) EventsSince(seq uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Event
-	for _, e := range r.events {
-		if e.Seq > seq {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// PathOf resolves a data block to its owning file path, exercising the
-// fast lookup table (the paper's hash table for IDS-style queries).
-func (r *Reconstructor) PathOf(fsBlock uint64) (string, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ino, ok := r.blockOwner[fsBlock]
-	if !ok {
-		return "", false
-	}
-	m, ok := r.inodes[ino]
-	if !ok || m.path == "" {
-		return "", false
-	}
-	return m.path, true
-}
-
 // OnAccess feeds one block-level access: write says the direction,
 // sectorLBA is the device sector, and data is the transferred payload
 // (required for writes so metadata updates can be parsed; may be nil for

@@ -226,10 +226,11 @@ func TestReconstructMkdir(t *testing.T) {
 	}
 }
 
+// TestPathOfLookup: the block -> file table (the paper's hash table for
+// IDS-style queries) maps a known file's data block to that file's path,
+// and knows nothing of a block no file owns.
 func TestPathOfLookup(t *testing.T) {
-	fs, r := setup(t)
-	_ = fs
-	// Use the view to find a known block of a known file.
+	_, r := setup(t)
 	var blk uint64
 	for _, f := range r.view.Files {
 		if f.Path == "/mnt/box/name0/1.img" && len(f.Blocks) > 0 {
@@ -239,12 +240,14 @@ func TestPathOfLookup(t *testing.T) {
 	if blk == 0 {
 		t.Fatal("test setup: file block not found in view")
 	}
-	p, ok := r.PathOf(blk)
-	if !ok || p != "/mnt/box/name0/1.img" {
-		t.Errorf("PathOf(%d) = %q, %v", blk, p, ok)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ino, ok := r.blockOwner[blk]
+	if m := r.inodes[ino]; !ok || m == nil || m.path != "/mnt/box/name0/1.img" {
+		t.Errorf("block %d: owner %d (%v), want /mnt/box/name0/1.img", blk, ino, ok)
 	}
-	if _, ok := r.PathOf(1 << 40); ok {
-		t.Error("PathOf(unknown) should miss")
+	if _, ok := r.blockOwner[1<<40]; ok {
+		t.Error("unowned block has an owner")
 	}
 }
 

@@ -76,12 +76,6 @@ func (m *Monitor) Log() []semantic.Event {
 	return m.rec.Events()
 }
 
-// LogSince returns log entries newer than the given sequence number, so
-// tenants can poll incrementally.
-func (m *Monitor) LogSince(seq uint64) []semantic.Event {
-	return m.rec.EventsSince(seq)
-}
-
 // analyze is the Analysis phase.
 func (m *Monitor) analyze(e semantic.Event) {
 	m.det.observe(e)

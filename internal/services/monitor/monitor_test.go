@@ -184,8 +184,6 @@ func TestSignatureDetection(t *testing.T) {
 		Name:      "test-backdoor",
 		Fragments: []string{"DbSecuritySpt", "bsd-port/getty"},
 	})
-	var matched []SignatureMatch
-	mon.OnSignatureMatch(func(m SignatureMatch) { matched = append(matched, m) })
 
 	for _, d := range []string{"/etc/init.d", "/usr/bin/bsd-port"} {
 		if err := fs.MkdirAll(d); err != nil {
@@ -209,9 +207,6 @@ func TestSignatureDetection(t *testing.T) {
 	}
 	if len(got[0].Evidence) != 2 {
 		t.Errorf("evidence = %+v", got[0].Evidence)
-	}
-	if len(matched) != 1 {
-		t.Errorf("callback fired %d times", len(matched))
 	}
 	// Re-touching the files must not re-fire.
 	if err := fs.WriteFile("/usr/bin/bsd-port/getty", bytes.Repeat([]byte{2}, 512)); err != nil {

@@ -38,7 +38,6 @@ type detector struct {
 	mu      sync.Mutex
 	states  []*signatureState
 	matches []SignatureMatch
-	onMatch func(SignatureMatch)
 }
 
 // AddSignature registers a malware signature on the monitor.
@@ -52,13 +51,6 @@ func (m *Monitor) AddSignature(sig Signature) {
 		sig:     sig,
 		matched: make(map[string]string, len(sig.Fragments)),
 	})
-}
-
-// OnSignatureMatch registers a callback fired when a signature completes.
-func (m *Monitor) OnSignatureMatch(fn func(SignatureMatch)) {
-	m.det.mu.Lock()
-	defer m.det.mu.Unlock()
-	m.det.onMatch = fn
 }
 
 // SignatureMatches returns the signatures detected so far.
@@ -101,13 +93,7 @@ func (d *detector) observe(e semantic.Event) {
 		}
 	}
 	d.matches = append(d.matches, fired...)
-	cb := d.onMatch
 	d.mu.Unlock()
-	if cb != nil {
-		for _, mt := range fired {
-			cb(mt)
-		}
-	}
 }
 
 // GaniwSignature is the Table III backdoor's installation footprint,

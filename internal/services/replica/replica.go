@@ -10,10 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/middlebox"
 )
 
 // ErrAllReplicasFailed reports that no replica remains to serve I/O.
@@ -41,11 +39,9 @@ type member struct {
 
 // Dispatcher is the replica fan-out device.
 type Dispatcher struct {
-	mu        sync.Mutex
-	members   []*member
-	next      int
-	onEvict   func(name string, err error)
-	onReadmit func(name string)
+	mu      sync.Mutex
+	members []*member
+	next    int
 
 	// writeMu serializes writes so every replica sees one order. Flush and
 	// Close take it too: a sync or teardown concurrent with an in-flight
@@ -79,21 +75,6 @@ type NamedDevice struct {
 	Dev  blockdev.Device
 }
 
-// OnEvict registers a callback fired when a replica is removed.
-func (d *Dispatcher) OnEvict(fn func(name string, err error)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onEvict = fn
-}
-
-// OnReadmit registers a callback fired when an evicted replica rejoins
-// after resync.
-func (d *Dispatcher) OnReadmit(fn func(name string)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onReadmit = fn
-}
-
 // States returns each replica's health and counters.
 func (d *Dispatcher) States() []State {
 	d.mu.Lock()
@@ -105,30 +86,12 @@ func (d *Dispatcher) States() []State {
 	return out
 }
 
-// AliveCount returns the number of serving replicas.
-func (d *Dispatcher) AliveCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := 0
-	for _, m := range d.members {
-		if m.alive {
-			n++
-		}
-	}
-	return n
-}
-
 // evict removes a replica from future operations.
 func (d *Dispatcher) evict(m *member, err error) {
 	d.mu.Lock()
-	already := !m.alive
 	m.alive = false
 	m.lastErr = err
-	cb := d.onEvict
 	d.mu.Unlock()
-	if !already && cb != nil {
-		cb(m.name, err)
-	}
 }
 
 // BlockSize implements blockdev.Device.
@@ -263,102 +226,4 @@ func (d *Dispatcher) Close() error {
 		}
 	}
 	return first
-}
-
-// resyncChunkBlocks is the copy-from-live granularity during re-admission.
-const resyncChunkBlocks = 64
-
-// Probe checks every evicted replica once and re-admits those that respond,
-// after resynchronizing their content from a live replica — Figure 13's
-// one-way eviction turned into full membership recovery. It returns the
-// number of replicas re-admitted. Callers drive it from a health-probe
-// loop or a deterministic fault schedule.
-func (d *Dispatcher) Probe() int {
-	d.mu.Lock()
-	var dead []*member
-	for _, m := range d.members {
-		if !m.alive {
-			dead = append(dead, m)
-		}
-	}
-	d.mu.Unlock()
-	readmitted := 0
-	for _, m := range dead {
-		if d.tryReadmit(m) {
-			readmitted++
-		}
-	}
-	return readmitted
-}
-
-// StartProbing runs Probe every interval until the returned stop function
-// is called (the background health prober for production wiring; tests call
-// Probe directly from fault schedules).
-func (d *Dispatcher) StartProbing(interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				d.Probe()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// tryReadmit probes one evicted replica and, when it responds, copies the
-// full content from a live replica before marking it alive. The write lock
-// is held across the copy and the re-admission, so the resynced replica
-// rejoins exactly at a write boundary and never misses or reorders a write.
-func (d *Dispatcher) tryReadmit(m *member) bool {
-	bs := d.BlockSize()
-	scratch := make([]byte, bs)
-	if err := m.dev.ReadAt(scratch, 0); err != nil {
-		return false // still down
-	}
-	d.writeMu.Lock()
-	defer d.writeMu.Unlock()
-	src := d.pick()
-	if src == nil || src == m {
-		return false
-	}
-	blocks := d.Blocks()
-	buf := make([]byte, resyncChunkBlocks*bs)
-	for lba := uint64(0); lba < blocks; lba += resyncChunkBlocks {
-		n := uint64(resyncChunkBlocks)
-		if rem := blocks - lba; rem < n {
-			n = rem
-		}
-		p := buf[:n*uint64(bs)]
-		if err := src.dev.ReadAt(p, lba); err != nil {
-			return false
-		}
-		if err := m.dev.WriteAt(p, lba); err != nil {
-			return false
-		}
-	}
-	d.mu.Lock()
-	m.alive = true
-	m.lastErr = nil
-	cb := d.onReadmit
-	d.mu.Unlock()
-	if cb != nil {
-		cb(m.name)
-	}
-	return true
-}
-
-// Service returns the middle-box service factory: the relay's backend
-// becomes the primary and extras are the replica volumes attached to the
-// middle-box.
-func Service(extras ...NamedDevice) middlebox.ServiceFactory {
-	return func(backend blockdev.Device) (blockdev.Device, error) {
-		return New(backend, extras...)
-	}
 }

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/blockdev"
 )
@@ -88,8 +90,6 @@ func TestReplicaFailureEvictsAndContinues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evicted []string
-	disp.OnEvict(func(name string, err error) { evicted = append(evicted, name) })
 
 	want := bytes.Repeat([]byte{7}, 512)
 	if err := disp.WriteAt(want, 0); err != nil {
@@ -107,8 +107,11 @@ func TestReplicaFailureEvictsAndContinues(t *testing.T) {
 			t.Fatal("read served stale data")
 		}
 	}
-	if disp.AliveCount() != 2 {
-		t.Errorf("AliveCount = %d, want 2", disp.AliveCount())
+	var evicted []string
+	for _, s := range disp.States() {
+		if !s.Alive {
+			evicted = append(evicted, s.Name)
+		}
 	}
 	if len(evicted) != 1 || evicted[0] != "r2" {
 		t.Errorf("evicted = %v, want [r2]", evicted)
@@ -237,23 +240,97 @@ func TestReplicaConsistencyProperty(t *testing.T) {
 	}
 }
 
-func TestServiceFactoryBuildsDispatcher(t *testing.T) {
-	backend, _ := blockdev.NewMemDisk(512, 64)
-	r2, _ := blockdev.NewMemDisk(512, 64)
-	dev, err := Service(NamedDevice{Name: "r2", Dev: r2})(backend)
+// gateDev wraps a device so a test can hold a write in flight and observe
+// whether Flush overlaps it.
+type gateDev struct {
+	blockdev.Device
+	started          chan struct{}
+	release          chan struct{}
+	inFlight         atomic.Int32
+	flushDuringWrite atomic.Bool
+}
+
+func (d *gateDev) WriteAt(p []byte, lba uint64) error {
+	d.inFlight.Add(1)
+	select {
+	case d.started <- struct{}{}:
+	default:
+	}
+	<-d.release
+	err := d.Device.WriteAt(p, lba)
+	d.inFlight.Add(-1)
+	return err
+}
+
+func (d *gateDev) Flush() error {
+	if d.inFlight.Load() != 0 {
+		d.flushDuringWrite.Store(true)
+	}
+	return d.Device.Flush()
+}
+
+// TestFlushSerializesWithWrites is the regression test for the missing
+// write lock in Flush: a sync racing an in-flight fan-out must not reach a
+// replica before the write lands on it.
+func TestFlushSerializesWithWrites(t *testing.T) {
+	ds := disks(t, 2)
+	gate := &gateDev{Device: ds[1], started: make(chan struct{}, 1), release: make(chan struct{})}
+	disp, err := New(ds[0], NamedDevice{Name: "gated", Dev: gate})
 	if err != nil {
-		t.Fatalf("factory: %v", err)
-	}
-	if err := dev.WriteAt(make([]byte, 512), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Flush(); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := disp.WriteAt(make([]byte, 512), 0); err != nil {
+			t.Errorf("WriteAt: %v", err)
+		}
+	}()
+	<-gate.started
+	go func() {
+		defer wg.Done()
+		if err := disp.Flush(); err != nil {
+			t.Errorf("Flush: %v", err)
+		}
+	}()
+	// Give the Flush goroutine time to hit the write lock (with the bug it
+	// instead reaches the gated replica while the write is parked there).
+	time.Sleep(5 * time.Millisecond)
+	close(gate.release)
+	wg.Wait()
+	if gate.flushDuringWrite.Load() {
+		t.Fatal("Flush reached a replica while a fan-out write was still in flight")
 	}
-	if dev.BlockSize() != 512 || dev.Blocks() != 64 {
-		t.Error("geometry delegation wrong")
+}
+
+// TestConcurrentFlushAndWrites lets -race arbitrate: writers, flushers, and
+// closers all exercising the dispatcher at once.
+func TestConcurrentFlushAndWrites(t *testing.T) {
+	ds := disks(t, 3)
+	disp := dispatcher(t, ds)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func(g int) {
+			defer wg.Done()
+			p := bytes.Repeat([]byte{byte(g + 1)}, 512)
+			for i := 0; i < 50; i++ {
+				if err := disp.WriteAt(p, uint64(g*8+i%8)); err != nil {
+					t.Errorf("WriteAt: %v", err)
+					return
+				}
+			}
+		}(g)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if err := disp.Flush(); err != nil {
+					t.Errorf("Flush: %v", err)
+					return
+				}
+			}
+		}()
 	}
-	if err := dev.Close(); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 }

@@ -41,15 +41,15 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	}
 	defer b.Close()
 	victim := b.targets[2]
-	if victim.BreakerState() != BreakerClosed {
-		t.Fatalf("initial breaker state = %d", victim.BreakerState())
+	if victim.gBreaker.Value() != BreakerClosed {
+		t.Fatalf("initial breaker state = %d", victim.gBreaker.Value())
 	}
 
 	fb.setFail(errors.New("injected"))
 	rng := rand.New(rand.NewSource(3))
 	writeBlocks(t, b, rng, 5)
 	testutil.WaitFor(t, 2*time.Second, "breaker to open", func() bool {
-		return victim.BreakerState() == BreakerOpen
+		return victim.gBreaker.Value() == BreakerOpen
 	})
 	if !b.BreakerOpen() {
 		t.Fatal("BreakerOpen() = false with an open breaker")
@@ -59,8 +59,8 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	if n := b.Probe(); n != 0 {
 		t.Fatalf("probe readmitted %d against a failing backend", n)
 	}
-	if victim.BreakerState() != BreakerOpen {
-		t.Fatalf("breaker state after failed probe = %d, want open", victim.BreakerState())
+	if victim.gBreaker.Value() != BreakerOpen {
+		t.Fatalf("breaker state after failed probe = %d, want open", victim.gBreaker.Value())
 	}
 	if reg.Counter("replicate.brk.flaky.breaker_probes").Value() == 0 {
 		t.Fatal("half-open probe not counted")
@@ -71,8 +71,8 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	if n := b.Probe(); n != 1 {
 		t.Fatalf("probe after heal readmitted %d, want 1", n)
 	}
-	if victim.BreakerState() != BreakerClosed {
-		t.Fatalf("breaker state after heal = %d, want closed", victim.BreakerState())
+	if victim.gBreaker.Value() != BreakerClosed {
+		t.Fatalf("breaker state after heal = %d, want closed", victim.gBreaker.Value())
 	}
 	writeBlocks(t, b, rng, 5)
 	waitDrained(t, b)

@@ -182,9 +182,6 @@ type Target struct {
 	mProbes  *obs.Counter // half-open probe attempts
 }
 
-// BreakerState returns the backend's current breaker gauge value.
-func (t *Target) BreakerState() int64 { return t.gBreaker.Value() }
-
 // Name returns the backend's diagnostic name.
 func (t *Target) Name() string { return t.name }
 
@@ -197,9 +194,6 @@ func (t *Target) Healthy() bool {
 	defer t.box.mu.Unlock()
 	return t.alive
 }
-
-// IDAt returns the chunk ID the backend maps at slot.
-func (t *Target) IDAt(slot uint64) cas.ID { return t.store.IDAt(slot) }
 
 // ReadChunk returns the backend's content at slot (verified).
 func (t *Target) ReadChunk(slot uint64) ([]byte, error) {
@@ -394,13 +388,6 @@ func (b *Box) replay(rec *wal.Recovery) error {
 // Replayed reports how many journal records the box replayed at open.
 func (b *Box) Replayed() int { return b.replayed }
 
-// Pending reports the number of journaled writes still below quorum.
-func (b *Box) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.waiting
-}
-
 // Drained reports whether every dispatched job has been fully processed:
 // every record committed, nothing queued, nothing in flight on any backend.
 // Benches and tests use it to wait for full (not just quorum) convergence.
@@ -420,9 +407,6 @@ func (b *Box) Drained() bool {
 
 // Targets returns the box's backends (for scrub wiring and tests).
 func (b *Box) Targets() []*Target { return b.targets }
-
-// SetKillHook installs the crash-test hook; see Box.killAfter.
-func (b *Box) SetKillHook(fn func(seq uint64, stage string) bool) { b.killAfter = fn }
 
 func (b *Box) initMetrics() {
 	p := "replicate." + b.cfg.Name + "."

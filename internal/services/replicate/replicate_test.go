@@ -275,7 +275,7 @@ func TestHedgedReturnBelowQuorum(t *testing.T) {
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("hedged write blocked past the hedge delay")
 	}
-	if b.Pending() == 0 {
+	if waiting(b) == 0 {
 		t.Fatal("below-quorum write should stay pending")
 	}
 	// Heal both: the prober resyncs, retro-acks, and the pending record
@@ -322,13 +322,13 @@ func TestCrashKillRecoveryConverges(t *testing.T) {
 			stores := memStores(t, 3)
 			box := newBoxOn(t, dir, disk, stores, 2)
 			var appended uint64
-			box.SetKillHook(func(seq uint64, st string) bool {
+			box.killAfter = func(seq uint64, st string) bool {
 				if st != stage {
 					return false
 				}
 				appended++
 				return appended == killIdx
-			})
+			}
 
 			rng := rand.New(rand.NewSource(77))
 			killed := -1
@@ -461,4 +461,11 @@ func TestConcurrentWritersUnderRace(t *testing.T) {
 			t.Fatalf("backend %s diverged under concurrency", ns.Name)
 		}
 	}
+}
+
+// waiting is the number of b's journaled writes still below quorum.
+func waiting(b *Box) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.waiting
 }

@@ -70,7 +70,7 @@ func TestStragglerReplayedAfterCrash(t *testing.T) {
 	if time.Since(start) >= 200*time.Millisecond {
 		t.Fatal("write waited out the hedge instead of returning at quorum")
 	}
-	if n := b.Pending(); n != 0 {
+	if n := waiting(b); n != 0 {
 		t.Fatalf("%d writes below quorum after a quorum return", n)
 	}
 	if n := b.log.Pending(); n != 1 {

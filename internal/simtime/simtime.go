@@ -31,8 +31,3 @@ func Sleep(d time.Duration) {
 		runtime.Gosched()
 	}
 }
-
-// SleepUntil pauses until the deadline t (no-op when t has passed).
-func SleepUntil(t time.Time) {
-	Sleep(time.Until(t))
-}

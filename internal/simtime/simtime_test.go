@@ -67,12 +67,3 @@ func TestConcurrentSleepsOverlap(t *testing.T) {
 		t.Errorf("%d concurrent sleeps of %v took %v: not overlapping", n, d, el)
 	}
 }
-
-func TestSleepUntil(t *testing.T) {
-	target := time.Now().Add(3 * time.Millisecond)
-	SleepUntil(target)
-	if time.Now().Before(target) {
-		t.Error("SleepUntil returned early")
-	}
-	SleepUntil(time.Now().Add(-time.Second)) // past deadline: no-op
-}

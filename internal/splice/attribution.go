@@ -19,11 +19,6 @@ type Binding struct {
 	SourcePort int
 }
 
-// Complete reports whether both halves of the attribution are known.
-func (b Binding) Complete() bool {
-	return b.VM != "" && b.VolumeIQN != "" && b.SourcePort != 0
-}
-
 // String renders the binding.
 func (b Binding) String() string {
 	return fmt.Sprintf("%s <-> %s (port %d)", b.VM, b.VolumeIQN, b.SourcePort)
@@ -31,17 +26,13 @@ func (b Binding) String() string {
 
 // Attributions is the platform's connection attribution table.
 type Attributions struct {
-	mu     sync.Mutex
-	byIQN  map[string]*Binding
-	byPort map[int]*Binding
+	mu    sync.Mutex
+	byIQN map[string]*Binding
 }
 
 // NewAttributions returns an empty table.
 func NewAttributions() *Attributions {
-	return &Attributions{
-		byIQN:  make(map[string]*Binding),
-		byPort: make(map[int]*Binding),
-	}
+	return &Attributions{byIQN: make(map[string]*Binding)}
 }
 
 // RecordAttachment registers the hypervisor-side half: VM <-> IQN. It is
@@ -70,23 +61,14 @@ func (a *Attributions) RecordLogin(iqn string, sourcePort int) {
 		b = &Binding{VolumeIQN: iqn}
 		a.byIQN[iqn] = b
 	}
-	if b.SourcePort != 0 {
-		delete(a.byPort, b.SourcePort)
-	}
 	b.SourcePort = sourcePort
-	a.byPort[sourcePort] = b
 }
 
 // RemoveAttachment drops the binding for an IQN (volume detach).
 func (a *Attributions) RemoveAttachment(iqn string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if b, ok := a.byIQN[iqn]; ok {
-		if b.SourcePort != 0 {
-			delete(a.byPort, b.SourcePort)
-		}
-		delete(a.byIQN, iqn)
-	}
+	delete(a.byIQN, iqn)
 }
 
 // ByIQN returns the binding for a volume, if known.
@@ -97,36 +79,4 @@ func (a *Attributions) ByIQN(iqn string) (Binding, bool) {
 		return *b, true
 	}
 	return Binding{}, false
-}
-
-// ByPort resolves a TCP source port to its owning VM and volume — the
-// query that lets the platform distinguish one VM's storage traffic from
-// another's on the shared host connection.
-func (a *Attributions) ByPort(port int) (Binding, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if b, ok := a.byPort[port]; ok {
-		return *b, true
-	}
-	return Binding{}, false
-}
-
-// ByVM returns all bindings of one VM.
-func (a *Attributions) ByVM(vm string) []Binding {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []Binding
-	for _, b := range a.byIQN {
-		if b.VM == vm {
-			out = append(out, *b)
-		}
-	}
-	return out
-}
-
-// Len returns the number of known bindings.
-func (a *Attributions) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.byIQN)
 }

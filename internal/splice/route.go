@@ -76,6 +76,7 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 	}
 	cur := host
 	steps := p.ctrl.Walk(instFlow, host, station)
+	release := releaseBindings(instFlow, steps)
 	for _, st := range steps {
 		switch st.MB.Mode {
 		case vswitch.ModeForward:
@@ -103,6 +104,7 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 				DialedDst: dialedDst,
 				NextHop:   netsim.Addr{Net: netsim.InstanceNet, IP: dep.Egress.InstanceIP, Port: iscsiPort},
 				Hops:      hops,
+				Release:   release,
 			}, nil
 		default:
 			return nil, fmt.Errorf("splice: chain %q has unknown steering mode %v", dep.ID, st.MB.Mode)
@@ -135,7 +137,28 @@ func (p *Plane) walkChain(dep *Deployment, srcAddr, dialedDst netsim.Addr, host,
 		SrcAsSeen: netsim.Addr{Net: netsim.StorageNet, IP: egressIP, Port: srcAddr.Port},
 		DialedDst: dialedDst,
 		Hops:      hops,
+		Release:   release,
 	}, nil
+}
+
+// releaseBindings is the Route.Release that frees flow's bindings in the
+// select groups the walk chose members from, so a closed connection stops
+// counting toward its member's load; nil when the walk crossed no group.
+func releaseBindings(flow netsim.Flow, steps []sdn.Step) func() {
+	var groups []*vswitch.Group
+	for _, st := range steps {
+		if st.Group != nil {
+			groups = append(groups, st.Group)
+		}
+	}
+	if len(groups) == 0 {
+		return nil
+	}
+	return func() {
+		for _, g := range groups {
+			g.Forget(flow)
+		}
+	}
 }
 
 func (p *Plane) isProtected(ip string) bool {

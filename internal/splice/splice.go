@@ -113,9 +113,6 @@ func NewPlane(fabric *netsim.Fabric, ctrl *sdn.Controller) *Plane {
 	return p
 }
 
-// Controller returns the SDN controller the plane steers with.
-func (p *Plane) Controller() *sdn.Controller { return p.ctrl }
-
 // Attributions returns the connection attribution table.
 func (p *Plane) Attributions() *Attributions { return p.attrib }
 
@@ -305,12 +302,4 @@ func (p *Plane) AtomicAttach(d *Deployment, attach func() error) error {
 	}
 	defer tbl.Remove(rule.ID)
 	return attach()
-}
-
-// attachLockCount reports how many per-host attachment locks are live
-// (tests: the registry must drain back to empty after attach churn).
-func (p *Plane) attachLockCount() int {
-	p.attachMu.Lock()
-	defer p.attachMu.Unlock()
-	return len(p.attachLocks)
 }

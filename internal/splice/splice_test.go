@@ -12,6 +12,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/initiator"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sdn"
 	"repro/internal/target"
 	"repro/internal/vswitch"
@@ -237,12 +238,8 @@ func TestAttributionAssembled(t *testing.T) {
 	if b.VM != "vm1" {
 		t.Errorf("binding VM = %q, want vm1", b.VM)
 	}
-	if !b.Complete() {
-		t.Error("binding incomplete")
-	}
-	byPort, ok := tb.plane.Attributions().ByPort(b.SourcePort)
-	if !ok || byPort.VM != "vm1" {
-		t.Errorf("ByPort(%d) = %+v, %v", b.SourcePort, byPort, ok)
+	if b.VolumeIQN != volIQN {
+		t.Errorf("binding IQN = %q, want %q", b.VolumeIQN, volIQN)
 	}
 }
 
@@ -269,7 +266,7 @@ func TestCaptureRuleRemovedAfterAttach(t *testing.T) {
 		}
 	}
 	// The established session keeps working through its spliced route.
-	if err := sess.Ping(); err != nil {
+	if err := sess.Flush(); err != nil {
 		t.Errorf("established session broken after rule removal: %v", err)
 	}
 }
@@ -406,8 +403,8 @@ func TestConcurrentAttachDifferentVolumes(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("concurrent attach: %v", r.err)
 		}
-		if err := r.sess.Ping(); err != nil {
-			t.Errorf("ping after concurrent attach: %v", err)
+		if err := r.sess.Flush(); err != nil {
+			t.Errorf("flush after concurrent attach: %v", err)
 		}
 		_ = r.sess.Close()
 	}
@@ -443,8 +440,45 @@ func TestUpdateChainLiveScaling(t *testing.T) {
 	if !crossesMB(route2) {
 		t.Error("updated chain route does not cross the MB host")
 	}
-	if err := sess2.Ping(); err != nil {
-		t.Errorf("ping through updated chain: %v", err)
+	if err := sess2.Flush(); err != nil {
+		t.Errorf("flush through updated chain: %v", err)
+	}
+}
+
+// TestClosedConnectionReleasesGroupBinding: a connection's select-group
+// binding lasts as long as the connection. Eight connections opened and
+// closed on a one-member group leave it unloaded, so after a scale-out to
+// two members the next two connections land on different members.
+func TestClosedConnectionReleasesGroupBinding(t *testing.T) {
+	tb := newTestbed(t)
+	group := func(insts ...sdn.Instance) []sdn.MBSpec {
+		return []sdn.MBSpec{{Name: "grp", Mode: vswitch.ModeForward, Instances: insts}}
+	}
+	a, b := sdn.Instance{Name: "a", Host: "mbhost1"}, sdn.Instance{Name: "b", Host: "gw1"}
+	d := tb.deployment(group(a)...)
+	if err := tb.plane.Deploy(d); err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := tb.attach(t, d).Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	if err := tb.plane.UpdateChain(d.ID, group(a, b)); err != nil {
+		t.Fatalf("UpdateChain: %v", err)
+	}
+	members := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		sess := tb.attach(t, d)
+		defer sess.Close()
+		for _, h := range sess.Conn().(*netsim.Conn).Route().Hops {
+			if h.Stage == obs.StageMBForward {
+				members[h.Host] = true
+			}
+		}
+	}
+	if len(members) != 2 {
+		t.Fatalf("two connections after scale-out went through %v, want one per member", members)
 	}
 }
 
@@ -522,40 +556,28 @@ func TestRelayTerminationRouting(t *testing.T) {
 func TestAttributionsTable(t *testing.T) {
 	a := NewAttributions()
 	a.RecordAttachment("vm1", "iqn.vol1")
-	if b, ok := a.ByIQN("iqn.vol1"); !ok || b.Complete() {
+	if b, ok := a.ByIQN("iqn.vol1"); !ok || b.VM != "vm1" || b.SourcePort != 0 {
 		t.Errorf("partial binding: %+v %v", b, ok)
 	}
 	a.RecordLogin("iqn.vol1", 40001)
 	b, ok := a.ByIQN("iqn.vol1")
-	if !ok || !b.Complete() || b.SourcePort != 40001 {
+	if !ok || b.VM != "vm1" || b.SourcePort != 40001 {
 		t.Errorf("binding = %+v", b)
 	}
 	// Re-login with a new port supersedes the old one.
 	a.RecordLogin("iqn.vol1", 40002)
-	if _, ok := a.ByPort(40001); ok {
-		t.Error("stale port still resolves")
-	}
-	if b, ok := a.ByPort(40002); !ok || b.VM != "vm1" {
-		t.Errorf("ByPort(40002) = %+v, %v", b, ok)
+	if b, ok := a.ByIQN("iqn.vol1"); !ok || b.SourcePort != 40002 {
+		t.Errorf("binding after re-login = %+v, %v", b, ok)
 	}
 	// Login before attachment also assembles.
 	a.RecordLogin("iqn.vol2", 40010)
 	a.RecordAttachment("vm2", "iqn.vol2")
-	if b, ok := a.ByIQN("iqn.vol2"); !ok || !b.Complete() {
+	if b, ok := a.ByIQN("iqn.vol2"); !ok || b.VM != "vm2" || b.SourcePort != 40010 {
 		t.Errorf("reverse-order binding = %+v", b)
-	}
-	if got := a.ByVM("vm1"); len(got) != 1 {
-		t.Errorf("ByVM(vm1) = %v", got)
-	}
-	if a.Len() != 2 {
-		t.Errorf("Len = %d", a.Len())
 	}
 	a.RemoveAttachment("iqn.vol1")
 	if _, ok := a.ByIQN("iqn.vol1"); ok {
 		t.Error("binding survives RemoveAttachment")
-	}
-	if _, ok := a.ByPort(40002); ok {
-		t.Error("port index survives RemoveAttachment")
 	}
 	a.RecordLogin("iqn.volX", 0) // ignored
 	if _, ok := a.ByIQN("iqn.volX"); ok {
@@ -599,7 +621,10 @@ func TestAtomicAttachLockPruning(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := tb.plane.attachLockCount(); n != 0 {
+	tb.plane.attachMu.Lock()
+	n := len(tb.plane.attachLocks)
+	tb.plane.attachMu.Unlock()
+	if n != 0 {
 		t.Fatalf("attach-lock registry leaked %d entries after churn", n)
 	}
 }

@@ -145,16 +145,16 @@ func TestPipelinedCommandGetsItsOwnGoroutine(t *testing.T) {
 	send := func(itt, cmdSN uint32, write bool) {
 		t.Helper()
 		cmd := &iscsi.SCSICommand{Final: true, ITT: itt, CmdSN: cmdSN, ExpectedDataTransferLength: 512}
-		cdb := scsi.NewRead(uint64(itt), 1)
+		cdb := scsi.ReadCDB(uint64(itt), 1)
 		if write {
-			cmd.Write, cmd.Data, cdb = true, make([]byte, 512), scsi.NewWrite(uint64(itt), 1)
+			cmd.Write, cmd.Data, cdb = true, make([]byte, 512), scsi.WriteCDB(uint64(itt), 1)
 		} else {
 			cmd.Read = true
 		}
 		if _, err := cdb.EncodeInto(cmd.CDB[:]); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cmd.Encode().WriteTo(conn); err != nil {
+		if _, err := cmd.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 			t.Fatal(err)
 		}
 	}

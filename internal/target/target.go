@@ -77,11 +77,6 @@ func WithObs(reg *obs.Registry, stage string) Option {
 	}
 }
 
-// WithInquiry overrides the standard INQUIRY data served for every LUN.
-func WithInquiry(d scsi.InquiryData) Option {
-	return func(s *Server) { s.inquiry = d }
-}
-
 // WithParams overrides the operational parameters the server offers during
 // login negotiation (burst windows, immediate data, MC/S connection bound).
 // Each session still converges on the RFC result functions against what the
@@ -176,14 +171,6 @@ func (s *Server) AddTarget(iqn string, dev blockdev.Device) error {
 	}
 	s.targets[iqn] = dev
 	return nil
-}
-
-// RemoveTarget stops exporting the IQN. Established sessions keep their
-// device.
-func (s *Server) RemoveTarget(iqn string) {
-	s.mu.Lock()
-	delete(s.targets, iqn)
-	s.mu.Unlock()
 }
 
 // targetNames returns the exported IQNs (for SendTargets discovery).

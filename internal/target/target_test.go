@@ -331,10 +331,11 @@ func TestR2TSolicitedWriteFlow(t *testing.T) {
 		ExpStatSN:                  2,
 		Data:                       data[:512],
 	}
-	if _, err := scsi.NewWrite(4, 4).EncodeInto(cmd.CDB[:]); err != nil {
+	cdb := scsi.WriteCDB(4, 4)
+	if _, err := cdb.EncodeInto(cmd.CDB[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cmd.Encode().WriteTo(conn); err != nil {
+	if _, err := cmd.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 		t.Fatalf("send write command: %v", err)
 	}
 
@@ -347,8 +348,8 @@ func TestR2TSolicitedWriteFlow(t *testing.T) {
 		{1536, 512, 1},
 	}
 	for _, want := range wantBursts {
-		r2t, err := iscsi.ParseR2T(readPDU(t, conn))
-		if err != nil {
+		r2t := &iscsi.R2T{}
+		if err := iscsi.ParseR2TInto(r2t, readPDU(t, conn)); err != nil {
 			t.Fatalf("parse R2T: %v", err)
 		}
 		if r2t.ITT != itt || r2t.BufferOffset != want.offset ||
@@ -364,13 +365,13 @@ func TestR2TSolicitedWriteFlow(t *testing.T) {
 			BufferOffset: want.offset,
 			Data:         data[want.offset : want.offset+want.desired],
 		}
-		if _, err := dout.Encode().WriteTo(conn); err != nil {
+		if _, err := dout.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 			t.Fatalf("send Data-Out: %v", err)
 		}
 	}
 
-	resp, err := iscsi.ParseSCSIResponse(readPDU(t, conn))
-	if err != nil {
+	resp := &iscsi.SCSIResponse{}
+	if err := iscsi.ParseSCSIResponseInto(resp, readPDU(t, conn)); err != nil {
 		t.Fatalf("parse response: %v", err)
 	}
 	if resp.ITT != itt || resp.Status != byte(scsi.StatusGood) {
@@ -395,15 +396,16 @@ func TestZeroLengthWriteAnswered(t *testing.T) {
 	conn := dialTarget(t, ln)
 	smallBurstLogin(t, conn)
 	cmd := &iscsi.SCSICommand{Final: true, Write: true, ITT: 0x30, CmdSN: 2, ExpStatSN: 2}
-	if _, err := scsi.NewWrite(4, 0).EncodeInto(cmd.CDB[:]); err != nil {
+	cdb := scsi.WriteCDB(4, 0)
+	if _, err := cdb.EncodeInto(cmd.CDB[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cmd.Encode().WriteTo(conn); err != nil {
+	if _, err := cmd.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 		t.Fatalf("send write command: %v", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := iscsi.ParseSCSIResponse(readPDU(t, conn))
-	if err != nil {
+	resp := &iscsi.SCSIResponse{}
+	if err := iscsi.ParseSCSIResponseInto(resp, readPDU(t, conn)); err != nil {
 		t.Fatalf("parse response: %v", err)
 	}
 	if resp.ITT != 0x30 || resp.Status != byte(scsi.StatusGood) {
@@ -448,10 +450,11 @@ func TestWriteDroppedMidR2TUnanswered(t *testing.T) {
 		Final: true, Write: true, ITT: 0x40, CmdSN: 2, ExpStatSN: 2,
 		ExpectedDataTransferLength: 2048, Data: make([]byte, 512),
 	}
-	if _, err := scsi.NewWrite(4, 4).EncodeInto(cmd.CDB[:]); err != nil {
+	cdb := scsi.WriteCDB(4, 4)
+	if _, err := cdb.EncodeInto(cmd.CDB[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cmd.Encode().WriteTo(conn); err != nil {
+	if _, err := cmd.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 		t.Fatalf("send write command: %v", err)
 	}
 	if p := readPDU(t, conn); p.Op() != iscsi.OpR2T {
@@ -512,10 +515,11 @@ func TestLogoutWaitsForInFlightCommand(t *testing.T) {
 		Final: true, Write: true, ITT: 0x20,
 		ExpectedDataTransferLength: 512, CmdSN: 2, Data: payload,
 	}
-	if _, err := scsi.NewWrite(9, 1).EncodeInto(cmd.CDB[:]); err != nil {
+	cdb := scsi.WriteCDB(9, 1)
+	if _, err := cdb.EncodeInto(cmd.CDB[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cmd.Encode().WriteTo(conn); err != nil {
+	if _, err := cmd.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 		t.Fatalf("send write command: %v", err)
 	}
 	select {
@@ -533,19 +537,15 @@ func TestLogoutWaitsForInFlightCommand(t *testing.T) {
 	if first.Op() != iscsi.OpSCSIResponse {
 		t.Fatalf("first PDU after logout = %v, want the in-flight command's SCSI Response", first.Op())
 	}
-	resp, err := iscsi.ParseSCSIResponse(first)
-	if err != nil {
+	resp := &iscsi.SCSIResponse{}
+	if err := iscsi.ParseSCSIResponseInto(resp, first); err != nil {
 		t.Fatal(err)
 	}
 	if resp.ITT != 0x20 || resp.Status != byte(scsi.StatusGood) {
 		t.Fatalf("command completed ITT=%#x status=%#x, want ITT=0x20 GOOD", resp.ITT, resp.Status)
 	}
-	lresp, err := iscsi.ParseLogoutResponse(readPDU(t, conn))
-	if err != nil {
-		t.Fatalf("parse logout response: %v", err)
-	}
-	if lresp.ITT != 0x21 {
-		t.Fatalf("logout response ITT = %#x, want 0x21", lresp.ITT)
+	if lresp := readPDU(t, conn); lresp.Op() != iscsi.OpLogoutResp || lresp.ITT() != 0x21 {
+		t.Fatalf("got %v ITT %#x, want the logout response to ITT 0x21", lresp.Op(), lresp.ITT())
 	}
 	check := make([]byte, 512)
 	if err := disk.ReadAt(check, 9); err != nil {
@@ -599,7 +599,7 @@ func TestNopOutEcho(t *testing.T) {
 		iscsi.KeyTargetName:    testIQN,
 	})
 	nop := &iscsi.NopOut{ITT: 9, TTT: 0xFFFFFFFF, CmdSN: 2, ExpStatSN: 2}
-	if _, err := nop.Encode().WriteTo(conn); err != nil {
+	if _, err := nop.EncodeInto(&iscsi.PDU{}).WriteTo(conn); err != nil {
 		t.Fatalf("send NOP-Out: %v", err)
 	}
 	in, err := iscsi.ParseNopIn(readPDU(t, conn))

@@ -42,7 +42,6 @@ type Volume struct {
 
 	dev   blockdev.Device
 	fault *blockdev.FaultDisk
-	mem   *blockdev.MemDisk
 }
 
 // Device exposes the backing device (provider-side access, used by the
@@ -52,9 +51,6 @@ func (v *Volume) Device() blockdev.Device { return v.dev }
 // InjectFault fails the volume's medium with err (Figure 13's injected
 // replica error).
 func (v *Volume) InjectFault(err error) { v.fault.Trip(err) }
-
-// HealFault clears an injected fault so the volume serves I/O again.
-func (v *Volume) HealFault() { v.fault.Heal() }
 
 // Service is the cloud's volume manager.
 type Service struct {
@@ -163,7 +159,6 @@ func (s *Service) Create(name string, sizeBytes uint64) (*Volume, error) {
 		Status:    StatusAvailable,
 		dev:       dev,
 		fault:     fault,
-		mem:       mem,
 	}
 	s.volumes[id] = v
 	s.mu.Unlock()
@@ -186,17 +181,6 @@ func (s *Service) Get(id string) (*Volume, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	return v, nil
-}
-
-// List returns all volumes sorted by ID.
-func (s *Service) List() []*Volume {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Volume, 0, len(s.volumes))
-	for _, v := range s.volumes {
-		out = append(out, v)
-	}
-	return out
 }
 
 // MarkAttached records the attachment (Nova-side bookkeeping).
@@ -228,64 +212,5 @@ func (s *Service) MarkDetached(id string) error {
 	}
 	v.Status = StatusAvailable
 	v.AttachedTo = ""
-	return nil
-}
-
-// Snapshot creates a new available volume holding a point-in-time copy of
-// the source volume's data (crash-consistent: concurrent writes either
-// land in the snapshot or do not).
-func (s *Service) Snapshot(id, name string) (*Volume, error) {
-	src, err := s.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := src.mem.Clone()
-	if err != nil {
-		return nil, fmt.Errorf("volume: snapshot %s: %w", id, err)
-	}
-	fault := blockdev.NewFaultDisk(mem)
-	var dev blockdev.Device = fault
-	if s.readModel != (blockdev.ServiceModel{}) || s.writeModel != (blockdev.ServiceModel{}) {
-		dev = blockdev.NewLatencyDiskQueued(dev, s.readModel, s.writeModel, s.concurrency)
-	}
-	s.mu.Lock()
-	s.nextID++
-	snapID := fmt.Sprintf("vol-%04d", s.nextID)
-	v := &Volume{
-		ID:        snapID,
-		Name:      name,
-		SizeBytes: src.SizeBytes,
-		IQN:       fmt.Sprintf("%s:%s", s.iqnPrefix, snapID),
-		Status:    StatusAvailable,
-		dev:       dev,
-		fault:     fault,
-		mem:       mem,
-	}
-	s.volumes[snapID] = v
-	s.mu.Unlock()
-	if err := s.srv.AddTarget(v.IQN, dev); err != nil {
-		s.mu.Lock()
-		delete(s.volumes, snapID)
-		s.mu.Unlock()
-		return nil, err
-	}
-	return v, nil
-}
-
-// Delete removes an available volume.
-func (s *Service) Delete(id string) error {
-	s.mu.Lock()
-	v, ok := s.volumes[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if v.Status == StatusAttached {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: attached to %s", ErrInUse, v.AttachedTo)
-	}
-	delete(s.volumes, id)
-	s.mu.Unlock()
-	s.srv.RemoveTarget(v.IQN)
 	return nil
 }

@@ -32,8 +32,6 @@ type GroupMember struct {
 // binding table is consistent no matter where on the path selection
 // happens.
 type Group struct {
-	id string
-
 	mu       sync.Mutex
 	members  []GroupMember
 	draining map[string]bool
@@ -41,16 +39,12 @@ type Group struct {
 }
 
 // NewGroup creates an empty select group.
-func NewGroup(id string) *Group {
+func NewGroup() *Group {
 	return &Group{
-		id:       id,
 		draining: make(map[string]bool),
 		bindings: make(map[netsim.Flow]string),
 	}
 }
-
-// ID returns the group's name.
-func (g *Group) ID() string { return g.id }
 
 // SetMembers replaces the member list. Bindings to members that survive the
 // change are preserved (a scale event never remaps an existing flow);
@@ -74,13 +68,6 @@ func (g *Group) SetMembers(members []GroupMember) {
 			delete(g.draining, st)
 		}
 	}
-}
-
-// Members returns a snapshot of the member list.
-func (g *Group) Members() []GroupMember {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return append([]GroupMember(nil), g.members...)
 }
 
 // Len returns the number of members.
@@ -114,7 +101,8 @@ func (g *Group) Draining(station string) bool {
 // Select resolves the member serving flow f, binding it on first sight.
 // New flows go to the least-bound accepting member, with the flow hash
 // breaking ties, so load spreads evenly as the group grows; a bound flow
-// keeps its member until the member is removed or starts draining. Select
+// keeps its member until its connection closes (Forget) or the member is
+// removed or starts draining. Select
 // reports false only when the group has no members at all.
 func (g *Group) Select(f netsim.Flow) (GroupMember, bool) {
 	g.mu.Lock()
@@ -158,39 +146,12 @@ func (g *Group) Select(f netsim.Flow) (GroupMember, bool) {
 	return chosen, true
 }
 
-// Binding returns the member station a flow is bound to, if any.
-func (g *Group) Binding(f netsim.Flow) (string, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st, ok := g.bindings[f]
-	return st, ok
-}
-
-// Bindings returns a copy of the full flow→member binding table.
-func (g *Group) Bindings() map[netsim.Flow]string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[netsim.Flow]string, len(g.bindings))
-	for f, st := range g.bindings {
-		out[f] = st
-	}
-	return out
-}
-
-// Forget drops a flow's binding (connection teardown); its next appearance
-// selects afresh.
+// Forget drops a flow's binding when its connection closes (the splice
+// plane's Route.Release); its next appearance selects afresh.
 func (g *Group) Forget(f netsim.Flow) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	delete(g.bindings, f)
-}
-
-// Load returns the number of bound flows per member station, including
-// stations with zero bindings.
-func (g *Group) Load() map[string]int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.loadLocked()
 }
 
 func (g *Group) loadLocked() map[string]int {
@@ -202,17 +163,6 @@ func (g *Group) loadLocked() map[string]int {
 		load[st]++
 	}
 	return load
-}
-
-// Stations returns the member station names in order.
-func (g *Group) Stations() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, len(g.members))
-	for i, m := range g.members {
-		out[i] = m.Station
-	}
-	return out
 }
 
 func (g *Group) memberLocked(station string) *GroupMember {

@@ -17,7 +17,7 @@ func flowN(n int) netsim.Flow {
 }
 
 func TestGroupSelectIsSticky(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2")})
 	f := flowN(1)
 	m1, ok := g.Select(f)
@@ -33,22 +33,22 @@ func TestGroupSelectIsSticky(t *testing.T) {
 }
 
 func TestGroupSpreadsNewFlows(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2"), gm("c", "h3"), gm("d", "h4")})
 	for i := 0; i < 8; i++ {
 		if _, ok := g.Select(flowN(i)); !ok {
 			t.Fatal("select failed")
 		}
 	}
-	for st, n := range g.Load() {
+	for st, n := range load(g) {
 		if n != 2 {
-			t.Fatalf("least-loaded select should balance: member %s has %d of 8 flows (%v)", st, n, g.Load())
+			t.Fatalf("least-loaded select should balance: member %s has %d of 8 flows (%v)", st, n, load(g))
 		}
 	}
 }
 
 func TestGroupScaleUpKeepsBindings(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1")})
 	before := make(map[netsim.Flow]string)
 	for i := 0; i < 4; i++ {
@@ -70,7 +70,7 @@ func TestGroupScaleUpKeepsBindings(t *testing.T) {
 }
 
 func TestGroupDrainingExcludedFromNewFlows(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2")})
 	g.SetDraining("a", true)
 	for i := 0; i < 6; i++ {
@@ -85,7 +85,7 @@ func TestGroupDrainingExcludedFromNewFlows(t *testing.T) {
 }
 
 func TestGroupDrainRebindsOnReconnect(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2")})
 	// Force a binding onto a, then drain a.
 	var onA netsim.Flow
@@ -107,7 +107,7 @@ func TestGroupDrainRebindsOnReconnect(t *testing.T) {
 }
 
 func TestGroupAllDrainingStillServes(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1")})
 	g.SetDraining("a", true)
 	if _, ok := g.Select(flowN(1)); !ok {
@@ -116,7 +116,7 @@ func TestGroupAllDrainingStillServes(t *testing.T) {
 }
 
 func TestGroupRemoveMemberPrunesBindings(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2")})
 	f := flowN(1)
 	m, _ := g.Select(f)
@@ -129,20 +129,23 @@ func TestGroupRemoveMemberPrunesBindings(t *testing.T) {
 	if !ok || got.Station != other {
 		t.Fatalf("flow of removed member should rebind to %s, got %v ok=%v", other, got.Station, ok)
 	}
-	if _, bound := g.Binding(flowN(2)); bound {
+	g.mu.Lock()
+	_, bound := g.bindings[flowN(2)]
+	g.mu.Unlock()
+	if bound {
 		t.Fatal("unknown flow reported bound")
 	}
 }
 
 func TestGroupEmpty(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	if _, ok := g.Select(flowN(1)); ok {
 		t.Fatal("empty group resolved a member")
 	}
 }
 
 func TestGroupConcurrentSelect(t *testing.T) {
-	g := NewGroup("g")
+	g := NewGroup()
 	g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2"), gm("c", "h3")})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -163,7 +166,7 @@ func TestGroupConcurrentSelect(t *testing.T) {
 					return
 				}
 				if i == 50 && w == 0 {
-					g.SetMembers(append(g.Members(), gm("d", "h4")))
+					g.SetMembers([]GroupMember{gm("a", "h1"), gm("b", "h2"), gm("c", "h3"), gm("d", "h4")})
 				}
 			}
 		}(w)
@@ -173,4 +176,11 @@ func TestGroupConcurrentSelect(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+}
+
+// load is the number of bound flows per member station.
+func load(g *Group) map[string]int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.loadLocked()
 }

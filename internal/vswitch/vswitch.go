@@ -119,12 +119,7 @@ type Rule struct {
 	Priority int
 	Match    Match
 	Action   Action
-
-	packets atomic.Int64
 }
-
-// Packets returns the number of lookups this rule has matched.
-func (r *Rule) Packets() int64 { return r.packets.Load() }
 
 // String renders the rule.
 func (r *Rule) String() string {
@@ -175,9 +170,6 @@ func New(host string) *Switch {
 	return s
 }
 
-// Host returns the host the switch runs on.
-func (s *Switch) Host() string { return s.host }
-
 // publish builds the derived indexes for an evaluation-ordered rule slice
 // and swaps the snapshot in. Caller holds s.mu.
 func (s *Switch) publish(rules []*Rule) {
@@ -224,24 +216,6 @@ func (s *Switch) Install(r *Rule) error {
 	return nil
 }
 
-// Remove deletes a rule by ID (no-op when absent).
-func (s *Switch) Remove(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.order[id]; !ok {
-		return
-	}
-	delete(s.order, id)
-	cur := s.set.Load().rules
-	rules := make([]*Rule, 0, len(cur)-1)
-	for _, r := range cur {
-		if r.ID != id {
-			rules = append(rules, r)
-		}
-	}
-	s.publish(rules)
-}
-
 // RemovePrefix deletes every rule whose ID begins with prefix, used to tear
 // down a whole chain atomically. When no rule carries the prefix the
 // current snapshot is kept as-is, so sweeping a switch the chain never
@@ -271,7 +245,7 @@ func (s *Switch) RemovePrefix(prefix string) {
 }
 
 // Lookup finds the highest-priority rule matching the flow arriving from
-// station, bumping its packet counter. It returns nil when no rule matches
+// station. It returns nil when no rule matches
 // (normal L2/L3 forwarding applies). Lookup is lock-free and allocation-
 // free: it reads one immutable snapshot, probes the exact-match index, and
 // scans only the wildcard rules that could outrank the indexed hit.
@@ -293,9 +267,6 @@ func (s *Switch) Lookup(f netsim.Flow, station string) *Rule {
 			break
 		}
 	}
-	if best != nil {
-		best.packets.Add(1)
-	}
 	return best
 }
 
@@ -305,9 +276,4 @@ func (s *Switch) Lookup(f netsim.Flow, station string) *Rule {
 // under churn no longer induce a quadratic copy.
 func (s *Switch) Rules() []*Rule {
 	return s.set.Load().rules
-}
-
-// Len returns the number of installed rules.
-func (s *Switch) Len() int {
-	return len(s.set.Load().rules)
 }

@@ -395,19 +395,6 @@ func newLog(dir string, meta Meta, opts Options) *Log {
 	return l
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Meta returns the log's identity attributes.
-func (l *Log) Meta() Meta { return l.meta }
-
-// NextSeq returns the sequence number the next append will take.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq + 1
-}
-
 // Segments returns the number of live segment files.
 func (l *Log) Segments() int {
 	l.mu.Lock()

@@ -233,10 +233,9 @@ func TestAppendWriteErrorDoesNotBurnSeq(t *testing.T) {
 	if _, err := l.Append(0, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	want := l.NextSeq()
 	// Sabotage the segment file handle so the next record write fails.
 	l.mu.Lock()
-	f := l.f
+	f, want := l.f, l.nextSeq
 	l.mu.Unlock()
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -244,8 +243,11 @@ func TestAppendWriteErrorDoesNotBurnSeq(t *testing.T) {
 	if _, err := l.Append(8, []byte("fails")); err == nil {
 		t.Fatal("Append on a closed segment file succeeded")
 	}
-	if got := l.NextSeq(); got != want {
-		t.Fatalf("failed append burned a seq: NextSeq = %d, want %d", got, want)
+	l.mu.Lock()
+	got := l.nextSeq
+	l.mu.Unlock()
+	if got != want {
+		t.Fatalf("failed append burned a seq: next seq %d, want %d", got+1, want+1)
 	}
 	if got := l.Pending(); got != 1 {
 		t.Fatalf("failed append left bookkeeping: Pending = %d, want 1", got)

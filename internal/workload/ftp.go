@@ -31,11 +31,6 @@ type FTPResult struct {
 	MBps    float64
 }
 
-// String renders the result.
-func (r *FTPResult) String() string {
-	return fmt.Sprintf("ftp: %d MiB in %v = %.1f MB/s", r.Bytes>>20, r.Elapsed.Round(time.Millisecond), r.MBps)
-}
-
 func (c *FTPConfig) defaults() error {
 	if c.Dev == nil {
 		return fmt.Errorf("workload: ftp needs a device")

@@ -37,7 +37,7 @@ func TestTracingOverheadOnFioHotPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return blockdev.NewLatencyDisk(mem, blockdev.ServiceModel{PerRequest: 100 * time.Microsecond})
+		return blockdev.NewLatencyDiskQueued(mem, blockdev.ServiceModel{PerRequest: 100 * time.Microsecond}, blockdev.ServiceModel{PerRequest: 100 * time.Microsecond}, 0)
 	}
 
 	// Warm up scheduling and caches once before timing.

@@ -44,12 +44,6 @@ type PostmarkResult struct {
 	WriteMBps       float64
 }
 
-// String renders the component table row.
-func (r *PostmarkResult) String() string {
-	return fmt.Sprintf("postmark: read %.0f/s append %.0f/s create %.0f/s delete %.0f/s, %.1f MB/s read %.1f MB/s write",
-		r.ReadOpsPerSec, r.AppendOpsPerSec, r.CreateOpsPerSec, r.DeleteOpsPerSec, r.ReadMBps, r.WriteMBps)
-}
-
 // RunPostmark executes the workload.
 func RunPostmark(cfg PostmarkConfig) (*PostmarkResult, error) {
 	if cfg.FS == nil {

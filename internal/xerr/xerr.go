@@ -100,9 +100,6 @@ func Classify(err error) Class {
 	return Unknown
 }
 
-// Is reports whether err carries exactly class c.
-func Is(err error, c Class) bool { return Classify(err) == c }
-
 // Retryable reports whether an immediate-ish retry can help: transient and
 // overload errors are retryable (with backoff), exhausted and terminal are
 // not — exhausted needs reclaim first, terminal never succeeds.

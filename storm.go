@@ -15,8 +15,8 @@
 //     a tenant Policy and provisions middle-boxes, gateway pairs, forwarding
 //     chains, and attached volumes.
 //   - ParsePolicy reads the JSON policy format of Section III-D.
-//   - The workload runners (RunFio, RunPostmark, RunFTPUpload/Download,
-//     RunOLTP) drive attached volumes the way the paper's evaluation does.
+//   - The workload runners (RunFio, RunOLTP) drive attached volumes the way
+//     the paper's evaluation does.
 //   - Mkfs/Mount give tenants the ext-style file system whose metadata the
 //     monitoring service reconstructs.
 //
@@ -145,12 +145,6 @@ type (
 	// FioConfig / FioResult mirror the paper's fio runs.
 	FioConfig = workload.FioConfig
 	FioResult = workload.FioResult
-	// PostmarkConfig / PostmarkResult mirror the PostMark comparison.
-	PostmarkConfig = workload.PostmarkConfig
-	PostmarkResult = workload.PostmarkResult
-	// FTPConfig / FTPResult mirror the FTP bandwidth test.
-	FTPConfig = workload.FTPConfig
-	FTPResult = workload.FTPResult
 	// OLTPConfig / OLTPResult mirror the Sysbench-style runs.
 	OLTPConfig = workload.OLTPConfig
 	OLTPResult = workload.OLTPResult
@@ -195,15 +189,6 @@ func NewObjectStore(fs *FS) (*ObjectStore, error) { return objstore.New(fs) }
 
 // RunFio executes the fio-like block workload.
 func RunFio(cfg FioConfig) (*FioResult, error) { return workload.RunFio(cfg) }
-
-// RunPostmark executes the PostMark-like small-file workload.
-func RunPostmark(cfg PostmarkConfig) (*PostmarkResult, error) { return workload.RunPostmark(cfg) }
-
-// RunFTPUpload streams data onto a volume.
-func RunFTPUpload(cfg FTPConfig) (*FTPResult, error) { return workload.RunFTPUpload(cfg) }
-
-// RunFTPDownload streams data off a volume.
-func RunFTPDownload(cfg FTPConfig) (*FTPResult, error) { return workload.RunFTPDownload(cfg) }
 
 // RunOLTP executes the Sysbench-style transaction workload.
 func RunOLTP(cfg OLTPConfig) (*OLTPResult, error) { return workload.RunOLTP(cfg) }
