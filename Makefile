@@ -28,7 +28,9 @@
 # spec's policy Params map instead of using its typed accessors.
 # `make lint-reach` fails when a non-test function is linked by none of the
 # programs (cmd/*, bench, examples/*) and is not on scripts/lintreach/allow.txt,
-# or when an entry there is linked or gone (~3.5 s with a warm build cache).
+# or when an exported Config/Options field is set by no non-test code and is not
+# on scripts/lintreach/options.txt, or when an entry on either list is linked or
+# set now, or gone (~4 s with a warm build cache).
 # `make bench-ab W=<workload> [BASE=<ref>] [PAIRS=10]` measures the working
 # tree against BASE with the repository benchmark (`go run ./bench`) in
 # alternating pairs and prints `bench compare` plus wins per pair.
@@ -75,6 +77,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstructorMetadata$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/semantic
 	$(GO) test -run '^$$' -fuzz '^FuzzPDUReader$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/iscsi
 	$(GO) test -run '^$$' -fuzz '^FuzzLoginPairs$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/iscsi
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCDB$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSense$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
 
 test:
 	$(GO) test ./...
@@ -153,7 +157,10 @@ lint-params:
 
 # Reach lint: builds every program without inlining, reads its symbols with
 # `go tool nm`, and fails on a non-test function none of them links unless
-# scripts/lintreach/allow.txt lists it with a reason; an entry that is linked
-# or no longer declared fails too, so the list only shrinks.
+# scripts/lintreach/allow.txt lists it with a reason. It also type-checks the
+# module and fails on an exported field of a Config/*Config/Options struct that
+# no non-test code sets unless scripts/lintreach/options.txt lists it. An entry
+# that is linked or set, or no longer declared, fails too, so the lists only
+# shrink.
 lint-reach:
 	$(GO) run ./scripts/lintreach

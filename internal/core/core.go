@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/cas"
@@ -934,16 +933,6 @@ func (t *TenantDeployment) spec(mb string) *policy.MiddleBoxSpec {
 		}
 	}
 	return nil
-}
-
-// LatencySLO returns the middle-box's configured per-command latency
-// objective (zero when the policy sets none or the name is unknown).
-func (t *TenantDeployment) LatencySLO(mb string) time.Duration {
-	spec := t.spec(mb)
-	if spec == nil {
-		return 0
-	}
-	return spec.LatencySLO()
 }
 
 // ScaleBounds returns a scalable middle-box's configured instance bounds.

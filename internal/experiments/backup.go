@@ -28,14 +28,16 @@ type BackupConfig struct {
 	Chunks int
 	// Rounds is the number of full-image backup generations (default 4).
 	Rounds int
-	// Backends is the content-addressed replica count (default 3).
-	Backends int
-	// ChunkBytes is the content-addressing granularity (default 4096).
-	ChunkBytes int
-	// ModifiedPct is the percentage of chunks whose content changes between
-	// consecutive rounds (default 25) — the backup delta.
-	ModifiedPct int
 }
+
+// The backup run's fixed shape: three content-addressed replicas of 4 KiB
+// chunks, and 25 % of the chunks changing between consecutive rounds (the
+// backup delta).
+const (
+	backupBackends    = 3
+	backupChunkBytes  = 4096
+	backupModifiedPct = 25
+)
 
 // BackupRun is one dated backup-suite result.
 type BackupRun struct {
@@ -87,23 +89,14 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 4
 	}
-	if cfg.Backends <= 0 {
-		cfg.Backends = 3
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 4096
-	}
-	if cfg.ModifiedPct <= 0 {
-		cfg.ModifiedPct = 25
-	}
 	const bs = 512
 	run := &BackupRun{
-		Backends:    cfg.Backends,
-		Quorum:      cfg.Backends/2 + 1,
-		ChunkBytes:  cfg.ChunkBytes,
+		Backends:    backupBackends,
+		Quorum:      backupBackends/2 + 1,
+		ChunkBytes:  backupChunkBytes,
 		Chunks:      cfg.Chunks,
 		Rounds:      cfg.Rounds,
-		ModifiedPct: cfg.ModifiedPct,
+		ModifiedPct: backupModifiedPct,
 	}
 
 	// The primary image and the content-addressed backends, each on its own
@@ -111,25 +104,25 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	// chunk slots) — the same stack the platform attaches per backend
 	// volume.
 	slots := uint64(cfg.Chunks)
-	primary, err := blockdev.NewMemDisk(bs, slots*uint64(cfg.ChunkBytes)/bs)
+	primary, err := blockdev.NewMemDisk(bs, slots*uint64(backupChunkBytes)/bs)
 	if err != nil {
 		return nil, err
 	}
-	devBytes, err := cas.BlockBackendBytes(bs, cfg.ChunkBytes, slots)
+	devBytes, err := cas.BlockBackendBytes(bs, backupChunkBytes, slots)
 	if err != nil {
 		return nil, err
 	}
 	var backends []replicate.NamedStore
-	for i := 0; i < cfg.Backends; i++ {
+	for i := 0; i < backupBackends; i++ {
 		disk, err := blockdev.NewMemDisk(bs, devBytes/bs)
 		if err != nil {
 			return nil, err
 		}
-		be, err := cas.OpenBlockBackend(disk, cfg.ChunkBytes, slots)
+		be, err := cas.OpenBlockBackend(disk, backupChunkBytes, slots)
 		if err != nil {
 			return nil, err
 		}
-		store, err := cas.Open(be, cfg.ChunkBytes, slots)
+		store, err := cas.Open(be, backupChunkBytes, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +135,7 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	defer os.RemoveAll(walDir)
 	box, err := replicate.New(replicate.Config{
 		Name:   "bench-backup",
-		Quorum: run.Quorum, ChunkSize: cfg.ChunkBytes, WALDir: walDir,
+		Quorum: run.Quorum, ChunkSize: backupChunkBytes, WALDir: walDir,
 	}, primary, backends)
 	if err != nil {
 		return nil, err
@@ -152,17 +145,17 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	// The backup workload: round 0 writes a fully unique image; each later
 	// round re-ingests the full image with ModifiedPct of the chunks
 	// changed. gen tracks the generation whose content a slot carries.
-	bpc := uint64(cfg.ChunkBytes / bs)
+	bpc := uint64(backupChunkBytes / bs)
 	gen := make([]int, cfg.Chunks)
 	hist := &obs.Histogram{}
 	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
 		for s := 0; s < cfg.Chunks; s++ {
-			if r > 0 && (s*31+r*17)%100 < cfg.ModifiedPct {
+			if r > 0 && (s*31+r*17)%100 < backupModifiedPct {
 				gen[s] = r
 			}
 			t0 := time.Now()
-			if err := box.WriteAt(backupChunk(gen[s], s, cfg.ChunkBytes), uint64(s)*bpc); err != nil {
+			if err := box.WriteAt(backupChunk(gen[s], s, backupChunkBytes), uint64(s)*bpc); err != nil {
 				return nil, fmt.Errorf("backup round %d slot %d: %w", r, s, err)
 			}
 			hist.Observe(time.Since(t0))
@@ -190,9 +183,9 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 
 	// Convergence: every backend's logical image must hash identically to
 	// the primary's bytes.
-	img := make([]byte, slots*uint64(cfg.ChunkBytes))
-	for off := uint64(0); off < uint64(len(img)); off += uint64(cfg.ChunkBytes) {
-		if err := primary.ReadAt(img[off:off+uint64(cfg.ChunkBytes)], off/bs); err != nil {
+	img := make([]byte, slots*uint64(backupChunkBytes))
+	for off := uint64(0); off < uint64(len(img)); off += uint64(backupChunkBytes) {
+		if err := primary.ReadAt(img[off:off+uint64(backupChunkBytes)], off/bs); err != nil {
 			return nil, err
 		}
 	}
@@ -224,7 +217,7 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 		reps = append(reps, t)
 	}
 	sc := scrub.New(scrub.Config{
-		Name: "bench-backup", Replicas: reps, Slots: slots, ChunkSize: cfg.ChunkBytes,
+		Name: "bench-backup", Replicas: reps, Slots: slots, ChunkSize: backupChunkBytes,
 	})
 	pass, err := sc.RunPass()
 	if err != nil {
@@ -240,7 +233,7 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	// Gates.
 	if run.DedupRatio < 1.5 {
 		run.Violations = append(run.Violations,
-			fmt.Sprintf("dedup ratio %.2fx below the 1.5x floor on a %d%%-delta workload", run.DedupRatio, cfg.ModifiedPct))
+			fmt.Sprintf("dedup ratio %.2fx below the 1.5x floor on a %d%%-delta workload", run.DedupRatio, backupModifiedPct))
 	}
 	if !run.Converged {
 		run.Violations = append(run.Violations, "backends diverged from the primary image after drain")

@@ -43,21 +43,20 @@ func (r RoutingRow) NormLatency() float64 {
 type Options struct {
 	// FioOps is the op count per fio run (default 120).
 	FioOps int
-	// Seed for reproducibility.
-	Seed int64
 }
+
+// fioSeed seeds every figure's fio runs, for reproducibility (the DSN'16
+// conference date).
+const fioSeed = 20160628
 
 func (o *Options) defaults() {
 	if o.FioOps <= 0 {
 		o.FioOps = 120
 	}
-	if o.Seed == 0 {
-		o.Seed = 20160628 // DSN'16 conference date
-	}
 }
 
 // runFio provisions a scenario and runs one fio configuration against it.
-func runFio(l *Lab, s Scenario, vmName string, size, threads, ops int, seed int64) (*workload.FioResult, error) {
+func runFio(l *Lab, s Scenario, vmName string, size, threads, ops int) (*workload.FioResult, error) {
 	dev, cleanup, err := l.provision(s, vmName)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: provision %s: %w", s, err)
@@ -69,7 +68,7 @@ func runFio(l *Lab, s Scenario, vmName string, size, threads, ops int, seed int6
 		Threads:      threads,
 		ReadFraction: 0.5,
 		Ops:          ops,
-		Seed:         seed,
+		Seed:         fioSeed,
 	})
 }
 
@@ -84,12 +83,12 @@ func RoutingOverhead(opts Options) ([]RoutingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		leg, err := runFio(l, Legacy, fmt.Sprintf("vm-leg-%d", i), size, 1, opts.FioOps, opts.Seed)
+		leg, err := runFio(l, Legacy, fmt.Sprintf("vm-leg-%d", i), size, 1, opts.FioOps)
 		if err != nil {
 			l.Close()
 			return nil, err
 		}
-		fwd, err := runFio(l, MBFwd, fmt.Sprintf("vm-fwd-%d", i), size, 1, opts.FioOps, opts.Seed)
+		fwd, err := runFio(l, MBFwd, fmt.Sprintf("vm-fwd-%d", i), size, 1, opts.FioOps)
 		if err != nil {
 			l.Close()
 			return nil, err
@@ -190,15 +189,15 @@ func processingPoint(size, threads, idx int, opts Options) (*ProcessingRow, erro
 	}
 	defer l.Close()
 	ops := opts.FioOps * threads
-	fwd, err := runFio(l, MBFwd, fmt.Sprintf("vm-f%d", idx), size, threads, ops, opts.Seed)
+	fwd, err := runFio(l, MBFwd, fmt.Sprintf("vm-f%d", idx), size, threads, ops)
 	if err != nil {
 		return nil, err
 	}
-	pas, err := runFio(l, MBPassive, fmt.Sprintf("vm-p%d", idx), size, threads, ops, opts.Seed)
+	pas, err := runFio(l, MBPassive, fmt.Sprintf("vm-p%d", idx), size, threads, ops)
 	if err != nil {
 		return nil, err
 	}
-	act, err := runFio(l, MBActive, fmt.Sprintf("vm-a%d", idx), size, threads, ops, opts.Seed)
+	act, err := runFio(l, MBActive, fmt.Sprintf("vm-a%d", idx), size, threads, ops)
 	if err != nil {
 		return nil, err
 	}

@@ -29,16 +29,18 @@ import (
 
 // OverloadConfig sizes an overload run.
 type OverloadConfig struct {
-	// Chunks is the logical image size in chunks (default 64).
-	Chunks int
-	// ChunkBytes is the content-addressing granularity (default 4096).
-	ChunkBytes int
-	// Backends is the replica count (default 3).
-	Backends int
 	// BrownoutWrites is the write count per measured phase of the brownout
 	// scenario (default 400).
 	BrownoutWrites int
 }
+
+// The overload run's replication stack: a 64-chunk image of 4 KiB chunks
+// over three replicas.
+const (
+	overloadChunks     = 64
+	overloadChunkBytes = 4096
+	overloadBackends   = 3
+)
 
 // OverloadRun is one dated overload-suite result.
 type OverloadRun struct {
@@ -83,20 +85,20 @@ func overloadChunk(gen, slot, size int) []byte {
 
 // overloadBox assembles a replication box over fresh content-addressed
 // backends, returning the box, its backends, and the primary.
-func overloadBox(cfg OverloadConfig, rcfg replicate.Config, wrap func(i int, be cas.Backend) cas.Backend) (*replicate.Box, []replicate.NamedStore, blockdev.Device, func(), error) {
+func overloadBox(rcfg replicate.Config, wrap func(i int, be cas.Backend) cas.Backend) (*replicate.Box, []replicate.NamedStore, blockdev.Device, func(), error) {
 	const bs = 512
-	slots := uint64(cfg.Chunks)
-	primary, err := blockdev.NewMemDisk(bs, slots*uint64(cfg.ChunkBytes)/bs)
+	slots := uint64(overloadChunks)
+	primary, err := blockdev.NewMemDisk(bs, slots*uint64(overloadChunkBytes)/bs)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	var backends []replicate.NamedStore
-	for i := 0; i < cfg.Backends; i++ {
+	for i := 0; i < overloadBackends; i++ {
 		var be cas.Backend = cas.NewMemBackend(slots)
 		if wrap != nil {
 			be = wrap(i, be)
 		}
-		store, err := cas.Open(be, cfg.ChunkBytes, slots)
+		store, err := cas.Open(be, overloadChunkBytes, slots)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -106,7 +108,7 @@ func overloadBox(cfg OverloadConfig, rcfg replicate.Config, wrap func(i int, be 
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	rcfg.ChunkSize = cfg.ChunkBytes
+	rcfg.ChunkSize = overloadChunkBytes
 	rcfg.WALDir = walDir
 	box, err := replicate.New(rcfg, primary, backends)
 	if err != nil {
@@ -164,11 +166,11 @@ func waitDrained(box *replicate.Box, timeout time.Duration) error {
 // runWALFull drives the ENOSPC scenario: a dispatch journal under a byte
 // quota fills mid-workload, writes refuse typed, the quota grows (the
 // operator adds disk), and the full image reconverges with nothing lost.
-func runWALFull(cfg OverloadConfig, run *OverloadRun) error {
+func runWALFull(run *OverloadRun) error {
 	quota := faults.NewDiskFull(32 << 10)
-	box, backends, primary, cleanup, err := overloadBox(cfg, replicate.Config{
+	box, backends, primary, cleanup, err := overloadBox(replicate.Config{
 		Name:     "ovl-wal",
-		Quorum:   cfg.Backends/2 + 1,
+		Quorum:   overloadBackends/2 + 1,
 		WALQuota: quota,
 		Obs:      obs.NewRegistry(),
 	}, nil)
@@ -177,17 +179,17 @@ func runWALFull(cfg OverloadConfig, run *OverloadRun) error {
 	}
 	defer cleanup()
 
-	bpc := uint64(cfg.ChunkBytes / 512)
+	bpc := uint64(overloadChunkBytes / 512)
 	var full error
-	for s := 0; s < cfg.Chunks; s++ {
-		if err := box.WriteAt(overloadChunk(0, s, cfg.ChunkBytes), uint64(s)*bpc); err != nil {
+	for s := 0; s < overloadChunks; s++ {
+		if err := box.WriteAt(overloadChunk(0, s, overloadChunkBytes), uint64(s)*bpc); err != nil {
 			full = err
 			break
 		}
 		run.WALWritesAdmitted++
 	}
 	if full == nil {
-		return fmt.Errorf("overload: 32 KiB journal quota admitted all %d chunk writes", cfg.Chunks)
+		return fmt.Errorf("overload: 32 KiB journal quota admitted all %d chunk writes", overloadChunks)
 	}
 	run.WALFullTyped = errors.Is(full, wal.ErrWALFull) &&
 		xerr.Classify(full) == xerr.Exhausted && !xerr.Retryable(full)
@@ -195,7 +197,7 @@ func runWALFull(cfg OverloadConfig, run *OverloadRun) error {
 	// The wall holds: every write during the episode refuses typed, none
 	// hangs, none corrupts.
 	for i := 0; i < 8; i++ {
-		err := box.WriteAt(overloadChunk(0, i, cfg.ChunkBytes), uint64(i)*bpc)
+		err := box.WriteAt(overloadChunk(0, i, overloadChunkBytes), uint64(i)*bpc)
 		if err == nil {
 			return fmt.Errorf("overload: write admitted against a full journal")
 		}
@@ -207,8 +209,8 @@ func runWALFull(cfg OverloadConfig, run *OverloadRun) error {
 
 	// Pressure release: grow the quota and re-ingest the whole image.
 	quota.Grow(64 << 20)
-	for s := 0; s < cfg.Chunks; s++ {
-		if err := box.WriteAt(overloadChunk(1, s, cfg.ChunkBytes), uint64(s)*bpc); err != nil {
+	for s := 0; s < overloadChunks; s++ {
+		if err := box.WriteAt(overloadChunk(1, s, overloadChunkBytes), uint64(s)*bpc); err != nil {
 			return fmt.Errorf("overload: write after quota grow: %w", err)
 		}
 	}
@@ -218,19 +220,19 @@ func runWALFull(cfg OverloadConfig, run *OverloadRun) error {
 	if err := waitDrained(box, 30*time.Second); err != nil {
 		return err
 	}
-	run.WALConverged, err = converged(primary, backends, cfg.Chunks, cfg.ChunkBytes)
+	run.WALConverged, err = converged(primary, backends, overloadChunks, overloadChunkBytes)
 	return err
 }
 
 // runCASFull drives a block-backed content store into physical chunk-slot
 // exhaustion: new unique content refuses typed, and freeing a slot (the
 // dedup overwrite path) readmits writes.
-func runCASFull(cfg OverloadConfig, run *OverloadRun) error {
+func runCASFull(run *OverloadRun) error {
 	const (
 		bs    = 512
 		slots = 32
 	)
-	devBytes, err := cas.BlockBackendBytes(bs, cfg.ChunkBytes, slots)
+	devBytes, err := cas.BlockBackendBytes(bs, overloadChunkBytes, slots)
 	if err != nil {
 		return err
 	}
@@ -238,30 +240,30 @@ func runCASFull(cfg OverloadConfig, run *OverloadRun) error {
 	if err != nil {
 		return err
 	}
-	be, err := cas.OpenBlockBackend(disk, cfg.ChunkBytes, slots)
+	be, err := cas.OpenBlockBackend(disk, overloadChunkBytes, slots)
 	if err != nil {
 		return err
 	}
-	s, err := cas.Open(be, cfg.ChunkBytes, slots)
+	s, err := cas.Open(be, overloadChunkBytes, slots)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 
 	for i := uint64(0); i < slots; i++ {
-		if _, err := s.Write(i, overloadChunk(2, int(i), cfg.ChunkBytes)); err != nil {
+		if _, err := s.Write(i, overloadChunk(2, int(i), overloadChunkBytes)); err != nil {
 			return fmt.Errorf("overload: cas fill slot %d: %w", i, err)
 		}
 	}
 	// Consume the backend's orphan-slack physical slots with direct puts
 	// until the store sits at its exact last slot.
 	for i := 0; i < slots*4; i++ {
-		data := overloadChunk(3, i, cfg.ChunkBytes)
+		data := overloadChunk(3, i, overloadChunkBytes)
 		if err := be.PutChunk(cas.Sum(data), data); err != nil {
 			break
 		}
 	}
-	_, full := s.Write(0, overloadChunk(4, 0, cfg.ChunkBytes))
+	_, full := s.Write(0, overloadChunk(4, 0, overloadChunkBytes))
 	if full == nil {
 		return fmt.Errorf("overload: full content store admitted new unique content")
 	}
@@ -269,14 +271,14 @@ func runCASFull(cfg OverloadConfig, run *OverloadRun) error {
 
 	// Recovery: a dedup overwrite displaces slot 0's old chunk (refcount to
 	// zero, physical slot freed), after which new unique content admits.
-	if _, err := s.Write(0, overloadChunk(2, 1, cfg.ChunkBytes)); err != nil {
+	if _, err := s.Write(0, overloadChunk(2, 1, overloadChunkBytes)); err != nil {
 		return fmt.Errorf("overload: dedup overwrite at capacity: %w", err)
 	}
-	fresh := overloadChunk(5, 0, cfg.ChunkBytes)
+	fresh := overloadChunk(5, 0, overloadChunkBytes)
 	if _, err := s.Write(0, fresh); err != nil {
 		return fmt.Errorf("overload: write to freed slot: %w", err)
 	}
-	buf := make([]byte, cfg.ChunkBytes)
+	buf := make([]byte, overloadChunkBytes)
 	if err := s.Read(0, buf); err != nil {
 		return err
 	}
@@ -317,9 +319,9 @@ func (p *pacedBackend) PutChunk(id cas.ID, data []byte) error {
 func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 	victim := &pacedBackend{}
 	reg := obs.NewRegistry()
-	box, backends, primary, cleanup, err := overloadBox(cfg, replicate.Config{
+	box, backends, primary, cleanup, err := overloadBox(replicate.Config{
 		Name:             "ovl-slow",
-		Quorum:           cfg.Backends/2 + 1,
+		Quorum:           overloadBackends/2 + 1,
 		BreakerThreshold: 2,
 		ApplyTimeout:     3 * time.Millisecond,
 		// Long enough that a tripped breaker's resync (which holds the
@@ -329,7 +331,7 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 		ProbeInterval: 500 * time.Millisecond,
 		Obs:           reg,
 	}, func(i int, be cas.Backend) cas.Backend {
-		if i != cfg.Backends-1 {
+		if i != overloadBackends-1 {
 			return be
 		}
 		victim.Backend = be
@@ -339,9 +341,9 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 		return err
 	}
 	defer cleanup()
-	gBreaker := reg.Gauge(fmt.Sprintf("replicate.ovl-slow.backend%d.breaker_state", cfg.Backends-1))
+	gBreaker := reg.Gauge(fmt.Sprintf("replicate.ovl-slow.backend%d.breaker_state", overloadBackends-1))
 
-	bpc := uint64(cfg.ChunkBytes / 512)
+	bpc := uint64(overloadChunkBytes / 512)
 	// seq makes every write's content unique: a repeat of a slot's previous
 	// content is a dedup hit that skips the backend entirely, which would
 	// let the paced victim dodge its slow applies (and reset its breaker's
@@ -351,10 +353,10 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 		hist := &obs.Histogram{}
 		rng := rand.New(rand.NewSource(int64(gen)))
 		for i := 0; i < cfg.BrownoutWrites; i++ {
-			s := rng.Intn(cfg.Chunks)
+			s := rng.Intn(overloadChunks)
 			seq++
 			t0 := time.Now()
-			if err := box.WriteAt(overloadChunk(gen+seq<<8, s, cfg.ChunkBytes), uint64(s)*bpc); err != nil {
+			if err := box.WriteAt(overloadChunk(gen+seq<<8, s, overloadChunkBytes), uint64(s)*bpc); err != nil {
 				return 0, fmt.Errorf("overload: brownout write (gen %d): %w", gen, err)
 			}
 			hist.Observe(time.Since(t0))
@@ -425,7 +427,7 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 	if err := waitDrained(box, 30*time.Second); err != nil {
 		return err
 	}
-	run.BrownoutConverged, err = converged(primary, backends, cfg.Chunks, cfg.ChunkBytes)
+	run.BrownoutConverged, err = converged(primary, backends, overloadChunks, overloadChunkBytes)
 	return err
 }
 
@@ -439,28 +441,19 @@ func liveHeapMB() float64 {
 
 // RunOverload runs the three overload scenarios and evaluates the gates.
 func RunOverload(cfg OverloadConfig) (*OverloadRun, error) {
-	if cfg.Chunks <= 0 {
-		cfg.Chunks = 64
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 4096
-	}
-	if cfg.Backends <= 0 {
-		cfg.Backends = 3
-	}
 	if cfg.BrownoutWrites <= 0 {
 		cfg.BrownoutWrites = 400
 	}
 	run := &OverloadRun{
-		Backends: cfg.Backends,
-		Quorum:   cfg.Backends/2 + 1,
-		Chunks:   cfg.Chunks,
+		Backends: overloadBackends,
+		Quorum:   overloadBackends/2 + 1,
+		Chunks:   overloadChunks,
 	}
 	heap0 := liveHeapMB()
-	if err := runWALFull(cfg, run); err != nil {
+	if err := runWALFull(run); err != nil {
 		return nil, err
 	}
-	if err := runCASFull(cfg, run); err != nil {
+	if err := runCASFull(run); err != nil {
 		return nil, err
 	}
 	if err := runBrownout(cfg, run); err != nil {

@@ -34,21 +34,22 @@ type SoakConfig struct {
 	// steady tenant runs an active encryption relay; the rest are pure
 	// forward chains, so relay goroutine count stays bounded.
 	Tenants int
-	// ChurnTenants is the concurrently deploying/tearing pool size
-	// (default Tenants/8, minimum 1).
-	ChurnTenants int
 	// Duration is total measured soak time, split evenly between a quiet
 	// phase (no control-plane activity) and a churn phase (default 10s).
 	Duration time.Duration
-	// Hosts is the compute host count (default 8): tenants share hosts at
-	// ~60+ guests each rather than getting private machines.
-	Hosts int
-	// MutexWaitPerOpBudget gates runtime mutex wait per I/O op (default
-	// 20ms). Recorded full-scale runs sit at 1.8–8.4ms/op (mutex wait sums
-	// across all goroutines, so it can exceed wall time); a reintroduced
-	// global lock on the apply/teardown or data path blows well past this.
-	MutexWaitPerOpBudget time.Duration
 }
+
+// The soak's fixed shape. The churn pool — tenants concurrently deploying
+// and tearing down — is Tenants/8, at least 1. soakHosts compute hosts are
+// shared, ~60+ guests each at full scale, rather than private machines.
+// soakMutexWaitPerOp gates runtime mutex wait per I/O op: recorded
+// full-scale runs sit at 1.8–8.4ms/op (mutex wait sums across all
+// goroutines, so it can exceed wall time); a reintroduced global lock on the
+// apply/teardown or data path blows well past it.
+const (
+	soakHosts          = 8
+	soakMutexWaitPerOp = 20 * time.Millisecond
+)
 
 // SoakRun is one dated soak result.
 type SoakRun struct {
@@ -73,7 +74,7 @@ type SoakRun struct {
 	// MutexWait is the runtime's total mutex wait accumulated across the
 	// measured phases (/sync/mutex/wait/total:seconds delta), and
 	// MutexWaitPerOp is that total divided by the I/O ops that paid it
-	// (gated against SoakConfig.MutexWaitPerOpBudget).
+	// (gated against soakMutexWaitPerOp).
 	MutexWait      time.Duration `json:"mutex_wait_ns"`
 	MutexWaitPerOp time.Duration `json:"mutex_wait_per_op_ns"`
 	// LookupAllocs is allocations per vswitch flow lookup on a live chain
@@ -102,31 +103,20 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 	if cfg.Tenants <= 0 {
 		cfg.Tenants = 500
 	}
-	if cfg.ChurnTenants <= 0 {
-		cfg.ChurnTenants = cfg.Tenants / 8
-		if cfg.ChurnTenants < 1 {
-			cfg.ChurnTenants = 1
-		}
-	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 10 * time.Second
 	}
-	if cfg.Hosts <= 0 {
-		cfg.Hosts = 8
-	}
-	if cfg.MutexWaitPerOpBudget <= 0 {
-		cfg.MutexWaitPerOpBudget = 20 * time.Millisecond
-	}
+	churnTenants := max(cfg.Tenants/8, 1)
 	run := &SoakRun{
 		Tenants:      cfg.Tenants,
-		ChurnTenants: cfg.ChurnTenants,
-		Hosts:        cfg.Hosts,
+		ChurnTenants: churnTenants,
+		Hosts:        soakHosts,
 		Duration:     cfg.Duration,
 	}
 
 	// A fast fabric: the soak measures control-plane contention, not the
 	// calibrated wire costs, so modelled latencies stay out of the way.
-	c, err := cloud.New(cloud.Config{ComputeHosts: cfg.Hosts, Model: netsim.Model{
+	c, err := cloud.New(cloud.Config{ComputeHosts: soakHosts, Model: netsim.Model{
 		MTU:       8 * 1024,
 		Bandwidth: 1 << 33,
 		Latency:   map[netsim.HopKind]time.Duration{},
@@ -180,8 +170,8 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 	run.LookupAllocs = measureLookupAllocs(c, tenants[0].depID)
 
 	// Launch the churn pool's VMs and volumes once; cycles reuse them.
-	churnVMs := make([]string, cfg.ChurnTenants)
-	churnVols := make([]string, cfg.ChurnTenants)
+	churnVMs := make([]string, churnTenants)
+	churnVols := make([]string, churnTenants)
 	for i := range churnVMs {
 		vmName := fmt.Sprintf("churn-vm%d", i)
 		if _, err := c.LaunchVM(vmName, ""); err != nil {
@@ -259,7 +249,7 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 	// applies and tears down deployments on the shared hosts.
 	churnStop := make(chan struct{})
 	var cw sync.WaitGroup
-	for i := 0; i < cfg.ChurnTenants; i++ {
+	for i := 0; i < churnTenants; i++ {
 		cw.Add(1)
 		go func(i int) {
 			defer cw.Done()
@@ -365,10 +355,10 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 	// Lock contention must stay in the recorded band: mutex wait per op
 	// blowing past the budget means a serialization point crept back into
 	// the sharded control plane or the data path.
-	if run.MutexWaitPerOp > cfg.MutexWaitPerOpBudget {
+	if run.MutexWaitPerOp > soakMutexWaitPerOp {
 		run.Violations = append(run.Violations,
 			fmt.Sprintf("mutex wait %v/op exceeds budget %v (total %v over %d ops)",
-				run.MutexWaitPerOp, cfg.MutexWaitPerOpBudget, run.MutexWait.Round(time.Millisecond), run.Ops))
+				run.MutexWaitPerOp, soakMutexWaitPerOp, run.MutexWait.Round(time.Millisecond), run.Ops))
 	}
 	return run, nil
 }

@@ -12,12 +12,13 @@ type Options struct {
 	// BlockSize is the fs block size (default 4096; must be a multiple of
 	// the device block size).
 	BlockSize int
-	// InodesPerGroup sets group inode density (default 1024).
-	InodesPerGroup int
 	// BlocksPerGroup sets group extent (default BlockSize*8, so one
 	// bitmap block covers the group).
 	BlocksPerGroup int
 }
+
+// inodesPerGroup is every group's inode density.
+const inodesPerGroup = 1024
 
 // FS is a mounted extfs instance. All operations are serialized by one
 // mutex (a single-VM file system, as in the tenant VM).
@@ -37,9 +38,6 @@ func Mkfs(dev blockdev.Device, opts Options) (*FS, error) {
 	if opts.BlockSize == 0 {
 		opts.BlockSize = 4096
 	}
-	if opts.InodesPerGroup == 0 {
-		opts.InodesPerGroup = 1024
-	}
 	if opts.BlocksPerGroup == 0 {
 		opts.BlocksPerGroup = opts.BlockSize * 8
 	}
@@ -51,8 +49,8 @@ func Mkfs(dev blockdev.Device, opts Options) (*FS, error) {
 		return nil, fmt.Errorf("extfs: %d blocks per group exceeds one bitmap block (%d bits)",
 			opts.BlocksPerGroup, opts.BlockSize*8)
 	}
-	if opts.InodesPerGroup > opts.BlockSize*8 {
-		return nil, fmt.Errorf("extfs: %d inodes per group exceeds one bitmap block", opts.InodesPerGroup)
+	if inodesPerGroup > opts.BlockSize*8 {
+		return nil, fmt.Errorf("extfs: %d inodes per group exceeds one bitmap block", inodesPerGroup)
 	}
 	devBlocks := dev.Blocks() * uint64(dev.BlockSize())
 	fsBlocks := devBlocks / uint64(opts.BlockSize)
@@ -66,9 +64,9 @@ func Mkfs(dev blockdev.Device, opts Options) (*FS, error) {
 			Magic:          Magic,
 			BlockSize:      uint32(opts.BlockSize),
 			BlocksCount:    fsBlocks,
-			InodesCount:    groups * uint32(opts.InodesPerGroup),
+			InodesCount:    groups * uint32(inodesPerGroup),
 			BlocksPerGroup: uint32(opts.BlocksPerGroup),
-			InodesPerGroup: uint32(opts.InodesPerGroup),
+			InodesPerGroup: uint32(inodesPerGroup),
 			GroupCount:     groups,
 		},
 		sectorsPerBlock: opts.BlockSize / dev.BlockSize(),

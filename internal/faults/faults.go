@@ -3,7 +3,7 @@
 // at exact points in a workload (never at wall-clock times, so chaos runs
 // replay identically under -race and on loaded machines), and a capped
 // exponential backoff with seeded jitter used by every reconnect loop
-// (initiator redial, write-back reopen, replica probing).
+// (MC/S reattach, write-back reopen, replicate retries).
 //
 // The schedule's clock is the workload itself: each data-path event of
 // interest (an I/O admitted, a command issued) calls Step, and triggers

@@ -49,7 +49,7 @@ func (s *Session) Flush() error {
 
 // Logout ends the session gracefully and closes every connection (a session
 // logout on the leading connection closes the whole MC/S set). The session
-// is terminal afterwards: a reconnect-enabled session will not redial.
+// is terminal afterwards: no secondary reattaches.
 func (s *Session) Logout() error {
 	s.mu.Lock()
 	s.cmdSN++

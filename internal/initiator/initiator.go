@@ -32,23 +32,31 @@ var (
 	ErrLoginFailed   = errors.New("initiator: login failed")
 )
 
-// transientErr marks a connection-level failure the session may heal from —
-// by redialing, or by redistributing onto the session's surviving MC/S
-// connections: the command that observed it is safe to reissue. Protocol
-// violations and user-initiated closes are never wrapped, so they stay
-// terminal.
+// transientErr marks a connection-level failure the session may heal from by
+// redistributing onto its surviving MC/S connections: the command that
+// observed it is safe to reissue. Protocol violations and user-initiated
+// closes are never wrapped, so they stay terminal.
 type transientErr struct{ err error }
 
 func (e *transientErr) Error() string { return "initiator: connection failure: " + e.err.Error() }
 func (e *transientErr) Unwrap() error { return e.err }
 
 // maxCmdAttempts bounds how many times one command is reissued across
-// reconnects, so a target that repeatedly accepts a login and then wedges
-// cannot trap a caller forever.
+// MC/S connection losses, so a target that keeps accepting secondary logins
+// and then dropping them cannot trap a caller forever.
 const maxCmdAttempts = 8
 
 // maxConns caps the MC/S connection count per session.
 const maxConns = 8
+
+// The budget for restoring a lost MC/S secondary connection: reattachTries
+// logins, the n-th after a jittered backoff in [d/2, d) with
+// d = min(2ms·2ⁿ, 100ms).
+const (
+	reattachTries       = 4
+	reattachBackoffBase = 2 * time.Millisecond
+	reattachBackoffCap  = 100 * time.Millisecond
+)
 
 // Config describes the session to establish.
 type Config struct {
@@ -72,7 +80,8 @@ type Config struct {
 	// effective count is clamped by the negotiated MaxConnections.
 	Conns int
 	// DialConn dials one additional MC/S transport to the same portal.
-	// Also used to re-establish a failed secondary connection.
+	// Also used to re-establish a failed secondary connection. The leading
+	// connection is never redialed: its loss ends the session.
 	DialConn func() (net.Conn, error)
 	// Obs optionally records per-command latency spans into the registry
 	// under "stage.<Stage>.read" / "stage.<Stage>.write". Nil disables
@@ -81,28 +90,6 @@ type Config struct {
 	// Stage labels this session's spans (obs.StageInitiator when empty);
 	// a relay's pseudo-client session uses its relay.forward stage.
 	Stage string
-	// Redial, when non-nil, re-establishes the transport after a
-	// connection failure: the session redials, re-logs-in with capped
-	// exponential backoff, and reissues the idempotent commands that were
-	// in flight instead of failing every caller with ErrSessionClosed.
-	// Nil keeps the legacy fail-fast behaviour.
-	Redial func() (net.Conn, error)
-	// MaxRedials bounds consecutive failed reconnect attempts per outage
-	// before the session fails terminally (default 4).
-	MaxRedials int
-	// RedialBackoffBase and RedialBackoffCap shape the reconnect backoff:
-	// attempt n waits in [d/2, d) with d = min(Base·2ⁿ, Cap). Defaults
-	// 2ms / 100ms.
-	RedialBackoffBase time.Duration
-	RedialBackoffCap  time.Duration
-	// RedialSeed fixes the backoff jitter sequence, keeping fault tests
-	// deterministic.
-	RedialSeed int64
-	// CommandTimeout bounds each command round-trip. A command that
-	// exceeds it declares the connection dead: with Redial set the session
-	// reconnects and reissues it, otherwise the command and session fail.
-	// Zero disables deadlines.
-	CommandTimeout time.Duration
 }
 
 // pendingCmd tracks one outstanding command. The done channel is buffered
@@ -186,19 +173,15 @@ type Session struct {
 	cfg  Config
 	isid [6]byte
 
-	mu          sync.Mutex
-	conns       []*sconn // conns[0] is the leading connection
-	rr          uint32   // round-robin cursor for connection allegiance
-	gen         uint64   // bumped when the connection set is rebuilt
-	wantConns   int      // negotiated MC/S width to maintain
-	tsih        uint16
-	params      iscsi.Params
-	itt         uint32
-	cmdSN       uint32
-	pending     map[uint32]*pendingCmd
-	closedErr   error
-	recovering  bool
-	recoverDone chan struct{} // closed when the in-progress recovery settles
+	mu        sync.Mutex
+	conns     []*sconn // conns[0] is the leading connection
+	rr        uint32   // round-robin cursor for connection allegiance
+	tsih      uint16
+	params    iscsi.Params
+	itt       uint32
+	cmdSN     uint32
+	pending   map[uint32]*pendingCmd
+	closedErr error
 
 	backoff *faults.Backoff
 	sem     chan struct{}
@@ -259,7 +242,7 @@ func doLogin(conn net.Conn, cfg Config, isid [6]byte, tsih uint16, cid uint16) (
 		// The wire status carries the target's error class: TargetErr means
 		// "retry later" (transient or overload), while TargetRemoved under
 		// InitiatorErr marks the refusal terminal — the target will never
-		// accept this login, so redialing it is wasted budget.
+		// accept this login, so logging in again is wasted budget.
 		switch {
 		case resp.StatusClass == iscsi.LoginStatusTargetErr:
 			err = xerr.Wrap(xerr.Transient, err)
@@ -286,15 +269,6 @@ func Login(conn net.Conn, cfg Config) (*Session, error) {
 	if cfg.Params == (iscsi.Params{}) {
 		cfg.Params = iscsi.DefaultParams()
 	}
-	if cfg.MaxRedials <= 0 {
-		cfg.MaxRedials = 4
-	}
-	if cfg.RedialBackoffBase <= 0 {
-		cfg.RedialBackoffBase = 2 * time.Millisecond
-	}
-	if cfg.RedialBackoffCap <= 0 {
-		cfg.RedialBackoffCap = 100 * time.Millisecond
-	}
 	if cfg.Conns > maxConns {
 		cfg.Conns = maxConns
 	}
@@ -319,17 +293,16 @@ func Login(conn net.Conn, cfg Config) (*Session, error) {
 	}
 	lead := &sconn{conn: conn, cid: 0, done: make(chan struct{}), expStatSN: statSN}
 	s := &Session{
-		cfg:       cfg,
-		isid:      isid,
-		conns:     []*sconn{lead},
-		wantConns: want,
-		tsih:      tsih,
-		params:    params,
-		itt:       1,
-		cmdSN:     2,
-		pending:   make(map[uint32]*pendingCmd),
-		backoff:   faults.NewBackoff(cfg.RedialBackoffBase, cfg.RedialBackoffCap, cfg.RedialSeed),
-		sem:       make(chan struct{}, cfg.QueueDepth),
+		cfg:     cfg,
+		isid:    isid,
+		conns:   []*sconn{lead},
+		tsih:    tsih,
+		params:  params,
+		itt:     1,
+		cmdSN:   2,
+		pending: make(map[uint32]*pendingCmd),
+		backoff: faults.NewBackoff(reattachBackoffBase, reattachBackoffCap, 0),
+		sem:     make(chan struct{}, cfg.QueueDepth),
 	}
 	s.stage = cfg.Stage
 	if s.stage == "" {
@@ -339,24 +312,23 @@ func Login(conn net.Conn, cfg Config) (*Session, error) {
 	// Best-effort MC/S widening: a failed secondary login degrades the
 	// session to fewer connections rather than failing it.
 	for cid := uint16(1); int(cid) < want; cid++ {
-		_ = s.addConn(cid, 0)
+		_ = s.addConn(cid)
 	}
 	return s, nil
 }
 
-// addConn dials, joins, and installs one MC/S secondary connection. gen
-// guards against installing into a session whose connection set was rebuilt
-// (or torn down) while the dial was in flight.
-func (s *Session) addConn(cid uint16, gen uint64) error {
+// addConn dials, joins, and installs one MC/S secondary connection, unless
+// the session closed while the dial was in flight.
+func (s *Session) addConn(cid uint16) error {
 	conn, err := s.cfg.DialConn()
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	tsih := s.tsih
-	stale := s.closedErr != nil || s.gen != gen
+	closed := s.closedErr != nil
 	s.mu.Unlock()
-	if stale {
+	if closed {
 		conn.Close()
 		return ErrSessionClosed
 	}
@@ -367,7 +339,7 @@ func (s *Session) addConn(cid uint16, gen uint64) error {
 	}
 	sc := &sconn{conn: conn, cid: cid, done: make(chan struct{}), expStatSN: statSN}
 	s.mu.Lock()
-	if s.closedErr != nil || s.gen != gen {
+	if s.closedErr != nil {
 		s.mu.Unlock()
 		conn.Close()
 		return ErrSessionClosed
@@ -388,16 +360,17 @@ func (s *Session) addConn(cid uint16, gen uint64) error {
 	return nil
 }
 
-// reattach tries to restore a failed secondary connection in the background
-// with the session's redial backoff, giving up once the connection set is
-// rebuilt or the session closes.
-func (s *Session) reattach(cid uint16, gen uint64) {
-	for attempt := 0; attempt < s.cfg.MaxRedials; attempt++ {
+// reattach tries to restore a failed secondary connection in the background,
+// reattachTries times with backoff. It gives up early when the session
+// closes or the target refuses the login terminally (a draining relay): no
+// later attempt could succeed.
+func (s *Session) reattach(cid uint16) {
+	for attempt := 0; attempt < reattachTries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(s.backoff.Delay(attempt - 1))
 		}
-		err := s.addConn(cid, gen)
-		if err == nil || errors.Is(err, ErrSessionClosed) {
+		err := s.addConn(cid)
+		if err == nil || errors.Is(err, ErrSessionClosed) || xerr.IsTerminal(err) {
 			return
 		}
 	}
@@ -472,7 +445,7 @@ func localPort(conn net.Conn) int {
 // readLoop demultiplexes target PDUs to their outstanding commands. The
 // Data-In and Response parse targets live across iterations — each is fully
 // consumed before the next PDU, so the loop itself allocates nothing. sc is
-// this loop's connection: a reconnect starts a fresh loop on a fresh sconn,
+// this loop's connection: a reattach starts a fresh loop on a fresh sconn,
 // and a stale loop's exit must not disturb the new connection.
 func (s *Session) readLoop(sc *sconn) {
 	defer close(sc.done)
@@ -600,9 +573,8 @@ func (s *Session) handleResponse(sc *sconn, resp *iscsi.SCSIResponse) {
 // secondary fails only the commands with allegiance to it — each with a
 // retryable transientErr so its caller reissues on a surviving connection —
 // and tries to reattach in the background. Loss of the leading connection
-// (or any non-transient failure) is session-wide: with a Redial hook it
-// starts (at most one) recovery goroutine, otherwise the session is
-// terminal. Calls for an already-failed connection are ignored.
+// (or any non-transient failure) ends the session. Calls for an
+// already-failed connection are ignored.
 func (s *Session) connFailed(sc *sconn, err error, transient bool) {
 	s.mu.Lock()
 	if sc.dead {
@@ -621,7 +593,6 @@ func (s *Session) connFailed(sc *sconn, err error, transient bool) {
 				failed = append(failed, p)
 			}
 		}
-		gen := s.gen
 		canReattach := s.cfg.DialConn != nil
 		s.mu.Unlock()
 		sc.conn.Close()
@@ -630,28 +601,17 @@ func (s *Session) connFailed(sc *sconn, err error, transient bool) {
 			p.done <- struct{}{}
 		}
 		if canReattach {
-			go s.reattach(sc.cid, gen)
+			go s.reattach(sc.cid)
 		}
 		return
 	}
 
-	var failErr error
-	if leading && transient && s.cfg.Redial != nil && s.closedErr == nil {
-		if !s.recovering {
-			s.recovering = true
-			s.recoverDone = make(chan struct{})
-			go s.recover(err)
-		}
-		failErr = &transientErr{err}
-	} else {
-		if s.closedErr == nil {
-			s.closedErr = err
-		}
-		failErr = s.closedErr
+	if s.closedErr == nil {
+		s.closedErr = err
 	}
+	failErr := s.closedErr
 	// Session-wide: the whole connection set goes down with the leading
-	// connection (a reinstating re-login invalidates the old session, and
-	// with it every joined connection).
+	// connection.
 	conns := make([]*sconn, 0, len(s.conns))
 	for _, c := range s.conns {
 		c.dead = true
@@ -669,119 +629,11 @@ func (s *Session) connFailed(sc *sconn, err error, transient bool) {
 	}
 }
 
-// recover redials and re-logs-in with capped exponential backoff. On success
-// it installs a fresh leading connection (and re-widens the MC/S set) and
-// starts new read loops; after MaxRedials consecutive failures (or an
-// explicit Close racing in) the session fails terminally. Either way the
-// recoverDone channel is closed so commands parked in awaitRecovery proceed.
-func (s *Session) recover(cause error) {
-	lastErr := cause
-	for attempt := 0; attempt < s.cfg.MaxRedials; attempt++ {
-		if attempt > 0 {
-			time.Sleep(s.backoff.Delay(attempt - 1))
-		}
-		s.mu.Lock()
-		closed := s.closedErr != nil
-		s.mu.Unlock()
-		if closed {
-			break
-		}
-		conn, err := s.cfg.Redial()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		params, statSN, tsih, err := doLogin(conn, s.cfg, s.isid, 0, 0)
-		if err != nil {
-			conn.Close()
-			lastErr = err
-			if xerr.IsTerminal(err) {
-				// The target refused with a terminal status (e.g. a
-				// draining relay): further redials cannot succeed, so fail
-				// the session now instead of burning the remaining budget.
-				break
-			}
-			continue
-		}
-		s.mu.Lock()
-		if s.closedErr != nil {
-			s.mu.Unlock()
-			conn.Close()
-			break
-		}
-		lead := &sconn{conn: conn, cid: 0, done: make(chan struct{}), expStatSN: statSN}
-		s.conns = []*sconn{lead}
-		s.gen++
-		gen := s.gen
-		s.tsih = tsih
-		s.params = params
-		s.itt = 1
-		s.cmdSN = 2
-		s.recovering = false
-		rd := s.recoverDone
-		want := s.wantConns
-		s.mu.Unlock()
-		go s.readLoop(lead)
-		for cid := uint16(1); int(cid) < want; cid++ {
-			_ = s.addConn(cid, gen)
-		}
-		close(rd)
-		return
-	}
-	s.mu.Lock()
-	if s.closedErr == nil {
-		s.closedErr = fmt.Errorf("initiator: reconnect failed after %d attempts: %w", s.cfg.MaxRedials, lastErr)
-	}
-	s.recovering = false
-	rd := s.recoverDone
-	s.mu.Unlock()
-	close(rd)
-}
-
-// awaitRecovery blocks until the in-progress reconnect settles. It returns
-// nil when the session is usable again (the caller should reissue its
-// command) and the terminal error when recovery gave up or the session was
-// closed meanwhile.
-func (s *Session) awaitRecovery() error {
-	for {
-		s.mu.Lock()
-		if s.closedErr != nil {
-			err := s.closedErr
-			s.mu.Unlock()
-			return err
-		}
-		if !s.recovering {
-			s.mu.Unlock()
-			return nil
-		}
-		ch := s.recoverDone
-		s.mu.Unlock()
-		<-ch
-	}
-}
-
 // retryTransient reports whether err is a connection failure worth reissuing
-// the command for on this session: there is a redial hook to rebuild the
-// session, or a surviving MC/S connection to redistribute onto.
+// the command for: a surviving MC/S connection to redistribute onto.
 func (s *Session) retryTransient(err error) bool {
 	var te *transientErr
-	if !errors.As(err, &te) {
-		return false
-	}
-	if s.cfg.Redial != nil {
-		return true
-	}
-	return s.NumConns() > 0
-}
-
-// cmdTimer arms the per-command deadline. The returned channel is nil (and
-// thus never fires in a select) when deadlines are disabled.
-func (s *Session) cmdTimer() (<-chan time.Time, func()) {
-	if s.cfg.CommandTimeout <= 0 {
-		return nil, func() {}
-	}
-	t := time.NewTimer(s.cfg.CommandTimeout)
-	return t.C, func() { t.Stop() }
+	return errors.As(err, &te) && s.NumConns() > 0
 }
 
 // register allocates a task tag, picks the command's connection (round-robin
@@ -824,15 +676,15 @@ type pduEncoder interface {
 // send serializes m into the connection's reusable wire PDU under its write
 // lock, so steady-state command issue allocates nothing for framing. Wire
 // errors are wrapped as transient: the connection is presumed dead and the
-// command may be reissued after redistribution or reconnect.
+// command may be reissued on a surviving MC/S connection.
 func (s *Session) send(sc *sconn, m pduEncoder) error {
 	sc.writeMu.Lock()
 	_, err := m.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
 	sc.writeMu.Unlock()
 	if err != nil {
 		// The writer can notice a dead connection before the read loop
-		// does; report it here so recovery starts immediately instead of
-		// the caller burning its retry budget against the same corpse.
+		// does; report it here so the connection leaves the rotation now
+		// instead of the caller burning its retry budget against it.
 		s.connFailed(sc, err, true)
 		return &transientErr{err}
 	}
@@ -884,7 +736,7 @@ func (s *Session) ReadInto(dst []byte, lba uint64, blocks uint32, blockSize int)
 }
 
 // execRead issues a read-direction command whose Data-In sequence fills dst,
-// reissuing it across reconnects while failures stay transient.
+// reissuing it on a surviving MC/S connection while failures stay transient.
 func (s *Session) execRead(cdb *scsi.CDB, dst []byte, spanCtx obs.SpanContext) (int, error) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
@@ -896,9 +748,6 @@ func (s *Session) execRead(cdb *scsi.CDB, dst []byte, spanCtx obs.SpanContext) (
 		n, err = s.execReadOnce(cdb, dst, spanCtx)
 		if err == nil || !s.retryTransient(err) {
 			return n, err
-		}
-		if rerr := s.awaitRecovery(); rerr != nil {
-			return 0, rerr
 		}
 	}
 	return 0, err
@@ -931,14 +780,7 @@ func (s *Session) execReadOnce(cdb *scsi.CDB, dst []byte, spanCtx obs.SpanContex
 		s.unregister(itt)
 		return 0, err
 	}
-	tc, stop := s.cmdTimer()
-	defer stop()
-	select {
-	case <-p.done:
-	case <-tc:
-		sc.conn.Close() // wakes the read loop, which fails the command
-		<-p.done
-	}
+	<-p.done
 	filled, status, sense, perr := p.filled, p.status, p.sense, p.err
 	putPending(p)
 	if perr != nil {
@@ -957,8 +799,8 @@ func (s *Session) execReadOnce(cdb *scsi.CDB, dst []byte, spanCtx obs.SpanContex
 }
 
 // Write writes data at lba. len(data) must be a multiple of blockSize. The
-// command is reissued across reconnects while failures stay transient
-// (block writes are idempotent).
+// command is reissued on a surviving MC/S connection while failures stay
+// transient (block writes are idempotent).
 func (s *Session) Write(lba uint64, data []byte, blockSize int) error {
 	if blockSize <= 0 || len(data)%blockSize != 0 {
 		return fmt.Errorf("initiator: write length %d is not a multiple of block size %d", len(data), blockSize)
@@ -981,9 +823,6 @@ func (s *Session) Write(lba uint64, data []byte, blockSize int) error {
 		err = s.execWriteOnce(&cdb, data, sp.Context())
 		if err == nil || !s.retryTransient(err) {
 			return err
-		}
-		if rerr := s.awaitRecovery(); rerr != nil {
-			return rerr
 		}
 	}
 	return err
@@ -1030,9 +869,6 @@ func (s *Session) execWriteOnce(cdb *scsi.CDB, data []byte, spanCtx obs.SpanCont
 		return err
 	}
 
-	tc, stop := s.cmdTimer()
-	defer stop()
-
 	// Serve R2Ts until the transfer is fully solicited.
 	sent := immediate
 	for sent < len(data) {
@@ -1049,15 +885,6 @@ func (s *Session) execWriteOnce(cdb *scsi.CDB, data []byte, spanCtx obs.SpanCont
 				return ErrTargetBusy
 			}
 			return fmt.Errorf("initiator: write completed before data transfer (status %v)", scsi.Status(status))
-		case <-tc:
-			sc.conn.Close()
-			<-p.done
-			perr := p.err
-			putPending(p)
-			if perr != nil {
-				return perr
-			}
-			return fmt.Errorf("initiator: write deadline exceeded awaiting R2T")
 		}
 		err := s.sendBurst(sc, itt, r2t, data, params)
 		sent = int(r2t.BufferOffset) + int(r2t.DesiredLength)
@@ -1069,12 +896,7 @@ func (s *Session) execWriteOnce(cdb *scsi.CDB, data []byte, spanCtx obs.SpanCont
 		}
 	}
 
-	select {
-	case <-p.done:
-	case <-tc:
-		sc.conn.Close()
-		<-p.done
-	}
+	<-p.done
 	status, sense, perr := p.status, p.sense, p.err
 	putPending(p)
 	if perr != nil {

@@ -10,62 +10,69 @@ import (
 	"repro/internal/xerr"
 )
 
-// refusingRedial returns a Redial hook whose target always refuses the
-// login with the given wire status, counting the attempts.
-func refusingRedial(t *testing.T, attempts *atomic.Int32, class, detail byte) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
+// TestLoginRefusalClass: Login returns the refusal's wire status as an xerr
+// class, so whoever logs in again knows whether it can help — TargetRemoved
+// (a draining relay) is Terminal, a TargetErr refusal is Transient.
+func TestLoginRefusalClass(t *testing.T) {
+	for _, tt := range []struct {
+		name          string
+		class, detail byte
+		want          xerr.Class
+	}{
+		{"TargetRemoved", iscsi.LoginStatusInitiatorErr, iscsi.LoginDetailTargetRemoved, xerr.Terminal},
+		{"OutOfResources", iscsi.LoginStatusTargetErr, iscsi.LoginDetailOutOfResources, xerr.Transient},
+		{"ServiceUnavailable", iscsi.LoginStatusTargetErr, iscsi.LoginDetailServiceUnavailable, xerr.Transient},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			client, server := net.Pipe()
+			defer server.Close()
+			fakeTarget(t, server, tt.class, tt.detail)
+			_, err := Login(client, Config{InitiatorIQN: "i", TargetIQN: "t"})
+			if !errors.Is(err, ErrLoginFailed) {
+				t.Fatalf("Login err = %v, want ErrLoginFailed in the chain", err)
+			}
+			if got := xerr.Classify(err); got != tt.want {
+				t.Fatalf("Login err %v classed %v, want %v", err, got, tt.want)
+			}
+		})
+	}
+}
+
+// reattachAgainstRefusals runs the reattach loop for a secondary of a
+// four-connection session whose later dials reach a target that refuses
+// every login with the given wire status, and returns how many logins it
+// tried. The session keeps serving on the connections it has.
+func reattachAgainstRefusals(t *testing.T, class, detail byte) int32 {
+	var attempts atomic.Int32
+	sess, _ := mcsHarness(t, Config{DialConn: func() (net.Conn, error) {
 		attempts.Add(1)
 		client, server := net.Pipe()
 		fakeTarget(t, server, class, detail)
 		return client, nil
+	}})
+	sess.reattach(1)
+	if err := sess.Write(0, make([]byte, 512), 512); err != nil {
+		t.Fatalf("write after refused reattach: %v", err)
 	}
+	if got := sess.NumConns(); got != 4 {
+		t.Fatalf("NumConns = %d after refused reattach, want 4", got)
+	}
+	return attempts.Load()
 }
 
-// TestTerminalLoginRefusalStopsRedial is the regression test for redialing
-// a target that has said "gone for good" (a draining relay advertises
-// TargetRemoved): the session must fail after the first refusal instead of
-// burning the whole MaxRedials budget against a refusal that cannot change.
+// TestTerminalLoginRefusalStopsRedial: a secondary's reattach stops at the
+// first terminal refusal instead of burning its whole budget against a
+// refusal that cannot change.
 func TestTerminalLoginRefusalStopsRedial(t *testing.T) {
-	var attempts atomic.Int32
-	cfg := Config{
-		MaxRedials: 4,
-		Redial:     refusingRedial(t, &attempts, iscsi.LoginStatusInitiatorErr, iscsi.LoginDetailTargetRemoved),
-	}
-	sess, _ := redialHarness(t, cfg)
-	if err := sess.Write(0, make([]byte, 512), 512); err != nil {
-		t.Fatalf("write before cut: %v", err)
-	}
-	sess.Conn().Close()
-	err := sess.Write(0, make([]byte, 512), 512)
-	if err == nil {
-		t.Fatal("write succeeded against a terminally refusing target")
-	}
-	if !errors.Is(err, ErrLoginFailed) {
-		t.Fatalf("error = %v, want ErrLoginFailed in the chain", err)
-	}
-	if !xerr.IsTerminal(err) {
-		t.Fatalf("error = %v classed %v, want Terminal", err, xerr.Classify(err))
-	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("session redialed %d times against a terminal refusal, want 1", got)
+	if got := reattachAgainstRefusals(t, iscsi.LoginStatusInitiatorErr, iscsi.LoginDetailTargetRemoved); got != 1 {
+		t.Fatalf("reattach tried %d logins against a terminal refusal, want 1", got)
 	}
 }
 
 // TestTransientLoginRefusalKeepsRetrying is the contrast case: a TargetErr
-// refusal ("retry later") must consume the full redial budget.
+// refusal ("retry later") consumes the full budget of 4 logins.
 func TestTransientLoginRefusalKeepsRetrying(t *testing.T) {
-	var attempts atomic.Int32
-	cfg := Config{
-		MaxRedials: 3,
-		Redial:     refusingRedial(t, &attempts, iscsi.LoginStatusTargetErr, iscsi.LoginDetailOutOfResources),
-	}
-	sess, _ := redialHarness(t, cfg)
-	sess.Conn().Close()
-	err := sess.Write(0, make([]byte, 512), 512)
-	if err == nil {
-		t.Fatal("write succeeded against a refusing target")
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("session redialed %d times against a transient refusal, want MaxRedials=3", got)
+	if got := reattachAgainstRefusals(t, iscsi.LoginStatusTargetErr, iscsi.LoginDetailOutOfResources); got != 4 {
+		t.Fatalf("reattach tried %d logins against a transient refusal, want 4", got)
 	}
 }

@@ -2,7 +2,6 @@ package initiator
 
 import (
 	"bytes"
-	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/iscsi"
 	"repro/internal/scsi"
 	"repro/internal/target"
+	"repro/internal/testutil"
 )
 
 // stubSession logs a session in against a scripted target. The stub answers
@@ -161,9 +161,10 @@ func TestStatSNWraparound(t *testing.T) {
 	}
 }
 
-// redialHarness serves a real target and returns a session whose Redial hook
-// feeds fresh pipes into it, plus the backing disk for verification.
-func redialHarness(t *testing.T, cfg Config) (*Session, *blockdev.MemDisk) {
+// mcsHarness serves a real target and returns an MC/S session of four
+// connections whose DialConn feeds fresh pipes into it (cfg.DialConn, when
+// set, replaces it after the leading login), plus the backing disk.
+func mcsHarness(t *testing.T, cfg Config) (*Session, *blockdev.MemDisk) {
 	t.Helper()
 	dev, err := blockdev.NewMemDisk(512, 4096)
 	if err != nil {
@@ -190,31 +191,51 @@ func redialHarness(t *testing.T, cfg Config) (*Session, *blockdev.MemDisk) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	later := cfg.DialConn
 	cfg.InitiatorIQN = "iqn.rt-client"
 	cfg.TargetIQN = rtIQN
-	if cfg.Redial == nil {
-		cfg.Redial = dial
-	}
-	cfg.RedialBackoffBase = time.Millisecond
-	cfg.RedialBackoffCap = 4 * time.Millisecond
+	cfg.Conns = 4
+	cfg.DialConn = dial
 	sess, err := Login(conn, cfg)
 	if err != nil {
 		t.Fatalf("Login: %v", err)
 	}
 	t.Cleanup(func() { _ = sess.Close() })
+	if got := sess.NumConns(); got != 4 {
+		t.Fatalf("NumConns = %d after login, want 4", got)
+	}
+	if later != nil {
+		sess.mu.Lock()
+		sess.cfg.DialConn = later
+		sess.mu.Unlock()
+	}
 	return sess, dev
 }
 
-// TestReconnectRetriesInFlightCommands kills the transport twice mid-workload
-// (at schedule-determined points, no wall clocks) and asserts every write
-// completes and lands: the session redials, re-logs-in, and reissues the
-// failed commands instead of surfacing ErrSessionClosed.
+// cutSecondary closes the transport of the session's first healthy MC/S
+// secondary connection, as a link failure under it would.
+func cutSecondary(s *Session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sc := range s.conns[1:] {
+		if !sc.dead {
+			sc.conn.Close()
+			return
+		}
+	}
+}
+
+// TestReconnectRetriesInFlightCommands cuts an MC/S secondary connection
+// twice mid-workload (at schedule-determined points, no wall clocks) and
+// asserts every write completes and lands: the commands with allegiance to
+// the lost connection are reissued on the survivors, and the session
+// reattaches the secondary in the background.
 func TestReconnectRetriesInFlightCommands(t *testing.T) {
-	sess, dev := redialHarness(t, Config{QueueDepth: 8})
+	sess, dev := mcsHarness(t, Config{QueueDepth: 8})
 
 	sched := faults.NewSchedule()
-	sched.At(6, "cut-1", func() { sess.Conn().Close() })
-	sched.At(14, "cut-2", func() { sess.Conn().Close() })
+	sched.At(6, "cut-1", func() { cutSecondary(sess) })
+	sched.At(14, "cut-2", func() { cutSecondary(sess) })
 
 	const (
 		writers   = 4
@@ -240,7 +261,7 @@ func TestReconnectRetriesInFlightCommands(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatalf("write failed across reconnect: %v", err)
+		t.Fatalf("write failed across a secondary connection loss: %v", err)
 	}
 	if fired := sched.Fired(); len(fired) != 2 {
 		t.Fatalf("schedule fired %v, want both cuts", fired)
@@ -259,108 +280,5 @@ func TestReconnectRetriesInFlightCommands(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRedialExhaustionFailsTerminally verifies the backoff loop gives up
-// after MaxRedials and the session reports a terminal error from then on.
-func TestRedialExhaustionFailsTerminally(t *testing.T) {
-	refused := errors.New("stub: dial refused")
-	cfg := Config{
-		MaxRedials: 2,
-		Redial:     func() (net.Conn, error) { return nil, refused },
-	}
-	sess, _ := redialHarness(t, cfg)
-	if err := sess.Write(0, make([]byte, 512), 512); err != nil {
-		t.Fatalf("write before cut: %v", err)
-	}
-	sess.Conn().Close()
-	err := sess.Write(0, make([]byte, 512), 512)
-	if err == nil {
-		t.Fatal("write succeeded with no reachable target")
-	}
-	if !strings.Contains(err.Error(), "reconnect failed") || !errors.Is(err, refused) {
-		t.Fatalf("error = %v, want terminal reconnect failure wrapping the dial error", err)
-	}
-	if err := sess.Write(0, make([]byte, 512), 512); err == nil {
-		t.Fatal("session accepted a command after terminal reconnect failure")
-	}
-}
-
-// TestCommandTimeoutWithoutRedial verifies a per-command deadline fails a
-// command stuck on an unresponsive target instead of hanging forever.
-func TestCommandTimeoutWithoutRedial(t *testing.T) {
-	sess := stubSession(t, Config{CommandTimeout: 30 * time.Millisecond}, 1, func(conn net.Conn) {
-		// Black hole: swallow every PDU, answer nothing.
-		for {
-			if _, err := iscsi.ReadPDU(conn); err != nil {
-				return
-			}
-		}
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := sess.Read(0, 1, 512)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Read against black-hole target returned nil")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Read hung despite CommandTimeout")
-	}
-	if _, err := sess.Read(0, 1, 512); err == nil {
-		t.Fatal("session alive after deadline blew with no Redial hook")
-	}
-}
-
-// TestCommandTimeoutRedialsAndRetries starts against a black-hole target and
-// verifies the deadline + reconnect path migrates the in-flight write onto a
-// healthy target transparently.
-func TestCommandTimeoutRedialsAndRetries(t *testing.T) {
-	dev, err := blockdev.NewMemDisk(512, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := target.NewServer()
-	if err := srv.AddTarget("iqn.stub-target", dev); err != nil {
-		t.Fatal(err)
-	}
-	ln := newChanListener()
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-
-	cfg := Config{
-		CommandTimeout:    30 * time.Millisecond,
-		RedialBackoffBase: time.Millisecond,
-		RedialBackoffCap:  4 * time.Millisecond,
-		Redial: func() (net.Conn, error) {
-			client, server := net.Pipe()
-			select {
-			case ln.conns <- server:
-				return client, nil
-			case <-ln.done:
-				return nil, net.ErrClosed
-			}
-		},
-	}
-	sess := stubSession(t, cfg, 1, func(conn net.Conn) {
-		for {
-			if _, err := iscsi.ReadPDU(conn); err != nil {
-				return
-			}
-		}
-	})
-	want := bytes.Repeat([]byte{0x7E}, 1024)
-	if err := sess.Write(16, want, 512); err != nil {
-		t.Fatalf("Write across deadline+redial: %v", err)
-	}
-	got := make([]byte, 1024)
-	if err := dev.ReadAt(got, 16); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("write retried after timeout did not land on the healthy target")
-	}
+	testutil.WaitFor(t, 5*time.Second, "both secondaries reattached", func() bool { return sess.NumConns() == 4 })
 }

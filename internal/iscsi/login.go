@@ -29,7 +29,7 @@ const (
 // while overload advertises OutOfResources under TargetErr.
 const (
 	LoginDetailNone               byte = 0x00
-	LoginDetailTargetRemoved      byte = 0x04 // class InitiatorErr: gone for good, do not redial
+	LoginDetailTargetRemoved      byte = 0x04 // class InitiatorErr: gone for good, do not log in again
 	LoginDetailServiceUnavailable byte = 0x01 // class TargetErr: transient, retry later
 	LoginDetailOutOfResources     byte = 0x02 // class TargetErr: overloaded, retry after backoff
 )

@@ -132,9 +132,8 @@ func TestRelayKeepsDirtySessionJournal(t *testing.T) {
 			backendQ.ch <- s
 			return c, nil
 		},
-		NextHop:  netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
-		Cost:     CostModel{MTU: 8192, BatchSize: 65536},
-		Recovery: RecoveryConfig{MaxReopens: 1},
+		NextHop: netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
+		Cost:    CostModel{MTU: 8192, BatchSize: 65536},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +219,6 @@ func chaosRun(t *testing.T, forwardConns int, cuts ...uint64) ([32]byte, *Journa
 		NextHop:      netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
 		Cost:         CostModel{MTU: 8192, BatchSize: 65536},
 		ForwardConns: forwardConns,
-		Recovery:     RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -127,7 +127,6 @@ func (h *crashHarness) startRelay(t *testing.T, dir string) (*Relay, string) {
 		Cost:         CostModel{MTU: 8192, BatchSize: 65536},
 		JournalDir:   dir,
 		ForwardConns: h.forwardConns,
-		Recovery:     RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

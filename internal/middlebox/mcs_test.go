@@ -85,7 +85,6 @@ func mcsRun(t *testing.T, forwardConns int, cuts ...uint64) ([32]byte, *Journal)
 		NextHop:      netsim.Addr{Net: netsim.StorageNet, IP: "10.0.0.100", Port: 3260},
 		Cost:         CostModel{MTU: 8192, BatchSize: 65536},
 		ForwardConns: forwardConns,
-		Recovery:     RecoveryConfig{BackoffBase: time.Millisecond, BackoffCap: 4 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package middlebox
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"os"
 	"path/filepath"
@@ -157,11 +156,6 @@ type Config struct {
 	// long an append may wait to share an fsync with its neighbours. 0
 	// syncs on every append (strictest latency, most fsyncs).
 	JournalSyncWindow time.Duration
-	// Recovery shapes the active relay's backend-reopen policy (attempt
-	// bounds, backoff, retry counts). The Reopen hook is supplied by the
-	// relay itself — it re-dials the next hop and rebuilds the service
-	// chain — so any hook set here is ignored.
-	Recovery RecoveryConfig
 	// Cost is the interception cost model (DefaultCostModel when zero).
 	Cost CostModel
 	// CPU optionally receives the relay's processing charges.
@@ -171,17 +165,15 @@ type Config struct {
 	// forwarding leg under "stage.relay.<name>.forward". Nil disables
 	// tracing.
 	Obs *obs.Registry
-	// Logger receives diagnostics.
-	Logger *log.Logger
 }
 
 // ErrDraining reports a login refused because the relay is draining: the
 // orchestrator has stopped steering new flows here ahead of a scale-down,
 // and the relay refuses new sessions while the established ones log out.
-// Classed xerr.Terminal: redialing the same relay is pointless — the
-// steering layer must place the flow elsewhere — so the target advertises
-// the refusal as non-retryable and initiators fail fast instead of burning
-// their redial budget here.
+// Classed xerr.Terminal: logging in to the same relay again is pointless —
+// the steering layer must place the flow elsewhere — so the target
+// advertises the refusal as non-retryable and initiators fail fast instead
+// of burning a retry budget here.
 var ErrDraining = xerr.New(xerr.Terminal, "middlebox: relay is draining")
 
 // Relay is a middle-box's storage relay: pseudo-server toward the source,
@@ -234,7 +226,6 @@ func NewRelay(cfg Config) (*Relay, error) {
 	r.negBurstGauge = cfg.Obs.Gauge("relay." + cfg.Name + ".neg_max_burst")
 	opts := []target.Option{
 		target.WithResolver(r.resolve),
-		target.WithLogger(cfg.Logger),
 	}
 	if cfg.Params != (iscsi.Params{}) {
 		opts = append(opts, target.WithParams(cfg.Params))
@@ -442,12 +433,13 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 				return nil, false, fmt.Errorf("middlebox: durable journal: %w", err)
 			}
 		}
-		rc := r.cfg.Recovery
-		rc.Reopen = func() (blockdev.Device, error) {
+		// The write-back device owns the forward leg after the early ack: on
+		// a backend loss it re-dials the next hop, rebuilds the service
+		// chain and replays the journal.
+		wb = NewWriteBackRecovering(stack, j, func() (blockdev.Device, error) {
 			dev, _, err := r.openBackend(iqn, next)
 			return dev, err
-		}
-		wb = NewWriteBackRecovering(stack, j, rc)
+		})
 		// Cap adjacent-write coalescing at the forward leg's negotiated
 		// burst window, so one coalesced apply is at most one solicited
 		// burst on the wire.

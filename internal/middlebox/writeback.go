@@ -24,29 +24,18 @@ const applyParallelism = 16
 // (SetMaxCoalesce).
 const maxCoalescedBytes = 256 * 1024
 
-// RecoveryConfig arms a WriteBackDevice with a backend-reopen path: when a
-// journaled apply keeps failing, the device assumes the pseudo-client session
-// is lost, reopens the backend through the hook, replays the journal, and
-// resumes — the split-connection consistency story of Section III-B. A zero
-// Reopen hook leaves the device in legacy mode, where the first backend
-// failure sticks and stops early-acking.
-type RecoveryConfig struct {
-	// Reopen re-establishes the backend (dial, login, rebuild the service
-	// chain) and returns a fresh device.
-	Reopen func() (blockdev.Device, error)
-	// MaxReopens bounds reopen attempts per outage (default 4). When
-	// exhausted, the device fails terminally: parked writes complete with
-	// the terminal error and the journal records each as a failure.
-	MaxReopens int
-	// MaxApplyTries bounds in-place apply attempts per item before the
-	// backend is declared lost (default 2).
-	MaxApplyTries int
-	// BackoffBase/BackoffCap shape the reopen backoff (defaults 2ms/100ms).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// Seed makes the backoff jitter deterministic.
-	Seed int64
-}
+// The recovery budget of a device with a reopen path: an item's apply is
+// tried maxApplyTries times before the backend is declared lost; an outage
+// gets maxReopens reopen attempts, the n-th after a jittered backoff in
+// [d/2, d) with d = min(2ms·2ⁿ, 100ms). When the reopens are spent the
+// device fails terminally: parked writes complete with the terminal error
+// and the journal records each as a failure.
+const (
+	maxApplyTries     = 2
+	maxReopens        = 4
+	reopenBackoffBase = 2 * time.Millisecond
+	reopenBackoffCap  = 100 * time.Millisecond
+)
 
 // WriteBackDevice implements the active-relay acknowledgement semantics as
 // a device decorator: WriteAt journals the data to the non-volatile buffer
@@ -67,7 +56,7 @@ type RecoveryConfig struct {
 // writes exactly adjacent to the undispatched tail write coalesce into one
 // backend apply (see maxCoalescedBytes).
 //
-// With a RecoveryConfig, a backend loss parks the pipeline instead of
+// With a reopen path, a backend loss parks the pipeline instead of
 // sticking: new writes keep early-acking into the journal (the NVRAM absorbs
 // the outage), a recovery goroutine reopens the backend and replays failed
 // entries in sequence order, and the parked items then drain against the new
@@ -78,7 +67,7 @@ type WriteBackDevice struct {
 	bs          int             // backend geometry, fixed across reopens
 	nblocks     uint64
 	journal     *Journal
-	rec         RecoveryConfig
+	reopen      func() (blockdev.Device, error) // nil: the first failure sticks
 	maxTries    int
 	backoff     *faults.Backoff
 	maxCoalesce int // adjacent-merge cap in bytes (one wire burst)
@@ -198,28 +187,20 @@ var _ blockdev.Device = (*WriteBackDevice)(nil)
 // NewWriteBack wraps dev with active-relay write-back semantics using the
 // given journal. Without a recovery path, the first backend failure sticks.
 func NewWriteBack(dev blockdev.Device, journal *Journal) *WriteBackDevice {
-	return NewWriteBackRecovering(dev, journal, RecoveryConfig{})
+	return NewWriteBackRecovering(dev, journal, nil)
 }
 
-// NewWriteBackRecovering wraps dev like NewWriteBack and arms the recovery
-// path when rc.Reopen is non-nil.
-func NewWriteBackRecovering(dev blockdev.Device, journal *Journal, rc RecoveryConfig) *WriteBackDevice {
-	if rc.MaxReopens <= 0 {
-		rc.MaxReopens = 4
-	}
-	if rc.MaxApplyTries <= 0 {
-		rc.MaxApplyTries = 2
-	}
-	if rc.BackoffBase <= 0 {
-		rc.BackoffBase = 2 * time.Millisecond
-	}
-	if rc.BackoffCap <= 0 {
-		rc.BackoffCap = 100 * time.Millisecond
-	}
-	w := &WriteBackDevice{dev: dev, bs: dev.BlockSize(), nblocks: dev.Blocks(), journal: journal, rec: rc, maxTries: 1, maxCoalesce: maxCoalescedBytes}
-	if rc.Reopen != nil {
-		w.maxTries = rc.MaxApplyTries
-		w.backoff = faults.NewBackoff(rc.BackoffBase, rc.BackoffCap, rc.Seed)
+// NewWriteBackRecovering wraps dev like NewWriteBack and, when reopen is
+// non-nil, arms the recovery path: when a journaled apply keeps failing, the
+// device assumes the pseudo-client session is lost, reopens the backend
+// through reopen (dial, login, rebuild the service chain), replays the
+// journal, and resumes — the split-connection consistency story of Section
+// III-B.
+func NewWriteBackRecovering(dev blockdev.Device, journal *Journal, reopen func() (blockdev.Device, error)) *WriteBackDevice {
+	w := &WriteBackDevice{dev: dev, bs: dev.BlockSize(), nblocks: dev.Blocks(), journal: journal, reopen: reopen, maxTries: 1, maxCoalesce: maxCoalescedBytes}
+	if reopen != nil {
+		w.maxTries = maxApplyTries
+		w.backoff = faults.NewBackoff(reopenBackoffBase, reopenBackoffCap, 0)
 	}
 	w.cond = sync.NewCond(&w.mu)
 	for i := 0; i < applyParallelism; i++ {
@@ -491,7 +472,7 @@ func (w *WriteBackDevice) applyLoop() {
 			}
 		}
 		if err != nil {
-			if w.rec.Reopen == nil {
+			if w.reopen == nil {
 				if w.applyErr == nil {
 					w.applyErr = err
 				}
@@ -528,11 +509,11 @@ func (w *WriteBackDevice) recoverBackend() {
 	_ = old.Close() // dead session; release its goroutines
 
 	var lastErr error
-	for attempt := 0; attempt < w.rec.MaxReopens; attempt++ {
+	for attempt := 0; attempt < maxReopens; attempt++ {
 		if attempt > 0 {
 			time.Sleep(w.backoff.Delay(attempt - 1))
 		}
-		dev, err := w.rec.Reopen()
+		dev, err := w.reopen()
 		if err != nil {
 			lastErr = err
 			continue
@@ -556,7 +537,7 @@ func (w *WriteBackDevice) recoverBackend() {
 		return
 	}
 
-	terr := fmt.Errorf("middlebox: backend recovery failed after %d attempts: %w", w.rec.MaxReopens, lastErr)
+	terr := fmt.Errorf("middlebox: backend recovery failed after %d attempts: %w", maxReopens, lastErr)
 	obs.Default().Eventf("writeback", "%v", terr)
 	w.mu.Lock()
 	if w.applyErr == nil {

@@ -94,15 +94,11 @@ func TestWriteBackRecoversAndReplaysJournal(t *testing.T) {
 	be := &flakyBackend{disk: disk}
 	var reopens atomic.Int32
 	j := NewJournal(0)
-	wb := NewWriteBackRecovering(be, j, RecoveryConfig{
-		Reopen: func() (blockdev.Device, error) {
-			if reopens.Add(1) <= 2 {
-				return nil, errBackendDown
-			}
-			return &flakyBackend{disk: disk}, nil
-		},
-		BackoffBase: time.Millisecond,
-		BackoffCap:  2 * time.Millisecond,
+	wb := NewWriteBackRecovering(be, j, func() (blockdev.Device, error) {
+		if reopens.Add(1) <= 2 {
+			return nil, errBackendDown
+		}
+		return &flakyBackend{disk: disk}, nil
 	})
 
 	sched := faults.NewSchedule()
@@ -161,12 +157,9 @@ func TestWriteBackReplayOrdersBeforeParkedWrites(t *testing.T) {
 	heal := make(chan struct{})
 	healed := &flakyBackend{disk: disk}
 	j := NewJournal(0)
-	wb := NewWriteBackRecovering(be, j, RecoveryConfig{
-		Reopen: func() (blockdev.Device, error) {
-			<-heal // hold recovery until the test parked its write
-			return healed, nil
-		},
-		BackoffBase: time.Millisecond,
+	wb := NewWriteBackRecovering(be, j, func() (blockdev.Device, error) {
+		<-heal // hold recovery until the test parked its write
+		return healed, nil
 	})
 
 	a := bytes.Repeat([]byte{'A'}, 512)
@@ -205,8 +198,10 @@ func TestWriteBackReplayOrdersBeforeParkedWrites(t *testing.T) {
 }
 
 // TestWriteBackRecoveryExhaustionFailsTerminally checks the bounded side of
-// recovery: when every reopen fails, callers get a terminal error instead of
-// a hang, and the journal records the stranded writes for audit.
+// recovery: against a reopen that always fails, the device makes exactly
+// 4 attempts, then fails terminally instead of hanging — every
+// parked write completes failed, the journal records each, and callers get
+// the terminal error.
 func TestWriteBackRecoveryExhaustionFailsTerminally(t *testing.T) {
 	disk, err := blockdev.NewMemDisk(512, 64)
 	if err != nil {
@@ -215,30 +210,46 @@ func TestWriteBackRecoveryExhaustionFailsTerminally(t *testing.T) {
 	be := &flakyBackend{disk: disk}
 	be.down.Store(true)
 	j := NewJournal(0)
-	wb := NewWriteBackRecovering(be, j, RecoveryConfig{
-		Reopen:      func() (blockdev.Device, error) { return nil, errBackendDown },
-		MaxReopens:  2,
-		BackoffBase: time.Millisecond,
+	heal := make(chan struct{})
+	var reopens atomic.Int32
+	wb := NewWriteBackRecovering(be, j, func() (blockdev.Device, error) {
+		<-heal // hold recovery until the writes below are parked
+		reopens.Add(1)
+		return nil, errBackendDown
 	})
 
 	if err := wb.WriteAt(make([]byte, 512), 0); err != nil {
 		t.Fatalf("first WriteAt should early-ack: %v", err)
 	}
-	// The write fails, recovery runs out of reopens, and the device turns
-	// terminal; poll until the terminal error surfaces on new writes.
-	var werr error
-	testutil.WaitFor(t, 5*time.Second, "a write to fail", func() bool {
-		werr = wb.WriteAt(make([]byte, 512), 1)
-		return werr != nil
-	})
-	if !strings.Contains(werr.Error(), "recovery failed") {
-		t.Fatalf("post-exhaustion WriteAt err = %v, want terminal recovery error", werr)
+	waitDegraded(t, wb, true)
+	const parked = 5
+	for i := 0; i < parked; i++ {
+		// Disjoint and not adjacent, so none coalesces: one entry each.
+		if err := wb.WriteAt(make([]byte, 512), uint64(2+2*i)); err != nil {
+			t.Fatalf("parked WriteAt %d should early-ack: %v", i, err)
+		}
+	}
+	close(heal)
+	waitDegraded(t, wb, false) // recovery gave up and failed the parked items
+
+	if got := reopens.Load(); got != 4 {
+		t.Errorf("reopen attempts = %d, want 4", got)
+	}
+	if err := wb.WriteAt(make([]byte, 512), 1); err == nil || !strings.Contains(err.Error(), "recovery failed") {
+		t.Fatalf("post-exhaustion WriteAt err = %v, want terminal recovery error", err)
 	}
 	if err := wb.Flush(); err == nil || !strings.Contains(err.Error(), "recovery failed") {
 		t.Fatalf("Flush err = %v, want terminal recovery error", err)
 	}
-	if failures(j) == 0 {
-		t.Error("stranded writes recorded no journal failures")
+	unapplied := j.Unapplied()
+	if len(unapplied) != 1+parked || failures(j) != 1+parked || j.Pending() != 0 {
+		t.Fatalf("journal: %d unapplied, %d failures, %d pending; want %d, %d, 0",
+			len(unapplied), failures(j), j.Pending(), 1+parked, 1+parked)
+	}
+	for _, e := range unapplied {
+		if e.State != StateFailed {
+			t.Errorf("journal seq %d (lba %d) state %v, want failed", e.Seq, e.LBA, e.State)
+		}
 	}
 	done := make(chan error, 1)
 	go func() { done <- wb.Close() }()

@@ -150,13 +150,9 @@ func TestWriteBackItemRecyclingStress(t *testing.T) {
 		be := &flakyBackend{disk: disk}
 		be.down.Store(true)
 		heal := make(chan struct{})
-		wb := NewWriteBackRecovering(be, NewJournal(0), RecoveryConfig{
-			Reopen: func() (blockdev.Device, error) {
-				<-heal // hold recovery until the writes below are parked
-				return nil, errBackendDown
-			},
-			MaxReopens:  2,
-			BackoffBase: time.Millisecond,
+		wb := NewWriteBackRecovering(be, NewJournal(0), func() (blockdev.Device, error) {
+			<-heal // hold recovery until the writes below are parked
+			return nil, errBackendDown
 		})
 		if err := wb.WriteAt(make([]byte, 512), 0); err != nil {
 			t.Fatal(err)

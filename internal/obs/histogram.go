@@ -98,8 +98,10 @@ func (h *Histogram) bounds() (lo, hi time.Duration) {
 	return time.Duration(h.min.Load() - 1), time.Duration(h.max.Load())
 }
 
-// percentile is quantile held inside the samples' exact range [lo, hi],
-// which it returns outright for p ≤ 0 and p ≥ 100.
+// percentile estimates the p-th percentile of the n samples counted in c,
+// held inside their exact range [lo, hi], which it returns outright for
+// p ≤ 0 and p ≥ 100. The ranks either side of p/100·(n-1) are each placed
+// inside the bucket of the sample they stand for, and interpolated.
 func percentile(c *[numBuckets]uint64, n uint64, p float64, lo, hi time.Duration) time.Duration {
 	switch {
 	case n == 0:
@@ -109,21 +111,13 @@ func percentile(c *[numBuckets]uint64, n uint64, p float64, lo, hi time.Duration
 	case p >= 100:
 		return hi
 	}
-	return min(max(quantile(c, n, p), lo), hi)
-}
-
-// quantile estimates the p-th percentile (0 < p < 100) of the n > 0 samples
-// counted in c: the ranks either side of p/100·(n-1) are each placed inside
-// the bucket of the sample they stand for, and interpolated. The SLO window
-// and Percentile both use it.
-func quantile(c *[numBuckets]uint64, n uint64, p float64) time.Duration {
 	rank := p / 100 * float64(n-1)
 	k := uint64(rank)
 	v := rankValue(c, k)
 	if f := rank - float64(k); f > 0 {
 		v += f * (rankValue(c, k+1) - v)
 	}
-	return time.Duration(v)
+	return min(max(time.Duration(v), lo), hi)
 }
 
 // rankValue estimates the k-th smallest (0-based) sample counted in c,

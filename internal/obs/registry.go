@@ -2,9 +2,8 @@
 // bed: a registry of named counters, gauges, and fixed-size bucketed
 // latency histograms, per-command stage spans along the
 // VM → gateway → middle-box chain → target data path, a bounded
-// structured-event log, windowed SLO tracking, per-host simulated CPU
-// accounting (the Figure 10 breakdown), and Prometheus-style text / JSON
-// exposition.
+// structured-event log, per-host simulated CPU accounting (the Figure 10
+// breakdown), and Prometheus-style text / JSON exposition.
 //
 // Hot paths hold on to the *Counter / *Gauge / Timer handles returned by
 // the registry — after the one-time get-or-create, updates are a single
@@ -203,8 +202,8 @@ var epoch = time.Now()
 
 // Now returns the registry's notion of current time: the injected clock if
 // one is set (tests), else the process-start wall time advanced by the
-// monotonic clock. It is the one clock behind span edges, trace hops, events
-// and the SLO window, so every timestamp in a dump lies on one timeline; the
+// monotonic clock. It is the one clock behind span edges, trace hops and
+// events, so every timestamp in a dump lies on one timeline; the
 // price is that a wall-clock step (NTP) after start-up does not show in it.
 // Two span edges per command read it, which is why it is not time.Now.
 // Nil-safe.

@@ -14,82 +14,6 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
-// TestSLOWindowRollOver drives a tracker on a fake clock: violations in
-// an early slot must age out of the rolling window once the ring rotates
-// past them, and the burn gauge must follow.
-func TestSLOWindowRollOver(t *testing.T) {
-	r := NewRegistry()
-	now := time.Unix(1000, 0)
-	setClock(r, func() time.Time { return now })
-
-	const target = 2 * time.Millisecond
-	tr := NewSLOTracker(r, "t1.enc", target, SLOConfig{
-		Window: 6 * time.Second, Slots: 6, BudgetPermille: 100,
-	})
-	h := r.Histogram("stage.relay.t1-enc-0.service.write")
-	tr.Watch("stage.relay.t1-enc-0.service.write")
-
-	// Slot 1: ten ops, half over target -> burn 5x the 10% budget.
-	for i := 0; i < 5; i++ {
-		h.Observe(time.Millisecond)
-		h.Observe(5 * time.Millisecond)
-	}
-	st := tr.Tick(now)
-	if st.WindowOps != 10 || st.Violations != 5 {
-		t.Fatalf("slot1: ops=%d viol=%d, want 10/5", st.WindowOps, st.Violations)
-	}
-	if st.BurnPermille != 5000 {
-		t.Errorf("slot1 burn = %d, want 5000", st.BurnPermille)
-	}
-	if got := r.Gauge("slo.t1.enc.burn_permille").Value(); got != 5000 {
-		t.Errorf("burn gauge = %d, want 5000", got)
-	}
-	// The window keeps bucket counts, not samples: p99 is exact to one
-	// bucket (1/16), while ops, violations and burn stay exact because
-	// every sample lies far from the 2ms target.
-	withinBucket(t, "p99 gauge", time.Duration(r.Gauge("slo.t1.enc.p99_us").Value())*time.Microsecond, 5*time.Millisecond)
-	if got := r.Gauge("slo.t1.enc.target_us").Value(); got != target.Microseconds() {
-		t.Errorf("target gauge = %d, want %d", got, target.Microseconds())
-	}
-
-	// Three slots later: add clean ops; the old violations still count.
-	now = now.Add(3 * time.Second)
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Millisecond)
-	}
-	st = tr.Tick(now)
-	if st.WindowOps != 20 || st.Violations != 5 {
-		t.Fatalf("mid-window: ops=%d viol=%d, want 20/5", st.WindowOps, st.Violations)
-	}
-
-	// Past the window: the first slot (and its violations) must roll off.
-	now = now.Add(3500 * time.Millisecond)
-	st = tr.Tick(now)
-	if st.Violations != 0 {
-		t.Errorf("after roll-over: violations = %d, want 0", st.Violations)
-	}
-	if st.WindowOps != 10 {
-		t.Errorf("after roll-over: ops = %d, want 10 (only the clean slot)", st.WindowOps)
-	}
-	if st.BurnPermille != 0 {
-		t.Errorf("after roll-over: burn = %d, want 0", st.BurnPermille)
-	}
-
-	// Idle gap far beyond the window: everything expires.
-	now = now.Add(time.Minute)
-	st = tr.Tick(now)
-	if st.WindowOps != 0 || st.BurnPermille != 0 {
-		t.Errorf("after idle gap: ops=%d burn=%d, want 0/0", st.WindowOps, st.BurnPermille)
-	}
-
-	// At the target is not over it; the first bucket past the target's is.
-	h.Observe(target)
-	h.Observe(time.Duration(bucketLow(bucketOf(int64(target)) + 1)))
-	if st = tr.Tick(now); st.WindowOps != 2 || st.Violations != 1 {
-		t.Errorf("at the target's edge: ops=%d viol=%d, want 2/1", st.WindowOps, st.Violations)
-	}
-}
-
 // TestSeriesLimitAndRetire covers the cardinality bound: past the series
 // cap new names are rejected (nil-safe handles, obs.metrics_dropped
 // counts them) and RetireInstance frees an instance's series for reuse.

@@ -2,6 +2,7 @@ package orchestrator
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -184,6 +185,16 @@ func TestReconcileRetriesPendingRecovery(t *testing.T) {
 	o.Reconcile() // retry against the still-down backend keeps the tail pending
 	if got := dep.PendingRecoveries("enc1"); got != 1 {
 		t.Fatalf("PendingRecoveries = %d while backend still down, want 1", got)
+	}
+	// The failed retry leaves an event an operator can read, error included.
+	var failed []string
+	for _, ev := range reg.Events() {
+		if ev.Kind == "orchestrator" && strings.HasPrefix(ev.Msg, "pending recovery for tenantY/enc1 failed again: ") {
+			failed = append(failed, ev.Msg)
+		}
+	}
+	if len(failed) != 1 || !strings.Contains(failed[0], "host down") {
+		t.Fatalf("events for the failed retry = %q, want one carrying the recovery error (host down)", failed)
 	}
 
 	c.Fabric.HealHost(c.StorageHost())

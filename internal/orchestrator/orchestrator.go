@@ -11,7 +11,6 @@ package orchestrator
 
 import (
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 	"time"
@@ -29,20 +28,20 @@ type Config struct {
 	Obs *obs.Registry
 	// Interval is the reconcile period of the Start loop (default 250ms).
 	Interval time.Duration
-	// ScaleUpUtil is the member utilization at which the loop grows the
-	// group by one (default 0.75).
-	ScaleUpUtil float64
-	// ScaleDownUtil: when every member sits at or below it, the loop
-	// drains one member (default 0.15).
-	ScaleDownUtil float64
 	// CooldownRounds is how many reconcile passes to hold after a scale
 	// event before deciding again (default 2), letting utilization settle.
 	CooldownRounds int
 	// Now overrides the clock (tests); defaults to time.Now.
 	Now func() time.Time
-	// Logger receives diagnostics.
-	Logger *log.Logger
 }
+
+// The utilization band of the scale decision: the loop grows a group by one
+// when a member reaches scaleUpUtil, and drains one member when every member
+// sits at or below scaleDownUtil.
+const (
+	scaleUpUtil   = 0.75
+	scaleDownUtil = 0.15
+)
 
 // managedGroup is the loop's per-group state.
 type managedGroup struct {
@@ -51,11 +50,6 @@ type managedGroup struct {
 	lastTime   time.Time
 	cooldown   int
 	draining   string // member being drained, "" if none
-
-	// SLO tracking (armed when the policy sets a latencySLO for the mb).
-	slo        *obs.SLOTracker
-	sloWatched map[string]bool // member -> watched service histograms
-	sloBurning bool            // last pass exceeded the error budget
 
 	// Overload edge detection (replicate groups): last pass's breaker /
 	// backpressure state, so transitions emit exactly one event each way.
@@ -81,12 +75,6 @@ func New(cfg Config) *Orchestrator {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 250 * time.Millisecond
-	}
-	if cfg.ScaleUpUtil <= 0 {
-		cfg.ScaleUpUtil = 0.75
-	}
-	if cfg.ScaleDownUtil <= 0 {
-		cfg.ScaleDownUtil = 0.15
 	}
 	if cfg.CooldownRounds <= 0 {
 		cfg.CooldownRounds = 2
@@ -165,7 +153,7 @@ func (o *Orchestrator) reconcileGroup(g *managedGroup) {
 		}
 		repl, replayed, err := dep.RecoverInstance(g.mb, ms.Name)
 		if err != nil {
-			o.logf("recover %s/%s %s: %v", g.tenant, g.mb, ms.Name, err)
+			o.cfg.Obs.Eventf("orchestrator", "recovery of crashed %s/%s member %s failed: %v", g.tenant, g.mb, ms.Name, err)
 			return
 		}
 		o.cfg.Obs.Eventf("orchestrator", "replaced crashed %s/%s member %s with %s (%d journal records replayed)",
@@ -185,7 +173,7 @@ func (o *Orchestrator) reconcileGroup(g *managedGroup) {
 	if dep.PendingRecoveries(g.mb) > 0 {
 		n, err := dep.RetryRecoveries(g.mb)
 		if err != nil {
-			o.logf("retry recovery %s/%s: %v", g.tenant, g.mb, err)
+			o.cfg.Obs.Eventf("orchestrator", "pending recovery for %s/%s failed again: %v", g.tenant, g.mb, err)
 		} else {
 			o.cfg.Obs.Eventf("orchestrator", "completed pending recovery for %s/%s (%d journal records replayed)",
 				g.tenant, g.mb, n)
@@ -201,7 +189,7 @@ func (o *Orchestrator) reconcileGroup(g *managedGroup) {
 			g.draining = "" // removed or un-drained behind our back
 		case st.Sessions == 0 && st.JournalBytes == 0 && st.JournalPending == 0:
 			if err := dep.FinishDrain(g.mb, g.draining); err != nil {
-				o.logf("finish drain %s/%s %s: %v", g.tenant, g.mb, g.draining, err)
+				o.cfg.Obs.Eventf("orchestrator", "finishing the drain of %s/%s member %s failed: %v", g.tenant, g.mb, g.draining, err)
 			} else {
 				o.cfg.Obs.Eventf("orchestrator", "scaled down %s/%s: drained %s", g.tenant, g.mb, g.draining)
 				g.draining = ""
@@ -215,7 +203,6 @@ func (o *Orchestrator) reconcileGroup(g *managedGroup) {
 	g.lastTime = now
 	status := dep.GroupStatus(g.mb)
 	o.cfg.Obs.Gauge(fmt.Sprintf("orch.group.%s.%s.size", g.tenant, g.mb)).Set(int64(len(status)))
-	o.trackSLO(g, dep, status, now)
 	o.trackOverload(g, status)
 
 	utils := make([]float64, len(status))
@@ -262,67 +249,27 @@ func (o *Orchestrator) reconcileGroup(g *managedGroup) {
 		}
 	}
 	size := len(status)
-	if peak >= o.cfg.ScaleUpUtil && size < max {
+	if peak >= scaleUpUtil && size < max {
 		if err := dep.Scale(g.mb, size+1); err != nil {
-			o.logf("scale up %s/%s: %v", g.tenant, g.mb, err)
+			o.cfg.Obs.Eventf("orchestrator", "scale-up of %s/%s to %d failed: %v", g.tenant, g.mb, size+1, err)
 			return
 		}
 		o.cfg.Obs.Eventf("orchestrator", "scaled up %s/%s to %d (peak util %.0f%%)", g.tenant, g.mb, size+1, peak*100)
 		g.cooldown = o.cfg.CooldownRounds
 		return
 	}
-	if size > min && peak <= o.cfg.ScaleDownUtil {
+	if size > min && peak <= scaleDownUtil {
 		victim := pickVictim(status, utils)
 		if victim == "" {
 			return
 		}
 		if err := dep.BeginDrain(g.mb, victim); err != nil {
-			o.logf("begin drain %s/%s %s: %v", g.tenant, g.mb, victim, err)
+			o.cfg.Obs.Eventf("orchestrator", "draining %s/%s member %s failed: %v", g.tenant, g.mb, victim, err)
 			return
 		}
 		o.cfg.Obs.Eventf("orchestrator", "draining %s/%s member %s (peak util %.0f%%)", g.tenant, g.mb, victim, peak*100)
 		g.draining = victim
 	}
-}
-
-// trackSLO maintains the group's rolling-latency SLO tracker when the
-// policy sets a latencySLO: it re-asserts watches on every live member's
-// service histograms, drops watches on departed members, ticks the window,
-// and publishes the slo.<tenant>.<mb>.* gauges. An error-budget burn above
-// 1000 permille (burning faster than the budget allows) raises an event on
-// the transition — a signal only; scale decisions stay utilization-driven.
-func (o *Orchestrator) trackSLO(g *managedGroup, dep *core.TenantDeployment, status []core.MemberStatus, now time.Time) {
-	target := dep.LatencySLO(g.mb)
-	if target <= 0 {
-		return
-	}
-	if g.slo == nil {
-		g.slo = obs.NewSLOTracker(o.cfg.Obs, g.tenant+"."+g.mb, target, obs.SLOConfig{})
-		g.sloWatched = make(map[string]bool)
-	}
-	live := make(map[string]bool, len(status))
-	for _, ms := range status {
-		live[ms.Name] = true
-		if !g.sloWatched[ms.Name] {
-			g.slo.Watch(obs.StagePrefix + obs.RelayServiceStage(ms.Name) + ".read")
-			g.slo.Watch(obs.StagePrefix + obs.RelayServiceStage(ms.Name) + ".write")
-			g.sloWatched[ms.Name] = true
-		}
-	}
-	for name := range g.sloWatched {
-		if !live[name] {
-			g.slo.Unwatch(obs.StagePrefix + obs.RelayServiceStage(name) + ".read")
-			g.slo.Unwatch(obs.StagePrefix + obs.RelayServiceStage(name) + ".write")
-			delete(g.sloWatched, name)
-		}
-	}
-	st := g.slo.Tick(now)
-	burning := st.BurnPermille > 1000
-	if burning && !g.sloBurning {
-		o.cfg.Obs.Eventf("orchestrator", "SLO burn for %s/%s: p99 %v over target %v (%d of %d ops, burn %d permille)",
-			g.tenant, g.mb, st.P99, st.Target, st.Violations, st.WindowOps, st.BurnPermille)
-	}
-	g.sloBurning = burning
 }
 
 // trackOverload surfaces replicate overload transitions as orchestrator
@@ -412,10 +359,4 @@ func (o *Orchestrator) Stop() {
 	}
 	close(stop)
 	<-done
-}
-
-func (o *Orchestrator) logf(format string, args ...any) {
-	if o.cfg.Logger != nil {
-		o.cfg.Logger.Printf("orchestrator: "+format, args...)
-	}
 }

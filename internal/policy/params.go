@@ -70,8 +70,6 @@ var params = map[string]param{
 		doc: "back the write journal with an on-disk WAL that survives a middle-box crash"},
 	"journalFsyncWindow": {types: relayTypes, activeOnly: true, kind: kindDuration, max: int64(time.Second), def: "0",
 		doc: "durable journal group-commit window; 0 fsyncs every append"},
-	"latencySLO": {types: relayTypes, kind: kindDuration, min: 1, max: int64(time.Minute),
-		doc: "per-command service-latency objective the orchestrator tracks; unset tracks none"},
 }
 
 // check reports why v is not a value of the param's kind, or nil.
@@ -244,7 +242,3 @@ func (m *MiddleBoxSpec) DurableJournal() bool { return m.value("durableJournal")
 func (m *MiddleBoxSpec) JournalFsyncWindow() time.Duration {
 	return m.durationValue("journalFsyncWindow")
 }
-
-// LatencySLO returns the per-command service-latency objective the
-// orchestrator tracks for the group (0: none).
-func (m *MiddleBoxSpec) LatencySLO() time.Duration { return m.durationValue("latencySLO") }

@@ -87,11 +87,6 @@ var paramCases = map[string]paramCase{
 		set: [2]string{"1ms", "1ms"}, unset: "0s",
 		read: func(m *MiddleBoxSpec) string { return m.JournalFsyncWindow().String() },
 	},
-	"latencySLO": {
-		valid: []string{"1ms", "1m"}, invalid: []string{"0", "-1ms", "2m"},
-		set: [2]string{"2ms", "2ms"}, unset: "0s",
-		read: func(m *MiddleBoxSpec) string { return m.LatencySLO().String() },
-	},
 }
 
 var allTypes = []ServiceType{TypeMonitor, TypeEncryption, TypeReplication, TypeForward, TypeReplicate}

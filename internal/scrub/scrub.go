@@ -43,10 +43,6 @@ type Config struct {
 	ChunkSize int
 	// Interval is the idle time between background passes. Default 1s.
 	Interval time.Duration
-	// Pace is how many slots are scanned between scheduling yields in the
-	// background loop, bounding the latency impact on foreground I/O.
-	// Default 64.
-	Pace int
 	// Paused, when non-nil, is polled before each background pass: while it
 	// reports true the scrubber idles instead of scanning. Production
 	// wiring points it at the replication box's BreakerOpen — scrubbing
@@ -70,6 +66,9 @@ type PassStats struct {
 	Unrepairable uint64
 }
 
+// pace is how many slots a background pass scans between checks for Stop.
+const pace = 64
+
 // ErrStopped reports a pass interrupted by Stop.
 var ErrStopped = errors.New("scrub: stopped")
 
@@ -89,9 +88,6 @@ type Scrubber struct {
 func New(cfg Config) *Scrubber {
 	if cfg.Interval == 0 {
 		cfg.Interval = time.Second
-	}
-	if cfg.Pace == 0 {
-		cfg.Pace = 64
 	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.Default()
@@ -148,7 +144,7 @@ func (s *Scrubber) runPass(paced bool) (PassStats, error) {
 	start := time.Now()
 	var st PassStats
 	for slot := uint64(0); slot < s.cfg.Slots; slot++ {
-		if paced && s.cfg.Pace > 0 && slot%uint64(s.cfg.Pace) == 0 {
+		if paced && slot%pace == 0 {
 			select {
 			case <-s.stop:
 				return st, ErrStopped

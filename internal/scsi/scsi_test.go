@@ -7,22 +7,25 @@ import (
 	"testing/quick"
 )
 
+// roundTripCDBs is one CDB of every supported opcode; FuzzDecodeCDB seeds
+// from their encodings.
+var roundTripCDBs = []struct {
+	name string
+	give *CDB
+}{
+	{"read10", readCDB(1234, 8)},
+	{"write10", writeCDB(0xFFFFFFFF, 0xFFFF)},
+	{"read16", readCDB(1<<40, 8)},
+	{"write16", writeCDB(7, 1<<20)},
+	{"capacity10", NewReadCapacity10()},
+	{"capacity16", NewReadCapacity16()},
+	{"inquiry", &CDB{Op: OpInquiry, AllocationLength: 96}},
+	{"tur", &CDB{Op: OpTestUnitReady}},
+	{"sync", NewSyncCache(100, 50)},
+}
+
 func TestCDBRoundTrip(t *testing.T) {
-	tests := []struct {
-		name string
-		give *CDB
-	}{
-		{"read10", readCDB(1234, 8)},
-		{"write10", writeCDB(0xFFFFFFFF, 0xFFFF)},
-		{"read16", readCDB(1<<40, 8)},
-		{"write16", writeCDB(7, 1<<20)},
-		{"capacity10", NewReadCapacity10()},
-		{"capacity16", NewReadCapacity16()},
-		{"inquiry", &CDB{Op: OpInquiry, AllocationLength: 96}},
-		{"tur", &CDB{Op: OpTestUnitReady}},
-		{"sync", NewSyncCache(100, 50)},
-	}
-	for _, tt := range tests {
+	for _, tt := range roundTripCDBs {
 		t.Run(tt.name, func(t *testing.T) {
 			enc, err := encode(tt.give)
 			if err != nil {
@@ -129,8 +132,12 @@ func TestCDBClassification(t *testing.T) {
 	}
 }
 
+// roundTripSense is sense data with every field set; FuzzDecodeSense seeds
+// from its encoding.
+var roundTripSense = &Sense{Key: SenseMediumError, ASC: ASCWriteError, ASCQ: 0x02, Info: 777}
+
 func TestSenseRoundTrip(t *testing.T) {
-	give := &Sense{Key: SenseMediumError, ASC: ASCWriteError, ASCQ: 0x02, Info: 777}
+	give := roundTripSense
 	got, err := DecodeSense(give.Encode())
 	if err != nil {
 		t.Fatalf("DecodeSense: %v", err)

@@ -97,8 +97,6 @@ type Config struct {
 	// wal.Options.Quota) — the deterministic ENOSPC injection the overload
 	// experiments drive WAL-full scenarios with.
 	WALQuota wal.Quota
-	// Seed fixes the retry backoff jitter sequence. Default 1.
-	Seed int64
 	// Obs receives the box's metrics and events (default obs.Default()).
 	Obs *obs.Registry
 }
@@ -118,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default()
@@ -292,7 +287,7 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 		bpc:     bpc,
 		jobs:    make(map[uint64]*job),
 		stop:    make(chan struct{}),
-		backoff: faults.NewBackoff(time.Millisecond, 50*time.Millisecond, cfg.Seed),
+		backoff: faults.NewBackoff(time.Millisecond, 50*time.Millisecond, 1),
 	}
 	for i, nb := range backends {
 		if nb.Store.ChunkSize() != cfg.ChunkSize {

@@ -131,7 +131,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	sc, err := s.login(conn)
 	if err != nil {
-		s.logf("target: login on %v failed: %v", conn.RemoteAddr(), err)
+		obs.Default().Eventf("target", "login on %v refused: %v", conn.RemoteAddr(), err)
 		return
 	}
 	sc.run()
@@ -164,10 +164,13 @@ func (s *Server) login(conn net.Conn) (*sessConn, error) {
 			MaxCmdSN:    req.CmdSN + 1,
 			StatusClass: iscsi.LoginStatusInitiatorErr,
 		}
-		// The refusal's wire status advertises the cause's error class so
-		// the initiator spends its redial budget only where retrying can
-		// help: terminal refusals (a draining relay) say "gone, don't
-		// redial", overload says "retry after backoff".
+		// The refusal's wire status advertises the cause's error class, and
+		// the initiator's Login returns it as that class: a terminal refusal
+		// (a draining relay) says "gone, place the flow elsewhere", overload
+		// and transient ones say "retry after backoff". Whoever logs in again
+		// — MC/S reattach, or a program's RecoverInstance/Reattach — reads
+		// the class, so no retry budget is spent against a refusal that
+		// cannot change.
 		switch xerr.Classify(cause) {
 		case xerr.Terminal:
 			resp.StatusDetail = iscsi.LoginDetailTargetRemoved
@@ -339,7 +342,7 @@ func (ss *session) detach(sc *sessConn) {
 	ss.cmdWG.Wait()
 	if ss.ownDev {
 		if err := ss.dev.Close(); err != nil {
-			ss.srv.logf("target: session %q: close device: %v", ss.iqn, err)
+			obs.Default().Eventf("target", "session %q: close device: %v", ss.iqn, err)
 		}
 	}
 }
@@ -425,7 +428,7 @@ func (sc *sessConn) run() {
 			}).Encode())
 			return
 		default:
-			ss.srv.logf("target: session %q: unsupported PDU %v", ss.iqn, pdu.Op())
+			obs.Default().Counter("target.unsupported_pdus").Inc()
 			_ = sc.send((&iscsi.Reject{
 				Reason: iscsi.RejectCommandNotSupported,
 				StatSN: sc.statSN.Load(),
@@ -817,7 +820,9 @@ func (sc *sessConn) sendResponse(itt uint32, sense *scsi.Sense) {
 	_, err := resp.EncodeInto(&sc.wirePDU).WriteTo(sc.conn)
 	sc.sendMu.Unlock()
 	if err != nil {
-		ss.srv.logf("target: session %q: send response: %v", ss.iqn, err)
+		// A dead connection fails every response queued on it: count them
+		// rather than log each.
+		obs.Default().Counter("target.response_send_failures").Inc()
 	}
 }
 

@@ -10,7 +10,6 @@ package target
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 
@@ -62,11 +61,6 @@ func WithLoginHook(h func(LoginInfo)) Option {
 	return func(s *Server) { s.loginHook = h }
 }
 
-// WithLogger installs a logger for session-level events (nil disables).
-func WithLogger(l *log.Logger) Option {
-	return func(s *Server) { s.logger = l }
-}
-
 // WithObs records a per-command stage span ("stage.<stage>.read/.write/
 // .ctl") into reg for every SCSI command this server executes. A nil
 // registry disables tracing.
@@ -99,7 +93,6 @@ func WithInlineExec() Option {
 type Server struct {
 	resolver   Resolver
 	loginHook  func(LoginInfo)
-	logger     *log.Logger
 	inquiry    scsi.InquiryData
 	params     iscsi.Params
 	inlineExec bool
@@ -267,11 +260,4 @@ func (s *Server) Close() {
 		_ = c.Close()
 	}
 	s.wg.Wait()
-}
-
-// logf logs through the configured logger, if any.
-func (s *Server) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
 }

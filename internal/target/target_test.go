@@ -3,6 +3,7 @@ package target_test
 import (
 	"bytes"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/initiator"
 	"repro/internal/iscsi"
+	"repro/internal/obs"
 	"repro/internal/scsi"
 	"repro/internal/target"
 )
@@ -287,6 +289,29 @@ func TestLoginRejected(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRefusedLoginLeavesEvent: a refused login is an event an operator can
+// read, naming the target the initiator asked for.
+func TestRefusedLoginLeavesEvent(t *testing.T) {
+	_, _, ln := memTarget(t)
+	conn := dialTarget(t, ln)
+	const iqn = "iqn.2016-04.edu.purdue.storm:never-exported"
+	if resp := rawLogin(t, conn, map[string]string{
+		iscsi.KeyInitiatorName: "iqn.vm",
+		iscsi.KeyTargetName:    iqn,
+	}); resp.StatusClass == iscsi.LoginStatusSuccess {
+		t.Fatal("login to an unknown target succeeded")
+	}
+	if _, err := iscsi.ReadPDU(conn); err == nil {
+		t.Fatal("connection still alive after login reject")
+	}
+	for _, ev := range obs.Default().Events() {
+		if ev.Kind == "target" && strings.Contains(ev.Msg, iqn) {
+			return
+		}
+	}
+	t.Fatalf("no target event names %s", iqn)
 }
 
 // fullFeaturePairs logs a raw session in with small bursts so solicited
@@ -566,6 +591,8 @@ func TestUnsupportedPDURejected(t *testing.T) {
 		iscsi.KeyTargetName:    testIQN,
 	})
 
+	rejected := obs.Default().Counter("target.unsupported_pdus")
+	before := rejected.Value()
 	bad := &iscsi.PDU{}
 	bad.SetOp(iscsi.OpTaskMgmtReq)
 	bad.BHS[1] = 0x80
@@ -583,6 +610,9 @@ func TestUnsupportedPDURejected(t *testing.T) {
 	}
 	if len(rej.Header) < 48 || iscsi.Opcode(rej.Header[0]&0x3F) != iscsi.OpTaskMgmtReq {
 		t.Fatalf("reject header does not echo the offending BHS (len=%d)", len(rej.Header))
+	}
+	if got := rejected.Value() - before; got != 1 {
+		t.Fatalf("target.unsupported_pdus grew by %d, want 1", got)
 	}
 	if _, err := iscsi.ReadPDU(conn); err == nil {
 		t.Fatal("session still alive after rejecting unsupported PDU")

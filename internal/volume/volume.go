@@ -52,13 +52,18 @@ func (v *Volume) Device() blockdev.Device { return v.dev }
 // replica error).
 func (v *Volume) InjectFault(err error) { v.fault.Trip(err) }
 
+// iqnPrefix prefixes every volume's target name, and every volume has
+// blockSize-byte logical blocks.
+const (
+	iqnPrefix = "iqn.2016-04.edu.purdue.storm"
+	blockSize = 512
+)
+
 // Service is the cloud's volume manager.
 type Service struct {
-	iqnPrefix   string
 	readModel   blockdev.ServiceModel
 	writeModel  blockdev.ServiceModel
 	concurrency int
-	blockSize   int
 
 	mu      sync.Mutex
 	volumes map[string]*Volume
@@ -70,8 +75,6 @@ type Service struct {
 
 // Config for a volume service.
 type Config struct {
-	// IQNPrefix prefixes generated target names (a sane default applies).
-	IQNPrefix string
 	// DiskRead / DiskWrite are the medium service-time models applied to
 	// every volume (reads typically miss to the medium; writes land in the
 	// target's write cache).
@@ -80,8 +83,6 @@ type Config struct {
 	// DiskConcurrency bounds concurrent medium accesses per volume
 	// (0 = unlimited).
 	DiskConcurrency int
-	// BlockSize is the logical block size (default 512).
-	BlockSize int
 	// LoginHook is forwarded to the target server (connection attribution).
 	LoginHook func(target.LoginInfo)
 }
@@ -89,12 +90,6 @@ type Config struct {
 // NewService starts a volume service whose target daemon listens on the
 // endpoint's storage NIC at the iSCSI port.
 func NewService(ep *netsim.Endpoint, cfg Config) (*Service, error) {
-	if cfg.IQNPrefix == "" {
-		cfg.IQNPrefix = "iqn.2016-04.edu.purdue.storm"
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
-	}
 	opts := []target.Option{target.WithObs(obs.Default(), obs.StageTarget)}
 	if cfg.LoginHook != nil {
 		opts = append(opts, target.WithLoginHook(cfg.LoginHook))
@@ -110,11 +105,9 @@ func NewService(ep *netsim.Endpoint, cfg Config) (*Service, error) {
 		opts = append(opts, target.WithInlineExec())
 	}
 	s := &Service{
-		iqnPrefix:   cfg.IQNPrefix,
 		readModel:   cfg.DiskRead,
 		writeModel:  cfg.DiskWrite,
 		concurrency: cfg.DiskConcurrency,
-		blockSize:   cfg.BlockSize,
 		volumes:     make(map[string]*Volume),
 		srv:         target.NewServer(opts...),
 	}
@@ -135,10 +128,10 @@ func (s *Service) Close() { s.srv.Close() }
 
 // Create provisions a thin volume of the given size.
 func (s *Service) Create(name string, sizeBytes uint64) (*Volume, error) {
-	if sizeBytes == 0 || sizeBytes%uint64(s.blockSize) != 0 {
-		return nil, fmt.Errorf("volume: size %d is not a positive multiple of %d", sizeBytes, s.blockSize)
+	if sizeBytes == 0 || sizeBytes%blockSize != 0 {
+		return nil, fmt.Errorf("volume: size %d is not a positive multiple of %d", sizeBytes, blockSize)
 	}
-	mem, err := blockdev.NewMemDisk(s.blockSize, sizeBytes/uint64(s.blockSize))
+	mem, err := blockdev.NewMemDisk(blockSize, sizeBytes/blockSize)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +148,7 @@ func (s *Service) Create(name string, sizeBytes uint64) (*Volume, error) {
 		ID:        id,
 		Name:      name,
 		SizeBytes: sizeBytes,
-		IQN:       fmt.Sprintf("%s:%s", s.iqnPrefix, id),
+		IQN:       iqnPrefix + ":" + id,
 		Status:    StatusAvailable,
 		dev:       dev,
 		fault:     fault,

@@ -30,10 +30,8 @@ type FioConfig struct {
 	ReadFraction float64
 	// Ops is the total operation count across all threads.
 	Ops int
-	// Seed makes runs reproducible.
+	// Seed makes runs reproducible. Every op lands anywhere on the device.
 	Seed int64
-	// SpanBlocks restricts the access range (0 = whole device).
-	SpanBlocks uint64
 }
 
 // FioResult aggregates one run.
@@ -71,10 +69,7 @@ func RunFio(cfg FioConfig) (*FioResult, error) {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 100
 	}
-	span := cfg.SpanBlocks
-	if span == 0 {
-		span = cfg.Dev.Blocks()
-	}
+	span := cfg.Dev.Blocks()
 	blocksPerOp := uint64(cfg.RequestSize / bs)
 	if span < blocksPerOp {
 		return nil, fmt.Errorf("workload: span %d blocks < request of %d blocks", span, blocksPerOp)

@@ -27,8 +27,6 @@ type OLTPConfig struct {
 	Bucket time.Duration
 	// Seed makes runs reproducible.
 	Seed int64
-	// Preloaded skips table loading (set when reusing a DB).
-	Preloaded bool
 }
 
 // OLTPResult holds the throughput timeline.
@@ -66,13 +64,11 @@ func RunOLTP(cfg OLTPConfig) (*OLTPResult, error) {
 		cfg.Bucket = cfg.Duration / 20
 	}
 	db := cfg.DB
-	if !cfg.Preloaded {
-		row := make([]byte, 100)
-		for i := 0; i < cfg.Rows; i++ {
-			row[0] = byte(i)
-			if err := db.Put(uint64(i+1), row); err != nil {
-				return nil, fmt.Errorf("workload: oltp preload: %w", err)
-			}
+	row := make([]byte, 100)
+	for i := 0; i < cfg.Rows; i++ {
+		row[0] = byte(i)
+		if err := db.Put(uint64(i+1), row); err != nil {
+			return nil, fmt.Errorf("workload: oltp preload: %w", err)
 		}
 	}
 

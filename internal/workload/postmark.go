@@ -15,13 +15,18 @@ type PostmarkConfig struct {
 	FS *extfs.FS
 	// Files is the initial pool size (default 100).
 	Files int
-	// MinSize/MaxSize bound file sizes (defaults 512 B / 16 KiB).
-	MinSize, MaxSize int
 	// Transactions is the number of transactions (default 200).
 	Transactions int
 	// Seed makes runs reproducible.
 	Seed int64
 }
+
+// A PostMark file's size is drawn from [postmarkMinSize,
+// postmarkMinSize+postmarkSizeRange).
+const (
+	postmarkMinSize   = 512
+	postmarkSizeRange = 16 * 1024
+)
 
 // PostmarkResult reports the decomposed component rates of Figure 11.
 type PostmarkResult struct {
@@ -52,12 +57,6 @@ func RunPostmark(cfg PostmarkConfig) (*PostmarkResult, error) {
 	if cfg.Files <= 0 {
 		cfg.Files = 100
 	}
-	if cfg.MinSize <= 0 {
-		cfg.MinSize = 512
-	}
-	if cfg.MaxSize <= cfg.MinSize {
-		cfg.MaxSize = cfg.MinSize + 16*1024
-	}
 	if cfg.Transactions <= 0 {
 		cfg.Transactions = 200
 	}
@@ -68,7 +67,7 @@ func RunPostmark(cfg PostmarkConfig) (*PostmarkResult, error) {
 	if err := fs.MkdirAll(dir); err != nil && err != extfs.ErrExists {
 		return nil, err
 	}
-	randSize := func() int { return cfg.MinSize + rng.Intn(cfg.MaxSize-cfg.MinSize) }
+	randSize := func() int { return postmarkMinSize + rng.Intn(postmarkSizeRange) }
 	payload := func(n int) []byte {
 		b := make([]byte, n)
 		rng.Read(b[:min(256, n)])

@@ -57,14 +57,22 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	allowText, err := os.ReadFile(allowFile)
+	allow, err := readAllow(allowFile)
 	if err != nil {
 		return err
 	}
-	allow, err := parseAllow(string(allowText))
-	if err != nil {
-		return fmt.Errorf("%s: %w", allowFile, err)
+	// The option half type-checks while the function half builds.
+	type optResult struct {
+		summary  string
+		problems []string
+		err      error
 	}
+	opt := make(chan optResult, 1)
+	go func() {
+		var r optResult
+		r.summary, r.problems, r.err = lintOptions(module)
+		opt <- r
+	}()
 	linked, err := linkedSymbols(decls)
 	if err != nil {
 		return err
@@ -76,11 +84,17 @@ func run() error {
 	}
 	fmt.Printf("lint-reach: %d functions, %d linked by no program (%d lines), %d allow-listed\n",
 		len(decls), len(unlinked), lines, len(allow))
+	r := <-opt
+	if r.err != nil {
+		return r.err
+	}
+	fmt.Println(r.summary)
+	problems = append(problems, r.problems...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Println("  " + p)
 		}
-		return fmt.Errorf("%d problem(s): delete the function, give it a program user, or list it in %s with a reason", len(problems), allowFile)
+		return fmt.Errorf("%d problem(s): delete the function or option, give it a program that calls or sets it, or list it in %s or %s with a reason", len(problems), allowFile, optionsFile)
 	}
 	return nil
 }
@@ -280,6 +294,18 @@ func linkedSymbols(decls []decl) (map[string]map[string]bool, error) {
 		linked[dir] = parseNM(out)
 	}
 	return linked, nil
+}
+
+func readAllow(file string) (map[string]string, error) {
+	text, err := os.ReadFile(file)
+	if err != nil {
+		return nil, err
+	}
+	allow, err := parseAllow(string(text))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	return allow, nil
 }
 
 // parseAllow reads the allow-list: one "<import path>.<[Recv.]Name> <reason>"

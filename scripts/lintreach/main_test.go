@@ -1,7 +1,10 @@
 package main
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -191,6 +194,113 @@ func TestCheck(t *testing.T) {
 	if _, problems = check(decls, linked, allow); len(problems) != 2 ||
 		!strings.Contains(problems[0], "repro/obs.Deleted is not declared") ||
 		!strings.Contains(problems[1], "repro/obs.Registry.Counter is linked now") {
+		t.Errorf("problems = %q, want the two stale entries", problems)
+	}
+}
+
+// checkSources parses each package's source (one file per package, listed
+// imports first) and runs checkOptions over them.
+func checkSources(t *testing.T, srcs ...[2]string) map[string]*option {
+	t.Helper()
+	fset := token.NewFileSet()
+	var pkgs []srcPkg
+	for _, src := range srcs {
+		f, err := parser.ParseFile(fset, src[0]+"/x.go", src[1], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, srcPkg{Path: src[0], Files: []*ast.File{f}})
+	}
+	opts, err := checkOptions(fset, pkgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts
+}
+
+// TestCheckOptions: a composite-literal key sets an option wherever it is
+// written, an assignment or &field only from another package; a default the
+// declaring package fills in itself does not. Only exported fields of
+// Config, *Config and Options structs are options, and an alias adds none.
+func TestCheckOptions(t *testing.T) {
+	opts := checkSources(t,
+		[2]string{"m/cfg", `package cfg
+
+type Config struct{ Default, Literal, Assigned, Addressed, Incremented, Unset, hidden int }
+type WireConfig struct{ Positional int }
+type Options struct{ Unset bool }
+type Plain struct{ Field int }
+
+func New(c Config) Config {
+	if c.Default == 0 {
+		c.Default = 1
+	}
+	c.Assigned, c.Addressed = 2, 3
+	return Config{Literal: 4, hidden: c.hidden}
+}
+`},
+		[2]string{"m/app", `package app
+
+import "m/cfg"
+
+type AppConfig = cfg.Config
+
+func F(set func(*int)) {
+	var c AppConfig
+	c.Assigned = 5
+	set(&c.Addressed)
+	c.Incremented++
+	_ = cfg.WireConfig{6}
+	_ = cfg.Plain{Field: 7}
+}
+`})
+	got := map[string]bool{}
+	for key, o := range opts {
+		got[key] = o.Written
+	}
+	want := map[string]bool{
+		"m/cfg.Config.Default":        false,
+		"m/cfg.Config.Literal":        true,
+		"m/cfg.Config.Assigned":       true,
+		"m/cfg.Config.Addressed":      true,
+		"m/cfg.Config.Incremented":    true,
+		"m/cfg.Config.Unset":          false,
+		"m/cfg.WireConfig.Positional": true,
+		"m/cfg.Options.Unset":         false,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("options:\n got  %v\n want %v", got, want)
+	}
+	if pos := opts["m/cfg.Config.Unset"].Pos; pos != "m/cfg/x.go:3" {
+		t.Errorf("Config.Unset declared at %s, want m/cfg/x.go:3", pos)
+	}
+}
+
+func TestCheckOptionAllow(t *testing.T) {
+	opts := map[string]*option{
+		"m/cfg.Config.Set":    {Pos: "cfg.go:3", Written: true},
+		"m/cfg.Config.Listed": {Pos: "cfg.go:4"},
+		"m/cfg.Config.Missed": {Pos: "cfg.go:5"},
+	}
+	unset, problems := checkOptionAllow(opts, map[string]string{"m/cfg.Config.Listed": "test knob"})
+	if want := []string{"m/cfg.Config.Listed", "m/cfg.Config.Missed"}; !reflect.DeepEqual(unset, want) {
+		t.Errorf("unset = %v, want %v", unset, want)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], "unset option: m/cfg.Config.Missed (cfg.go:5)") {
+		t.Errorf("problems = %q, want the unlisted unset option", problems)
+	}
+
+	// A stale entry fails the lint: one for an option set now, one for an
+	// option that is gone.
+	_, problems = checkOptionAllow(opts, map[string]string{
+		"m/cfg.Config.Listed":  "test knob",
+		"m/cfg.Config.Missed":  "test knob",
+		"m/cfg.Config.Set":     "set now",
+		"m/cfg.Config.Deleted": "gone",
+	})
+	if len(problems) != 2 ||
+		!strings.Contains(problems[0], "m/cfg.Config.Deleted is not declared") ||
+		!strings.Contains(problems[1], "m/cfg.Config.Set is set now") {
 		t.Errorf("problems = %q, want the two stale entries", problems)
 	}
 }
