@@ -9,8 +9,8 @@
 # the allocs/op regression gates for the zero-copy chain hot path, one iSCSI
 # leg at 4 KiB and 64 KiB, the flow lookup, the cipher, a histogram
 # observation, a journal append and commit, the monitor's per-access path,
-# a directory lookup, a write-back admit and apply and a goroutine-executed
-# target command, a few seconds of fuzzing per trust-boundary parser
+# a directory lookup, a write-back admit and apply, a goroutine-executed
+# target command, a CAS read and verify and a clean scrub pass, a few seconds of fuzzing per trust-boundary parser
 # (`make fuzz-short`), and short-mode soak, backup and overload smokes
 # (`stormbench -short`). `make test` is the full suite; `make check-stable`
 # repeats it 20 times on one P and 20 times on two to hunt flakes (not part
@@ -64,10 +64,11 @@ race:
 # cipher and one Transform, the bucketed histogram's Observe, a WAL
 # record's Append and Commit, a relay journal record's Append and Complete
 # (in memory and WAL-backed), the monitor's data-block access and one-entry
-# directory change, a directory lookup, a write-back admit and apply, and a
-# target command run on its own goroutine.
+# directory change, a directory lookup, a write-back admit and apply, a
+# target command run on its own goroutine, a CAS read and verify, and a
+# clean scrub pass.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget|TestReadPathAllocFree|TestCleanPassAllocFree' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target ./internal/cas ./internal/scrub | grep -E 'allocs|FAIL|ok '
 
 # A few seconds of native fuzzing per parser of tenant-written bytes, from
 # the corpora under each package's testdata/fuzz. Minimization is capped so a
@@ -79,6 +80,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoginPairs$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/iscsi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCDB$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSense$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenBlockBackend$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/cas
 
 test:
 	$(GO) test ./...

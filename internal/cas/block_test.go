@@ -1,11 +1,16 @@
 package cas
 
 import (
+	"compress/gzip"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -37,24 +42,36 @@ func (d *recDisk) Flush() error {
 	return d.Device.Flush()
 }
 
-// dirtyDisk returns the device a previous life left behind: every chunk
-// slot holds a claim on chunkOf(seed) for a seed below 64 drawn from rng,
-// about a third of them over data that does not hash to the ID, the slot
-// table maps the first slots' chunks, and the superblock is wiped.
-func dirtyDisk(t *testing.T, slots uint64, rng *rand.Rand) *blockdev.MemDisk {
+// dirtyDisk returns the device a previous life left behind, in the test
+// geometry (512-byte blocks, testChunk chunks).
+func dirtyDisk(t testing.TB, slots uint64, rng *rand.Rand) *blockdev.MemDisk {
 	t.Helper()
-	disk := newBlockDisk(t, slots)
-	be, err := OpenBlockBackend(disk, testChunk, slots)
+	return dirtyDiskOf(t, 512, testChunk, slots, rng)
+}
+
+// dirtyDiskOf returns the device a previous life left behind: every chunk
+// slot holds a claim on a chunk of seed below 64 drawn from rng, about a
+// third of them over data that does not hash to the ID; the first slots'
+// chunks are mapped, half by their headers and half by the slot table; and
+// the superblock is wiped.
+func dirtyDiskOf(t testing.TB, bs, chunk int, slots uint64, rng *rand.Rand) *blockdev.MemDisk {
+	t.Helper()
+	disk := newDisk(t, bs, chunk, slots)
+	be, err := OpenBlockBackend(disk, chunk, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, seed := range rng.Perm(64)[:be.physSlots] {
-		data := chunkOf(int64(seed))
+		data := chunkN(int64(seed), chunk)
 		id := Sum(data)
-		if err := be.PutChunk(id, data); err != nil {
+		slot := uint64(i)
+		if slot >= slots || slot%2 == 1 {
+			slot = NoSlot
+		}
+		if err := be.PutChunk(slot, id, data); err != nil {
 			t.Fatal(err)
 		}
-		if uint64(i) < slots {
+		if uint64(i) < slots && slot == NoSlot {
 			if err := be.SetMapping(uint64(i), id); err != nil {
 				t.Fatal(err)
 			}
@@ -72,18 +89,22 @@ func dirtyDisk(t *testing.T, slots uint64, rng *rand.Rand) *blockdev.MemDisk {
 }
 
 // TestCrashPrefixes is the proof behind the layout comment in block.go. It
-// formats a dirty device, whose old claims include torn ones and IDs the
-// run writes again, and records the device writes of that format and of a
-// seeded mix of unique, duplicate, overwriting and previously released
-// Store.Writes and of Repairs. Then for every crash the log allows — after
-// any whole write, and inside each multi-block write with either a block
-// prefix or all blocks but one landed (the torn one-write put, including a
-// put into a released slot that leaves the stale header over new data) —
-// it reopens the image and checks what recovery promises.
+// formats a dirty device, whose old claims include torn ones, mappings of a
+// previous epoch and IDs the run writes again, and records the device
+// writes of that format and of a seeded mix of Store operations: unique
+// writes (the put carries the mapping), remaps to stored chunks (the slot
+// table), overwrites, writes of previously released content, and Repairs,
+// among them Repairs of a chunk whose header holds its slot's mapping. Then
+// for every crash the log allows — after any whole write, and inside each
+// multi-block write with either a block prefix or all blocks but one landed
+// (the torn one-write put, including a put into a released slot that leaves
+// the stale header over new data) — it reopens the image and checks what
+// recovery promises: every slot maps its old or its new ID and reads back
+// verified.
 func TestCrashPrefixes(t *testing.T) {
 	const (
 		slots = 8
-		nOps  = 60
+		nOps  = 100
 		bs    = 512
 	)
 	rng := rand.New(rand.NewSource(13))
@@ -121,11 +142,10 @@ func TestCrashPrefixes(t *testing.T) {
 		return 0, false
 	}
 	// tables[k] is the slot table before operation k, tables[nOps] the final
-	// one. repaired[k] is the chunk operation k was rewriting as an in-place
-	// Repair (delete, then re-put under the live mapping), zero otherwise.
+	// one.
 	tables := make([][]ID, nOps+1)
-	repaired := make([]ID, nOps+1)
 	tables[0] = table()
+	headerRepairs := 0
 	for k := 0; k < nOps; k++ {
 		rec.op = k
 		slot := uint64(rng.Intn(slots))
@@ -134,8 +154,11 @@ func TestCrashPrefixes(t *testing.T) {
 		case kind == 0 && have: // another slot's content: dedup, no put
 			content[slot] = content[src]
 			_, err = s.Write(slot, content[slot])
-		case kind == 1 && have: // in-place repair of intact content
-			repaired[k] = Sum(content[src])
+		case kind == 1 && have: // repair of intact content, a fresh copy
+			id := Sum(content[src])
+			if c := be.claims[be.index[id]]; c.gen != 0 && be.table[c.slot] == id && be.gens[c.slot] == c.gen {
+				headerRepairs++ // the copy carries a slot's mapping
+			}
 			err = s.Repair(src, content[src])
 		case kind == 2: // repair with different content: the Write path
 			content[slot] = chunkOf(int64(1000 + k))
@@ -151,6 +174,9 @@ func TestCrashPrefixes(t *testing.T) {
 			t.Fatalf("op %d: %v", k, err)
 		}
 		tables[k+1] = table()
+	}
+	if headerRepairs == 0 {
+		t.Fatal("no Repair rewrote a chunk whose header maps a slot: the mix misses that case")
 	}
 	log := rec.log
 
@@ -178,10 +204,7 @@ func TestCrashPrefixes(t *testing.T) {
 			}
 			count[id]++
 			if err := s.VerifySlot(slot); err != nil {
-				unreadable := errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNoChunk)
-				if !unreadable || id != repaired[k] {
-					t.Fatalf("%s: slot %d (%s): %v", name, slot, id, err)
-				}
+				t.Fatalf("%s: slot %d (%s): %v", name, slot, id, err)
 			}
 		}
 		if got := s.Stats().LiveChunks; got != uint64(len(count)) {
@@ -197,20 +220,8 @@ func TestCrashPrefixes(t *testing.T) {
 				t.Fatalf("%s: orphan chunk %s survived Open", name, id)
 			}
 		}
-		if uint64(len(be.free)+len(be.index)) != be.physSlots {
-			t.Fatalf("%s: %d free + %d indexed slots, want %d", name, len(be.free), len(be.index), be.physSlots)
-		}
-		used := map[uint64]bool{}
-		for _, slot := range be.index {
-			used[slot] = true
-		}
-		for _, slot := range be.free {
-			if used[slot] {
-				t.Fatalf("%s: chunk slot %d both free and indexed", name, slot)
-			}
-		}
+		checkSlotAccounting(t, name, be)
 	}
-
 	clone := func(d *blockdev.MemDisk) *blockdev.MemDisk {
 		c, err := d.Clone()
 		if err != nil {
@@ -262,11 +273,36 @@ func TestCrashPrefixes(t *testing.T) {
 	t.Logf("%d operations, %d device writes, %d crash images", nOps, len(log), states)
 }
 
+// checkSlotAccounting fails unless every chunk slot is either free or
+// indexed, and not both.
+func checkSlotAccounting(t testing.TB, name string, be *BlockBackend) {
+	t.Helper()
+	if uint64(len(be.free)+len(be.index)) != be.physSlots {
+		t.Fatalf("%s: %d free + %d indexed slots, want %d", name, len(be.free), len(be.index), be.physSlots)
+	}
+	used := map[uint64]bool{}
+	for _, phys := range be.index {
+		if phys >= be.physSlots || used[phys] {
+			t.Fatalf("%s: chunk slot %d indexed twice or out of range", name, phys)
+		}
+		used[phys] = true
+	}
+	for _, phys := range be.free {
+		if phys >= be.physSlots || used[phys] {
+			t.Fatalf("%s: chunk slot %d both free and indexed, or out of range", name, phys)
+		}
+		used[phys] = true
+	}
+}
+
 // TestBlockBackendIOBudget pins the device commands a format, a
-// Store.Write and a reopen cost on a block backend, so the read-modify-write
-// of the slot table, the two-write put, the header clear on release, the
-// per-header format and a scan that reads every chunk cannot come back
-// unnoticed.
+// Store.Write and a reopen cost on a block backend: a unique write is one
+// device write, its mapping in the chunk's header; a remap to a stored chunk
+// is one slot-table write; and a reopen reads chunk data only for a header
+// claim that wins its slot or an ID more than one slot claims. So the
+// read-modify-write of the slot table, a table write per put, the header
+// clear on release, the per-header format and a scan that reads every
+// chunk cannot come back unnoticed.
 func TestBlockBackendIOBudget(t *testing.T) {
 	const slots = 16
 	mem := newBlockDisk(t, slots)
@@ -293,11 +329,11 @@ func TestBlockBackendIOBudget(t *testing.T) {
 		}
 		return disk.Writes() - w, disk.Reads() - r
 	}
-	if w, r := cost(0, chunkOf(1)); w != 2 || r != 0 {
-		t.Fatalf("unique write to an unmapped slot: %d writes / %d reads, want 2 / 0 (chunk, map)", w, r)
+	if w, r := cost(0, chunkOf(1)); w != 1 || r != 0 {
+		t.Fatalf("unique write to an unmapped slot: %d writes / %d reads, want 1 / 0 (chunk with its mapping)", w, r)
 	}
-	if w, r := cost(0, chunkOf(2)); w != 2 || r != 0 {
-		t.Fatalf("unique overwrite: %d writes / %d reads, want 2 / 0 (chunk, map)", w, r)
+	if w, r := cost(0, chunkOf(2)); w != 1 || r != 0 {
+		t.Fatalf("unique overwrite: %d writes / %d reads, want 1 / 0 (chunk with its mapping)", w, r)
 	}
 	if w, r := cost(0, chunkOf(2)); w != 0 || r != 0 {
 		t.Fatalf("same-ID rewrite: %d writes / %d reads, want 0 / 0", w, r)
@@ -305,42 +341,58 @@ func TestBlockBackendIOBudget(t *testing.T) {
 	if w, r := cost(1, chunkOf(2)); w != 1 || r != 0 {
 		t.Fatalf("same content, other unmapped slot: %d writes / %d reads, want 1 / 0 (map)", w, r)
 	}
-	if _, err := s.Write(2, chunkOf(3)); err != nil {
-		t.Fatal(err)
-	}
+	cost(2, chunkOf(3))
 	if w, r := cost(2, chunkOf(2)); w != 1 || r != 0 {
 		t.Fatalf("same content, other mapped slot: %d writes / %d reads, want 1 / 0 (map)", w, r)
 	}
 
-	// Contest one ID: released twice over, chunk x is put again into y's
-	// old slot, below its own stale claim. A reopen reads the superblock,
-	// the slot table and every header, and chunk data only for x's claims
+	for slot := uint64(8); slot < slots; slot++ {
+		cost(slot, chunkOf(int64(100+slot))) // their table block is never written
+	}
+
+	// Contest one ID: x is written, released, and written again into y's
+	// old chunk slot below its own stale claim, then remapped from a second
+	// slot and unmapped from the first, so only the slot table maps x. A
+	// reopen reads the superblock, the slot table and every header, the
+	// data of each header claim that wins its slot (a slot-table write
+	// carries the in-memory mappings of its block's other slots, so a claim
+	// wins only while its block has not been written since), and x's claims
 	// until one hashes: the first, its live one.
 	x, y := chunkOf(4), chunkOf(5)
-	for _, c := range [][]byte{x, y} {
-		if err := be.PutChunk(Sum(c), c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range [][]byte{x, y} {
-		if err := be.DeleteChunk(Sum(c)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := be.PutChunk(Sum(x), x); err != nil {
+	cost(3, x)
+	cost(4, y)
+	cost(3, chunkOf(2)) // x released by a remap: its claim stays
+	cost(4, chunkOf(2)) // y released above it
+	cost(5, x)          // x again, into y's old chunk slot
+	cost(6, x)
+	cost(5, chunkOf(2))
+	_, onDevice, err := be.readTable()
+	if err != nil {
 		t.Fatal(err)
+	}
+	winners := int64(0)
+	for slot, gen := range be.gens {
+		if gen > onDevice[slot] {
+			winners++
+		}
+	}
+	if winners != slots-8 {
+		t.Fatalf("%d slots mapped by their header claim alone, want %d", winners, slots-8)
 	}
 	r := disk.Reads()
 	reopened, err := OpenBlockBackend(disk, testChunk, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := disk.Reads()-r, int64(1+be.mapBlocks+be.physSlots+1); got != want {
-		t.Fatalf("reopen: %d reads, want %d (superblock, %d table blocks, %d headers, one chunk)",
-			got, want, be.mapBlocks, be.physSlots)
+	if got, want := disk.Reads()-r, int64(1+be.mapBlocks+be.physSlots)+winners+1; got != want {
+		t.Fatalf("reopen: %d reads, want %d (superblock, %d table blocks, %d headers, %d winning claims, one contested chunk)",
+			got, want, be.mapBlocks, be.physSlots, winners)
 	}
 	if reopened.index[Sum(x)] != be.index[Sum(x)] {
-		t.Fatalf("reopen indexed x at slot %d, the live copy is at %d", reopened.index[Sum(x)], be.index[Sum(x)])
+		t.Fatalf("reopen indexed x at chunk slot %d, the live copy is at %d", reopened.index[Sum(x)], be.index[Sum(x)])
+	}
+	if !slices.Equal(reopened.table, be.table) || !slices.Equal(reopened.gens, be.gens) {
+		t.Fatalf("reopen settled mappings %v at %v, the store wrote %v at %v", reopened.table, reopened.gens, be.table, be.gens)
 	}
 }
 
@@ -392,6 +444,7 @@ func TestFreshFormatSkipsScan(t *testing.T) {
 // and the device image must come out identical.
 func TestWriteIDEquivalence(t *testing.T) {
 	const slots = 12
+	pinEpoch(t, 5)
 	open := func() (*Store, *BlockBackend, *blockdev.MemDisk) {
 		disk := newBlockDisk(t, slots)
 		be, err := OpenBlockBackend(disk, testChunk, slots)
@@ -435,8 +488,9 @@ func TestWriteIDEquivalence(t *testing.T) {
 	}
 }
 
-// TestSlotTableMirrorsDevice: through writes, repairs and a reopen, the
-// table SetMapping composes map blocks from is the table on the device.
+// TestSlotTableMirrorsDevice: through unique writes, remaps, repairs and
+// reopens, a reopen of the device after every step settles the same
+// mappings, generations included, as the backend holds and the store reads.
 func TestSlotTableMirrorsDevice(t *testing.T) {
 	const slots = 20 // 2.5 map blocks of 8 entries
 	disk := newBlockDisk(t, slots)
@@ -460,15 +514,18 @@ func TestSlotTableMirrorsDevice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			onDev, err := be.readTable()
+			reopened, err := OpenBlockBackend(disk, testChunk, slots)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j := range onDev {
-				if onDev[j] != be.table[j] || onDev[j] != s.IDAt(uint64(j)) {
-					t.Fatalf("round %d step %d slot %d: device %s, backend %s, store %s",
-						round, i, j, onDev[j], be.table[j], s.IDAt(uint64(j)))
+			for j, id := range reopened.table {
+				if id != be.table[j] || reopened.gens[j] != be.gens[j] || id != s.IDAt(uint64(j)) {
+					t.Fatalf("round %d step %d slot %d: reopen %s@%d, backend %s@%d, store %s",
+						round, i, j, id, reopened.gens[j], be.table[j], be.gens[j], s.IDAt(uint64(j)))
 				}
+			}
+			if reopened.gen != be.gen {
+				t.Fatalf("round %d step %d: reopen resumes after generation %d, the backend wrote %d", round, i, reopened.gen, be.gen)
 			}
 		}
 	}
@@ -547,6 +604,74 @@ func TestFailedPutLosesToIntactCopy(t *testing.T) {
 	}
 }
 
+// landDisk fails the next write after letting all of it land: a write
+// whose completion was lost.
+type landDisk struct {
+	blockdev.Device
+	armed bool
+}
+
+func (d *landDisk) WriteAt(p []byte, lba uint64) error {
+	if err := d.Device.WriteAt(p, lba); err != nil || !d.armed {
+		return err
+	}
+	d.armed = false
+	return errors.New("injected: write landed, completion lost")
+}
+
+// TestLandedFailedPutYieldsToLiveCopy: a put reported failed may have
+// landed whole, leaving an intact claim that maps its slot. When the same
+// chunk is then put for another slot, a reopen must find the live copy and
+// leave the failed write's slot as the store left it, not map it to a chunk
+// slot the store holds free.
+func TestLandedFailedPutYieldsToLiveCopy(t *testing.T) {
+	const slots = 8
+	disk := newBlockDisk(t, slots)
+	ld := &landDisk{Device: disk}
+	be, err := OpenBlockBackend(ld, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(be, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := uint64(0); slot < 3; slot++ {
+		if _, err := s.Write(slot, chunkOf(int64(slot))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ld.armed = true
+	if _, err := s.Write(2, chunkOf(3)); err == nil {
+		t.Fatal("failed put reported success")
+	}
+	// A remap frees a chunk slot above the landed one, so the next put
+	// leaves it be.
+	if _, err := s.Write(1, chunkOf(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Write(5, chunkOf(3)); err != nil {
+		t.Fatal(err)
+	}
+	be2, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(be2, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := uint64(0); slot < slots; slot++ {
+		if got, want := s2.IDAt(slot), s.IDAt(slot); got != want {
+			t.Errorf("slot %d maps %s after reopen, the store had %s", slot, got, want)
+		}
+		if err := s2.VerifySlot(slot); err != nil {
+			t.Errorf("slot %d after reopen: %v", slot, err)
+		}
+	}
+	checkSlotAccounting(t, "reopen", be2)
+}
+
 // imageHash hashes every block of the device.
 func imageHash(t *testing.T, d blockdev.Device) string {
 	t.Helper()
@@ -561,27 +686,14 @@ func imageHash(t *testing.T, d blockdev.Device) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestBlockLayoutUnchanged pins the on-device format: the image a seeded
-// run leaves must hash to a fixed value. Since a release stopped clearing
-// the chunk header, the image keeps stale claims that earlier versions
-// zeroed, so its hash moved; the formats still open under each other. An
-// older image has no stale claims to arbitrate. And in a newer, clean,
-// crash-free image, every claim of an ID that several slots claim holds
-// intact bytes, which is what lets the older first-claim-wins scan open it.
-func TestBlockLayoutUnchanged(t *testing.T) {
-	const slots = 12
-	disk := newBlockDisk(t, slots)
-	be, err := OpenBlockBackend(disk, testChunk, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(be, testChunk, slots)
-	if err != nil {
-		t.Fatal(err)
-	}
+// layoutRun drives a store through TestBlockLayoutUnchanged's seeded mix
+// of writes and repairs.
+func layoutRun(t *testing.T, s *Store) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 150; i++ {
-		slot, data := uint64(rng.Intn(slots)), chunkOf(int64(rng.Intn(25)))
+		slot, data := uint64(rng.Intn(int(s.Slots()))), chunkOf(int64(rng.Intn(25)))
+		var err error
 		if rng.Intn(5) == 0 {
 			err = s.Repair(slot, data)
 		} else {
@@ -591,40 +703,126 @@ func TestBlockLayoutUnchanged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const want = "5eaaa1bd49912f3b1e0e2eab892af601df38fac6ad8ac3240f1d7052fde6f91c"
+}
+
+// TestBlockLayoutUnchanged pins the on-device format: the image a seeded
+// run leaves, format epoch pinned, must hash to a fixed value, and reopen
+// to the store's mappings and content. The hash moved when puts began to
+// carry their mappings (format version 2). Format-1 images still open,
+// which TestOpensFormat1Image checks; this format's images do not open
+// under format-1 code, which finds no superblock it knows.
+func TestBlockLayoutUnchanged(t *testing.T) {
+	const slots = 12
+	pinEpoch(t, 1)
+	disk := newBlockDisk(t, slots)
+	be, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(be, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layoutRun(t, s)
+	const want = "ca3d3a672193925bd51aa0c64fac7a2f5ed45a2c2be3c1707f5f68342b3f06bd"
 	if got := imageHash(t, disk); got != want {
 		t.Fatalf("device image hashes to %s, want %s", got, want)
 	}
+	assertReopens(t, disk, s)
+}
 
-	claims := map[ID][]uint64{}
-	hdr := make([]byte, disk.BlockSize())
-	for slot := uint64(0); slot < be.physSlots; slot++ {
-		if err := disk.ReadAt(hdr, be.headerLBA(slot)); err != nil {
-			t.Fatal(err)
-		}
-		if string(hdr[:8]) == chunkMagic {
-			id := ID(hdr[12:44])
-			claims[id] = append(claims[id], slot)
+// assertReopens opens disk again and fails unless the store it gives has
+// s's mappings, reference counts and logical content.
+func assertReopens(t *testing.T, disk blockdev.Device, s *Store) {
+	t.Helper()
+	be, err := OpenBlockBackend(disk, s.ChunkSize(), s.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(be, s.ChunkSize(), s.Slots())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot := uint64(0); slot < s.Slots(); slot++ {
+		id := s.IDAt(slot)
+		if got := s2.IDAt(slot); got != id || refs(s2, id) != refs(s, id) {
+			t.Fatalf("slot %d: reopen maps %s ×%d, the store %s ×%d", slot, got, refs(s2, got), id, refs(s, id))
 		}
 	}
-	contested := 0
-	data := make([]byte, testChunk)
-	for id, slots := range claims {
-		if len(slots) < 2 {
-			continue
+	want, err := s.LogicalHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.LogicalHash(); err != nil || got != want {
+		t.Fatalf("reopen's logical hash %s (%v), want %s", got, err, want)
+	}
+}
+
+// TestOpensFormat1Image opens testdata/format1.img.gz, the image
+// TestBlockLayoutUnchanged's run left in format version 1, before puts
+// carried mappings. It must give the table, reference counts and content
+// that run gave (replayed here on a MemBackend, and the logical hash
+// format-1 code reported), rewrite the superblock so format-1 code cannot
+// misread what this version writes next, and keep working as this format.
+func TestOpensFormat1Image(t *testing.T) {
+	const slots = 12
+	f, err := os.Open("testdata/format1.img.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := newBlockDisk(t, slots)
+	if uint64(len(img)) != disk.Blocks()*512 {
+		t.Fatalf("image is %d bytes, the geometry %d", len(img), disk.Blocks()*512)
+	}
+	if err := disk.WriteAt(img, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(img[:8]) != blockMagicV1 {
+		t.Fatalf("image superblock magic %q, want format 1's %q", img[:8], blockMagicV1)
+	}
+
+	ref := openMem(t, slots)
+	layoutRun(t, ref)
+	be, err := OpenBlockBackend(disk, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(be, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, gen := range be.gens {
+		if gen != 0 {
+			t.Fatalf("slot %d opened at generation %d; format 1 has none", slot, gen)
 		}
-		contested++
-		for _, slot := range slots {
-			if err := disk.ReadAt(data, be.headerLBA(slot)+1); err != nil {
-				t.Fatal(err)
-			}
-			if Sum(data) != id {
-				t.Errorf("chunk slot %d claims %s over other bytes", slot, id)
-			}
+		id := ref.IDAt(uint64(slot))
+		if got := s.IDAt(uint64(slot)); got != id || refs(s, id) != refs(ref, id) {
+			t.Fatalf("slot %d maps %s ×%d, the run left %s ×%d", slot, got, refs(s, got), id, refs(ref, id))
 		}
 	}
-	if contested == 0 {
-		t.Fatal("the run left no ID claimed twice: nothing checked")
+	const format1Hash = "3c60b9f9334b543e078f6390c451f3fdfd707187b3b52e4478c0c39ab8f12fa3"
+	for _, st := range []*Store{ref, s} {
+		if h, err := st.LogicalHash(); err != nil || h.String() != format1Hash {
+			t.Fatalf("logical hash %s (%v), want %s", h, err, format1Hash)
+		}
 	}
-	t.Logf("%d IDs claimed more than once, every claim intact", contested)
+	sb := make([]byte, 512)
+	if err := disk.ReadAt(sb, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(sb[:8]) != blockMagic || binary.LittleEndian.Uint32(sb[28:32]) != formatVersion {
+		t.Fatalf("superblock after open: magic %q version %d, want %q version %d",
+			sb[:8], binary.LittleEndian.Uint32(sb[28:32]), blockMagic, formatVersion)
+	}
+	layoutRun(t, s)
+	assertReopens(t, disk, s)
 }

@@ -54,7 +54,7 @@ func TestRefcountAtExactCapacity(t *testing.T) {
 		}
 	}
 	for i := uint64(slots); i < physSlotsFor(slots); i++ {
-		if err := be.PutChunk(Sum(chunkFill(byte(i), chunkSize)), chunkFill(byte(i), chunkSize)); err != nil {
+		if err := be.PutChunk(NoSlot, Sum(chunkFill(byte(i), chunkSize)), chunkFill(byte(i), chunkSize)); err != nil {
 			t.Fatalf("fill slack slot %d: %v", i, err)
 		}
 	}

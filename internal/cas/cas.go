@@ -40,7 +40,19 @@ var (
 	// ErrGeometry reports a store opened with a mismatched chunk size or
 	// slot count.
 	ErrGeometry = errors.New("cas: geometry mismatch")
+	// ErrFormat reports a device image this version cannot open: an
+	// unknown format version, or generations with no room left to count.
+	ErrFormat = xerr.New(xerr.Terminal, "cas: unreadable device format")
+	// ErrSlotRange reports a logical slot beyond the store's table.
+	ErrSlotRange = errors.New("cas: slot out of range")
 )
+
+// NoSlot, as PutChunk's slot, stores a chunk without mapping it.
+const NoSlot = ^uint64(0)
+
+func slotRange(slot, slots uint64) error {
+	return fmt.Errorf("%w: %d of %d", ErrSlotRange, slot, slots)
+}
 
 // ID is a chunk's content address: the SHA-256 of its bytes. The zero ID
 // marks an unmapped slot.
@@ -55,19 +67,24 @@ func (id ID) IsZero() bool { return id == ID{} }
 // String renders the ID as lowercase hex.
 func (id ID) String() string { return hex.EncodeToString(id[:]) }
 
-// Backend persists one replica's chunks and its slot→ID table. PutChunk is
-// idempotent per ID; SetMapping with the zero ID clears a slot. Backends
-// must be safe for concurrent use.
+// Backend persists one replica's chunks and its slot→ID table. SetMapping
+// with the zero ID clears a slot. Slots beyond the table fail with
+// ErrSlotRange. Backends must be safe for concurrent use.
 type Backend interface {
-	// PutChunk stores a chunk under its ID (no-op if already present).
-	PutChunk(id ID, data []byte) error
-	// GetChunk returns a chunk's bytes (ErrNoChunk when absent).
-	GetChunk(id ID) ([]byte, error)
+	// PutChunk stores a chunk under its ID and durably maps slot to it,
+	// unless slot is NoSlot: a put that carries its mapping. A chunk already
+	// stored is stored again, which repairs rotten bytes and keeps whatever
+	// mapping the stored copy carried.
+	PutChunk(slot uint64, id ID, data []byte) error
+	// GetChunk reads a chunk's bytes into dst, which is one chunk long
+	// (ErrNoChunk when absent).
+	GetChunk(id ID, dst []byte) error
 	// DeleteChunk removes a chunk (no-op when absent).
 	DeleteChunk(id ID) error
 	// Chunks lists every stored chunk ID (recovery/GC).
 	Chunks() []ID
-	// SetMapping durably records slot→id.
+	// SetMapping durably records slot→id: the remap of a slot to a chunk
+	// already stored.
 	SetMapping(slot uint64, id ID) error
 	// Mappings returns the persisted slot table, index = slot.
 	Mappings() ([]ID, error)
@@ -114,6 +131,7 @@ type Store struct {
 	refs      map[ID]uint32
 	stats     Stats
 	closed    bool
+	bufs      sync.Pool // *[]byte, one chunk each: VerifySlot's scratch
 }
 
 // Open loads (or initializes) a store over b with the given geometry: slots
@@ -141,16 +159,19 @@ func Open(b Backend, chunkSize int, slots uint64) (*Store, error) {
 		table:     table,
 		refs:      make(map[ID]uint32),
 	}
+	s.bufs.New = func() any {
+		buf := make([]byte, chunkSize)
+		return &buf
+	}
 	for _, id := range table {
 		if !id.IsZero() {
 			s.refs[id]++
 		}
 	}
-	// Orphans: chunks present with no referencing slot are leftovers of a
-	// crash during PutChunk or between it and SetMapping, or stale claims a
-	// block backend's scan found. They must go before anything can map
-	// them: a block backend's torn put may have left a header over partial
-	// data. A block backend frees them in memory, writing nothing.
+	// Orphans: chunks present with no referencing slot, such as chunks put
+	// without a mapping, go before anything can map them, so that WriteID's
+	// unique branch always puts. A block backend's scan indexes mapped
+	// chunks only.
 	for _, id := range b.Chunks() {
 		if s.refs[id] == 0 {
 			if err := b.DeleteChunk(id); err != nil {
@@ -185,18 +206,19 @@ func (s *Store) Write(slot uint64, data []byte) (dup bool, err error) {
 
 // WriteID is Write for a caller that already holds id = Sum(data), such as
 // the replicate box fanning one chunk out to several stores: dedup against
-// the live chunk set, persist the chunk if new, then flip the slot mapping
-// and release the previous chunk. It reports whether the write was a dedup
-// hit (no new bytes stored). The update ordering — put, map, release —
-// keeps every crash point recoverable: an orphan chunk or an unreferenced
-// old chunk, both reclaimed at the next Open. An id that is not Sum(data)
-// stores a chunk every Read reports as ErrCorrupt.
+// the live chunk set, then either put the new chunk with its slot mapping
+// (one backend call) or remap the slot to the stored chunk, and release the
+// previous chunk. It reports whether the write was a dedup hit (no new
+// bytes stored). Releasing only after the mapping landed keeps every crash
+// point recoverable: the slot maps its old or its new chunk, and both are
+// intact. An id that is not Sum(data) stores a chunk every Read reports as
+// ErrCorrupt.
 func (s *Store) WriteID(slot uint64, id ID, data []byte) (dup bool, err error) {
 	if len(data) != s.chunkSize {
 		return false, fmt.Errorf("cas: write of %d bytes, chunk size %d", len(data), s.chunkSize)
 	}
 	if slot >= s.slots {
-		return false, fmt.Errorf("cas: slot %d out of range (%d)", slot, s.slots)
+		return false, slotRange(slot, s.slots)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,16 +233,16 @@ func (s *Store) WriteID(slot uint64, id ID, data []byte) (dup bool, err error) {
 		return true, nil
 	}
 	if s.refs[id] == 0 {
-		if err := s.b.PutChunk(id, data); err != nil {
+		if err := s.b.PutChunk(slot, id, data); err != nil {
 			return false, err
 		}
 		s.stats.BytesStored += uint64(len(data))
 	} else {
 		s.stats.DedupHits++
 		dup = true
-	}
-	if err := s.b.SetMapping(slot, id); err != nil {
-		return dup, err
+		if err := s.b.SetMapping(slot, id); err != nil {
+			return dup, err
+		}
 	}
 	s.table[slot] = id
 	s.refs[id]++
@@ -236,13 +258,13 @@ func (s *Store) WriteID(slot uint64, id ID, data []byte) (dup bool, err error) {
 }
 
 // Read fills dst with the chunk at slot, verifying the content hash.
-// Unmapped slots read as zeros.
+// Unmapped slots read as zeros. After an error dst's content is undefined.
 func (s *Store) Read(slot uint64, dst []byte) error {
 	if len(dst) != s.chunkSize {
 		return fmt.Errorf("cas: read of %d bytes, chunk size %d", len(dst), s.chunkSize)
 	}
 	if slot >= s.slots {
-		return fmt.Errorf("cas: slot %d out of range (%d)", slot, s.slots)
+		return slotRange(slot, s.slots)
 	}
 	s.mu.Lock()
 	id := s.table[slot]
@@ -251,29 +273,28 @@ func (s *Store) Read(slot uint64, dst []byte) error {
 		clear(dst)
 		return nil
 	}
-	data, err := s.b.GetChunk(id)
-	if err != nil {
+	if err := s.b.GetChunk(id, dst); err != nil {
 		return err
 	}
-	if Sum(data) != id {
+	if Sum(dst) != id {
 		return fmt.Errorf("%w: slot %d (%s)", ErrCorrupt, slot, id)
 	}
-	copy(dst, data)
 	return nil
 }
 
 // Repair force-stores data as slot's content, bypassing Write's dedup fast
 // path: when the slot already maps to Sum(data) — the corrupted-chunk case,
 // where the mapping is intact but the stored bytes rotted — the chunk is
-// re-put over the rotten copy, healing every slot that references it. A
-// crash that tears the re-put leaves the slot unreadable rather than
-// silently wrong; the next scrub pass repairs it again.
+// stored again, healing every slot that references it. The backend keeps
+// the mapping the stored copy carried; a crash that tears the re-put leaves
+// the slot readable or unreadable, never silently wrong, and the next scrub
+// pass repairs it again.
 func (s *Store) Repair(slot uint64, data []byte) error {
 	if len(data) != s.chunkSize {
 		return fmt.Errorf("cas: repair of %d bytes, chunk size %d", len(data), s.chunkSize)
 	}
 	if slot >= s.slots {
-		return fmt.Errorf("cas: slot %d out of range (%d)", slot, s.slots)
+		return slotRange(slot, s.slots)
 	}
 	id := Sum(data)
 	s.mu.Lock()
@@ -283,17 +304,15 @@ func (s *Store) Repair(slot uint64, data []byte) error {
 		return err
 	}
 	defer s.mu.Unlock()
-	if err := s.b.DeleteChunk(id); err != nil {
-		return err
-	}
-	return s.b.PutChunk(id, data)
+	return s.b.PutChunk(NoSlot, id, data)
 }
 
 // VerifySlot re-reads the chunk at slot and re-checksums it against its
 // mapped ID — the scrub primitive. Unmapped slots verify trivially.
 func (s *Store) VerifySlot(slot uint64) error {
-	buf := make([]byte, s.chunkSize)
-	return s.Read(slot, buf)
+	buf := s.bufs.Get().(*[]byte)
+	defer s.bufs.Put(buf)
+	return s.Read(slot, *buf)
 }
 
 // Stats returns the cumulative dedup accounting.
@@ -324,9 +343,10 @@ func (s *Store) LogicalHash() (ID, error) {
 // ID — fault injection for the scrub-repair drills. Corrupting an unmapped
 // slot is an error.
 func (s *Store) Corrupt(slot uint64) error {
-	s.mu.Lock()
-	id := s.table[slot]
-	s.mu.Unlock()
+	if slot >= s.slots {
+		return slotRange(slot, s.slots)
+	}
+	id := s.IDAt(slot)
 	if id.IsZero() {
 		return fmt.Errorf("cas: slot %d is unmapped", slot)
 	}

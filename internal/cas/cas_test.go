@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -12,8 +13,29 @@ import (
 
 const testChunk = 2048
 
-func chunkOf(seed int64) []byte {
-	data := make([]byte, testChunk)
+// TestMain makes format epochs a counter, so every run formats the same
+// images and no two formats share an epoch.
+func TestMain(m *testing.M) {
+	var epoch uint64
+	newEpoch = func() uint64 {
+		epoch++
+		return epoch
+	}
+	os.Exit(m.Run())
+}
+
+// pinEpoch makes every format in the test draw epoch e.
+func pinEpoch(t *testing.T, e uint64) {
+	prev := newEpoch
+	newEpoch = func() uint64 { return e }
+	t.Cleanup(func() { newEpoch = prev })
+}
+
+func chunkOf(seed int64) []byte { return chunkN(seed, testChunk) }
+
+// chunkN is n seeded random bytes.
+func chunkN(seed int64, n int) []byte {
+	data := make([]byte, n)
 	rand.New(rand.NewSource(seed)).Read(data)
 	return data
 }
@@ -112,6 +134,9 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := s.VerifySlot(0); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("verify corrupted = %v, want ErrCorrupt", err)
 	}
+	if err := s.Corrupt(2); !errors.Is(err, ErrSlotRange) {
+		t.Fatalf("corrupt beyond the table = %v, want ErrSlotRange", err)
+	}
 }
 
 func TestConcurrentWriters(t *testing.T) {
@@ -143,13 +168,66 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-func newBlockDisk(t *testing.T, slots uint64) *blockdev.MemDisk {
-	t.Helper()
-	size, err := BlockBackendBytes(512, testChunk, slots)
+// TestConcurrentBlockStore drives one block-backed store from several
+// goroutines at once, each on its own slots and content: unique writes,
+// repairs, reads and verifies share the backend's generation counter,
+// mappings and free list, and a reopen must give what the store holds.
+func TestConcurrentBlockStore(t *testing.T) {
+	const slots, workers = 32, 4
+	disk := newBlockDisk(t, slots)
+	be, err := OpenBlockBackend(disk, testChunk, slots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := blockdev.NewMemDisk(512, size/512)
+	s, err := Open(be, testChunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, testChunk)
+			for i := 0; i < 50; i++ {
+				slot := uint64(w + workers*(i%(slots/workers)))
+				data := chunkOf(int64(w<<16 | i))
+				var err error
+				if i%5 == 4 {
+					err = s.Repair(slot, data)
+				} else {
+					_, err = s.Write(slot, data)
+				}
+				if err == nil {
+					err = s.Read(slot, buf)
+				}
+				if err == nil {
+					err = s.VerifySlot(slot)
+				}
+				if err != nil {
+					t.Errorf("worker %d step %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	assertReopens(t, disk, s)
+}
+
+func newBlockDisk(t testing.TB, slots uint64) *blockdev.MemDisk {
+	t.Helper()
+	return newDisk(t, 512, testChunk, slots)
+}
+
+// newDisk returns a zeroed memory disk sized for a block backend.
+func newDisk(t testing.TB, bs, chunk int, slots uint64) *blockdev.MemDisk {
+	t.Helper()
+	size, err := BlockBackendBytes(bs, chunk, slots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := blockdev.NewMemDisk(bs, size/uint64(bs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +286,7 @@ func TestBlockBackendOrphanGC(t *testing.T) {
 	// A chunk put with no mapping models a crash between PutChunk and
 	// SetMapping; Open must reclaim it.
 	orphan := chunkOf(99)
-	if err := b.PutChunk(Sum(orphan), orphan); err != nil {
+	if err := b.PutChunk(NoSlot, Sum(orphan), orphan); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(b, testChunk, slots); err != nil {
@@ -239,7 +317,7 @@ func TestBlockBackendFull(t *testing.T) {
 	}
 	var i int64
 	for {
-		if err := b.PutChunk(Sum(chunkOf(i)), chunkOf(i)); err != nil {
+		if err := b.PutChunk(NoSlot, Sum(chunkOf(i)), chunkOf(i)); err != nil {
 			if !errors.Is(err, ErrFull) {
 				t.Fatalf("fill: %v", err)
 			}
@@ -252,6 +330,10 @@ func TestBlockBackendFull(t *testing.T) {
 	}
 }
 
+// TestBackendContract runs both backends through the same calls: a put
+// that carries its mapping, a plain put, a re-put, a remap, a clear, reads
+// into the caller's buffer, corruption, deletes, and the slot range, which
+// both must refuse with ErrSlotRange and not with an exhaustion error.
 func TestBackendContract(t *testing.T) {
 	const slots = 4
 	for _, tc := range []struct {
@@ -269,39 +351,75 @@ func TestBackendContract(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mk(t)
-			data := chunkOf(7)
-			id := Sum(data)
-			if _, err := b.GetChunk(id); !errors.Is(err, ErrNoChunk) {
+			data, other := chunkOf(7), chunkOf(8)
+			id, otherID := Sum(data), Sum(other)
+			got := make([]byte, testChunk)
+			if err := b.GetChunk(id, got); !errors.Is(err, ErrNoChunk) {
 				t.Fatalf("missing get = %v, want ErrNoChunk", err)
 			}
-			if err := b.PutChunk(id, data); err != nil {
+			table := func(want ...ID) {
+				t.Helper()
+				have, err := b.Mappings()
+				if err != nil || len(have) != slots {
+					t.Fatalf("mappings = %v, err %v", have, err)
+				}
+				for i := range have {
+					if have[i] != want[i] {
+						t.Fatalf("slot %d maps %s, want %s", i, have[i], want[i])
+					}
+				}
+			}
+			if err := b.PutChunk(2, id, data); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.PutChunk(id, data); err != nil {
-				t.Fatalf("idempotent re-put: %v", err)
+			table(ID{}, ID{}, id, ID{})
+			if err := b.PutChunk(NoSlot, otherID, other); err != nil {
+				t.Fatal(err)
 			}
-			got, err := b.GetChunk(id)
-			if err != nil || !bytes.Equal(got, data) {
+			table(ID{}, ID{}, id, ID{})
+			if err := b.PutChunk(NoSlot, id, data); err != nil {
+				t.Fatalf("re-put: %v", err)
+			}
+			table(ID{}, ID{}, id, ID{})
+			if err := b.PutChunk(3, id, data); err != nil {
+				t.Fatalf("re-put with a mapping: %v", err)
+			}
+			table(ID{}, ID{}, id, id)
+			if err := b.SetMapping(3, ID{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.GetChunk(id, got); err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("get = %v (match=%v)", err, bytes.Equal(got, data))
 			}
-			if !hasChunk(b, id) || len(b.Chunks()) != 1 {
-				t.Fatal("chunk not indexed")
+			if !hasChunk(b, id) || !hasChunk(b, otherID) || len(b.Chunks()) != 2 {
+				t.Fatal("chunks not indexed")
 			}
 			if err := b.SetMapping(1, id); err != nil {
 				t.Fatal(err)
 			}
-			table, err := b.Mappings()
-			if err != nil || len(table) != slots || table[1] != id || !table[0].IsZero() {
-				t.Fatalf("mappings = %v, err %v", table, err)
+			if err := b.SetMapping(2, otherID); err != nil {
+				t.Fatal(err)
 			}
+			table(ID{}, id, otherID, ID{})
 			if err := b.SetMapping(1, ID{}); err != nil {
 				t.Fatalf("clear mapping: %v", err)
+			}
+			table(ID{}, ID{}, otherID, ID{})
+			for _, err := range []error{
+				b.PutChunk(slots, Sum(chunkOf(9)), chunkOf(9)),
+				b.SetMapping(slots, id),
+			} {
+				if !errors.Is(err, ErrSlotRange) || errors.Is(err, ErrFull) {
+					t.Fatalf("out-of-range slot: %v, want ErrSlotRange", err)
+				}
+			}
+			if hasChunk(b, Sum(chunkOf(9))) {
+				t.Fatal("refused put stored its chunk")
 			}
 			if err := b.CorruptChunk(id); err != nil {
 				t.Fatal(err)
 			}
-			got, err = b.GetChunk(id)
-			if err != nil {
+			if err := b.GetChunk(id, got); err != nil {
 				t.Fatal(err)
 			}
 			if Sum(got) == id {

@@ -1,6 +1,9 @@
 package cas
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // MemBackend is an in-memory Backend for tests and the stormbench backup
 // suite's lightweight replicas: a chunk map plus a dense slot table.
@@ -19,30 +22,34 @@ func NewMemBackend(slots uint64) *MemBackend {
 	}
 }
 
-// PutChunk stores a copy of data under id.
-func (m *MemBackend) PutChunk(id ID, data []byte) error {
+// PutChunk stores a copy of data under id and, unless slot is NoSlot,
+// records slot→id.
+func (m *MemBackend) PutChunk(slot uint64, id ID, data []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.chunks[id]; ok {
-		return nil
+	if slot != NoSlot && slot >= uint64(len(m.table)) {
+		return slotRange(slot, uint64(len(m.table)))
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.chunks[id] = cp
+	m.chunks[id] = append(m.chunks[id][:0], data...)
+	if slot != NoSlot {
+		m.table[slot] = id
+	}
 	return nil
 }
 
-// GetChunk returns a copy of the chunk's bytes.
-func (m *MemBackend) GetChunk(id ID) ([]byte, error) {
+// GetChunk copies the chunk's bytes into dst.
+func (m *MemBackend) GetChunk(id ID, dst []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	data, ok := m.chunks[id]
 	if !ok {
-		return nil, ErrNoChunk
+		return ErrNoChunk
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	if len(dst) != len(data) {
+		return fmt.Errorf("cas: get of %d bytes, chunk size %d", len(dst), len(data))
+	}
+	copy(dst, data)
+	return nil
 }
 
 // DeleteChunk removes a chunk.
@@ -69,7 +76,7 @@ func (m *MemBackend) SetMapping(slot uint64, id ID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if slot >= uint64(len(m.table)) {
-		return ErrFull
+		return slotRange(slot, uint64(len(m.table)))
 	}
 	m.table[slot] = id
 	return nil

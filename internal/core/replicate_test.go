@@ -174,8 +174,9 @@ func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 	// repair from. Inject only once all three agree.
 	targets := dep.Replicator("cas1").Targets()
 	testutil.WaitFor(t, 10*time.Second, "every backend to hold the payload", func() bool {
+		got := make([]byte, len(payload))
 		for _, tg := range targets {
-			if got, err := tg.ReadChunk(0); err != nil || !bytes.Equal(got, payload) {
+			if err := tg.ReadChunk(0, got); err != nil || !bytes.Equal(got, payload) {
 				return false
 			}
 		}
@@ -190,8 +191,8 @@ func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 	testutil.WaitFor(t, 10*time.Second, "the background scrubber to repair the corrupted backend", func() bool {
 		return victim.Store().VerifySlot(0) == nil
 	})
-	got, err := victim.ReadChunk(0)
-	if err != nil {
+	got := make([]byte, len(payload))
+	if err := victim.ReadChunk(0, got); err != nil {
 		t.Fatalf("read repaired chunk: %v", err)
 	}
 	if !bytes.Equal(got, payload) {

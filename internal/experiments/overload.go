@@ -259,7 +259,7 @@ func runCASFull(run *OverloadRun) error {
 	// until the store sits at its exact last slot.
 	for i := 0; i < slots*4; i++ {
 		data := overloadChunk(3, i, overloadChunkBytes)
-		if err := be.PutChunk(cas.Sum(data), data); err != nil {
+		if err := be.PutChunk(cas.NoSlot, cas.Sum(data), data); err != nil {
 			break
 		}
 	}
@@ -304,12 +304,12 @@ func (p *pacedBackend) setRate(rate, burst float64) {
 	p.mu.Unlock()
 }
 
-func (p *pacedBackend) PutChunk(id cas.ID, data []byte) error {
+func (p *pacedBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
 	p.mu.Lock()
 	pacer := p.pacer
 	p.mu.Unlock()
 	pacer.Pace(len(data))
-	return p.Backend.PutChunk(id, data)
+	return p.Backend.PutChunk(slot, id, data)
 }
 
 // runBrownout drives the 1-slow-of-3 scenario: one backend browns out, its

@@ -21,12 +21,13 @@ import (
 )
 
 // Replica is one scrubbed backend: a content-addressed view of the same
-// logical image. ReadChunk must verify content (returning an error for a
-// chunk that no longer hashes to its ID); WriteChunk is the repair path.
+// logical image. ReadChunk fills dst, one chunk long, and must verify
+// content (returning an error for a chunk that no longer hashes to its ID);
+// WriteChunk is the repair path.
 type Replica interface {
 	Name() string
 	Healthy() bool
-	ReadChunk(slot uint64) ([]byte, error)
+	ReadChunk(slot uint64, dst []byte) error
 	WriteChunk(slot uint64, data []byte) error
 }
 
@@ -78,6 +79,10 @@ type Scrubber struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
+
+	passMu sync.Mutex // one pass at a time: it owns bufs and votes
+	bufs   [][]byte   // one chunk buffer per replica, reused across slots
+	votes  []vote     // scratch for one slot's votes
 
 	mPasses, mScanned, mRepaired, mMismatches, mUnrepairable, mSkipped *obs.Counter
 	gLastPassMS                                                        *obs.Gauge
@@ -141,6 +146,15 @@ func (s *Scrubber) RunPass() (PassStats, error) {
 }
 
 func (s *Scrubber) runPass(paced bool) (PassStats, error) {
+	s.passMu.Lock()
+	defer s.passMu.Unlock()
+	if s.bufs == nil {
+		s.bufs = make([][]byte, len(s.cfg.Replicas))
+		for i := range s.bufs {
+			s.bufs[i] = make([]byte, s.cfg.ChunkSize)
+		}
+		s.votes = make([]vote, 0, len(s.cfg.Replicas))
+	}
 	start := time.Now()
 	var st PassStats
 	for slot := uint64(0); slot < s.cfg.Slots; slot++ {
@@ -167,47 +181,53 @@ func (s *Scrubber) runPass(paced bool) (PassStats, error) {
 	return st, nil
 }
 
+// vote is one healthy replica's reading of a slot.
+type vote struct {
+	r   Replica
+	buf []byte // what it read
+	ok  bool   // the read verified
+	sum cas.ID
+}
+
 // scrubSlot reconciles one slot across the healthy replicas: every
 // replica's logical content is read back verified and hashed; the
 // majority hash wins and divergent or unreadable replicas are rewritten
-// with the majority's (re-verified) content.
+// with the majority's (re-verified) content. It allocates nothing unless
+// it finds a mismatch.
 func (s *Scrubber) scrubSlot(slot uint64, st *PassStats) {
-	type vote struct {
-		r    Replica
-		data []byte // nil when the read failed (corrupt chunk)
-		sum  cas.ID
-	}
-	var healthy []vote
-	for _, r := range s.cfg.Replicas {
+	healthy := s.votes[:0]
+	for i, r := range s.cfg.Replicas {
 		if !r.Healthy() {
 			continue
 		}
-		v := vote{r: r}
-		if data, err := r.ReadChunk(slot); err == nil {
-			v.data = data
-			v.sum = cas.Sum(data)
+		v := vote{r: r, buf: s.bufs[i]}
+		if err := r.ReadChunk(slot, v.buf); err == nil {
+			v.ok, v.sum = true, cas.Sum(v.buf)
 		}
 		healthy = append(healthy, v)
 	}
 	if len(healthy) < 2 {
 		return // nothing to compare against
 	}
-	counts := make(map[cas.ID]int)
+	var (
+		major  cas.ID
+		good   []byte
+		majorN int
+	)
 	for _, v := range healthy {
-		if v.data != nil {
-			counts[v.sum]++
+		n := 0
+		for _, w := range healthy {
+			if v.ok && w.ok && w.sum == v.sum {
+				n++
+			}
 		}
-	}
-	var major cas.ID
-	majorN := 0
-	for sum, n := range counts {
 		if n > majorN {
-			major, majorN = sum, n
+			major, good, majorN = v.sum, v.buf, n
 		}
 	}
 	bad := 0
 	for _, v := range healthy {
-		if v.data == nil || v.sum != major {
+		if !v.ok || v.sum != major {
 			bad++
 		}
 	}
@@ -223,15 +243,8 @@ func (s *Scrubber) scrubSlot(slot uint64, st *PassStats) {
 			s.cfg.Name, slot, len(healthy))
 		return
 	}
-	var good []byte
 	for _, v := range healthy {
-		if v.data != nil && v.sum == major {
-			good = v.data
-			break
-		}
-	}
-	for _, v := range healthy {
-		if v.data != nil && v.sum == major {
+		if v.ok && v.sum == major {
 			continue
 		}
 		if err := v.r.WriteChunk(slot, good); err != nil {

@@ -28,9 +28,14 @@ type storeReplica struct {
 func (r *storeReplica) Name() string  { return r.name }
 func (r *storeReplica) Healthy() bool { return r.healthy }
 
-func (r *storeReplica) ReadChunk(slot uint64) ([]byte, error) {
+func (r *storeReplica) ReadChunk(slot uint64, dst []byte) error {
+	return r.store.Read(slot, dst)
+}
+
+// read returns the replica's verified content at slot.
+func (r *storeReplica) read(slot uint64) ([]byte, error) {
 	buf := make([]byte, r.store.ChunkSize())
-	if err := r.store.Read(slot, buf); err != nil {
+	if err := r.ReadChunk(slot, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -97,14 +102,14 @@ func TestCleanPassFindsNothing(t *testing.T) {
 func TestRepairsCorruptReplica(t *testing.T) {
 	reps := replicaSet(t, 3)
 	const slot = 5
-	want, err := reps[0].ReadChunk(slot)
+	want, err := reps[0].read(slot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := reps[2].store.Corrupt(slot); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reps[2].ReadChunk(slot); err == nil {
+	if _, err := reps[2].read(slot); err == nil {
 		t.Fatal("corruption not visible before scrub")
 	}
 	st, err := scrubber(reps).RunPass()
@@ -114,7 +119,7 @@ func TestRepairsCorruptReplica(t *testing.T) {
 	if st.Mismatches != 1 || st.Repaired != 1 || st.Unrepairable != 0 {
 		t.Fatalf("pass stats = %+v", st)
 	}
-	got, err := reps[2].ReadChunk(slot)
+	got, err := reps[2].read(slot)
 	if err != nil {
 		t.Fatalf("read after repair: %v", err)
 	}
@@ -134,7 +139,7 @@ func TestRepairsCorruptReplica(t *testing.T) {
 func TestRepairsDivergentReplica(t *testing.T) {
 	reps := replicaSet(t, 3)
 	const slot = 2
-	want, err := reps[0].ReadChunk(slot)
+	want, err := reps[0].read(slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +156,7 @@ func TestRepairsDivergentReplica(t *testing.T) {
 	if st.Mismatches != 1 || st.Repaired != 1 {
 		t.Fatalf("pass stats = %+v", st)
 	}
-	got, err := reps[1].ReadChunk(slot)
+	got, err := reps[1].read(slot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +180,7 @@ func TestNoMajorityIsUnrepairable(t *testing.T) {
 	if st.Unrepairable != 1 || st.Repaired != 0 {
 		t.Fatalf("pass stats = %+v", st)
 	}
-	if _, err := reps[1].ReadChunk(slot); err == nil {
+	if _, err := reps[1].read(slot); err == nil {
 		t.Fatal("unrepairable slot was silently rewritten")
 	}
 }
@@ -194,7 +199,7 @@ func TestUnhealthyReplicasSkipped(t *testing.T) {
 	if st.Mismatches != 0 || st.Repaired != 0 {
 		t.Fatalf("pass stats = %+v", st)
 	}
-	if _, err := reps[2].ReadChunk(1); err == nil {
+	if _, err := reps[2].read(1); err == nil {
 		t.Fatal("unhealthy replica was touched")
 	}
 }
@@ -208,7 +213,7 @@ func TestBackgroundLoopRepairs(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 	testutil.WaitFor(t, 2*time.Second, "the background loop to repair the corrupt chunk", func() bool {
-		_, err := reps[0].ReadChunk(7)
+		_, err := reps[0].read(7)
 		return err == nil
 	})
 	s.Stop() // idempotent

@@ -169,9 +169,9 @@ type blockingBackend struct {
 	gate chan struct{}
 }
 
-func (bb *blockingBackend) PutChunk(id cas.ID, data []byte) error {
+func (bb *blockingBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
 	<-bb.gate
-	return bb.Backend.PutChunk(id, data)
+	return bb.Backend.PutChunk(slot, id, data)
 }
 
 // TestQueueFullTripsBackendBreaker: a backend whose dispatch channel

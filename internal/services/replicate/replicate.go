@@ -190,13 +190,9 @@ func (t *Target) Healthy() bool {
 	return t.alive
 }
 
-// ReadChunk returns the backend's content at slot (verified).
-func (t *Target) ReadChunk(slot uint64) ([]byte, error) {
-	buf := make([]byte, t.store.ChunkSize())
-	if err := t.store.Read(slot, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
+// ReadChunk reads the backend's content at slot into dst (verified).
+func (t *Target) ReadChunk(slot uint64, dst []byte) error {
+	return t.store.Read(slot, dst)
 }
 
 // WriteChunk force-overwrites the backend's content at slot (scrub

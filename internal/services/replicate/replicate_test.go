@@ -37,14 +37,14 @@ func (f *faultBackend) setFail(err error) {
 	f.fail = err
 }
 
-func (f *faultBackend) PutChunk(id cas.ID, data []byte) error {
+func (f *faultBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
 	f.mu.Lock()
 	err := f.fail
 	f.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return f.Backend.PutChunk(id, data)
+	return f.Backend.PutChunk(slot, id, data)
 }
 
 func (f *faultBackend) SetMapping(slot uint64, id cas.ID) error {

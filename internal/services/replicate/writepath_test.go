@@ -36,12 +36,12 @@ type gatedBackend struct {
 	lost atomic.Bool
 }
 
-func (g *gatedBackend) PutChunk(id cas.ID, data []byte) error {
+func (g *gatedBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
 	<-g.gate
 	if g.lost.Load() {
 		return errors.New("injected: backend unreachable")
 	}
-	return g.Backend.PutChunk(id, data)
+	return g.Backend.PutChunk(slot, id, data)
 }
 
 // TestStragglerReplayedAfterCrash: a write returns at quorum while the third
