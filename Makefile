@@ -11,17 +11,17 @@
 # observation, a journal append and commit, the monitor's per-access path,
 # a directory lookup, a write-back admit and apply, a goroutine-executed
 # target command, a CAS read and verify and a clean scrub pass, a few seconds of fuzzing per trust-boundary parser
-# (`make fuzz-short`), and short-mode soak, backup and overload smokes
-# (`stormbench -short`). `make test` is the full suite; `make check-stable`
-# repeats it 20 times on one P and 20 times on two to hunt flakes (not part
-# of `make check`). `make bench` prints the data-plane microbenchmarks with
-# allocation stats. `make soak` runs the sustained multi-tenant churn soak at
-# full scale (500 tenants, dated entry in BENCH_results.json, non-zero exit
-# on any failed gate). `make backup` runs the content-addressed replication
-# suite (dedup ratio, fan-out throughput, scrub repair after corruption;
-# dated entry in BENCH_results.json). `make overload` runs the
-# resource-exhaustion suite (WAL/CAS full typed refusal, brownout breaker
-# trip/recover, bounded memory; dated entry in BENCH_results.json).
+# (`make fuzz-short`), and the smoke sizes of the soak, backup and overload
+# suites (`stormbench -short soak`, `-short backup`, `-short overload`).
+# `make test` is the full suite; `make check-stable` repeats it 20 times on
+# one P and 20 times on two to hunt flakes (not part of `make check`). `make bench` prints the data-plane microbenchmarks with
+# allocation stats. `make soak` runs the stormbench suite `soak`, the
+# sustained multi-tenant churn soak at full scale (500 tenants). `make backup`
+# runs the suite `backup`, content-addressed replication (dedup ratio, fan-out
+# throughput, scrub repair after corruption). `make overload` runs the suite
+# `overload`, resource exhaustion (WAL/CAS full typed refusal, brownout breaker
+# trip/recover, bounded memory). Each adds a dated entry to BENCH_results.json
+# and exits non-zero on any failed gate.
 # `make lint-taxonomy` greps the data-path services for raw fmt.Errorf at
 # exhaustion sites that should carry an xerr class.
 # `make lint-params` fails when non-test Go outside internal/policy indexes a
@@ -110,34 +110,34 @@ bench-ab:
 # Full-scale sustained soak: 500 tenants with deploy/teardown churn,
 # p99/alloc/lock-wait telemetry, dated entry in BENCH_results.json.
 soak:
-	$(GO) run ./cmd/stormbench -soak
+	$(GO) run ./cmd/stormbench soak
 
 # Short soak smoke for the pre-commit gate: small tenant count, short
 # measured window, results not recorded.
 soak-short:
-	$(GO) run ./cmd/stormbench -soak -short
+	$(GO) run ./cmd/stormbench -short soak
 
 # Full backup suite: multi-round delta workload through the replication
 # box, dedup/convergence/scrub-repair gates, dated entry in
 # BENCH_results.json.
 backup:
-	$(GO) run ./cmd/stormbench -backup
+	$(GO) run ./cmd/stormbench backup
 
 # Short backup smoke for the pre-commit gate: small image, results not
 # recorded.
 backup-short:
-	$(GO) run ./cmd/stormbench -backup -short
+	$(GO) run ./cmd/stormbench -short backup
 
 # Full overload suite: WAL-full and CAS-full typed refusal and recovery,
 # 1-slow-of-3 brownout with breaker trip/recover, bounded heap growth;
 # dated entry in BENCH_results.json, non-zero exit on any failed gate.
 overload:
-	$(GO) run ./cmd/stormbench -overload
+	$(GO) run ./cmd/stormbench overload
 
 # Short overload smoke for the pre-commit gate: fewer brownout writes,
 # results not recorded.
 overload-short:
-	$(GO) run ./cmd/stormbench -overload -short
+	$(GO) run ./cmd/stormbench -short overload
 
 # Taxonomy lint: exhaustion/overload/draining sentinels on the data path
 # must carry an xerr class (xerr.New), not a bare errors.New — an untyped

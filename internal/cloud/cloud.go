@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/initiator"
@@ -375,9 +374,6 @@ type MBSpec struct {
 	// per-session WAL under this directory that survives CrashMiddleBox
 	// and can be replayed by a replacement via Relay.RecoverFrom.
 	JournalDir string
-	// JournalSyncWindow is the durable journal's group-commit fsync window
-	// (0 = sync every append).
-	JournalSyncWindow time.Duration
 	// Cost is the relay's interception cost model; a zero model keeps the
 	// relay's defaults. CopyThreads in particular sizes the instance's
 	// concurrent copy paths (its per-instance throughput ceiling).
@@ -418,17 +414,16 @@ func (c *Cloud) LaunchMiddleBox(spec MBSpec) (*MiddleBox, error) {
 		}
 	}
 	relay, err := middlebox.NewRelay(middlebox.Config{
-		Name:              name,
-		Mode:              spec.Mode,
-		Endpoint:          ep,
-		Services:          services,
-		JournalCapacity:   spec.JournalCapacity,
-		JournalDir:        spec.JournalDir,
-		JournalSyncWindow: spec.JournalSyncWindow,
-		Cost:              spec.Cost,
-		ForwardConns:      spec.ForwardConns,
-		CPU:               h.CPU(),
-		Obs:               obs.Default(),
+		Name:            name,
+		Mode:            spec.Mode,
+		Endpoint:        ep,
+		Services:        services,
+		JournalCapacity: spec.JournalCapacity,
+		JournalDir:      spec.JournalDir,
+		Cost:            spec.Cost,
+		ForwardConns:    spec.ForwardConns,
+		CPU:             h.CPU(),
+		Obs:             obs.Default(),
 	})
 	if err != nil {
 		return nil, err

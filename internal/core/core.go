@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -435,14 +436,13 @@ func (p *Platform) provisionMB(pol *policy.Policy, spec *policy.MiddleBoxSpec, d
 		return nil, err
 	}
 	return p.cloud.LaunchMiddleBox(cloud.MBSpec{
-		Name:              name,
-		Host:              host,
-		Mode:              mode,
-		BuildServices:     build,
-		Cost:              relayCost(spec),
-		JournalDir:        jdir,
-		JournalSyncWindow: spec.JournalFsyncWindow(),
-		ForwardConns:      spec.ForwardConns(),
+		Name:          name,
+		Host:          host,
+		Mode:          mode,
+		BuildServices: build,
+		Cost:          relayCost(spec),
+		JournalDir:    jdir,
+		ForwardConns:  spec.ForwardConns(),
 	})
 }
 
@@ -631,11 +631,9 @@ func (p *Platform) buildReplicate(pol *policy.Policy, spec *policy.MiddleBoxSpec
 			_ = old.Close()
 		}
 		box, err := replicate.New(replicate.Config{
-			Name:       mb.Name,
-			Quorum:     spec.ReplicaQuorum(),
-			ChunkSize:  chunk,
-			WALDir:     walDir,
-			SyncWindow: spec.JournalFsyncWindow(),
+			Name:   mb.Name,
+			Quorum: spec.ReplicaQuorum(),
+			WALDir: walDir,
 		}, backend, backends)
 		if err != nil {
 			return nil, err
@@ -1279,7 +1277,7 @@ func (t *TenantDeployment) finishRecovery(mbName string, tail *recoveryTail) (in
 			_ = av.Device.Close()
 		}
 		if err := t.Reattach(key); err != nil {
-			return replayed, err
+			return replayed, t.withRefusal(mbName, err)
 		}
 	}
 
@@ -1293,6 +1291,27 @@ func (t *TenantDeployment) finishRecovery(mbName string, tail *recoveryTail) (in
 	}
 	t.mu.Unlock()
 	return replayed, nil
+}
+
+// withRefusal adds to a re-attachment through group mbName that a login
+// refusal failed the cause a member relay refused the login with. The
+// initiator sees only the refusal's wire class, so without it an outage
+// behind the relay (the backend's host down) would read as a bare login
+// failure. Any other failure is returned as is: a relay's refusal outlives
+// the login it refused, until its next login succeeds.
+func (t *TenantDeployment) withRefusal(mbName string, err error) error {
+	if !errors.Is(err, initiator.ErrLoginFailed) {
+		return err
+	}
+	for _, in := range t.Group(mbName) {
+		if in.MB == nil {
+			continue
+		}
+		if cause := in.MB.Relay.Refusal(); cause != nil {
+			return fmt.Errorf("%w (relay %s refused: %v)", err, in.Name, cause)
+		}
+	}
+	return err
 }
 
 // PendingRecoveries reports how many crash recoveries of this group still

@@ -28,7 +28,6 @@ func crashPolicy(volID string) *policy.Policy {
 			Params: map[string]string{
 				"key":                aesKeyHex,
 				"durableJournal":     "true",
-				"journalFsyncWindow": "1ms",
 				"cipherCostNsPerKiB": "1000000",
 			},
 		}},

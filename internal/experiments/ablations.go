@@ -99,28 +99,16 @@ func AblationGatewayPlacement(ops int) ([]AblationRow, error) {
 		}
 		labs = append(labs, l)
 		vmName := fmt.Sprintf("vm-gw-%d", i)
-		if _, err := l.Cloud.LaunchVM(vmName, "compute1"); err != nil {
-			return nil, err
-		}
-		vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
+		_, vol, err := l.vmVolume(vmName, volumeSize)
 		if err != nil {
 			return nil, err
 		}
-		pol := &policy.Policy{
-			Tenant: l.nextTenant(),
-			MiddleBoxes: []policy.MiddleBoxSpec{{
-				Name: "fwd", Type: policy.TypeForward, Host: "compute3",
-			}},
-			Volumes: []policy.VolumeBinding{{
-				VM: vmName, Volume: vol.ID, Chain: []string{"fwd"},
-				IngressHost: pl.ingress, EgressHost: pl.egress,
-			}},
-		}
-		dep, err := l.Platform.Apply(pol)
+		_, dev, err := l.deploy(vmName, vol.ID, pl.ingress, pl.egress,
+			policy.MiddleBoxSpec{Name: "fwd", Type: policy.TypeForward, Host: "compute3"})
 		if err != nil {
 			return nil, err
 		}
-		configs = append(configs, &config{label: pl.label, dev: dep.Volumes[vmName+"/"+vol.ID].Device})
+		configs = append(configs, &config{label: pl.label, dev: dev})
 	}
 
 	perRound := (ops + gwRounds - 1) / gwRounds
@@ -150,36 +138,19 @@ func AblationChainLength(ops int) ([]AblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		vmName := fmt.Sprintf("vm-chain-%d", n)
-		if _, err := l.Cloud.LaunchVM(vmName, "compute1"); err != nil {
-			l.Close()
-			return nil, err
-		}
-		vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		pol := &policy.Policy{Tenant: l.nextTenant()}
-		var chain []string
+		var mbs []policy.MiddleBoxSpec
 		hosts := []string{"compute2", "compute3", "compute4"}
 		for i := 0; i < n; i++ {
-			name := fmt.Sprintf("fwd%d", i)
-			pol.MiddleBoxes = append(pol.MiddleBoxes, policy.MiddleBoxSpec{
-				Name: name, Type: policy.TypeForward, Host: hosts[i%len(hosts)],
+			mbs = append(mbs, policy.MiddleBoxSpec{
+				Name: fmt.Sprintf("fwd%d", i), Type: policy.TypeForward, Host: hosts[i%len(hosts)],
 			})
-			chain = append(chain, name)
 		}
-		pol.Volumes = []policy.VolumeBinding{{
-			VM: vmName, Volume: vol.ID, Chain: chain,
-			IngressHost: "compute2", EgressHost: "compute4",
-		}}
-		dep, err := l.Platform.Apply(pol)
+		dev, _, err := l.deployNew(fmt.Sprintf("vm-chain-%d", n), mbs...)
 		if err != nil {
 			l.Close()
 			return nil, err
 		}
-		res, err := ablationFio(dep.Volumes[vmName+"/"+vol.ID].Device, ops)
+		res, err := ablationFio(dev, ops)
 		l.Close()
 		if err != nil {
 			return nil, err

@@ -1,15 +1,10 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"math/rand"
-	"os"
 	"strings"
 	"time"
 
-	"repro/internal/blockdev"
-	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/scrub"
 	"repro/internal/services/replicate"
@@ -30,14 +25,9 @@ type BackupConfig struct {
 	Rounds int
 }
 
-// The backup run's fixed shape: three content-addressed replicas of 4 KiB
-// chunks, and 25 % of the chunks changing between consecutive rounds (the
+// backupModifiedPct of the chunks change between consecutive rounds (the
 // backup delta).
-const (
-	backupBackends    = 3
-	backupChunkBytes  = 4096
-	backupModifiedPct = 25
-)
+const backupModifiedPct = 25
 
 // BackupRun is one dated backup-suite result.
 type BackupRun struct {
@@ -68,16 +58,7 @@ type BackupRun struct {
 	ScrubRepaired   uint64 `json:"scrub_repaired"`
 	RepairOK        bool   `json:"scrub_repair_ok"`
 
-	// Violations lists failed gates; empty means the suite passed.
-	Violations []string `json:"violations,omitempty"`
-}
-
-// backupChunk renders the deterministic content of a slot at a generation.
-func backupChunk(gen, slot, size int) []byte {
-	rng := rand.New(rand.NewSource(int64(gen)*1_000_003 + int64(slot)))
-	b := make([]byte, size)
-	rng.Read(b)
-	return b
+	Violations `json:"violations,omitempty"`
 }
 
 // RunBackup assembles a replication box over block-backed content stores,
@@ -89,91 +70,45 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 4
 	}
-	const bs = 512
 	run := &BackupRun{
-		Backends:    backupBackends,
-		Quorum:      backupBackends/2 + 1,
-		ChunkBytes:  backupChunkBytes,
+		When:        now(),
+		Backends:    rigBackends,
+		Quorum:      rigQuorum,
+		ChunkBytes:  rigChunk,
 		Chunks:      cfg.Chunks,
 		Rounds:      cfg.Rounds,
 		ModifiedPct: backupModifiedPct,
 	}
-
-	// The primary image and the content-addressed backends, each on its own
-	// block device with the on-disk CAS layout (superblock, slot table,
-	// chunk slots) — the same stack the platform attaches per backend
-	// volume.
-	slots := uint64(cfg.Chunks)
-	primary, err := blockdev.NewMemDisk(bs, slots*uint64(backupChunkBytes)/bs)
+	r, err := newRig(replicate.Config{Name: "bench-backup", Quorum: rigQuorum}, cfg.Chunks, blockBackend(cfg.Chunks))
 	if err != nil {
 		return nil, err
 	}
-	devBytes, err := cas.BlockBackendBytes(bs, backupChunkBytes, slots)
-	if err != nil {
-		return nil, err
-	}
-	var backends []replicate.NamedStore
-	for i := 0; i < backupBackends; i++ {
-		disk, err := blockdev.NewMemDisk(bs, devBytes/bs)
-		if err != nil {
-			return nil, err
-		}
-		be, err := cas.OpenBlockBackend(disk, backupChunkBytes, slots)
-		if err != nil {
-			return nil, err
-		}
-		store, err := cas.Open(be, backupChunkBytes, slots)
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, replicate.NamedStore{Name: fmt.Sprintf("backend%d", i), Store: store})
-	}
-	walDir, err := os.MkdirTemp("", "storm-backup-wal")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(walDir)
-	box, err := replicate.New(replicate.Config{
-		Name:   "bench-backup",
-		Quorum: run.Quorum, ChunkSize: backupChunkBytes, WALDir: walDir,
-	}, primary, backends)
-	if err != nil {
-		return nil, err
-	}
-	defer box.Close()
+	defer r.Close()
 
 	// The backup workload: round 0 writes a fully unique image; each later
 	// round re-ingests the full image with ModifiedPct of the chunks
 	// changed. gen tracks the generation whose content a slot carries.
-	bpc := uint64(backupChunkBytes / bs)
 	gen := make([]int, cfg.Chunks)
 	hist := &obs.Histogram{}
 	start := time.Now()
-	for r := 0; r < cfg.Rounds; r++ {
+	for round := 0; round < cfg.Rounds; round++ {
 		for s := 0; s < cfg.Chunks; s++ {
-			if r > 0 && (s*31+r*17)%100 < backupModifiedPct {
-				gen[s] = r
+			if round > 0 && (s*31+round*17)%100 < backupModifiedPct {
+				gen[s] = round
 			}
 			t0 := time.Now()
-			if err := box.WriteAt(backupChunk(gen[s], s, backupChunkBytes), uint64(s)*bpc); err != nil {
-				return nil, fmt.Errorf("backup round %d slot %d: %w", r, s, err)
+			if err := r.write(gen[s], s); err != nil {
+				return nil, fmt.Errorf("backup round %d slot %d: %w", round, s, err)
 			}
 			hist.Observe(time.Since(t0))
 		}
 	}
-	if err := box.Flush(); err != nil {
+	if err := r.drain(); err != nil {
 		return nil, err
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for !box.Drained() {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("backup: box never drained")
-		}
-		time.Sleep(time.Millisecond)
 	}
 	elapsed := time.Since(start)
 
-	st := backends[0].Store.Stats()
+	st := r.backends[0].Store.Stats()
 	run.LogicalMB = float64(st.BytesLogical) / (1 << 20)
 	run.StoredMB = float64(st.BytesStored) / (1 << 20)
 	run.DedupRatio = st.DedupRatio()
@@ -183,19 +118,8 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 
 	// Convergence: every backend's logical image must hash identically to
 	// the primary's bytes.
-	img := make([]byte, slots*uint64(backupChunkBytes))
-	for off := uint64(0); off < uint64(len(img)); off += uint64(backupChunkBytes) {
-		if err := primary.ReadAt(img[off:off+uint64(backupChunkBytes)], off/bs); err != nil {
-			return nil, err
-		}
-	}
-	want := cas.ID(sha256.Sum256(img))
-	run.Converged = true
-	for _, nb := range backends {
-		got, err := nb.Store.LogicalHash()
-		if err != nil || got != want {
-			run.Converged = false
-		}
+	if run.Converged, err = r.converged(); err != nil {
+		return nil, err
 	}
 
 	// Scrub repair: rot a spread of chunks on one backend behind the box's
@@ -204,7 +128,7 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	if corrupt < 4 {
 		corrupt = 4
 	}
-	victim := box.Targets()[0]
+	victim := r.box.Targets()[0]
 	for i := 0; i < corrupt; i++ {
 		slot := uint64(i * cfg.Chunks / corrupt)
 		if err := victim.Store().Corrupt(slot); err != nil {
@@ -212,12 +136,12 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 		}
 	}
 	run.CorruptedChunks = corrupt
-	reps := make([]scrub.Replica, 0, len(box.Targets()))
-	for _, t := range box.Targets() {
+	reps := make([]scrub.Replica, 0, len(r.box.Targets()))
+	for _, t := range r.box.Targets() {
 		reps = append(reps, t)
 	}
 	sc := scrub.New(scrub.Config{
-		Name: "bench-backup", Replicas: reps, Slots: slots, ChunkSize: backupChunkBytes,
+		Name: "bench-backup", Replicas: reps, Slots: uint64(cfg.Chunks), ChunkSize: rigChunk,
 	})
 	pass, err := sc.RunPass()
 	if err != nil {
@@ -226,6 +150,10 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 	run.ScrubScanned = pass.Scanned
 	run.ScrubRepaired = pass.Repaired
 	run.RepairOK = pass.Repaired >= uint64(corrupt) && pass.Unrepairable == 0
+	want, err := r.imageHash()
+	if err != nil {
+		return nil, err
+	}
 	if got, err := victim.Store().LogicalHash(); err != nil || got != want {
 		run.RepairOK = false
 	}
@@ -257,12 +185,6 @@ func FormatBackup(run *BackupRun) string {
 	fmt.Fprintf(&b, "  convergence        all backends content-hash equal: %v\n", run.Converged)
 	fmt.Fprintf(&b, "  scrub repair       %d/%d corrupted chunks repaired (scanned %d)\n",
 		run.ScrubRepaired, run.CorruptedChunks, run.ScrubScanned)
-	if len(run.Violations) == 0 {
-		b.WriteString("  PASS: all backup gates held\n")
-	} else {
-		for _, v := range run.Violations {
-			fmt.Fprintf(&b, "  FAIL: %s\n", v)
-		}
-	}
+	run.Violations.write(&b, "backup")
 	return b.String()
 }

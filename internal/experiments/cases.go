@@ -9,23 +9,37 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/extfs"
 	"repro/internal/minidb"
-	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/semantic"
 	"repro/internal/services/crypt"
 	"repro/internal/workload"
 )
 
-// encryption cost models for the Figure 10/11 comparison. The tenant-side
-// deployment pays extra for dm-crypt's spinlock stalls on the application's
-// vCPU (the effect Section V-B2 identifies); the middle-box runs the same
-// cipher without contending with the foreground application.
-func tenantSideCipherCost(cpu *obs.CPUAccount) crypt.CostModel {
-	return crypt.CostModel{PerKiB: 12 * time.Microsecond, CPU: cpu, Component: "cipher"}
-}
-
-func mbSideCipherCost(cpu *obs.CPUAccount) crypt.CostModel {
-	return crypt.CostModel{PerKiB: 8 * time.Microsecond, CPU: cpu, Component: "cipher"}
+// encryptedVolume provisions vmName's volume behind the AES-256 cipher of
+// the Figure 10/11 comparison: inside the tenant VM (legacy attach, the
+// cipher charged to the compute host) or in an active-relay middle-box on
+// compute3. The tenant-side deployment pays extra for dm-crypt's spinlock
+// stalls on the application's vCPU (the effect Section V-B2 identifies);
+// the middle-box runs the same cipher without contending with the
+// foreground application.
+func (l *Lab) encryptedVolume(vmName string, inMB bool) (blockdev.Device, func(), error) {
+	if inMB {
+		return l.deployNew(vmName, policy.MiddleBoxSpec{
+			Name: "enc", Type: policy.TypeEncryption, Host: "compute3",
+			Params: map[string]string{"key": aesKeyHex, "cipherCostNsPerKiB": "8000"},
+		})
+	}
+	raw, cleanup, err := l.provision(Legacy, vmName)
+	if err != nil {
+		return nil, nil, err
+	}
+	cost := crypt.CostModel{PerKiB: 12 * time.Microsecond, CPU: l.Cloud.HostCPU("compute1"), Component: "cipher"}
+	dev, err := crypt.NewDevice(raw, testKey(), cost)
+	if err != nil {
+		cleanup()
+		return nil, nil, err
+	}
+	return dev, cleanup, nil
 }
 
 // CPURow is one bar group of Figure 10: per-host CPU utilization during
@@ -48,47 +62,20 @@ type CPURow struct {
 func CPUBreakdown() ([]CPURow, error) {
 	const transfer = 24 << 20
 	var rows []CPURow
-
-	// Tenant-side encryption: legacy attach, cipher wrapped around the
-	// VM-side device, charged to the compute host.
-	{
+	for _, d := range []struct {
+		label string
+		inMB  bool
+	}{{"tenant-vm", false}, {"middle-box", true}} {
 		l, err := NewLab()
 		if err != nil {
 			return nil, err
 		}
-		raw, cleanup, err := l.provision(Legacy, "vm-ftp-tenant")
+		dev, cleanup, err := l.encryptedVolume("vm-ftp-"+d.label, d.inMB)
 		if err != nil {
 			l.Close()
 			return nil, err
 		}
-		tenantCPU := l.Cloud.HostCPU("compute1")
-		dev, err := crypt.NewDevice(raw, testKey(), tenantSideCipherCost(tenantCPU))
-		if err != nil {
-			cleanup()
-			l.Close()
-			return nil, err
-		}
-		row, err := runFTPAndAccount(l, dev, "tenant-vm", transfer)
-		cleanup()
-		l.Close()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, *row)
-	}
-
-	// Middle-box encryption: active relay on compute3 runs the cipher.
-	{
-		l, err := NewLab()
-		if err != nil {
-			return nil, err
-		}
-		dev, cleanup, err := l.provisionEncryptionMB("vm-ftp-mb", mbSideCipherCost(nil))
-		if err != nil {
-			l.Close()
-			return nil, err
-		}
-		row, err := runFTPAndAccount(l, dev, "middle-box", transfer)
+		row, err := runFTPAndAccount(l, dev, d.label, transfer)
 		cleanup()
 		l.Close()
 		if err != nil {
@@ -97,46 +84,6 @@ func CPUBreakdown() ([]CPURow, error) {
 		rows = append(rows, *row)
 	}
 	return rows, nil
-}
-
-// provisionEncryptionMB builds the MB-encryption scenario with an explicit
-// cipher cost model charged to the middle-box host.
-func (l *Lab) provisionEncryptionMB(vmName string, cost crypt.CostModel) (blockdev.Device, func(), error) {
-	vm, err := l.Cloud.LaunchVM(vmName, "compute1")
-	if err != nil {
-		return nil, nil, err
-	}
-	_ = vm
-	vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	tenant := l.nextTenant()
-	pol := &policy.Policy{
-		Tenant: tenant,
-		MiddleBoxes: []policy.MiddleBoxSpec{{
-			Name: "enc", Type: policy.TypeEncryption, Host: "compute3",
-			Params: map[string]string{
-				"key":                aesKeyHex,
-				"cipherCostNsPerKiB": fmt.Sprintf("%d", cost.PerKiB.Nanoseconds()),
-			},
-		}},
-		Volumes: []policy.VolumeBinding{{
-			VM: vmName, Volume: vol.ID, Chain: []string{"enc"},
-			IngressHost: "compute2", EgressHost: "compute4",
-		}},
-	}
-	dep, err := l.Platform.Apply(pol)
-	if err != nil {
-		return nil, nil, err
-	}
-	av := dep.Volumes[vmName+"/"+vol.ID]
-	return av.Device, func() { _ = l.Platform.Teardown(tenant) }, nil
-}
-
-// mkfsOn formats a device with the default extfs geometry.
-func mkfsOn(dev blockdev.Device) (*extfs.FS, error) {
-	return extfs.Mkfs(dev, extfs.Options{})
 }
 
 func runFTPAndAccount(l *Lab, dev blockdev.Device, label string, transfer int64) (*CPURow, error) {
@@ -221,19 +168,7 @@ func RunPostmarkComparison() (*PostmarkComparison, error) {
 			return nil, err
 		}
 		defer l.Close()
-		var (
-			dev     blockdev.Device
-			cleanup func()
-		)
-		if mb {
-			dev, cleanup, err = l.provisionEncryptionMB("vm-pm", mbSideCipherCost(nil))
-		} else {
-			var raw blockdev.Device
-			raw, cleanup, err = l.provision(Legacy, "vm-pm")
-			if err == nil {
-				dev, err = crypt.NewDevice(raw, testKey(), tenantSideCipherCost(l.Cloud.HostCPU("compute1")))
-			}
-		}
+		dev, cleanup, err := l.encryptedVolume("vm-pm", mb)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +177,7 @@ func RunPostmarkComparison() (*PostmarkComparison, error) {
 		// dm-crypt in the tenant-side deployment), absorbing re-reads so
 		// writes dominate the I/O path — as on the real testbed.
 		dev = blockdev.NewCacheDisk(dev, 16<<20)
-		fs, err := mkfsOn(dev)
+		fs, err := extfs.Mkfs(dev, extfs.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -337,34 +272,16 @@ func RunReplication(duration time.Duration) (*ReplicationRun, error) {
 		return nil, err
 	}
 	defer l.Close()
-	vm, err := l.Cloud.LaunchVM("vm-db-3r", "compute1")
+	_, vol, err := l.vmVolume("vm-db-3r", volumeSize)
 	if err != nil {
 		return nil, err
 	}
-	_ = vm
-	vol, err := l.Cloud.Volumes.Create("db-vol", volumeSize)
+	dep, dev, err := l.deploy("vm-db-3r", vol.ID, "compute2", "compute4", replicationMB(3))
 	if err != nil {
 		return nil, err
 	}
-	tenant := l.nextTenant()
-	pol := &policy.Policy{
-		Tenant: tenant,
-		MiddleBoxes: []policy.MiddleBoxSpec{{
-			Name: "rep", Type: policy.TypeReplication, Host: "compute3",
-			Params: map[string]string{"replicas": "3"},
-		}},
-		Volumes: []policy.VolumeBinding{{
-			VM: "vm-db-3r", Volume: vol.ID, Chain: []string{"rep"},
-			IngressHost: "compute2", EgressHost: "compute4",
-		}},
-	}
-	dep, err := l.Platform.Apply(pol)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = l.Platform.Teardown(tenant) }()
-	av := dep.Volumes["vm-db-3r/"+vol.ID]
-	db3, err := minidb.Open(av.Device, 4096)
+	defer func() { _ = l.Platform.Teardown(dep.Tenant) }()
+	db3, err := minidb.Open(dev, 4096)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func (r RoutingRow) NormLatency() float64 {
 	return float64(r.MBFwdLatency) / float64(r.LegacyLatency)
 }
 
-// Options tunes experiment durations (benchmarks use smaller op counts
+// Options tunes experiment durations (the shape tests use smaller op counts
 // than cmd/stormbench).
 type Options struct {
 	// FioOps is the op count per fio run (default 120).

@@ -1,7 +1,7 @@
 // Package experiments reproduces the paper's evaluation (Section V): it
 // assembles the testbed topology, runs each figure's workload sweep, and
-// reports the same normalized series the paper plots. The root-level
-// benchmarks and cmd/stormbench both drive this package.
+// reports the same normalized series the paper plots. cmd/stormbench runs
+// it, one named suite per result; the package's tests assert the shapes.
 //
 // Constants here are the scaled-down calibration of the 10-machine 1 GbE
 // testbed; see EXPERIMENTS.md for the calibration notes and measured-vs-
@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/blockdev"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/policy"
+	"repro/internal/volume"
 )
 
 // aesKeyHex is the tenant's AES-256 key used by encryption scenarios.
@@ -60,6 +62,22 @@ func LabDiskWriteModel() blockdev.ServiceModel {
 		PerRequest: 150 * time.Microsecond,
 	}
 }
+
+// Violations lists the gates a suite run broke; empty means it passed.
+type Violations []string
+
+// write ends a suite report with its verdict.
+func (v Violations) write(b *strings.Builder, suite string) {
+	if len(v) == 0 {
+		fmt.Fprintf(b, "  PASS: all %s gates held\n", suite)
+	}
+	for _, g := range v {
+		fmt.Fprintf(b, "  FAIL: %s\n", g)
+	}
+}
+
+// now dates a suite run.
+func now() string { return time.Now().UTC().Format(time.RFC3339) }
 
 // Lab is one assembled testbed.
 type Lab struct {
@@ -138,52 +156,69 @@ const volumeSize = 64 << 20
 // worst-case placement of Section V-A is used: tenant VM, ingress gateway,
 // middle-box, and egress gateway all on different physical hosts.
 func (l *Lab) provision(s Scenario, vmName string) (blockdev.Device, func(), error) {
-	vm, err := l.Cloud.LaunchVM(vmName, "compute1")
-	if err != nil {
-		return nil, nil, err
-	}
-	vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
-	if err != nil {
-		return nil, nil, err
-	}
 	if s == Legacy {
+		vm, vol, err := l.vmVolume(vmName, volumeSize)
+		if err != nil {
+			return nil, nil, err
+		}
 		dev, err := l.Cloud.AttachVolume(vm, vol.ID)
 		if err != nil {
 			return nil, nil, err
 		}
 		return dev, func() { _ = dev.Close() }, nil
 	}
-
-	tenant := l.nextTenant()
-	var mb policy.MiddleBoxSpec
+	mb := policy.MiddleBoxSpec{Name: "mb1", Type: policy.TypeEncryption, Host: "compute3", Params: map[string]string{"key": aesKeyHex}}
 	switch s {
 	case MBFwd:
 		mb = policy.MiddleBoxSpec{Name: "mb1", Type: policy.TypeForward, Host: "compute3"}
 	case MBPassive:
-		mb = policy.MiddleBoxSpec{
-			Name: "mb1", Type: policy.TypeEncryption, Host: "compute3",
-			Mode: policy.ModePassive, Params: map[string]string{"key": aesKeyHex},
-		}
+		mb.Mode = policy.ModePassive
 	case MBActive:
-		mb = policy.MiddleBoxSpec{
-			Name: "mb1", Type: policy.TypeEncryption, Host: "compute3",
-			Mode: policy.ModeActive, Params: map[string]string{"key": aesKeyHex},
-		}
+		mb.Mode = policy.ModeActive
 	default:
 		return nil, nil, fmt.Errorf("experiments: unknown scenario %q", s)
 	}
-	pol := &policy.Policy{
-		Tenant:      tenant,
-		MiddleBoxes: []policy.MiddleBoxSpec{mb},
-		Volumes: []policy.VolumeBinding{{
-			VM: vmName, Volume: vol.ID, Chain: []string{"mb1"},
-			IngressHost: "compute2", EgressHost: "compute4",
-		}},
+	return l.deployNew(vmName, mb)
+}
+
+// vmVolume launches vmName on compute1 and creates its volume.
+func (l *Lab) vmVolume(vmName string, size uint64) (*cloud.VM, *volume.Volume, error) {
+	vm, err := l.Cloud.LaunchVM(vmName, "compute1")
+	if err != nil {
+		return nil, nil, err
 	}
+	vol, err := l.Cloud.Volumes.Create(vmName+"-vol", size)
+	return vm, vol, err
+}
+
+// deploy applies a policy of its own tenant that steers vmName's volume
+// volID through mbs, in order, with the ingress and egress gateways on the
+// given hosts. It returns the deployment and the VM-side device.
+func (l *Lab) deploy(vmName, volID, ingress, egress string, mbs ...policy.MiddleBoxSpec) (*core.TenantDeployment, blockdev.Device, error) {
+	pol := &policy.Policy{Tenant: l.nextTenant(), MiddleBoxes: mbs}
+	var chain []string
+	for _, mb := range mbs {
+		chain = append(chain, mb.Name)
+	}
+	pol.Volumes = []policy.VolumeBinding{{VM: vmName, Volume: volID, Chain: chain, IngressHost: ingress, EgressHost: egress}}
 	dep, err := l.Platform.Apply(pol)
 	if err != nil {
 		return nil, nil, err
 	}
-	av := dep.Volumes[vmName+"/"+vol.ID]
-	return av.Device, func() { _ = l.Platform.Teardown(tenant) }, nil
+	return dep, dep.Volumes[vmName+"/"+volID].Device, nil
+}
+
+// deployNew gives vmName a fresh volume and deploys it through mbs with the
+// worst-case gateway placement (see provision). The returned function tears
+// the deployment down.
+func (l *Lab) deployNew(vmName string, mbs ...policy.MiddleBoxSpec) (blockdev.Device, func(), error) {
+	_, vol, err := l.vmVolume(vmName, volumeSize)
+	if err != nil {
+		return nil, nil, err
+	}
+	dep, dev, err := l.deploy(vmName, vol.ID, "compute2", "compute4", mbs...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dev, func() { _ = l.Platform.Teardown(dep.Tenant) }, nil
 }

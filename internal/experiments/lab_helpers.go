@@ -21,11 +21,7 @@ import (
 // explicit NVRAM budget, bypassing the policy layer (which does not expose
 // the knob).
 func (l *Lab) provisionActiveWithJournal(vmName string, journalCap int) (blockdev.Device, func(), error) {
-	vm, err := l.Cloud.LaunchVM(vmName, "compute1")
-	if err != nil {
-		return nil, nil, err
-	}
-	vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
+	vm, vol, err := l.vmVolume(vmName, volumeSize)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -84,34 +80,24 @@ func (l *Lab) provisionActiveWithJournal(vmName string, journalCap int) (blockde
 	return dev, cleanup, nil
 }
 
+// replicationMB is the replica-dispatch middle-box of Figure 13 with n
+// replicas.
+func replicationMB(n int) policy.MiddleBoxSpec {
+	return policy.MiddleBoxSpec{
+		Name: "rep", Type: policy.TypeReplication, Host: "compute3",
+		Params: map[string]string{"replicas": fmt.Sprint(n)},
+	}
+}
+
 // replicatedOLTP deploys an n-replica dispatch middle-box and drives the
 // OLTP workload against it.
 func (l *Lab) replicatedOLTP(vmName string, replicas int, duration time.Duration) (*workload.OLTPResult, error) {
-	if _, err := l.Cloud.LaunchVM(vmName, "compute1"); err != nil {
-		return nil, err
-	}
-	vol, err := l.Cloud.Volumes.Create(vmName+"-vol", volumeSize)
+	dev, teardown, err := l.deployNew(vmName, replicationMB(replicas))
 	if err != nil {
 		return nil, err
 	}
-	tenant := l.nextTenant()
-	pol := &policy.Policy{
-		Tenant: tenant,
-		MiddleBoxes: []policy.MiddleBoxSpec{{
-			Name: "rep", Type: policy.TypeReplication, Host: "compute3",
-			Params: map[string]string{"replicas": fmt.Sprintf("%d", replicas)},
-		}},
-		Volumes: []policy.VolumeBinding{{
-			VM: vmName, Volume: vol.ID, Chain: []string{"rep"},
-			IngressHost: "compute2", EgressHost: "compute4",
-		}},
-	}
-	dep, err := l.Platform.Apply(pol)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = l.Platform.Teardown(tenant) }()
-	db, err := minidb.Open(dep.Volumes[vmName+"/"+vol.ID].Device, 4096)
+	defer teardown()
+	db, err := minidb.Open(dev, 4096)
 	if err != nil {
 		return nil, err
 	}

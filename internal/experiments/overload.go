@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/blockdev"
 	"repro/internal/cas"
 	"repro/internal/faults"
 	"repro/internal/obs"
@@ -34,13 +31,8 @@ type OverloadConfig struct {
 	BrownoutWrites int
 }
 
-// The overload run's replication stack: a 64-chunk image of 4 KiB chunks
-// over three replicas.
-const (
-	overloadChunks     = 64
-	overloadChunkBytes = 4096
-	overloadBackends   = 3
-)
+// overloadChunks is the image size, in chunks, of the overload suite's rigs.
+const overloadChunks = 64
 
 // OverloadRun is one dated overload-suite result.
 type OverloadRun struct {
@@ -70,97 +62,7 @@ type OverloadRun struct {
 	// the bounded-memory gate.
 	HeapGrowthMB float64 `json:"heap_growth_mib"`
 
-	// Violations lists failed gates; empty means the suite passed.
-	Violations []string `json:"violations,omitempty"`
-}
-
-// overloadChunk renders deterministic unique content for a slot at a
-// generation.
-func overloadChunk(gen, slot, size int) []byte {
-	rng := rand.New(rand.NewSource(int64(gen)*2_000_003 + int64(slot)))
-	b := make([]byte, size)
-	rng.Read(b)
-	return b
-}
-
-// overloadBox assembles a replication box over fresh content-addressed
-// backends, returning the box, its backends, and the primary.
-func overloadBox(rcfg replicate.Config, wrap func(i int, be cas.Backend) cas.Backend) (*replicate.Box, []replicate.NamedStore, blockdev.Device, func(), error) {
-	const bs = 512
-	slots := uint64(overloadChunks)
-	primary, err := blockdev.NewMemDisk(bs, slots*uint64(overloadChunkBytes)/bs)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	var backends []replicate.NamedStore
-	for i := 0; i < overloadBackends; i++ {
-		var be cas.Backend = cas.NewMemBackend(slots)
-		if wrap != nil {
-			be = wrap(i, be)
-		}
-		store, err := cas.Open(be, overloadChunkBytes, slots)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		backends = append(backends, replicate.NamedStore{Name: fmt.Sprintf("backend%d", i), Store: store})
-	}
-	walDir, err := os.MkdirTemp("", "storm-overload-wal")
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	rcfg.ChunkSize = overloadChunkBytes
-	rcfg.WALDir = walDir
-	box, err := replicate.New(rcfg, primary, backends)
-	if err != nil {
-		os.RemoveAll(walDir)
-		return nil, nil, nil, nil, err
-	}
-	cleanup := func() {
-		box.Close()
-		os.RemoveAll(walDir)
-	}
-	return box, backends, primary, cleanup, nil
-}
-
-// imageHash reads the primary's full logical image and hashes it — the
-// convergence reference every backend's LogicalHash must equal.
-func imageHash(primary blockdev.Device, chunks, chunkBytes int) (cas.ID, error) {
-	const bs = 512
-	img := make([]byte, chunks*chunkBytes)
-	for off := 0; off < len(img); off += chunkBytes {
-		if err := primary.ReadAt(img[off:off+chunkBytes], uint64(off/bs)); err != nil {
-			return cas.ID{}, err
-		}
-	}
-	return cas.ID(sha256.Sum256(img)), nil
-}
-
-// converged reports whether every backend's logical image content-hashes
-// equal to the primary's.
-func converged(primary blockdev.Device, backends []replicate.NamedStore, chunks, chunkBytes int) (bool, error) {
-	want, err := imageHash(primary, chunks, chunkBytes)
-	if err != nil {
-		return false, err
-	}
-	for _, nb := range backends {
-		got, err := nb.Store.LogicalHash()
-		if err != nil || got != want {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// waitDrained polls the box to full convergence.
-func waitDrained(box *replicate.Box, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for !box.Drained() {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("overload: box never drained")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return nil
+	Violations `json:"violations,omitempty"`
 }
 
 // runWALFull drives the ENOSPC scenario: a dispatch journal under a byte
@@ -168,21 +70,20 @@ func waitDrained(box *replicate.Box, timeout time.Duration) error {
 // operator adds disk), and the full image reconverges with nothing lost.
 func runWALFull(run *OverloadRun) error {
 	quota := faults.NewDiskFull(32 << 10)
-	box, backends, primary, cleanup, err := overloadBox(replicate.Config{
+	r, err := newRig(replicate.Config{
 		Name:     "ovl-wal",
-		Quorum:   overloadBackends/2 + 1,
+		Quorum:   rigQuorum,
 		WALQuota: quota,
 		Obs:      obs.NewRegistry(),
-	}, nil)
+	}, overloadChunks, memBackend(nil))
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer r.Close()
 
-	bpc := uint64(overloadChunkBytes / 512)
 	var full error
 	for s := 0; s < overloadChunks; s++ {
-		if err := box.WriteAt(overloadChunk(0, s, overloadChunkBytes), uint64(s)*bpc); err != nil {
+		if err := r.write(0, s); err != nil {
 			full = err
 			break
 		}
@@ -197,7 +98,7 @@ func runWALFull(run *OverloadRun) error {
 	// The wall holds: every write during the episode refuses typed, none
 	// hangs, none corrupts.
 	for i := 0; i < 8; i++ {
-		err := box.WriteAt(overloadChunk(0, i, overloadChunkBytes), uint64(i)*bpc)
+		err := r.write(0, i)
 		if err == nil {
 			return fmt.Errorf("overload: write admitted against a full journal")
 		}
@@ -210,60 +111,55 @@ func runWALFull(run *OverloadRun) error {
 	// Pressure release: grow the quota and re-ingest the whole image.
 	quota.Grow(64 << 20)
 	for s := 0; s < overloadChunks; s++ {
-		if err := box.WriteAt(overloadChunk(1, s, overloadChunkBytes), uint64(s)*bpc); err != nil {
+		if err := r.write(1, s); err != nil {
 			return fmt.Errorf("overload: write after quota grow: %w", err)
 		}
 	}
-	if err := box.Flush(); err != nil {
-		return err
-	}
-	if err := waitDrained(box, 30*time.Second); err != nil {
-		return err
-	}
-	run.WALConverged, err = converged(primary, backends, overloadChunks, overloadChunkBytes)
+	run.WALConverged, err = r.converged()
 	return err
+}
+
+// memBackend returns a newRig backend constructor of in-memory stores,
+// each passed through wrap when it is non-nil.
+func memBackend(wrap func(i int, be cas.Backend) cas.Backend) func(int) (cas.Backend, error) {
+	return func(i int) (cas.Backend, error) {
+		var be cas.Backend = cas.NewMemBackend(overloadChunks)
+		if wrap != nil {
+			be = wrap(i, be)
+		}
+		return be, nil
+	}
 }
 
 // runCASFull drives a block-backed content store into physical chunk-slot
 // exhaustion: new unique content refuses typed, and freeing a slot (the
 // dedup overwrite path) readmits writes.
 func runCASFull(run *OverloadRun) error {
-	const (
-		bs    = 512
-		slots = 32
-	)
-	devBytes, err := cas.BlockBackendBytes(bs, overloadChunkBytes, slots)
+	const slots = 32
+	be, err := blockBackend(slots)(0)
 	if err != nil {
 		return err
 	}
-	disk, err := blockdev.NewMemDisk(bs, devBytes/bs)
-	if err != nil {
-		return err
-	}
-	be, err := cas.OpenBlockBackend(disk, overloadChunkBytes, slots)
-	if err != nil {
-		return err
-	}
-	s, err := cas.Open(be, overloadChunkBytes, slots)
+	s, err := cas.Open(be, rigChunk, slots)
 	if err != nil {
 		return err
 	}
 	defer s.Close()
 
 	for i := uint64(0); i < slots; i++ {
-		if _, err := s.Write(i, overloadChunk(2, int(i), overloadChunkBytes)); err != nil {
+		if _, err := s.Write(i, chunkData(2, int(i))); err != nil {
 			return fmt.Errorf("overload: cas fill slot %d: %w", i, err)
 		}
 	}
 	// Consume the backend's orphan-slack physical slots with direct puts
 	// until the store sits at its exact last slot.
 	for i := 0; i < slots*4; i++ {
-		data := overloadChunk(3, i, overloadChunkBytes)
+		data := chunkData(3, i)
 		if err := be.PutChunk(cas.NoSlot, cas.Sum(data), data); err != nil {
 			break
 		}
 	}
-	_, full := s.Write(0, overloadChunk(4, 0, overloadChunkBytes))
+	_, full := s.Write(0, chunkData(4, 0))
 	if full == nil {
 		return fmt.Errorf("overload: full content store admitted new unique content")
 	}
@@ -271,14 +167,14 @@ func runCASFull(run *OverloadRun) error {
 
 	// Recovery: a dedup overwrite displaces slot 0's old chunk (refcount to
 	// zero, physical slot freed), after which new unique content admits.
-	if _, err := s.Write(0, overloadChunk(2, 1, overloadChunkBytes)); err != nil {
+	if _, err := s.Write(0, chunkData(2, 1)); err != nil {
 		return fmt.Errorf("overload: dedup overwrite at capacity: %w", err)
 	}
-	fresh := overloadChunk(5, 0, overloadChunkBytes)
+	fresh := chunkData(5, 0)
 	if _, err := s.Write(0, fresh); err != nil {
 		return fmt.Errorf("overload: write to freed slot: %w", err)
 	}
-	buf := make([]byte, overloadChunkBytes)
+	buf := make([]byte, rigChunk)
 	if err := s.Read(0, buf); err != nil {
 		return err
 	}
@@ -319,9 +215,9 @@ func (p *pacedBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
 func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 	victim := &pacedBackend{}
 	reg := obs.NewRegistry()
-	box, backends, primary, cleanup, err := overloadBox(replicate.Config{
+	r, err := newRig(replicate.Config{
 		Name:             "ovl-slow",
-		Quorum:           overloadBackends/2 + 1,
+		Quorum:           rigQuorum,
 		BreakerThreshold: 2,
 		ApplyTimeout:     3 * time.Millisecond,
 		// Long enough that a tripped breaker's resync (which holds the
@@ -330,20 +226,19 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 		// healthy-path p99; short enough that post-heal recovery is quick.
 		ProbeInterval: 500 * time.Millisecond,
 		Obs:           reg,
-	}, func(i int, be cas.Backend) cas.Backend {
-		if i != overloadBackends-1 {
+	}, overloadChunks, memBackend(func(i int, be cas.Backend) cas.Backend {
+		if i != rigBackends-1 {
 			return be
 		}
 		victim.Backend = be
 		return victim
-	})
+	}))
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	gBreaker := reg.Gauge(fmt.Sprintf("replicate.ovl-slow.backend%d.breaker_state", overloadBackends-1))
+	defer r.Close()
+	gBreaker := reg.Gauge(fmt.Sprintf("replicate.ovl-slow.backend%d.breaker_state", rigBackends-1))
 
-	bpc := uint64(overloadChunkBytes / 512)
 	// seq makes every write's content unique: a repeat of a slot's previous
 	// content is a dedup hit that skips the backend entirely, which would
 	// let the paced victim dodge its slow applies (and reset its breaker's
@@ -356,7 +251,7 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 			s := rng.Intn(overloadChunks)
 			seq++
 			t0 := time.Now()
-			if err := box.WriteAt(overloadChunk(gen+seq<<8, s, overloadChunkBytes), uint64(s)*bpc); err != nil {
+			if err := r.write(gen+seq<<8, s); err != nil {
 				return 0, fmt.Errorf("overload: brownout write (gen %d): %w", gen, err)
 			}
 			hist.Observe(time.Since(t0))
@@ -368,7 +263,7 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 	if run.BaselineP99, err = writePhase(10); err != nil {
 		return err
 	}
-	if err := waitDrained(box, 30*time.Second); err != nil {
+	if err := r.drain(); err != nil {
 		return err
 	}
 
@@ -421,13 +316,7 @@ func runBrownout(cfg OverloadConfig, run *OverloadRun) error {
 	if _, err := writePhase(12); err != nil {
 		return err
 	}
-	if err := box.Flush(); err != nil {
-		return err
-	}
-	if err := waitDrained(box, 30*time.Second); err != nil {
-		return err
-	}
-	run.BrownoutConverged, err = converged(primary, backends, overloadChunks, overloadChunkBytes)
+	run.BrownoutConverged, err = r.converged()
 	return err
 }
 
@@ -445,8 +334,9 @@ func RunOverload(cfg OverloadConfig) (*OverloadRun, error) {
 		cfg.BrownoutWrites = 400
 	}
 	run := &OverloadRun{
-		Backends: overloadBackends,
-		Quorum:   overloadBackends/2 + 1,
+		When:     now(),
+		Backends: rigBackends,
+		Quorum:   rigQuorum,
 		Chunks:   overloadChunks,
 	}
 	heap0 := liveHeapMB()
@@ -509,12 +399,6 @@ func FormatOverload(run *OverloadRun) string {
 	fmt.Fprintf(&b, "  healthy p99  %v baseline -> %v during brownout\n",
 		run.BaselineP99.Round(time.Microsecond), run.BrownoutP99.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  memory       live heap %+.1f MiB across the suite\n", run.HeapGrowthMB)
-	if len(run.Violations) == 0 {
-		b.WriteString("  PASS: all overload gates held\n")
-	} else {
-		for _, v := range run.Violations {
-			fmt.Fprintf(&b, "  FAIL: %s\n", v)
-		}
-	}
+	run.Violations.write(&b, "overload")
 	return b.String()
 }

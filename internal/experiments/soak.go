@@ -85,8 +85,7 @@ type SoakRun struct {
 	IsolationViolations int64 `json:"isolation_violations"`
 	IOErrors            int64 `json:"io_errors"`
 
-	// Violations lists failed gates; empty means the soak passed.
-	Violations []string `json:"violations,omitempty"`
+	Violations `json:"violations,omitempty"`
 }
 
 // soakTenant is one steady tenant's live handles.
@@ -108,6 +107,7 @@ func RunSoak(cfg SoakConfig) (*SoakRun, error) {
 	}
 	churnTenants := max(cfg.Tenants/8, 1)
 	run := &SoakRun{
+		When:         now(),
 		Tenants:      cfg.Tenants,
 		ChurnTenants: churnTenants,
 		Hosts:        soakHosts,
@@ -455,12 +455,6 @@ func FormatSoak(run *SoakRun) string {
 	fmt.Fprintf(&b, "  gateway IPs live   %d after teardown\n", run.GatewayIPsLive)
 	fmt.Fprintf(&b, "  isolation          %d violations, %d I/O errors\n",
 		run.IsolationViolations, run.IOErrors)
-	if len(run.Violations) == 0 {
-		b.WriteString("  PASS: all soak gates held\n")
-	} else {
-		for _, v := range run.Violations {
-			fmt.Fprintf(&b, "  FAIL: %s\n", v)
-		}
-	}
+	run.Violations.write(&b, "soak")
 	return b.String()
 }

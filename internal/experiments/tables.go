@@ -16,11 +16,7 @@ import (
 // monitoring middle-box. It returns the tenant-side file system and the
 // monitor handle.
 func monitoredVolume(l *Lab, vmName string, watch string) (*extfs.FS, *monitor.Monitor, func(), error) {
-	vm, err := l.Cloud.LaunchVM(vmName, "compute1")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	vol, err := l.Cloud.Volumes.Create(vmName+"-vol", 128<<20)
+	vm, vol, err := l.vmVolume(vmName, 128<<20)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -55,28 +51,18 @@ func monitoredVolume(l *Lab, vmName string, watch string) (*extfs.FS, *monitor.M
 
 	// Deploy the monitoring middle-box and re-attach through it; the
 	// platform dumps the initial system view at this point.
-	tenant := l.nextTenant()
-	pol := &policy.Policy{
-		Tenant: tenant,
-		MiddleBoxes: []policy.MiddleBoxSpec{{
-			Name: "mon", Type: policy.TypeMonitor, Host: "compute3",
-			Params: map[string]string{"watch": watch},
-		}},
-		Volumes: []policy.VolumeBinding{{
-			VM: vmName, Volume: vol.ID, Chain: []string{"mon"},
-			IngressHost: "compute2", EgressHost: "compute4",
-		}},
-	}
-	dep, err := l.Platform.Apply(pol)
+	dep, mdev, err := l.deploy(vmName, vol.ID, "compute2", "compute4", policy.MiddleBoxSpec{
+		Name: "mon", Type: policy.TypeMonitor, Host: "compute3",
+		Params: map[string]string{"watch": watch},
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	av := dep.Volumes[vmName+"/"+vol.ID]
-	fs2, err := extfs.Mount(av.Device)
+	fs2, err := extfs.Mount(mdev)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	cleanup := func() { _ = l.Platform.Teardown(tenant) }
+	cleanup := func() { _ = l.Platform.Teardown(dep.Tenant) }
 	return fs2, dep.Monitors["mon"], cleanup, nil
 }
 

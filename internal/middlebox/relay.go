@@ -152,10 +152,6 @@ type Config struct {
 	// replacement instance can reopen with RecoverFrom after this one dies.
 	// Empty keeps the in-memory journal (fast, lost on crash).
 	JournalDir string
-	// JournalSyncWindow is the durable journal's group-commit window: how
-	// long an append may wait to share an fsync with its neighbours. 0
-	// syncs on every append (strictest latency, most fsyncs).
-	JournalSyncWindow time.Duration
 	// Cost is the interception cost model (DefaultCostModel when zero).
 	Cost CostModel
 	// CPU optionally receives the relay's processing charges.
@@ -191,6 +187,10 @@ type Relay struct {
 	killables []Killable // service-chain devices with own crash state
 
 	draining atomic.Bool
+	// refusal is the cause of the last front login the relay refused, nil
+	// once one succeeds: the initiator sees only the refusal's wire class,
+	// so whoever re-attaches through the relay reads the cause here.
+	refusal  atomic.Pointer[error]
 	sessions atomic.Int64
 	sessSeq  atomic.Int64 // names per-session durable journal directories
 	killed   atomic.Bool
@@ -339,7 +339,9 @@ func (r *Relay) openBackend(iqn string, next netsim.Addr) (blockdev.Device, iscs
 	}
 	backConn, err := dial()
 	if err != nil {
-		return nil, iscsi.Params{}, fmt.Errorf("middlebox: dial next hop %v: %w", next, err)
+		// The next hop is unreachable, an outage the relay can ride out:
+		// classed Transient, the refused initiator reads "retry later".
+		return nil, iscsi.Params{}, xerr.Wrap(xerr.Transient, fmt.Errorf("middlebox: dial next hop %v: %w", next, err))
 	}
 	sess, err := initiator.Login(backConn, initiator.Config{
 		InitiatorIQN: "iqn.2016-04.edu.purdue.storm:mb:" + r.cfg.Name,
@@ -393,9 +395,30 @@ func (r *Relay) openBackend(iqn string, next netsim.Addr) (blockdev.Device, iscs
 // disk) when it is crash-killed.
 type Killable interface{ Kill() }
 
-// resolve is the pseudo-server's device resolver: it opens the backend stack
-// through openBackend and adds the mode-specific decorators.
+// resolve is the pseudo-server's device resolver: it builds the session's
+// device stack and records why, when it cannot (see Refusal).
 func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error) {
+	dev, inline, err := r.open(iqn, conn)
+	if err != nil {
+		r.refusal.Store(&err)
+	} else {
+		r.refusal.Store(nil)
+	}
+	return dev, inline, err
+}
+
+// Refusal returns the cause of the last front login the relay refused, or
+// nil when the latest one succeeded.
+func (r *Relay) Refusal() error {
+	if p := r.refusal.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// open opens the backend stack through openBackend and adds the
+// mode-specific decorators.
+func (r *Relay) open(iqn string, conn net.Conn) (blockdev.Device, bool, error) {
 	if r.draining.Load() {
 		return nil, false, ErrDraining
 	}
@@ -427,7 +450,7 @@ func (r *Relay) resolve(iqn string, conn net.Conn) (blockdev.Device, bool, error
 				"iqn":     iqn,
 				"net":     strconv.Itoa(int(next.Net)),
 				"nexthop": next.String(),
-			}}, capacity, wal.Options{SyncWindow: r.cfg.JournalSyncWindow})
+			}}, capacity, wal.Options{})
 			if err != nil {
 				_ = stack.Close()
 				return nil, false, fmt.Errorf("middlebox: durable journal: %w", err)
@@ -550,7 +573,7 @@ func (r *Relay) RecoverFrom(dir string) (int, error) {
 			continue
 		}
 		sessDir := filepath.Join(dir, e.Name())
-		log, rec, err := wal.Open(sessDir, wal.Options{SyncWindow: r.cfg.JournalSyncWindow})
+		log, rec, err := wal.Open(sessDir, wal.Options{})
 		if errors.Is(err, wal.ErrNoSegments) {
 			// Nothing durable ever landed here; remove the husk if it is
 			// empty (a stray non-empty directory is left alone) and move on.

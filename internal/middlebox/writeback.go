@@ -9,6 +9,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/xerr"
 )
 
 // applyParallelism bounds concurrent backend applies. The relay forwards
@@ -25,7 +26,8 @@ const applyParallelism = 16
 const maxCoalescedBytes = 256 * 1024
 
 // The recovery budget of a device with a reopen path: an item's apply is
-// tried maxApplyTries times before the backend is declared lost; an outage
+// tried maxApplyTries times before the backend is declared lost (a refusal
+// classed xerr.Overload is not a loss; see retry); an outage
 // gets maxReopens reopen attempts, the n-th after a jittered backoff in
 // [d/2, d) with d = min(2ms·2ⁿ, 100ms). When the reopens are spent the
 // device fails terminally: parked writes complete with the terminal error
@@ -69,8 +71,8 @@ type WriteBackDevice struct {
 	journal     *Journal
 	reopen      func() (blockdev.Device, error) // nil: the first failure sticks
 	maxTries    int
-	backoff     *faults.Backoff
-	maxCoalesce int // adjacent-merge cap in bytes (one wire burst)
+	backoff     *faults.Backoff // paces reopens and retries of a busy backend
+	maxCoalesce int             // adjacent-merge cap in bytes (one wire burst)
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -82,6 +84,7 @@ type WriteBackDevice struct {
 	items    int       // pending applies (admitted, not yet completed)
 	inflight int       // dispatched applies not yet completed
 	closed   bool
+	closing  bool  // Close has begun: a busy backend no longer gets unbounded retries
 	degraded bool  // backend lost; appliers parked, recovery running
 	applyErr error // legacy: sticky first failure; recovery: terminal error
 	wg       sync.WaitGroup
@@ -197,10 +200,10 @@ func NewWriteBack(dev blockdev.Device, journal *Journal) *WriteBackDevice {
 // journal, and resumes — the split-connection consistency story of Section
 // III-B.
 func NewWriteBackRecovering(dev blockdev.Device, journal *Journal, reopen func() (blockdev.Device, error)) *WriteBackDevice {
-	w := &WriteBackDevice{dev: dev, bs: dev.BlockSize(), nblocks: dev.Blocks(), journal: journal, reopen: reopen, maxTries: 1, maxCoalesce: maxCoalescedBytes}
+	w := &WriteBackDevice{dev: dev, bs: dev.BlockSize(), nblocks: dev.Blocks(), journal: journal, reopen: reopen, maxTries: 1,
+		backoff: faults.NewBackoff(reopenBackoffBase, reopenBackoffCap, 0), maxCoalesce: maxCoalescedBytes}
 	if reopen != nil {
 		w.maxTries = maxApplyTries
-		w.backoff = faults.NewBackoff(reopenBackoffBase, reopenBackoffCap, 0)
 	}
 	w.cond = sync.NewCond(&w.mu)
 	for i := 0; i < applyParallelism; i++ {
@@ -372,6 +375,9 @@ func (w *WriteBackDevice) Flush() error {
 // Close drains outstanding writes, stops the appliers, and closes the
 // backend.
 func (w *WriteBackDevice) Close() error {
+	w.mu.Lock()
+	w.closing = true
+	w.mu.Unlock()
 	w.drain()
 	w.mu.Lock()
 	if w.closed {
@@ -453,8 +459,8 @@ func (w *WriteBackDevice) applyLoop() {
 		// parent under the command's service span.
 		prev, had := obs.Bind(item.tctx)
 		err := dev.WriteAt(item.data, item.lba)
-		for try := 1; err != nil && try < w.maxTries; try++ {
-			err = dev.WriteAt(item.data, item.lba)
+		if err != nil {
+			err = w.retry(dev, item, err)
 		}
 		obs.Restore(prev, had)
 		for _, seq := range item.seqs {
@@ -487,6 +493,31 @@ func (w *WriteBackDevice) applyLoop() {
 		w.mu.Unlock()
 		w.cond.Broadcast()
 	}
+}
+
+// retry re-forwards an item whose first apply to dev failed with err. A
+// refusal classed xerr.Overload means the backend is busy, not lost (a
+// replicate box over its dispatch high watermark): the item backs off and
+// is retried until it lands, the error changes class, or the device starts
+// closing. Any other error, and a busy refusal once Close has begun, gets
+// maxTries attempts in all, so a backend that stays busy cannot hold Close
+// up: the item fails into the recovery path like any lost write.
+func (w *WriteBackDevice) retry(dev blockdev.Device, it *wbItem, err error) error {
+	for tries, busy := 1, 0; err != nil; err = dev.WriteAt(it.data, it.lba) {
+		w.mu.Lock()
+		stopping := w.closing || w.closed
+		w.mu.Unlock()
+		if xerr.Classify(err) != xerr.Overload || stopping {
+			if tries >= w.maxTries {
+				return err
+			}
+			tries++
+			continue
+		}
+		time.Sleep(w.backoff.Delay(busy))
+		busy++
+	}
+	return nil
 }
 
 // recoverBackend runs once per outage: it waits for in-flight applies to

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/faults"
 	"repro/internal/testutil"
+	"repro/internal/xerr"
 )
 
 // flakyBackend is a unit-test backend over a shared MemDisk: writes fail
@@ -291,5 +293,86 @@ func TestJournalRecompleteReclaimsFailedBytes(t *testing.T) {
 	// The freed capacity is usable again.
 	if _, _, err := j.Append(0, make([]byte, 1024)); err != nil {
 		t.Fatalf("Append after reclaim: %v", err)
+	}
+}
+
+// busyBackend refuses its first busy writes with an Overload-classed error,
+// the way a replicate box over its dispatch high watermark does.
+type busyBackend struct {
+	*flakyBackend
+	busy atomic.Int32
+}
+
+func (b *busyBackend) WriteAt(p []byte, lba uint64) error {
+	if b.busy.Add(-1) >= 0 {
+		return xerr.New(xerr.Overload, "backend busy")
+	}
+	return b.flakyBackend.WriteAt(p, lba)
+}
+
+// TestWriteBackRetriesBusyBackend: a backend that answers Overload is busy,
+// not lost. The write-back device backs off and retries the same write until
+// it lands; it never reopens the backend, and the journal ends clean.
+func TestWriteBackRetriesBusyBackend(t *testing.T) {
+	disk, err := blockdev.NewMemDisk(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &busyBackend{flakyBackend: &flakyBackend{disk: disk}}
+	be.busy.Store(6)
+	var reopens atomic.Int32
+	j := NewJournal(0)
+	wb := NewWriteBackRecovering(be, j, func() (blockdev.Device, error) {
+		reopens.Add(1)
+		return be, nil
+	})
+	defer wb.Close()
+	want := bytes.Repeat([]byte{0x5a}, 512)
+	if err := wb.WriteAt(want, 3); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	if err := wb.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if n := reopens.Load(); n != 0 {
+		t.Fatalf("backend reopened %d times for an Overload refusal, want 0", n)
+	}
+	got := make([]byte, 512)
+	if err := disk.ReadAt(got, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the busy-refused write never reached the backend")
+	}
+	if !j.clean() {
+		t.Fatal("journal not clean after the busy backend took the write")
+	}
+}
+
+// TestWriteBackCloseEndsBusyRetry: a backend that answers Overload forever
+// (a replicate box that lost quorum for good while writes kept arriving)
+// must not hold Close up. Once Close begins, the busy write fails into the
+// recovery path, whose reopens fail the same way, and Close returns.
+func TestWriteBackCloseEndsBusyRetry(t *testing.T) {
+	disk, err := blockdev.NewMemDisk(512, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &busyBackend{flakyBackend: &flakyBackend{disk: disk}}
+	be.busy.Store(math.MaxInt32)
+	j := NewJournal(0)
+	wb := NewWriteBackRecovering(be, j, func() (blockdev.Device, error) { return be, nil })
+	if err := wb.WriteAt(bytes.Repeat([]byte{0x5a}, 512), 3); err != nil {
+		t.Fatalf("WriteAt: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- wb.Close() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close blocked behind a backend that is busy forever")
+	}
+	if j.clean() {
+		t.Fatal("journal clean, but the busy backend never took the write")
 	}
 }

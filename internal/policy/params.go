@@ -68,8 +68,6 @@ var params = map[string]param{
 		doc: "MC/S connections the relay's downstream leg spreads commands across"},
 	"durableJournal": {types: relayTypes, activeOnly: true, kind: kindBool, def: "false",
 		doc: "back the write journal with an on-disk WAL that survives a middle-box crash"},
-	"journalFsyncWindow": {types: relayTypes, activeOnly: true, kind: kindDuration, max: int64(time.Second), def: "0",
-		doc: "durable journal group-commit window; 0 fsyncs every append"},
 }
 
 // check reports why v is not a value of the param's kind, or nil.
@@ -236,9 +234,3 @@ func (m *MiddleBoxSpec) ForwardConns() int {
 // DurableJournal reports whether the relay's write journal is a crash-durable
 // WAL.
 func (m *MiddleBoxSpec) DurableJournal() bool { return m.value("durableJournal") == "true" }
-
-// JournalFsyncWindow returns the durable journal's group-commit window (0
-// fsyncs every append).
-func (m *MiddleBoxSpec) JournalFsyncWindow() time.Duration {
-	return m.durationValue("journalFsyncWindow")
-}

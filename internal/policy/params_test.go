@@ -82,11 +82,6 @@ var paramCases = map[string]paramCase{
 		set: [2]string{"true", "true"}, unset: "false",
 		read: func(m *MiddleBoxSpec) string { return strconv.FormatBool(m.DurableJournal()) },
 	},
-	"journalFsyncWindow": {
-		valid: []string{"0", "1ms", "1s"}, invalid: []string{"-1ms", "2s", "x"},
-		set: [2]string{"1ms", "1ms"}, unset: "0s",
-		read: func(m *MiddleBoxSpec) string { return m.JournalFsyncWindow().String() },
-	},
 }
 
 var allTypes = []ServiceType{TypeMonitor, TypeEncryption, TypeReplication, TypeForward, TypeReplicate}
@@ -229,7 +224,7 @@ func TestParseRejectsBadParams(t *testing.T) {
 		{"unknown key", `"type": "encryption", "params": {"key": "` + goodKey + `", "durablejournal": "true"}`, "durablejournal"},
 		{"watch on encryption", `"type": "encryption", "params": {"key": "` + goodKey + `", "watch": "/etc"}`, "watch"},
 		{"replicas on replicate", `"type": "replicate", "params": {"replicaBackends": "3", "replicas": "3"}`, "replicas"},
-		{"fsync window on passive", `"type": "encryption", "mode": "passive", "params": {"key": "` + goodKey + `", "journalFsyncWindow": "1ms"}`, "journalFsyncWindow"},
+		{"durable journal on passive", `"type": "encryption", "mode": "passive", "params": {"key": "` + goodKey + `", "durableJournal": "true"}`, "durableJournal"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -32,7 +32,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	b, err := New(Config{
-		Name: "brk", Quorum: 2, ChunkSize: testChunk, WALDir: t.TempDir(),
+		Name: "brk", Quorum: 2, WALDir: t.TempDir(),
 		HedgeDelay: 200 * time.Millisecond, ProbeInterval: time.Hour, // probe manually
 		BreakerThreshold: 3, Obs: reg,
 	}, disk, stores)
@@ -109,7 +109,7 @@ func TestWatermarkBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err := New(Config{
-		Name: "bp", Quorum: 2, ChunkSize: testChunk, WALDir: t.TempDir(),
+		Name: "bp", Quorum: 2, WALDir: t.TempDir(),
 		HedgeDelay: time.Millisecond, ProbeInterval: time.Hour,
 		QueueHighWatermark: 8, Obs: reg,
 	}, disk, []NamedStore{{Name: "a", Store: s1}, {Name: "b", Store: s2}})
@@ -190,7 +190,7 @@ func TestQueueFullTripsBackendBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, err := New(Config{
-		Name: "qf", Quorum: 1, ChunkSize: testChunk, WALDir: t.TempDir(),
+		Name: "qf", Quorum: 1, WALDir: t.TempDir(),
 		HedgeDelay: time.Millisecond, ProbeInterval: time.Hour, Obs: obs.NewRegistry(),
 	}, disk, stores)
 	if err != nil {

@@ -43,8 +43,8 @@ var (
 	ErrBusy = xerr.New(xerr.Overload, "replicate: dispatch queue over high watermark")
 )
 
-// DefaultChunkSize is the content-addressing granularity when Config leaves
-// ChunkSize zero.
+// DefaultChunkSize is the content-addressing granularity the platform gives
+// a box's backend stores.
 const DefaultChunkSize = 4096
 
 // Circuit-breaker states, exposed per backend via the
@@ -63,14 +63,9 @@ type Config struct {
 	// Quorum is the number of backend acknowledgements a write waits for
 	// before it returns. 1 ≤ Quorum ≤ len(backends).
 	Quorum int
-	// ChunkSize is the content-addressing granularity in bytes; must be a
-	// multiple of the primary's block size. Default DefaultChunkSize.
-	ChunkSize int
 	// WALDir is the dispatch journal directory (required). An existing
 	// journal is replayed before the box serves I/O.
 	WALDir string
-	// SyncWindow is the journal's group-commit window.
-	SyncWindow time.Duration
 	// HedgeDelay bounds how long a write waits for its quorum before
 	// returning anyway (the record stays uncommitted and is re-driven by
 	// the retry machinery). Default 2ms.
@@ -102,9 +97,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ChunkSize == 0 {
-		c.ChunkSize = DefaultChunkSize
-	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 2 * time.Millisecond
 	}
@@ -209,6 +201,7 @@ type Box struct {
 	primary blockdev.Device
 	log     *wal.Log
 	slots   uint64 // primary size in chunks
+	chunk   int    // chunk bytes, the backend stores'
 	bpc     uint64 // blocks per chunk
 
 	mu         sync.Mutex // targets' health, jobs and their ack state, lifecycle flags
@@ -248,8 +241,10 @@ const (
 	StagePrimary  = "primary"  // primary updated, backends not enqueued
 )
 
-// New builds a replication box over primary with the given backends. Every
-// backend store must use cfg.ChunkSize chunks and cover the primary. If
+// New builds a replication box over primary with the given backends. The
+// backend stores must share one chunk size, a multiple of the primary's
+// block size — the box's content-addressing granularity — and each must
+// cover the primary. If
 // cfg.WALDir holds a journal from a previous life, its uncommitted records
 // are replayed — to the primary and to every backend — before the box
 // accepts I/O; Replayed reports how many.
@@ -270,24 +265,25 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 	if cfg.Quorum < 1 || cfg.Quorum > len(backends) {
 		return nil, fmt.Errorf("replicate: quorum %d outside [1,%d]", cfg.Quorum, len(backends))
 	}
-	bs := primary.BlockSize()
-	if cfg.ChunkSize%bs != 0 {
-		return nil, fmt.Errorf("replicate: chunk size %d not a multiple of block size %d", cfg.ChunkSize, bs)
+	bs, chunk := primary.BlockSize(), backends[0].Store.ChunkSize()
+	if chunk%bs != 0 {
+		return nil, fmt.Errorf("replicate: chunk size %d not a multiple of block size %d", chunk, bs)
 	}
-	bpc := uint64(cfg.ChunkSize / bs)
+	bpc := uint64(chunk / bs)
 	slots := (primary.Blocks() + bpc - 1) / bpc
 	b := &Box{
 		cfg:     cfg,
 		primary: primary,
 		slots:   slots,
+		chunk:   chunk,
 		bpc:     bpc,
 		jobs:    make(map[uint64]*job),
 		stop:    make(chan struct{}),
 		backoff: faults.NewBackoff(time.Millisecond, 50*time.Millisecond, 1),
 	}
 	for i, nb := range backends {
-		if nb.Store.ChunkSize() != cfg.ChunkSize {
-			return nil, fmt.Errorf("replicate: backend %q chunk size %d, want %d", nb.Name, nb.Store.ChunkSize(), cfg.ChunkSize)
+		if nb.Store.ChunkSize() != chunk {
+			return nil, fmt.Errorf("replicate: backend %q chunk size %d, backend %q's is %d", nb.Name, nb.Store.ChunkSize(), backends[0].Name, chunk)
 		}
 		if nb.Store.Slots() < slots {
 			return nil, fmt.Errorf("replicate: backend %q has %d slots, primary needs %d", nb.Name, nb.Store.Slots(), slots)
@@ -303,7 +299,7 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 	}
 	b.initMetrics()
 
-	walOpts := wal.Options{SyncWindow: cfg.SyncWindow, Quota: cfg.WALQuota}
+	walOpts := wal.Options{Quota: cfg.WALQuota}
 	log, rec, err := wal.Open(cfg.WALDir, walOpts)
 	switch {
 	case errors.Is(err, wal.ErrNoSegments):
@@ -475,7 +471,7 @@ func (b *Box) ioErr() error {
 // chunk of a primary whose size is not chunk-aligned is zero-padded.
 func (b *Box) snapshotChunk(slot uint64) ([]byte, error) {
 	bs := uint64(b.primary.BlockSize())
-	data := make([]byte, b.cfg.ChunkSize)
+	data := make([]byte, b.chunk)
 	first := slot * b.bpc
 	n := b.bpc
 	if rem := b.primary.Blocks() - first; rem < n {
@@ -522,8 +518,8 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	if full, end := (lba+b.bpc-1)/b.bpc, (lba+nblocks)/b.bpc; full < end {
 		own := append([]byte(nil), p[(full*b.bpc-lba)*bs:(end*b.bpc-lba)*bs]...)
 		for slot := full; slot < end; slot++ {
-			data := own[:b.cfg.ChunkSize:b.cfg.ChunkSize]
-			own = own[b.cfg.ChunkSize:]
+			data := own[:b.chunk:b.chunk]
+			own = own[b.chunk:]
 			j.chunks[slot-first] = chunkUpdate{slot: slot, id: cas.Sum(data), data: data}
 		}
 	}
@@ -539,8 +535,7 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	}
 	j.seq = seq
 	if b.killAfter != nil && b.killAfter(seq, StageAppended) {
-		b.freezeLocked()
-		b.writeMu.Unlock()
+		b.killUnlock()
 		return ErrKilled
 	}
 	if err := b.primary.WriteAt(p, lba); err != nil {
@@ -549,8 +544,7 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 		return err
 	}
 	if b.killAfter != nil && b.killAfter(seq, StagePrimary) {
-		b.freezeLocked()
-		b.writeMu.Unlock()
+		b.killUnlock()
 		return ErrKilled
 	}
 	// A partly covered head or tail chunk (and the image's unaligned tail
@@ -930,8 +924,17 @@ func (b *Box) freezeLocked() {
 // services in its chain). The journal directory survives for the next New.
 func (b *Box) Kill() {
 	b.writeMu.Lock()
-	defer b.writeMu.Unlock()
+	b.killUnlock()
+}
+
+// killUnlock freezes the box and waits out its dispatch workers and prober:
+// an apply they had started may still land, but none lands after Kill
+// returns, so a successor's replay is the last writer. Callers hold
+// writeMu; killUnlock releases it before it waits, as Close does, because
+// a prober mid-resync needs writeMu to finish.
+func (b *Box) killUnlock() {
 	b.freezeLocked()
+	b.writeMu.Unlock()
 	b.workerWG.Wait()
 	b.proberWG.Wait()
 }

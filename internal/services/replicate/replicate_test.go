@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,8 +28,10 @@ const (
 // injection point for eviction tests.
 type faultBackend struct {
 	cas.Backend
-	mu   sync.Mutex
-	fail error
+	mu      sync.Mutex
+	fail    error
+	entered chan struct{} // closed by the first gated write
+	gate    chan struct{} // while non-nil, writes block until it closes
 }
 
 func (f *faultBackend) setFail(err error) {
@@ -37,21 +40,41 @@ func (f *faultBackend) setFail(err error) {
 	f.fail = err
 }
 
-func (f *faultBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
+// setGate makes the backend's next writes signal entered and block until
+// gate closes.
+func (f *faultBackend) setGate(entered, gate chan struct{}) {
 	f.mu.Lock()
-	err := f.fail
+	defer f.mu.Unlock()
+	f.entered, f.gate = entered, gate
+}
+
+// check is the fault point of every write: a gated write announces itself
+// once and blocks, then the injected error, if any, is returned.
+func (f *faultBackend) check() error {
+	f.mu.Lock()
+	entered, gate := f.entered, f.gate
+	f.entered = nil
 	f.mu.Unlock()
-	if err != nil {
+	if entered != nil {
+		close(entered)
+	}
+	if gate != nil {
+		<-gate
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fail
+}
+
+func (f *faultBackend) PutChunk(slot uint64, id cas.ID, data []byte) error {
+	if err := f.check(); err != nil {
 		return err
 	}
 	return f.Backend.PutChunk(slot, id, data)
 }
 
 func (f *faultBackend) SetMapping(slot uint64, id cas.ID) error {
-	f.mu.Lock()
-	err := f.fail
-	f.mu.Unlock()
-	if err != nil {
+	if err := f.check(); err != nil {
 		return err
 	}
 	return f.Backend.SetMapping(slot, id)
@@ -84,7 +107,6 @@ func newBoxOn(t *testing.T, dir string, primary blockdev.Device, stores []NamedS
 	b, err := New(Config{
 		Name:          "t0",
 		Quorum:        quorum,
-		ChunkSize:     testChunk,
 		WALDir:        dir,
 		HedgeDelay:    200 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
@@ -409,6 +431,53 @@ func TestKillThenIORefused(t *testing.T) {
 	}
 }
 
+// TestKillDuringResyncReturns: a kill that fires while the prober is about
+// to resync an evicted backend must not deadlock. The resync takes the
+// write lock, and Kill waits for the prober, so Kill must release the write
+// lock before it waits.
+func TestKillDuringResyncReturns(t *testing.T) {
+	fb := &faultBackend{Backend: cas.NewMemBackend(testSlots)}
+	flaky, err := cas.Open(fb, testChunk, testSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := append(memStores(t, 1), NamedStore{Name: "flaky", Store: flaky})
+	// No deferred Close: against a deadlocked Kill it would hang the test
+	// instead of failing it.
+	b := newBox(t, t.TempDir(), stores, 1)
+
+	fb.setFail(errors.New("injected"))
+	p := make([]byte, testChunk)
+	rand.New(rand.NewSource(5)).Read(p)
+	if err := b.WriteAt(p, 0); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitFor(t, 2*time.Second, "flaky backend eviction", func() bool { return !b.targets[1].Healthy() })
+
+	// Hold the prober's half-open probe in the backend, kill the box, then
+	// let the probe pass so the prober goes on to resync.
+	entered, gate := make(chan struct{}), make(chan struct{})
+	fb.setGate(entered, gate)
+	fb.setFail(nil)
+	<-entered
+	killed := make(chan struct{})
+	go func() {
+		b.Kill()
+		close(killed)
+	}()
+	testutil.WaitFor(t, 2*time.Second, "box to freeze", b.Killed)
+	fb.setGate(nil, nil)
+	close(gate)
+	select {
+	case <-killed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Kill deadlocked against the prober's resync")
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("close after kill: %v", err)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	disk, err := blockdev.NewMemDisk(testBS, testBlocks)
 	if err != nil {
@@ -416,16 +485,38 @@ func TestConfigValidation(t *testing.T) {
 	}
 	stores := memStores(t, 2)
 	cases := []Config{
-		{Name: "x", Quorum: 0, ChunkSize: testChunk, WALDir: t.TempDir()},
-		{Name: "x", Quorum: 3, ChunkSize: testChunk, WALDir: t.TempDir()},
-		{Name: "x", Quorum: 1, ChunkSize: 1000, WALDir: t.TempDir()},
-		{Name: "x", Quorum: 1, ChunkSize: testChunk},
+		{Name: "x", Quorum: 0, WALDir: t.TempDir()},
+		{Name: "x", Quorum: 3, WALDir: t.TempDir()},
+		{Name: "x", Quorum: 1},
 	}
 	for i, cfg := range cases {
 		cfg.Obs = obs.NewRegistry()
 		if _, err := New(cfg, disk, stores); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
+	}
+	// The box takes its chunk size from its stores: stores that disagree on
+	// it are refused.
+	odd, err := cas.Open(cas.NewMemBackend(testSlots), 2*testChunk, testSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := append(stores[:len(stores):len(stores)], NamedStore{Name: "odd", Store: odd})
+	if _, err := New(Config{Name: "x", Quorum: 1, WALDir: t.TempDir(), Obs: obs.NewRegistry()}, disk, mixed); err == nil {
+		t.Fatal("stores of two chunk sizes accepted")
+	}
+	// A chunk that is not a whole number of the primary's blocks is refused.
+	const raggedSlots = (testBlocks*testBS + 999) / 1000
+	var ragged []NamedStore
+	for i := 0; i < 2; i++ {
+		s, err := cas.Open(cas.NewMemBackend(raggedSlots), 1000, raggedSlots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ragged = append(ragged, NamedStore{Name: fmt.Sprintf("r%d", i), Store: s})
+	}
+	if _, err := New(Config{Name: "x", Quorum: 1, WALDir: t.TempDir(), Obs: obs.NewRegistry()}, disk, ragged); err == nil || !strings.Contains(err.Error(), "not a multiple of block size") {
+		t.Fatalf("chunk size 1000 over %d-byte blocks: err = %v", testBS, err)
 	}
 }
 
