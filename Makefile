@@ -10,7 +10,8 @@
 # leg at 4 KiB and 64 KiB, the flow lookup, the cipher, a histogram
 # observation, a journal append and commit, the monitor's per-access path,
 # a directory lookup, a write-back admit and apply, a goroutine-executed
-# target command, a CAS read and verify and a clean scrub pass, a few seconds of fuzzing per trust-boundary parser
+# target command, a CAS read and verify, a clean scrub pass and a replicate
+# box's quorum write, a few seconds of fuzzing per trust-boundary parser
 # (`make fuzz-short`), and the smoke sizes of the soak, backup and overload
 # suites (`stormbench -short soak`, `-short backup`, `-short overload`).
 # `make test` is the full suite; `make check-stable` repeats it 20 times on
@@ -65,10 +66,10 @@ race:
 # record's Append and Commit, a relay journal record's Append and Complete
 # (in memory and WAL-backed), the monitor's data-block access and one-entry
 # directory change, a directory lookup, a write-back admit and apply, a
-# target command run on its own goroutine, a CAS read and verify, and a
-# clean scrub pass.
+# target command run on its own goroutine, a CAS read and verify, a clean
+# scrub pass, and a 4 KiB quorum write through a healthy replicate box.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget|TestReadPathAllocFree|TestCleanPassAllocFree' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target ./internal/cas ./internal/scrub | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget|TestReadPathAllocFree|TestCleanPassAllocFree|TestBoxWriteAllocBudget' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target ./internal/cas ./internal/scrub ./internal/services/replicate | grep -E 'allocs|FAIL|ok '
 
 # A few seconds of native fuzzing per parser of tenant-written bytes, from
 # the corpora under each package's testdata/fuzz. Minimization is capped so a

@@ -60,7 +60,7 @@ var suites = []suite{
 			}
 			return experiments.FormatBackup(run), run, run.Violations, nil
 		}},
-	{name: "overload", title: "Overload: exhaustion, backpressure, circuit breakers", history: true,
+	{name: "overload", title: "Overload: exhaustion, brownout, circuit breakers", history: true,
 		run: func(o opts) (string, any, []string, error) {
 			run, err := experiments.RunOverload(smoke(o, experiments.OverloadConfig{BrownoutWrites: 200}))
 			if err != nil {

@@ -1125,11 +1125,9 @@ type MemberStatus struct {
 	// CopyThreads is the member's concurrent copy bound — the denominator
 	// for utilization (0 = unbounded).
 	CopyThreads int
-	// BreakerOpen and Backpressured surface a replicate member's overload
-	// state (a backend circuit breaker open / dispatch admission refusing
-	// writes); always false for non-replicate groups.
-	BreakerOpen   bool
-	Backpressured bool
+	// BreakerOpen surfaces a replicate member's overload state (a backend
+	// circuit breaker open); always false for non-replicate groups.
+	BreakerOpen bool
 }
 
 // RecoverInstance replaces a crashed group member: it verifies the member's
@@ -1368,7 +1366,6 @@ func (t *TenantDeployment) GroupStatus(mbName string) []MemberStatus {
 		}
 		if box != nil && !box.Killed() {
 			ms.BreakerOpen = box.BreakerOpen()
-			ms.Backpressured = box.Backpressured()
 		}
 		out = append(out, ms)
 	}

@@ -167,11 +167,10 @@ func TestReplicateScrubRepairsThroughPlatform(t *testing.T) {
 	if dep.Scrubbers["cas1"] == nil {
 		t.Fatal("no scrubber despite scrubInterval=5ms")
 	}
-	// The scrubber has run since Apply. A pass that read slot 0 while the
-	// write was in flight may have "repaired" the first replica to ack back
-	// to the old majority (see scrub.RunPass) and heals it a pass later;
-	// corrupting a second replica inside that window leaves no majority to
-	// repair from. Inject only once all three agree.
+	// The scrubber has run since Apply, and the write may still be on its
+	// way to the third backend; corrupting a second replica before it lands
+	// would leave no majority to repair from. Inject only once all three
+	// agree.
 	targets := dep.Replicator("cas1").Targets()
 	testutil.WaitFor(t, 10*time.Second, "every backend to hold the payload", func() bool {
 		got := make([]byte, len(payload))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scrub"
 	"repro/internal/services/replicate"
+	"repro/internal/statedir"
 )
 
 // The backup experiment exercises the content-addressed replication stack
@@ -38,6 +39,7 @@ type BackupRun struct {
 	Chunks      int    `json:"chunks"`
 	Rounds      int    `json:"rounds"`
 	ModifiedPct int    `json:"modified_pct"`
+	StateFS     string `json:"state_fs"` // the dispatch journal's file system
 
 	// Dedup: logical bytes ingested vs chunk bytes actually stored, per
 	// backend (identical across backends by construction).
@@ -84,6 +86,7 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 		return nil, err
 	}
 	defer r.Close()
+	run.StateFS = statedir.FS(r.walDir)
 
 	// The backup workload: round 0 writes a fully unique image; each later
 	// round re-ingests the full image with ModifiedPct of the chunks
@@ -176,8 +179,8 @@ func RunBackup(cfg BackupConfig) (*BackupRun, error) {
 // FormatBackup renders the backup report.
 func FormatBackup(run *BackupRun) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "backup: %d rounds x %d chunks (%d B), %d%% modified per round, %d backends quorum %d\n",
-		run.Rounds, run.Chunks, run.ChunkBytes, run.ModifiedPct, run.Backends, run.Quorum)
+	fmt.Fprintf(&b, "backup: %d rounds x %d chunks (%d B), %d%% modified per round, %d backends quorum %d, journal on %s\n",
+		run.Rounds, run.Chunks, run.ChunkBytes, run.ModifiedPct, run.Backends, run.Quorum, run.StateFS)
 	fmt.Fprintf(&b, "  ingested           %.1f MiB logical, %.1f MiB stored per backend\n", run.LogicalMB, run.StoredMB)
 	fmt.Fprintf(&b, "  dedup ratio        %.2fx (%d chunk writes deduplicated)\n", run.DedupRatio, run.DedupHits)
 	fmt.Fprintf(&b, "  fan-out throughput %.1f MiB/s quorum-acknowledged (write p99 %v)\n",

@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/services/replicate"
+	"repro/internal/statedir"
 	"repro/internal/wal"
 	"repro/internal/xerr"
 )
@@ -40,6 +41,7 @@ type OverloadRun struct {
 	Backends int    `json:"backends"`
 	Quorum   int    `json:"quorum"`
 	Chunks   int    `json:"chunks"`
+	StateFS  string `json:"state_fs"` // the dispatch journals' file system
 
 	// WAL-full: a dispatch journal hitting its byte quota mid-workload.
 	WALWritesAdmitted int  `json:"wal_writes_admitted"`
@@ -80,6 +82,7 @@ func runWALFull(run *OverloadRun) error {
 		return err
 	}
 	defer r.Close()
+	run.StateFS = statedir.FS(r.walDir)
 
 	var full error
 	for s := 0; s < overloadChunks; s++ {
@@ -390,7 +393,7 @@ func RunOverload(cfg OverloadConfig) (*OverloadRun, error) {
 // FormatOverload renders the overload report.
 func FormatOverload(run *OverloadRun) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "overload: %d backends quorum %d, %d-chunk image\n", run.Backends, run.Quorum, run.Chunks)
+	fmt.Fprintf(&b, "overload: %d backends quorum %d, %d-chunk image, journals on %s\n", run.Backends, run.Quorum, run.Chunks, run.StateFS)
 	fmt.Fprintf(&b, "  WAL full     %d writes admitted, then %d refused typed=%v; converged after release: %v\n",
 		run.WALWritesAdmitted, run.WALWritesRefused+1, run.WALFullTyped, run.WALConverged)
 	fmt.Fprintf(&b, "  CAS full     typed refusal: %v; readmitted after free: %v\n", run.CASFullTyped, run.CASRecovered)

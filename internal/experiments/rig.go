@@ -11,11 +11,14 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/cas"
 	"repro/internal/services/replicate"
+	"repro/internal/statedir"
 )
 
 // The backup and overload suites drive the same stack: a replication box
 // over a primary image and rigBackends content-addressed backends of
-// rigChunk-byte chunks, its dispatch journal in a temporary directory.
+// rigChunk-byte chunks, its dispatch journal in a statedir directory: the
+// suites check what the journal replays, not that it survives the host, so
+// on a memory-backed directory its fsyncs do not time the disk.
 const (
 	rigBlock    = 512
 	rigChunk    = 4096
@@ -52,7 +55,7 @@ func newRig(cfg replicate.Config, chunks int, newBackend func(i int) (cas.Backen
 		}
 		r.backends = append(r.backends, replicate.NamedStore{Name: fmt.Sprintf("backend%d", i), Store: store})
 	}
-	if r.walDir, err = os.MkdirTemp("", "storm-rig-wal"); err != nil {
+	if r.walDir, err = statedir.Make("storm-rig-wal"); err != nil {
 		return nil, err
 	}
 	cfg.WALDir = r.walDir

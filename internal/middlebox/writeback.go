@@ -497,7 +497,7 @@ func (w *WriteBackDevice) applyLoop() {
 
 // retry re-forwards an item whose first apply to dev failed with err. A
 // refusal classed xerr.Overload means the backend is busy, not lost (a
-// replicate box over its dispatch high watermark): the item backs off and
+// replicate box short of its quorum): the item backs off and
 // is retried until it lands, the error changes class, or the device starts
 // closing. Any other error, and a busy refusal once Close has begun, gets
 // maxTries attempts in all, so a backend that stays busy cannot hold Close

@@ -297,7 +297,7 @@ func TestJournalRecompleteReclaimsFailedBytes(t *testing.T) {
 }
 
 // busyBackend refuses its first busy writes with an Overload-classed error,
-// the way a replicate box over its dispatch high watermark does.
+// the way a replicate box short of its quorum does.
 type busyBackend struct {
 	*flakyBackend
 	busy atomic.Int32

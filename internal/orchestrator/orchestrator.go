@@ -51,10 +51,9 @@ type managedGroup struct {
 	cooldown   int
 	draining   string // member being drained, "" if none
 
-	// Overload edge detection (replicate groups): last pass's breaker /
-	// backpressure state, so transitions emit exactly one event each way.
-	breakerOpen   bool
-	backpressured bool
+	// Overload edge detection (replicate groups): last pass's breaker
+	// state, so transitions emit exactly one event each way.
+	breakerOpen bool
 }
 
 // Orchestrator runs the reconcile loop over its managed groups.
@@ -273,35 +272,23 @@ func (o *Orchestrator) reconcileGroup(g *managedGroup) {
 }
 
 // trackOverload surfaces replicate overload transitions as orchestrator
-// events and a gauge: a backend circuit breaker opening or recovering, and
-// dispatch backpressure engaging or releasing. Edge-triggered, so a
-// sustained brownout logs once on entry and once on exit rather than every
-// reconcile pass.
+// events and a gauge: a backend circuit breaker opening or recovering.
+// Edge-triggered, so a sustained brownout logs once on entry and once on
+// exit rather than every reconcile pass.
 func (o *Orchestrator) trackOverload(g *managedGroup, status []core.MemberStatus) {
-	var breaker, bp bool
+	var overloaded int64 // 1 while any member has a breaker open
 	for _, ms := range status {
-		breaker = breaker || ms.BreakerOpen
-		bp = bp || ms.Backpressured
+		if ms.BreakerOpen {
+			overloaded = 1
+		}
 	}
-	if breaker != g.breakerOpen {
+	if breaker := overloaded == 1; breaker != g.breakerOpen {
 		g.breakerOpen = breaker
 		if breaker {
 			o.cfg.Obs.Eventf("orchestrator", "backend breaker open in %s/%s: replication degraded, scrubbing paused", g.tenant, g.mb)
 		} else {
 			o.cfg.Obs.Eventf("orchestrator", "backend breakers recovered in %s/%s", g.tenant, g.mb)
 		}
-	}
-	if bp != g.backpressured {
-		g.backpressured = bp
-		if bp {
-			o.cfg.Obs.Eventf("orchestrator", "backpressure engaged in %s/%s: admission refusing writes (BUSY to initiators)", g.tenant, g.mb)
-		} else {
-			o.cfg.Obs.Eventf("orchestrator", "backpressure released in %s/%s", g.tenant, g.mb)
-		}
-	}
-	var overloaded int64
-	if breaker || bp {
-		overloaded = 1
 	}
 	o.cfg.Obs.Gauge(fmt.Sprintf("orch.group.%s.%s.overloaded", g.tenant, g.mb)).Set(overloaded)
 }

@@ -23,7 +23,7 @@ import (
 // Replica is one scrubbed backend: a content-addressed view of the same
 // logical image. ReadChunk fills dst, one chunk long, and must verify
 // content (returning an error for a chunk that no longer hashes to its ID);
-// WriteChunk is the repair path.
+// WriteChunk is the repair path, and may refuse stale content.
 type Replica interface {
 	Name() string
 	Healthy() bool
@@ -137,10 +137,10 @@ func (s *Scrubber) Stop() {
 }
 
 // RunPass scans every slot once, repairing divergent replicas, and
-// returns the pass statistics. Safe to call concurrently with foreground
-// writes: a slot raced by an in-flight write may be "repaired" to the
-// pre-write majority, which the replication box's dispatch/resync then
-// reconverges — the system settles on the primary's content either way.
+// returns the pass statistics. A write landing between a slot's reads and
+// its repair makes the voted majority stale: the replica must refuse that
+// repair (replicate.Target checks it against the primary under the box's
+// write lock), and a refusal is logged, not counted as repaired.
 func (s *Scrubber) RunPass() (PassStats, error) {
 	return s.runPass(false)
 }

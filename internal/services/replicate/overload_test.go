@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/cas"
 	"repro/internal/obs"
 	"repro/internal/testutil"
-	"repro/internal/xerr"
 )
 
 // TestBreakerTripHalfOpenClose walks the full breaker cycle against a
@@ -33,7 +33,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	reg := obs.NewRegistry()
 	b, err := New(Config{
 		Name: "brk", Quorum: 2, WALDir: t.TempDir(),
-		HedgeDelay: 200 * time.Millisecond, ProbeInterval: time.Hour, // probe manually
+		ProbeInterval:    time.Hour, // probe manually
 		BreakerThreshold: 3, Obs: reg,
 	}, disk, stores)
 	if err != nil {
@@ -54,6 +54,11 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	if !b.BreakerOpen() {
 		t.Fatal("BreakerOpen() = false with an open breaker")
 	}
+	// Probe skips a backend whose worker is still finishing jobs from before
+	// the eviction; wait for it, or the probe below is not a probe.
+	testutil.WaitFor(t, 2*time.Second, "the victim's worker to go idle", func() bool {
+		return victim.enq.Load() == victim.done.Load()
+	})
 
 	// Half-open probe against the still-failing backend must not readmit.
 	if n := b.Probe(); n != 0 {
@@ -86,82 +91,6 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	}
 }
 
-// TestWatermarkBackpressure pins the admission contract: pending depth at
-// the high watermark refuses writes with typed ErrBusy, and the latch only
-// releases once the queue drains to half the high watermark.
-func TestWatermarkBackpressure(t *testing.T) {
-	// Both backends fail so nothing commits: every write stays pending.
-	fb1 := &faultBackend{Backend: cas.NewMemBackend(testSlots)}
-	fb2 := &faultBackend{Backend: cas.NewMemBackend(testSlots)}
-	s1, err := cas.Open(fb1, testChunk, testSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := cas.Open(fb2, testChunk, testSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb1.setFail(errors.New("down"))
-	fb2.setFail(errors.New("down"))
-	reg := obs.NewRegistry()
-	disk, err := blockdev.NewMemDisk(testBS, testBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Config{
-		Name: "bp", Quorum: 2, WALDir: t.TempDir(),
-		HedgeDelay: time.Millisecond, ProbeInterval: time.Hour,
-		QueueHighWatermark: 8, Obs: reg,
-	}, disk, []NamedStore{{Name: "a", Store: s1}, {Name: "b", Store: s2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	p := bytes.Repeat([]byte{1}, testBS)
-	var busy error
-	for i := 0; i < 64 && busy == nil; i++ {
-		if err := b.WriteAt(p, uint64(i%testBlocks)); err != nil {
-			busy = err
-		}
-	}
-	if busy == nil {
-		t.Fatal("watermark never engaged")
-	}
-	if !errors.Is(busy, ErrBusy) {
-		t.Fatalf("overloaded write: got %v, want ErrBusy", busy)
-	}
-	if xerr.Classify(busy) != xerr.Overload {
-		t.Fatalf("ErrBusy classed %v, want Overload", xerr.Classify(busy))
-	}
-	if !xerr.Retryable(busy) {
-		t.Fatal("overload must be retryable")
-	}
-	if reg.Gauge("backpressure.bp.engaged").Value() != 1 {
-		t.Fatal("backpressure gauge not engaged")
-	}
-	if reg.Counter("backpressure.bp.rejects").Value() == 0 {
-		t.Fatal("reject counter did not move")
-	}
-	// Still above the low watermark (high/2): admission stays shut
-	// (hysteresis).
-	if err := b.WriteAt(p, 0); !errors.Is(err, ErrBusy) {
-		t.Fatalf("write while latched: %v, want ErrBusy", err)
-	}
-
-	// Heal the backends; pending drains via retro-ack and the latch opens.
-	fb1.setFail(nil)
-	fb2.setFail(nil)
-	b.Probe()
-	waitDrained(t, b)
-	if err := b.WriteAt(p, 0); err != nil {
-		t.Fatalf("write after drain: %v", err)
-	}
-	if reg.Gauge("backpressure.bp.engaged").Value() != 0 {
-		t.Fatal("backpressure gauge still engaged after drain")
-	}
-}
-
 // blockingBackend wedges PutChunk until its gate releases — a backend that
 // is up but not making progress.
 type blockingBackend struct {
@@ -189,9 +118,10 @@ func TestQueueFullTripsBackendBreaker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
 	b, err := New(Config{
 		Name: "qf", Quorum: 1, WALDir: t.TempDir(),
-		HedgeDelay: time.Millisecond, ProbeInterval: time.Hour, Obs: obs.NewRegistry(),
+		ProbeInterval: time.Hour, Obs: reg,
 	}, disk, stores)
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +142,12 @@ func TestQueueFullTripsBackendBreaker(t *testing.T) {
 		}
 	}
 	testutil.WaitFor(t, 2*time.Second, "wedged backend eviction", func() bool { return !victim.Healthy() })
-	b.mu.Lock()
-	lastErr := victim.lastErr
-	b.mu.Unlock()
-	if xerr.Classify(lastErr) != xerr.Overload {
-		t.Fatalf("queue-full eviction classed %v (%v), want Overload", xerr.Classify(lastErr), lastErr)
+	evicted := false
+	for _, ev := range reg.Events() {
+		evicted = evicted || strings.Contains(ev.Msg, "breaker open for backend wedged (overload): replicate: backend wedged dispatch queue full")
+	}
+	if !evicted {
+		t.Fatalf("no Overload-classed queue-full eviction among the events: %v", reg.Events())
 	}
 
 	// The eviction settled every job the wedged backend owed, so the

@@ -1,20 +1,24 @@
 // Package replicate implements the content-addressed replication service:
 // a stateful middle-box that intercepts tenant writes, addresses the
 // affected chunks by content hash (dedup via internal/cas), and fans each
-// update out to N content-addressed backends with per-backend health
-// probes, hedged waits, and quorum acknowledgement.
+// update out to N content-addressed backends with per-backend circuit
+// breakers, health probes and resync. A write returns nil once
+// Config.Quorum backends have applied it and is otherwise refused with the
+// retryable ErrNoQuorum; the box keeps no admission queue, since under the
+// platform the active relay's write-back journal above it absorbs refusals.
 //
 // The dispatch queue is WAL-backed (internal/wal): a write is appended to
-// the journal before it touches the primary or any backend. A quorum of
-// backend acknowledgements releases the writer; the commit record is
-// written only once every backend the write was handed to has applied it
-// or been evicted. A replication box that dies mid-dispatch therefore
-// recovers exactly like the relay does — reopen the journal, replay the
-// uncommitted records to the primary and every backend, and resume — and
-// the replay reaches the backend that was slowest when it died.
+// the journal before it touches the primary or any backend. The commit
+// record is written only once a quorum holds the write and every backend it
+// was handed to has applied it or been evicted. A replication box that dies
+// mid-dispatch therefore recovers exactly like the relay does — reopen the
+// journal, replay the uncommitted records to the primary and every backend,
+// and resume — and the replay reaches the backend that was slowest when it
+// died.
 package replicate
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -36,11 +40,10 @@ var (
 	ErrKilled = errors.New("replicate: box killed")
 	// ErrClosed reports I/O against a closed box.
 	ErrClosed = errors.New("replicate: box closed")
-	// ErrBusy reports a write refused by admission control: the pending
-	// dispatch queue crossed its high watermark and has not yet drained back
-	// below the low one. Classed Overload — the iSCSI front maps it to SCSI
-	// BUSY and the initiator retries.
-	ErrBusy = xerr.New(xerr.Overload, "replicate: dispatch queue over high watermark")
+	// ErrNoQuorum refuses a write fewer than Config.Quorum backends applied:
+	// too few were alive to take it, or the ones it was handed to failed it.
+	// Classed Overload, so the caller backs off and retries.
+	ErrNoQuorum = xerr.New(xerr.Overload, "replicate: write short of quorum")
 )
 
 // DefaultChunkSize is the content-addressing granularity the platform gives
@@ -61,23 +64,14 @@ type Config struct {
 	// the middle-box instance name in production wiring.
 	Name string
 	// Quorum is the number of backend acknowledgements a write waits for
-	// before it returns. 1 ≤ Quorum ≤ len(backends).
+	// before it returns nil. 1 ≤ Quorum ≤ len(backends).
 	Quorum int
 	// WALDir is the dispatch journal directory (required). An existing
 	// journal is replayed before the box serves I/O.
 	WALDir string
-	// HedgeDelay bounds how long a write waits for its quorum before
-	// returning anyway (the record stays uncommitted and is re-driven by
-	// the retry machinery). Default 2ms.
-	HedgeDelay time.Duration
 	// ProbeInterval paces the health probe / resync loop over evicted
 	// backends. Default 50ms.
 	ProbeInterval time.Duration
-	// QueueHighWatermark bounds the pending (journaled, still below
-	// quorum) dispatch queue: a write arriving with the queue at or above it
-	// gets ErrBusy until the queue drains to half of it (hysteresis, so
-	// admission doesn't flap at the boundary). Default 1024.
-	QueueHighWatermark int
 	// BreakerThreshold is the consecutive per-backend failure (or
 	// over-deadline apply) count that trips its circuit breaker. Failed
 	// applies are retried inline with jittered backoff until the threshold
@@ -97,14 +91,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.HedgeDelay == 0 {
-		c.HedgeDelay = 2 * time.Millisecond
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 50 * time.Millisecond
-	}
-	if c.QueueHighWatermark <= 0 {
-		c.QueueHighWatermark = 1024
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -134,11 +122,13 @@ type chunkUpdate struct {
 type job struct {
 	seq    uint64
 	chunks []chunkUpdate
-	done   chan struct{} // closed when acks reach quorum
+	done   chan struct{} // closed once the writer's answer is known (see decideLocked)
+	quorum bool          // the answer: set before done closes, read after
 
 	// Guarded by Box.mu; bit i stands for Box.targets[i].
-	acked uint64 // backends that applied the job
-	owed  uint64 // backends it was enqueued to that have neither applied it nor been evicted
+	acked   uint64 // backends that applied the job
+	owed    uint64 // backends it was enqueued to that have neither applied it nor been evicted
+	decided bool   // done is closed
 }
 
 // Target is one content-addressed backend of the box. It satisfies the
@@ -157,9 +147,7 @@ type Target struct {
 	enq  atomic.Uint64
 	done atomic.Uint64
 
-	// guarded by box.mu
-	alive   bool
-	lastErr error
+	alive bool // guarded by box.mu
 
 	// slowStreak counts consecutive over-deadline applies; owned by the
 	// target's worker goroutine.
@@ -187,10 +175,23 @@ func (t *Target) ReadChunk(slot uint64, dst []byte) error {
 	return t.store.Read(slot, dst)
 }
 
-// WriteChunk force-overwrites the backend's content at slot (scrub
-// repair) — it must reach the stored bytes even when the slot's mapping is
-// already correct, which is exactly the corrupted-chunk case.
+// WriteChunk is the scrub repair: it force-overwrites the backend's content
+// at slot, reaching the stored bytes even when the slot's mapping is
+// already correct (the corrupted-chunk case). It repairs only with the
+// primary's current content, checked under the write lock: a repair voted
+// from reads that a write has since overtaken would put the pre-write
+// content back over it, so it is refused and the next pass votes again.
 func (t *Target) WriteChunk(slot uint64, data []byte) error {
+	b := t.box
+	b.writeMu.Lock()
+	defer b.writeMu.Unlock()
+	cur, err := b.snapshotChunk(slot)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(cur, data) {
+		return fmt.Errorf("replicate: repair of %s slot %d refused: not the primary's current content", t.name, slot)
+	}
 	return t.store.Repair(slot, data)
 }
 
@@ -204,14 +205,13 @@ type Box struct {
 	chunk   int    // chunk bytes, the backend stores'
 	bpc     uint64 // blocks per chunk
 
-	mu         sync.Mutex // targets' health, jobs and their ack state, lifecycle flags
-	writeMu    sync.Mutex // serializes append→apply→snapshot→enqueue
-	targets    []*Target
-	jobs       map[uint64]*job // journaled, record not yet committed
-	waiting    int             // of those, still below quorum: the admission depth
-	overloaded bool            // admission latched shut until waiting drains to half the high watermark
-	killed     bool
-	closed     bool
+	mu      sync.Mutex // targets' health, jobs and their ack state, lifecycle flags
+	writeMu sync.Mutex // serializes append→apply→snapshot→enqueue
+	targets []*Target
+	live    int             // targets alive
+	jobs    map[uint64]*job // journaled, record not yet committed
+	killed  bool
+	closed  bool
 
 	backoff *faults.Backoff // jittered spacing for inline apply retries
 
@@ -227,10 +227,9 @@ type Box struct {
 	// death mid-dispatch for the crash-recovery tests.
 	killAfter func(seq uint64, stage string) bool
 
-	mDispatch, mDedup, mQuorumMiss, mHedged, mReplays *obs.Counter
-	mBytesLogical, mBytesStored                       *obs.Counter
-	mBPRejects                                        *obs.Counter
-	gPending, gAlive, gBackpressure                   *obs.Gauge
+	mDispatch, mDedup, mQuorumMiss, mReplays *obs.Counter
+	mBytesLogical, mBytesStored              *obs.Counter
+	gAlive                                   *obs.Gauge
 }
 
 var _ blockdev.Device = (*Box)(nil)
@@ -297,6 +296,7 @@ func New(cfg Config, primary blockdev.Device, backends []NamedStore) (*Box, erro
 			alive: true,
 		})
 	}
+	b.live = len(b.targets)
 	b.initMetrics()
 
 	walOpts := wal.Options{Quota: cfg.WALQuota}
@@ -401,14 +401,10 @@ func (b *Box) initMetrics() {
 	b.mDispatch = r.Counter(p + "dispatches")
 	b.mDedup = r.Counter(p + "dedup_hits")
 	b.mQuorumMiss = r.Counter(p + "quorum_misses")
-	b.mHedged = r.Counter(p + "hedged")
 	b.mReplays = r.Counter(p + "replays")
 	b.mBytesLogical = r.Counter(p + "bytes_logical")
 	b.mBytesStored = r.Counter(p + "bytes_stored")
-	b.mBPRejects = r.Counter("backpressure." + b.cfg.Name + ".rejects")
-	b.gPending = r.Gauge(p + "pending")
 	b.gAlive = r.Gauge(p + "backends_alive")
-	b.gBackpressure = r.Gauge("backpressure." + b.cfg.Name + ".engaged")
 	for _, t := range b.targets {
 		t.gBreaker = r.Gauge(p + t.name + ".breaker_state")
 		t.mProbes = r.Counter(p + t.name + ".breaker_probes")
@@ -427,32 +423,6 @@ func (b *Box) ReadAt(p []byte, lba uint64) error {
 		return err
 	}
 	return b.primary.ReadAt(p, lba)
-}
-
-// admit is WriteAt's admission control, run before the write journals or
-// touches the primary so a refused write leaves no partial state. It
-// enforces the pending-queue watermark with hysteresis: once engaged,
-// backpressure holds until the queue drains to half the high watermark.
-func (b *Box) admit() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	depth, high := b.waiting, b.cfg.QueueHighWatermark
-	if b.overloaded {
-		if depth > high/2 {
-			b.mBPRejects.Inc()
-			return fmt.Errorf("%w: %d pending, watermark %d/%d", ErrBusy, depth, high, high/2)
-		}
-		b.overloaded = false
-		b.gBackpressure.Set(0)
-		b.cfg.Obs.Eventf("replicate", "box %s backpressure released at %d pending", b.cfg.Name, depth)
-	} else if depth >= high {
-		b.overloaded = true
-		b.gBackpressure.Set(1)
-		b.mBPRejects.Inc()
-		b.cfg.Obs.Eventf("replicate", "box %s backpressure engaged at %d pending", b.cfg.Name, depth)
-		return fmt.Errorf("%w: %d pending, watermark %d/%d", ErrBusy, depth, high, high/2)
-	}
-	return nil
 }
 
 func (b *Box) ioErr() error {
@@ -484,11 +454,13 @@ func (b *Box) snapshotChunk(slot uint64) ([]byte, error) {
 }
 
 // WriteAt journals the write, applies it to the primary, and fans the
-// affected chunks' new content out to every live backend. It returns once a
-// quorum of backends acknowledges — or after HedgeDelay, counted as a quorum
-// miss. Either way the journal record stays uncommitted until every backend
-// the write was handed to has applied it or been evicted (the resync prober
-// catches an evicted one up), so a crash before that replays the record.
+// affected chunks' new content out to every live backend. It returns nil
+// once Quorum backends have applied it, and ErrNoQuorum when fewer than
+// Quorum are alive (before the journal and the primary are touched) or the
+// backends it was handed to fail it below quorum. The journal record stays
+// uncommitted until a quorum holds the write and every backend it was
+// handed to has applied it or been evicted (the resync prober catches an
+// evicted one up), so a crash before that replays the record.
 func (b *Box) WriteAt(p []byte, lba uint64) error {
 	if err := b.ioErr(); err != nil {
 		return err
@@ -501,8 +473,12 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	if lba+nblocks > b.Blocks() {
 		return blockdev.ErrOutOfRange
 	}
-	if err := b.admit(); err != nil {
-		return err
+	b.mu.Lock()
+	live := b.live
+	b.mu.Unlock()
+	if live < b.cfg.Quorum {
+		b.mQuorumMiss.Inc()
+		return fmt.Errorf("%w: %d of %d backends alive", ErrNoQuorum, live, len(b.targets))
 	}
 
 	first := lba / b.bpc
@@ -514,7 +490,7 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	// A chunk the write covers entirely will hold exactly p's bytes, so its
 	// content and ID are known here, before the lock and without reading
 	// the primary back. The bytes are copied because the job outlives this
-	// call when it returns hedged or at quorum, and the caller recycles p.
+	// call when it returns at quorum or refused, and the caller recycles p.
 	if full, end := (lba+b.bpc-1)/b.bpc, (lba+nblocks)/b.bpc; full < end {
 		own := append([]byte(nil), p[(full*b.bpc-lba)*bs:(end*b.bpc-lba)*bs]...)
 		for slot := full; slot < end; slot++ {
@@ -569,22 +545,17 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 			j.owed |= t.bit
 		}
 	}
-	live := j.owed
+	owed := j.owed
 	b.jobs[seq] = j
-	b.waiting++
-	b.gPending.Set(int64(b.waiting))
+	b.decideLocked(j) // no backend alive since the check: refused at once
 	b.mu.Unlock()
 	for _, t := range b.targets {
-		if live&t.bit == 0 {
+		if owed&t.bit == 0 {
 			continue
 		}
 		t.enq.Add(1)
-		select {
+		select { // stop cannot close here: Close and Kill take writeMu
 		case t.queue <- j:
-		case <-b.stop:
-			t.done.Add(1)
-			b.writeMu.Unlock()
-			return ErrKilled
 		default:
 			// The backend's queue is full: it can't keep up with the write
 			// rate. Cut it off (breaker opens) instead of blocking the write
@@ -598,20 +569,16 @@ func (b *Box) WriteAt(p []byte, lba uint64) error {
 	b.mDispatch.Inc()
 	b.mBytesLogical.Add(int64(len(p)))
 
-	hedge := time.NewTimer(b.cfg.HedgeDelay)
-	defer hedge.Stop()
 	select {
 	case <-j.done:
-		return nil
-	case <-hedge.C:
-		// Hedged return: the write is durable in the journal and applied
-		// to the primary; the backends converge asynchronously.
-		b.mHedged.Inc()
-		b.mQuorumMiss.Inc()
-		return nil
 	case <-b.stop:
-		return nil
+		return b.ioErr()
 	}
+	if !j.quorum {
+		b.mQuorumMiss.Inc()
+		return fmt.Errorf("%w: fewer than %d backends applied it", ErrNoQuorum, b.cfg.Quorum)
+	}
+	return nil
 }
 
 // abandon commits the journal record of a write that failed after its
@@ -705,25 +672,30 @@ func (b *Box) applyJob(t *Target, j *job) error {
 }
 
 // settleLocked records that backend t is finished with j: it applied the
-// job, or was evicted owing it (resync owns its content from there). The
-// ack that reaches quorum releases the waiting writer and the admission
-// slot; the journal record commits only when no backend owes the job any
-// more, so a crash before that replays it to the backend it had not reached.
+// job, or was evicted owing it (resync owns its content from there).
 // Caller holds b.mu.
 func (b *Box) settleLocked(j *job, t *Target, applied bool) {
 	if b.jobs[j.seq] != j {
 		return // already committed
 	}
-	if applied && j.acked&t.bit == 0 {
+	if applied {
 		j.acked |= t.bit
-		if bits.OnesCount64(j.acked) == b.cfg.Quorum {
-			close(j.done)
-			b.waiting--
-			b.gPending.Set(int64(b.waiting))
-		}
 	}
 	j.owed &^= t.bit
-	if j.owed == 0 && bits.OnesCount64(j.acked) >= b.cfg.Quorum {
+	b.decideLocked(j)
+}
+
+// decideLocked answers j's writer, once: nil at Quorum acks, a refusal when
+// no backend owes the job and fewer applied it. The journal record commits
+// when a quorum holds the job and no backend owes it, so a crash before
+// that replays it to the backend it had not reached. Caller holds b.mu.
+func (b *Box) decideLocked(j *job) {
+	quorum := bits.OnesCount64(j.acked) >= b.cfg.Quorum
+	if !j.decided && (quorum || j.owed == 0) {
+		j.decided, j.quorum = true, quorum
+		close(j.done)
+	}
+	if quorum && j.owed == 0 {
 		delete(b.jobs, j.seq)
 		b.commitLocked(j.seq)
 	}
@@ -735,22 +707,19 @@ func (b *Box) settleLocked(j *job, t *Target, applied bool) {
 func (b *Box) evict(t *Target, err error) {
 	b.mu.Lock()
 	already := !t.alive
-	t.alive = false
-	t.lastErr = err
+	if !already {
+		t.alive = false
+		b.live--
+	}
 	for _, j := range b.jobs {
 		if j.owed&t.bit != 0 {
 			b.settleLocked(j, t, false)
 		}
 	}
-	alive := 0
-	for _, x := range b.targets {
-		if x.alive {
-			alive++
-		}
-	}
+	live := b.live
 	b.mu.Unlock()
 	if !already {
-		b.gAlive.Set(int64(alive))
+		b.gAlive.Set(int64(live))
 		t.gBreaker.Set(BreakerOpen)
 		b.cfg.Obs.Eventf("replicate", "box %s breaker open for backend %s (%s): %v",
 			b.cfg.Name, t.name, xerr.Classify(err), err)
@@ -768,16 +737,6 @@ func (b *Box) BreakerOpen() bool {
 		}
 	}
 	return false
-}
-
-// Backpressured reports whether dispatch-queue backpressure is currently
-// engaged (pending depth crossed the high watermark and has not yet
-// drained to the low one) — the admission-side overload signal the
-// orchestrator surfaces alongside BreakerOpen.
-func (b *Box) Backpressured() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.overloaded
 }
 
 // prober periodically resyncs evicted backends from the primary and
@@ -871,21 +830,18 @@ func (b *Box) resync(t *Target) bool {
 		}
 	}
 	b.mu.Lock()
-	t.alive = true
-	t.lastErr = nil
-	alive := 0
-	for _, x := range b.targets {
-		if x.alive {
-			alive++
-		}
+	if !t.alive {
+		t.alive = true
+		b.live++
 	}
 	// The backend now holds everything the primary does, every journaled
 	// write included.
 	for _, j := range b.jobs {
 		b.settleLocked(j, t, true)
 	}
+	live := b.live
 	b.mu.Unlock()
-	b.gAlive.Set(int64(alive))
+	b.gAlive.Set(int64(live))
 	t.gBreaker.Set(BreakerClosed)
 	b.cfg.Obs.Eventf("replicate", "box %s breaker closed: backend %s readmitted after resync", b.cfg.Name, t.name)
 	return true

@@ -108,7 +108,6 @@ func newBoxOn(t *testing.T, dir string, primary blockdev.Device, stores []NamedS
 		Name:          "t0",
 		Quorum:        quorum,
 		WALDir:        dir,
-		HedgeDelay:    200 * time.Millisecond,
 		ProbeInterval: 10 * time.Millisecond,
 		Obs:           obs.NewRegistry(),
 	}, primary, stores)
@@ -267,46 +266,6 @@ func TestEvictionAndResyncReadmits(t *testing.T) {
 	}
 	if got != want {
 		t.Fatal("readmitted backend diverged from primary")
-	}
-}
-
-func TestHedgedReturnBelowQuorum(t *testing.T) {
-	// Both backends fail: writes can't reach quorum 2 but must still
-	// return within the hedge delay, leaving the journal record pending.
-	fb1 := &faultBackend{Backend: cas.NewMemBackend(testSlots)}
-	fb2 := &faultBackend{Backend: cas.NewMemBackend(testSlots)}
-	s1, err := cas.Open(fb1, testChunk, testSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := cas.Open(fb2, testChunk, testSlots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb1.setFail(errors.New("down"))
-	fb2.setFail(errors.New("down"))
-	stores := []NamedStore{{Name: "a", Store: s1}, {Name: "b", Store: s2}}
-	b := newBox(t, t.TempDir(), stores, 2)
-	defer b.Close()
-
-	p := bytes.Repeat([]byte{1}, testBS)
-	start := time.Now()
-	if err := b.WriteAt(p, 0); err != nil {
-		t.Fatalf("hedged write failed hard: %v", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("hedged write blocked past the hedge delay")
-	}
-	if waiting(b) == 0 {
-		t.Fatal("below-quorum write should stay pending")
-	}
-	// Heal both: the prober resyncs, retro-acks, and the pending record
-	// commits.
-	fb1.setFail(nil)
-	fb2.setFail(nil)
-	waitDrained(t, b)
-	if p := b.log.Pending(); p != 0 {
-		t.Fatalf("journal still holds %d records after heal", p)
 	}
 }
 
@@ -552,11 +511,4 @@ func TestConcurrentWritersUnderRace(t *testing.T) {
 			t.Fatalf("backend %s diverged under concurrency", ns.Name)
 		}
 	}
-}
-
-// waiting is the number of b's journaled writes still below quorum.
-func waiting(b *Box) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.waiting
 }

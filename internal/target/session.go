@@ -20,11 +20,11 @@ import (
 )
 
 // senseBusy is a pointer-identity marker, not real sense data: senseFor
-// returns it for overload-classed device errors (a full write-back journal,
-// a replicate box over its admission watermark) and sendResponse turns it
-// into SCSI BUSY status with no sense — the standard "task set full, retry
-// later" signal — instead of CHECK CONDITION, so initiators can tell
-// backpressure from medium failure.
+// returns it for overload-classed device errors (up, but busy now; the
+// relay's write-back device absorbs its journal's and a replicate box's)
+// and sendResponse turns it into SCSI BUSY status with no sense — the
+// standard "task set full, retry later" signal — instead of CHECK
+// CONDITION, so initiators can tell backpressure from medium failure.
 var senseBusy = &scsi.Sense{}
 
 // maxTransfer bounds a single command's data transfer so a corrupt

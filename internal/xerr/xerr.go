@@ -4,8 +4,9 @@
 // class instead of string-matching messages:
 //
 //	Transient — momentary failure; retry with backoff is appropriate.
-//	Overload  — the component is up but over its admission watermark;
-//	            shed load / surface queue-full (SCSI BUSY) and retry later.
+//	Overload  — the component is up but cannot take the work now (a full
+//	            journal, a replicate box short of quorum); back off and
+//	            retry, or surface queue-full (SCSI BUSY).
 //	Exhausted — a bounded resource (WAL segments, CAS chunk slots) is gone;
 //	            retrying won't help until space is reclaimed or released.
 //	Terminal  — the operation can never succeed against this endpoint
