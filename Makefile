@@ -8,10 +8,10 @@
 # execution mode, and the monitor chain: extfs, semantic, services/monitor),
 # the allocs/op regression gates for the zero-copy chain hot path, one iSCSI
 # leg at 4 KiB and 64 KiB, the flow lookup, the cipher, a histogram
-# observation, a journal append and commit, the monitor's per-access path,
-# a directory lookup, a write-back admit and apply, a goroutine-executed
-# target command, a CAS read and verify, a clean scrub pass and a replicate
-# box's quorum write, a few seconds of fuzzing per trust-boundary parser
+# observation, a journal append and commit, a WAL segment rotation, the
+# monitor's per-access path, a directory lookup, a write-back admit and
+# apply, a goroutine-executed target command, a CAS read and verify, a clean
+# scrub pass and a replicate box's quorum write, a few seconds of fuzzing per trust-boundary parser
 # (`make fuzz-short`), and the smoke sizes of the soak, backup and overload
 # suites (`stormbench -short soak`, `-short backup`, `-short overload`).
 # `make test` is the full suite; `make check-stable` repeats it 20 times on
@@ -63,17 +63,18 @@ race:
 # allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
 # and 64 KiB), the lock-free flow lookup, the per-request (not per-sector)
 # cipher and one Transform, the bucketed histogram's Observe, a WAL
-# record's Append and Commit, a relay journal record's Append and Complete
+# record's Append and Commit, a WAL segment rotation, a relay journal record's Append and Complete
 # (in memory and WAL-backed), the monitor's data-block access and one-entry
 # directory change, a directory lookup, a write-back admit and apply, a
 # target command run on its own goroutine, a CAS read and verify, a clean
 # scrub pass, and a 4 KiB quorum write through a healthy replicate box.
 allocs:
-	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget|TestReadPathAllocFree|TestCleanPassAllocFree|TestBoxWriteAllocBudget' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target ./internal/cas ./internal/scrub ./internal/services/replicate | grep -E 'allocs|FAIL|ok '
+	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestRotationAllocBudget|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget|TestReadPathAllocFree|TestCleanPassAllocFree|TestBoxWriteAllocBudget' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target ./internal/cas ./internal/scrub ./internal/services/replicate | grep -E 'allocs|FAIL|ok '
 
-# A few seconds of native fuzzing per parser of tenant-written bytes, from
-# the corpora under each package's testdata/fuzz. Minimization is capped so a
-# new input cannot spend the budget shrinking itself.
+# A few seconds of native fuzzing per parser of tenant-written bytes (and of
+# the log files a crash leaves for wal.Open), from the corpora under each
+# package's testdata/fuzz. Minimization is capped so a new input cannot spend
+# the budget shrinking itself.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzWalkDirBlock$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/extfs
 	$(GO) test -run '^$$' -fuzz '^FuzzReconstructorMetadata$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/semantic
@@ -82,6 +83,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCDB$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSense$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBlockBackend$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/cas
+	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/wal
 
 test:
 	$(GO) test ./...

@@ -49,9 +49,9 @@ const (
 	StateFailed
 )
 
-// Entry is one journaled write. Data is pooled storage owned by the journal;
-// it returns to the pool when the entry completes successfully (failed
-// entries keep their data for replay).
+// Entry is one journaled write. Data is pooled storage owned by the journal
+// (with a WAL, the log record's own buffer); it returns to the pool when the
+// entry completes successfully (failed entries keep their data for replay).
 type Entry struct {
 	Seq   uint64
 	LBA   uint64
@@ -112,13 +112,14 @@ func NewDurableJournal(dir string, meta wal.Meta, capacity int, opts wal.Options
 }
 
 // Append records a write before it is acknowledged to the source, copying
-// the data once into journal-owned storage. The returned slice is that
+// the data once into journal-owned storage: with a WAL, that copy is the
+// log record itself (wal.Log.AppendRetain). The returned slice is that
 // stable copy: callers may alias it (read-only) until they Complete the
 // sequence — the relay's write-back pipeline forwards straight out of it.
 // With a WAL, Append returns only once the record is durable (possibly
-// batched with concurrent appends by the group-commit window), and the WAL
-// write happens outside the journal mutex so completes and drain polls
-// never stall behind an fsync.
+// batched with concurrent appends by the group-commit window). Neither
+// Append nor Complete holds the journal mutex across a WAL call, so
+// completes and drain polls never stall behind an append's fsync.
 //
 // Its errors are a closed list:
 //   - ErrJournalFull (capacity) or wal.ErrWALFull (log disk space): no room
@@ -143,20 +144,28 @@ func (j *Journal) Append(lba uint64, data []byte) (uint64, []byte, error) {
 	// the capacity while this one is out fsyncing.
 	j.used += n
 	j.usedGauge.Add(int64(n))
-	var seq uint64
+	var (
+		seq    uint64
+		dbuf   *bufpool.Buf
+		stable []byte
+	)
 	if j.log == nil {
 		j.nextSeq++
 		seq = j.nextSeq
+		dbuf = bufpool.Get(n)
+		stable = dbuf.B
+		copy(stable, data)
 	} else {
 		j.mu.Unlock()
 		var err error
-		seq, err = j.log.Append(lba, data)
+		seq, dbuf, stable, err = j.log.AppendRetain(lba, data)
 		j.mu.Lock()
 		if err != nil || j.closed {
 			j.used -= n
 			j.usedGauge.Add(-int64(n))
 			closed := j.closed
 			j.mu.Unlock()
+			dbuf.Release()
 			switch {
 			case closed:
 				// Killed while the append was in flight: the record may be on
@@ -170,9 +179,7 @@ func (j *Journal) Append(lba uint64, data []byte) (uint64, []byte, error) {
 			}
 		}
 	}
-	dbuf := bufpool.Get(n)
-	copy(dbuf.B, data)
-	e := &Entry{Seq: seq, LBA: lba, Data: dbuf.B, State: StateAcked, dbuf: dbuf}
+	e := &Entry{Seq: seq, LBA: lba, Data: stable, State: StateAcked, dbuf: dbuf}
 	j.entries[seq] = e
 	j.pending++
 	j.mu.Unlock()
@@ -189,16 +196,21 @@ func noRoom(err error) bool {
 // Complete marks the entry applied (applyErr nil) or failed. Success releases
 // its space and, with a WAL, writes a buffered commit record — its
 // durability is not awaited because losing a commit only costs an idempotent
-// replay, never an acknowledged write. A failed entry keeps its bytes until
-// a later successful Complete (the replay) reclaims them.
+// replay, never an acknowledged write. The commit is written after the
+// journal mutex is released, since the log's mutex may be held across
+// another append's fsync, but before Complete returns: the write-back
+// applier releases overlapping writes only after that, which is what keeps
+// the surviving commits in acknowledged order. A failed entry keeps its
+// bytes until a later successful Complete (the replay) reclaims them.
 func (j *Journal) Complete(seq uint64, applyErr error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.closed {
+		j.mu.Unlock()
 		return
 	}
 	e, ok := j.entries[seq]
 	if !ok {
+		j.mu.Unlock()
 		return
 	}
 	if e.State == StateAcked {
@@ -207,6 +219,7 @@ func (j *Journal) Complete(seq uint64, applyErr error) {
 	if applyErr != nil {
 		e.State = StateFailed
 		j.failed++
+		j.mu.Unlock()
 		return
 	}
 	j.used -= len(e.Data)
@@ -215,8 +228,11 @@ func (j *Journal) Complete(seq uint64, applyErr error) {
 	e.Data = nil
 	e.dbuf.Release()
 	e.dbuf = nil
+	j.mu.Unlock()
 	if j.log != nil {
-		if err := j.log.Commit(seq); err != nil {
+		// ErrClosed: a kill or close overtook this commit; the record is
+		// replayed (idempotently) or its log deleted, as for any lost commit.
+		if err := j.log.Commit(seq); err != nil && !errors.Is(err, wal.ErrClosed) {
 			obs.Default().Eventf("journal", "durable commit seq %d: %v", seq, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,90 @@ func TestDurableJournalCleanCloseRemovesWAL(t *testing.T) {
 	}
 	if _, _, err := wal.Open(dir, wal.Options{}); err == nil {
 		t.Fatalf("clean Close left the WAL behind")
+	}
+}
+
+// gateQuota admits every charge until armed; from then on each charge waits
+// for release, parking whoever holds the log's mutex (Consume runs under it).
+type gateQuota struct {
+	armed   atomic.Bool
+	parked  chan struct{} // receives once per parked charge
+	release chan struct{}
+}
+
+func (q *gateQuota) Consume(uint64) error {
+	if q.armed.Load() {
+		q.parked <- struct{}{}
+		<-q.release
+	}
+	return nil
+}
+
+func (q *gateQuota) Release(uint64) {}
+
+// TestCompleteDoesNotHoldJournalAcrossCommit: at sync window 0 an append
+// holds the log's mutex until its record is durable, so a Complete that
+// kept the journal's mutex while writing its commit would stall every
+// Append reservation and Pending/UsedBytes poll behind that append. Here the
+// append is parked inside the log by its quota charge; while a Complete
+// waits on the log for it, Pending and UsedBytes must still return.
+func TestCompleteDoesNotHoldJournalAcrossCommit(t *testing.T) {
+	// Two charges can park: the append's, then the commit's once freed.
+	q := &gateQuota{parked: make(chan struct{}, 2), release: make(chan struct{})}
+	j := openJournal(t, true, 0, wal.Options{Quota: q})
+	buf := make([]byte, 4096)
+	seq, _, err := j.Append(0, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var once sync.Once
+	free := func() {
+		once.Do(func() { q.armed.Store(false); close(q.release) })
+		wg.Wait()
+	}
+	defer free()
+	q.armed.Store(true)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if _, _, err := j.Append(8, buf); err != nil {
+			t.Errorf("parked append: %v", err)
+		}
+	}()
+	<-q.parked
+	completed := make(chan struct{})
+	go func() {
+		defer wg.Done()
+		j.Complete(seq, nil)
+		close(completed)
+	}()
+	// Pending reads 0 once Complete has dropped the entry; a Complete that
+	// still held the journal's mutex would block this poll instead.
+	polled := make(chan int, 1)
+	go func() {
+		for j.Pending() != 0 {
+			runtime.Gosched()
+		}
+		polled <- j.UsedBytes()
+	}()
+	select {
+	case used := <-polled:
+		// The parked append has reserved its bytes.
+		if used != len(buf) {
+			t.Errorf("UsedBytes = %d, want %d", used, len(buf))
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Pending blocked behind a Complete waiting on the log")
+	}
+	select {
+	case <-completed:
+		t.Fatal("Complete returned before the log took its commit")
+	default:
+	}
+	free()
+	if got := j.Pending(); got != 1 {
+		t.Fatalf("Pending after the append lands = %d, want 1", got)
 	}
 }
 

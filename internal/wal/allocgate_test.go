@@ -28,3 +28,34 @@ func TestAppendCommitAllocFree(t *testing.T) {
 		t.Errorf("Append+Commit allocates %.1f objects, want 0", allocs)
 	}
 }
+
+// rotationAllocBudget caps the allocations of one segment rotation in steady
+// state, the compaction of the segment it leaves behind included. It is the
+// count the log measured when every rotation created a new file and every
+// compaction deleted one; recycling the spare segment must not exceed it.
+const rotationAllocBudget = 18
+
+// TestRotationAllocBudget gates the segment lifecycle: 4 KiB appends, each
+// committed at once, across 8 rotations of a 64 KiB segment. Appends and
+// commits allocate nothing (TestAppendCommitAllocFree), so what the loop
+// allocates is what rotating and compacting cost.
+func TestRotationAllocBudget(t *testing.T) {
+	l, _ := mustCreate(t, Options{SegmentBytes: 64 << 10})
+	defer l.Close()
+	data := make([]byte, 4096)
+	allocs := testing.AllocsPerRun(8, func() {
+		for seg := l.curSeg; l.curSeg == seg; {
+			seq, err := l.Append(0, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Commit(seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("segment rotation: %.1f allocs/rotation (budget %d)", allocs, rotationAllocBudget)
+	if allocs > rotationAllocBudget {
+		t.Errorf("a segment rotation allocates %.1f objects, budget %d", allocs, rotationAllocBudget)
+	}
+}

@@ -3,11 +3,12 @@
 // NVRAM the paper's active relay journals early-acknowledged writes to
 // (Section III-B). Every record is length-prefixed and CRC32C-protected
 // and carries a monotonic sequence number; appends become durable through
-// a group-commit fsync (a configurable window batches concurrent appends
-// into one sync), commits are buffered markers that let whole segments be
-// compacted away once every append they hold has been applied, and Open
-// replays the surviving records after a crash — tolerating a torn final
-// record while refusing (with ErrCorrupt) logs damaged anywhere else.
+// an fsync (window 0 syncs each append on its own; a configured window
+// batches the appends landing inside it into one sync), commits are
+// buffered markers that let whole segments be compacted away once every
+// append they hold has been applied, and Open replays the surviving records
+// after a crash — tolerating a torn final record while refusing (with
+// ErrCorrupt) logs damaged anywhere else.
 //
 // On-disk layout: dir/NNNNNNNN.seg files with contiguous indices. Each
 // record is
@@ -22,11 +23,20 @@
 //	append: LBA uint64 followed by the write data
 //	commit: nothing further — the append with this seq reached the backend
 //
-// A crash can only tear the tail of the newest segment: record writes are
-// appended in order and fsync covers the whole file prefix, so the durable
-// image is always a prefix of what was written, and a record write that
-// fails part-way is cut back before anything follows it. Recovery leans on
-// exactly that — an unreadable record mid-log means corruption, not a crash.
+// A crash can only tear the tail of the newest segment: record writes go
+// in order at the segment's tail and fsync covers the whole file, so the
+// durable image is always a prefix of what was written, and a record write
+// that fails part-way is cut back before anything follows it. Recovery
+// leans on exactly that — an unreadable record mid-log means corruption,
+// not a crash.
+//
+// Compaction keeps one retired segment as a spare (dir/spare, a name Open
+// never reads): zero-filled and synced, it becomes the next segment at
+// rotation, so records overwrite pages the file already holds instead of
+// growing a new file. Rotation cuts the outgoing segment back to its
+// written size and Close does the same to the current one, so the zero
+// residue of a spare can only ever trail the final segment — the shape of
+// a torn tail Open already truncates.
 package wal
 
 import (
@@ -35,7 +45,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -145,8 +154,9 @@ type Options struct {
 	// SyncWindow is the group-commit window: an append becomes durable at
 	// the next fsync, which the syncer issues at most once per window, so
 	// concurrent appends share one disk flush at the cost of up to one
-	// window of added ack latency. 0 syncs inline on every append (still
-	// batching appends that piled up behind the sync mutex).
+	// window of added ack latency. 0 syncs inline on every append: the
+	// record write and its fsync run under the same mutex, so each append
+	// pays its own fsync and none rides another's.
 	SyncWindow time.Duration
 	// Quota, when set, bounds the log's on-disk bytes: record writes that
 	// the budget can't cover fail with ErrWALFull after a reclaim attempt.
@@ -171,12 +181,23 @@ type Log struct {
 	f        *os.File
 	firstSeg int
 	curSeg   int
-	curSize  int64
+	curSize  int64 // bytes of records in the current segment
+	curFile  int64 // its file's size: curSize, or more when it reuses a spare
 	nextSeq  uint64
 	live     map[int]int    // segment index -> appends not yet committed
+	sizes    map[int]int64  // segment index -> bytes, for segments before curSeg
 	segOf    map[uint64]int // append seq -> segment holding it
 	closed   bool
-	killed   bool
+	metaJSON []byte // the meta record's attrs, encoded once
+
+	// prev is segment curSeg-1, kept open after rotation so that compaction
+	// can retire it into the spare without reopening it. spare is a retired
+	// segment, zero-filled and synced under sparePath, that the next
+	// rotation renames into place; spareSize is its length.
+	prev      *os.File
+	spare     *os.File
+	spareSize int64
+	sparePath string
 
 	// Group commit: writeIdx counts records written, syncIdx the highest
 	// writeIdx covered by an fsync. Appenders wait until syncIdx reaches
@@ -255,6 +276,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	rec := &Recovery{}
 	pending := make(map[uint64]Record)
 	segOf := make(map[uint64]int)
+	sizes := make(map[int]int64)
 	// Append contiguity and the commit high-water mark are tracked apart:
 	// a surviving segment can legitimately open with a commit whose seq is
 	// below the next surviving append (a commit-triggered rotation whose
@@ -267,8 +289,11 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		if !final {
 			// Every live segment starts with a durable meta record; an
 			// empty non-final segment means its contents were destroyed.
-			if fi, err := os.Stat(segPath(dir, seg)); err == nil && fi.Size() == 0 {
-				return nil, nil, fmt.Errorf("%w: empty non-final segment %d", ErrCorrupt, seg)
+			if fi, err := os.Stat(segPath(dir, seg)); err == nil {
+				if fi.Size() == 0 {
+					return nil, nil, fmt.Errorf("%w: empty non-final segment %d", ErrCorrupt, seg)
+				}
+				sizes[seg] = fi.Size()
 			}
 		}
 		keep, err := scanSegment(segPath(dir, seg), final, func(typ byte, seq uint64, payload []byte) error {
@@ -340,7 +365,8 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		l.segOf[seq] = seg
 		l.live[seg]++
 	}
-	f, err := os.OpenFile(segPath(dir, l.curSeg), os.O_WRONLY|os.O_APPEND, 0o644)
+	l.sizes = sizes
+	f, err := os.OpenFile(segPath(dir, l.curSeg), os.O_WRONLY, 0o644)
 	if err != nil {
 		if isPermission(err) {
 			return nil, nil, fmt.Errorf("%w: reopen segment: %v", ErrUnwritable, err)
@@ -352,7 +378,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		_ = f.Close()
 		return nil, nil, err
 	}
-	l.f, l.curSize = f, fi.Size()
+	l.f, l.curSize, l.curFile = f, fi.Size(), fi.Size()
 	l.segGauge.Set(int64(l.curSeg - l.firstSeg + 1))
 	if l.curSize == 0 {
 		// The torn-tail truncation ate the whole segment, meta record
@@ -384,7 +410,9 @@ func newLog(dir string, meta Meta, opts Options) *Log {
 		opts:      opts.withDefaults(),
 		meta:      meta,
 		live:      make(map[int]int),
+		sizes:     make(map[int]int64),
 		segOf:     make(map[uint64]int),
+		sparePath: filepath.Join(dir, "spare"),
 		syncerNow: make(chan struct{}, 1),
 		fsyncs:    obs.Default().Counter("wal.fsyncs"),
 		appends:   obs.Default().Counter("wal.appends"),
@@ -412,11 +440,31 @@ func (l *Log) Pending() int {
 // Append writes one record and blocks until it is durable (fsynced). The
 // returned sequence number is the handle Commit takes.
 func (l *Log) Append(lba uint64, data []byte) (uint64, error) {
-	rec := newRecord(recAppend, 8+len(data))
-	defer rec.Release()
-	binary.LittleEndian.PutUint64(rec.B[recBody:], lba)
-	copy(rec.B[recBody+8:], data)
+	seq, rec, _, err := l.AppendRetain(lba, data)
+	rec.Release()
+	return seq, err
+}
 
+// AppendRetain is Append handing the record's pooled buffer to the caller
+// instead of releasing it: stable is the copy of data inside the record,
+// valid until the caller releases rec. A caller that must keep the bytes
+// until it commits (the middle-box journal) keeps this copy rather than
+// making a second one. On error rec is nil.
+func (l *Log) AppendRetain(lba uint64, data []byte) (seq uint64, rec *bufpool.Buf, stable []byte, err error) {
+	rec = newRecord(recAppend, 8+len(data))
+	binary.LittleEndian.PutUint64(rec.B[recBody:], lba)
+	end := recBody + 8 + len(data)
+	stable = rec.B[recBody+8 : end : end]
+	copy(stable, data)
+	if seq, err = l.append(rec.B); err != nil {
+		rec.Release()
+		return 0, nil, nil, err
+	}
+	return seq, rec, stable, nil
+}
+
+// append writes the framed append record rec and waits for its fsync.
+func (l *Log) append(rec []byte) (uint64, error) {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -427,7 +475,7 @@ func (l *Log) Append(lba uint64, data []byte) (uint64, error) {
 	// append would create an on-disk append-seq gap that Open (rightly)
 	// rejects as corruption.
 	seq := l.nextSeq + 1
-	idx, err := l.writeRecordLocked(rec.B, seq)
+	idx, err := l.writeRecordLocked(rec, seq)
 	if err != nil {
 		l.mu.Unlock()
 		return 0, err
@@ -484,7 +532,8 @@ func (l *Log) Sync() error {
 }
 
 // Close flushes and closes the log, leaving the directory for a later
-// Open.
+// Open. The current segment is cut back to its records, so a clean Close
+// never reopens torn, and the spare is deleted.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -492,20 +541,26 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var syncErr error
-	if !l.killed && l.writeIdx > l.syncIdx {
-		syncErr = l.syncLocked()
+	if l.f != nil && l.curFile > l.curSize {
+		syncErr = l.cutBackLocked()
+	}
+	if l.writeIdx > l.syncIdx {
+		if err := l.syncLocked(); syncErr == nil {
+			syncErr = err
+		}
 	}
 	l.closed = true
 	l.syncCond.Broadcast()
-	f := l.f
-	l.f = nil
+	files := l.detachLocked()
 	l.mu.Unlock()
 	close(l.syncerNow)
 	l.syncerWG.Wait()
 	var closeErr error
-	if f != nil {
-		closeErr = f.Close()
+	if files[0] != nil {
+		closeErr = files[0].Close()
 	}
+	closeAll(files[1:])
+	_ = os.Remove(l.sparePath)
 	if syncErr != nil {
 		return syncErr
 	}
@@ -521,19 +576,32 @@ func (l *Log) Kill() {
 		l.mu.Unlock()
 		return
 	}
-	l.killed = true
 	l.closed = true
 	if l.syncErr == nil {
 		l.syncErr = ErrClosed
 	}
 	l.syncCond.Broadcast()
-	f := l.f
-	l.f = nil
+	files := l.detachLocked()
 	l.mu.Unlock()
 	close(l.syncerNow)
 	l.syncerWG.Wait()
-	if f != nil {
-		_ = f.Close()
+	closeAll(files[:])
+}
+
+// detachLocked takes the log's open files off it: the current segment,
+// the kept previous one and the spare, each nil when absent.
+func (l *Log) detachLocked() [3]*os.File {
+	files := [3]*os.File{l.f, l.prev, l.spare}
+	l.f, l.prev, l.spare = nil, nil, nil
+	return files
+}
+
+// closeAll closes every non-nil file in files.
+func closeAll(files []*os.File) {
+	for _, f := range files {
+		if f != nil {
+			_ = f.Close()
+		}
 	}
 }
 
@@ -554,9 +622,10 @@ func newRecord(typ byte, n int) *bufpool.Buf {
 }
 
 // writeRecordLocked stamps seq into a newRecord buffer, frames it and
-// writes it to the current segment, rotating first when the record would
-// overflow it. Returns the record's write index for durability waits.
-// Caller holds l.mu.
+// writes it at the current segment's tail, rotating first when the record
+// would overflow it and stamping the meta record first into an empty
+// segment. Returns the record's write index for durability waits. Caller
+// holds l.mu.
 func (l *Log) writeRecordLocked(rec []byte, seq uint64) (uint64, error) {
 	if l.f == nil {
 		return 0, ErrClosed
@@ -567,6 +636,13 @@ func (l *Log) writeRecordLocked(rec []byte, seq uint64) (uint64, error) {
 	need := int64(len(rec))
 	if l.curSize > 0 && l.curSize+need > int64(l.opts.SegmentBytes) {
 		if err := l.rotateLocked(); err != nil {
+			return 0, err
+		}
+	}
+	if l.curSize == 0 && rec[recHeaderSize] != recMeta {
+		// Rotation leaves the new segment empty, and so does a meta write
+		// that failed: either way the meta record goes first.
+		if err := l.writeMetaLocked(); err != nil {
 			return 0, err
 		}
 	}
@@ -585,19 +661,15 @@ func (l *Log) writeRecordLocked(rec []byte, seq uint64) (uint64, error) {
 	binary.LittleEndian.PutUint64(payload[1:], seq)
 	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
-	if _, err := l.f.Write(rec); err != nil {
+	if _, err := l.f.WriteAt(rec, l.curSize); err != nil {
 		if q := l.opts.Quota; q != nil {
 			q.Release(uint64(need))
 		}
 		// The write may have stored part of the record. Cut it back, or the
 		// next record lands after a fragment Open takes for corruption; if
 		// that fails too, the log takes no more writes.
-		cut := l.f.Truncate(l.curSize)
-		if cut == nil {
-			_, cut = l.f.Seek(l.curSize, io.SeekStart)
-		}
-		if cut != nil {
-			l.syncErr = fmt.Errorf("wal: cut back a failed write: %w", cut)
+		if cut := l.cutBackLocked(); cut != nil {
+			l.syncErr = fmt.Errorf("wal: after a failed write: %w", cut)
 		}
 		if errors.Is(err, syscall.ENOSPC) {
 			return 0, fmt.Errorf("%w: %v", ErrWALFull, err)
@@ -605,44 +677,74 @@ func (l *Log) writeRecordLocked(rec []byte, seq uint64) (uint64, error) {
 		return 0, fmt.Errorf("wal: write record: %w", err)
 	}
 	l.curSize += need
+	l.curFile = max(l.curFile, l.curSize)
 	l.writeIdx++
 	l.dirty = true
 	return l.writeIdx, nil
 }
 
+// cutBackLocked truncates the current segment's file to its records.
+// Caller holds l.mu.
+func (l *Log) cutBackLocked() error {
+	if err := l.f.Truncate(l.curSize); err != nil {
+		return fmt.Errorf("wal: cut back segment: %w", err)
+	}
+	l.curFile = l.curSize
+	return nil
+}
+
 // writeMetaLocked writes the log's identity record to the current segment.
 func (l *Log) writeMetaLocked() error {
-	attrs, err := json.Marshal(l.meta)
-	if err != nil {
-		return fmt.Errorf("wal: encode meta: %w", err)
+	if l.metaJSON == nil {
+		attrs, err := json.Marshal(l.meta)
+		if err != nil {
+			return fmt.Errorf("wal: encode meta: %w", err)
+		}
+		l.metaJSON = attrs
 	}
-	rec := newRecord(recMeta, len(attrs))
+	rec := newRecord(recMeta, len(l.metaJSON))
 	defer rec.Release()
-	copy(rec.B[recBody:], attrs)
-	_, err = l.writeRecordLocked(rec.B, 0)
+	copy(rec.B[recBody:], l.metaJSON)
+	_, err := l.writeRecordLocked(rec.B, 0)
 	return err
 }
 
-// rotateLocked syncs and closes the current segment and starts the next,
-// re-stamping the meta record so compaction of old segments never loses it.
+// rotateLocked cuts the current segment back to its records, syncs it and
+// starts the next one, leaving it empty for writeRecordLocked to stamp the
+// meta record into, so compaction of old segments never loses it.
 func (l *Log) rotateLocked() error {
+	if l.curFile > l.curSize {
+		if err := l.cutBackLocked(); err != nil {
+			return err
+		}
+	}
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: close segment: %w", err)
+	l.sizes[l.curSeg] = l.curSize
+	if l.prev != nil {
+		// Segment curSeg-1 is still live: compaction deletes it by name.
+		_ = l.prev.Close()
 	}
-	l.f = nil
-	if err := l.openSegment(l.curSeg + 1); err != nil {
-		return err
-	}
-	return l.writeMetaLocked()
+	l.prev, l.f = l.f, nil
+	return l.openSegment(l.curSeg + 1)
 }
 
-// openSegment creates segment idx and makes it current. Caller holds l.mu
-// (or owns the log exclusively during Create).
+// openSegment makes segment idx current: the spare renamed into place when
+// the log has one, else a new file. Caller holds l.mu (or owns the log
+// exclusively during Create).
 func (l *Log) openSegment(idx int) error {
-	f, err := os.OpenFile(segPath(l.dir, idx), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	path := segPath(l.dir, idx)
+	if f := l.spare; f != nil {
+		l.spare = nil
+		// syscall.Rename, not os.Rename: the latter stats the target first.
+		if err := syscall.Rename(l.sparePath, path); err == nil {
+			l.setCurrent(f, idx, l.spareSize)
+			return nil
+		}
+		_ = f.Close()
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		if isPermission(err) {
 			return fmt.Errorf("%w: new segment: %v", ErrUnwritable, err)
@@ -652,39 +754,92 @@ func (l *Log) openSegment(idx int) error {
 		}
 		return fmt.Errorf("wal: new segment: %w", err)
 	}
-	l.f = f
-	l.curSeg = idx
-	l.curSize = 0
-	l.segGauge.Set(int64(l.curSeg - l.firstSeg + 1))
+	l.setCurrent(f, idx, 0)
 	return nil
 }
 
-// compactLocked deletes leading segments whose appends are all committed.
-// The current segment always survives. Caller holds l.mu.
+// setCurrent makes f, fileSize bytes long, the empty segment idx.
+func (l *Log) setCurrent(f *os.File, idx int, fileSize int64) {
+	l.f = f
+	l.curSeg = idx
+	l.curSize = 0
+	l.curFile = fileSize
+	l.segGauge.Set(int64(l.curSeg - l.firstSeg + 1))
+}
+
+// compactLocked drops leading segments whose appends are all committed
+// (retireLocked). The current segment always survives. Caller holds l.mu.
 func (l *Log) compactLocked() {
 	for l.firstSeg < l.curSeg && l.live[l.firstSeg] == 0 {
-		var segBytes uint64
-		if fi, err := os.Stat(segPath(l.dir, l.firstSeg)); err == nil {
-			segBytes = uint64(fi.Size())
-		}
-		if err := os.Remove(segPath(l.dir, l.firstSeg)); err != nil {
-			obs.Default().Eventf("wal", "compact %s segment %d: %v", l.dir, l.firstSeg, err)
+		seg, size := l.firstSeg, l.sizes[l.firstSeg]
+		if err := l.retireLocked(seg, size); err != nil {
+			obs.Default().Eventf("wal", "compact %s segment %d: %v", l.dir, seg, err)
 			return
 		}
 		if q := l.opts.Quota; q != nil {
-			q.Release(segBytes)
+			q.Release(uint64(size))
 		}
-		delete(l.live, l.firstSeg)
+		delete(l.live, seg)
+		delete(l.sizes, seg)
 		l.firstSeg++
 		l.compacted.Inc()
 	}
 	l.segGauge.Set(int64(l.curSeg - l.firstSeg + 1))
 }
 
+// retireLocked takes leading segment seg, size bytes, out of the log. It
+// becomes the spare when the log has none, still holds seg open (seg is
+// the segment before the current one) and seg is no longer than
+// SegmentBytes. It is renamed out of the log first, so a crash never finds
+// a half-zeroed segment, then zero-filled and synced, so a crash after its
+// reuse finds nothing but zeros past the new records. Any other retired
+// segment is deleted. Caller holds l.mu.
+func (l *Log) retireLocked(seg int, size int64) error {
+	path := segPath(l.dir, seg)
+	f := l.prev
+	if f == nil || seg != l.curSeg-1 {
+		return os.Remove(path)
+	}
+	l.prev = nil
+	if l.spare != nil || size > int64(l.opts.SegmentBytes) {
+		_ = f.Close()
+		return os.Remove(path)
+	}
+	if err := syscall.Rename(path, l.sparePath); err != nil {
+		_ = f.Close()
+		return err
+	}
+	if err := zeroFill(f, size); err != nil {
+		// seg is out of the log all the same; only the spare is lost.
+		obs.Default().Eventf("wal", "recycle %s segment %d: %v", l.dir, seg, err)
+		_ = f.Close()
+		_ = os.Remove(l.sparePath)
+		return nil
+	}
+	l.spare, l.spareSize = f, size
+	return nil
+}
+
+// zeros is the source zeroFill copies from.
+var zeros [64 << 10]byte
+
+// zeroFill overwrites the first size bytes of f with zeros and syncs them.
+func zeroFill(f *os.File, size int64) error {
+	for off := int64(0); off < size; {
+		n, err := f.WriteAt(zeros[:min(size-off, int64(len(zeros)))], off)
+		if err != nil {
+			return err
+		}
+		off += int64(n)
+	}
+	return f.Sync()
+}
+
 // waitDurableLocked blocks until an fsync covers write index idx. With a
-// sync window it pokes the syncer and waits; at window 0 it syncs inline,
-// and appenders that piled up behind the sync mutex find their records
-// already covered — group commit either way. Caller holds l.mu.
+// sync window it pokes the syncer and waits, so the appends of one window
+// share its fsync. At window 0 it syncs inline, still under the mutex the
+// record was written under, so no other record can have joined it: every
+// append pays one fsync of its own. Caller holds l.mu.
 func (l *Log) waitDurableLocked(idx uint64) error {
 	if l.opts.SyncWindow <= 0 {
 		if l.syncIdx >= idx {
