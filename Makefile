@@ -1,5 +1,6 @@
-# Pre-commit gate: `make check` runs the format/vet/build gate, the
-# race-enabled tests of the packages with the hottest concurrency
+# Pre-commit gate: `make check` runs the format/vet/build gate, the `cross`
+# step (vet and build for GOARCH=arm64, so the portable fallback of every
+# amd64 assembly file keeps compiling), the race-enabled tests of the packages with the hottest concurrency
 # (iscsi, obs, middlebox, netsim, bufpool, the durable WAL, the
 # scale-out control plane — sdn, splice, vswitch, core, cloud,
 # orchestrator — the content-addressed replication stack: cas,
@@ -11,7 +12,7 @@
 # observation, a journal append and commit, a WAL segment rotation, the
 # monitor's per-access path, a directory lookup, a write-back admit and
 # apply, a goroutine-executed target command, a CAS read and verify, a clean
-# scrub pass and a replicate box's quorum write, a few seconds of fuzzing per trust-boundary parser
+# scrub pass and a replicate box's quorum write, a few seconds of fuzzing per trust-boundary parser and of the cipher kernel
 # (`make fuzz-short`), and the smoke sizes of the soak, backup and overload
 # suites (`stormbench -short soak`, `-short backup`, `-short overload`).
 # `make test` is the full suite; `make check-stable` repeats it 20 times on
@@ -40,9 +41,9 @@ GO ?= go
 RACE_PKGS := ./internal/iscsi ./internal/obs ./internal/middlebox ./internal/netsim ./internal/bufpool ./internal/initiator ./internal/target ./internal/services/replica ./internal/faults ./internal/wal ./internal/sdn ./internal/splice ./internal/vswitch ./internal/core ./internal/cloud ./internal/orchestrator ./internal/workload ./internal/cas ./internal/objstore ./internal/scrub ./internal/services/replicate ./internal/xerr ./internal/testutil ./internal/blockdev ./internal/services/crypt ./internal/volume ./internal/extfs ./internal/semantic ./internal/services/monitor
 BENCH_PKGS := ./internal/iscsi ./internal/middlebox ./internal/bufpool ./internal/blockdev ./internal/services/crypt ./internal/volume
 
-.PHONY: check check-stable fmt vet build test race bench bench-ab allocs fuzz-short soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params lint-reach
+.PHONY: check check-stable fmt vet build cross test race bench bench-ab allocs fuzz-short soak soak-short backup backup-short overload overload-short lint-taxonomy lint-params lint-reach
 
-check: fmt vet build lint-taxonomy lint-params lint-reach race allocs fuzz-short soak-short backup-short overload-short
+check: fmt vet build cross lint-taxonomy lint-params lint-reach race allocs fuzz-short soak-short backup-short overload-short
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -56,13 +57,19 @@ vet:
 build:
 	$(GO) build ./...
 
+# The non-amd64 build: services/crypt's AES-CTR kernel is amd64 assembly, and
+# this keeps the crypto/cipher path that replaces it elsewhere compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
+
 race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Allocation regression gates (skipped under -race, which instruments
 # allocations): the zero-copy chain hot path, one unmodelled iSCSI leg (4 KiB
 # and 64 KiB), the lock-free flow lookup, the per-request (not per-sector)
-# cipher and one Transform, the bucketed histogram's Observe, a WAL
+# cipher and one Transform (0 on the VAES kernel, the CTR stream on the
+# crypto/cipher fallback), the bucketed histogram's Observe, a WAL
 # record's Append and Commit, a WAL segment rotation, a relay journal record's Append and Complete
 # (in memory and WAL-backed), the monitor's data-block access and one-entry
 # directory change, a directory lookup, a write-back admit and apply, a
@@ -71,8 +78,9 @@ race:
 allocs:
 	$(GO) test -run 'TestChainWrite4KAllocBudget|TestLeg4KAllocBudget|TestLeg64KAllocBudget|TestLookupAllocFree|TestDevice64KAllocBudget|TestTransformAllocBudget|TestHistogramObserveAllocFree|TestAppendCommitAllocFree|TestRotationAllocBudget|TestDataAccessAllocFree|TestDirEntryChangeAllocBudget|TestLookupAllocsOnlyBlockReads|TestWriteBackAdmitApplyAllocBudget|TestJournalAppendCompleteAllocBudget|TestGoroutineCommandAllocBudget|TestReadPathAllocFree|TestCleanPassAllocFree|TestBoxWriteAllocBudget' -count=1 -v ./internal/volume ./internal/vswitch ./internal/services/crypt ./internal/obs ./internal/wal ./internal/semantic ./internal/extfs ./internal/middlebox ./internal/target ./internal/cas ./internal/scrub ./internal/services/replicate | grep -E 'allocs|FAIL|ok '
 
-# A few seconds of native fuzzing per parser of tenant-written bytes (and of
-# the log files a crash leaves for wal.Open), from the corpora under each
+# A few seconds of native fuzzing per parser of tenant-written bytes (policy
+# JSON among them), of the log files a crash leaves for wal.Open, and of the
+# AES-CTR kernel against crypto/cipher, from the corpora under each
 # package's testdata/fuzz. Minimization is capped so a new input cannot spend
 # the budget shrinking itself.
 fuzz-short:
@@ -84,6 +92,8 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSense$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/scsi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenBlockBackend$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzWALOpen$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/policy
+	$(GO) test -run '^$$' -fuzz '^FuzzTransform$$' -fuzztime 5s -fuzzminimizetime 10x ./internal/services/crypt
 
 test:
 	$(GO) test ./...

@@ -9,6 +9,8 @@ package policy
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/xerr"
 )
 
 // ServiceType names a middle-box service.
@@ -87,14 +89,20 @@ type Policy struct {
 	Volumes     []VolumeBinding `json:"volumes"`
 }
 
-// Parse decodes a JSON policy and validates it.
+// Parse decodes a JSON policy and validates it. Every error is
+// xerr.Terminal: the same bytes can never deploy.
 func Parse(data []byte) (*Policy, error) {
 	var p Policy
 	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("policy: parse: %w", err)
+		return nil, xerr.Errorf(xerr.Terminal, "policy: parse: %w", err)
+	}
+	for i := range p.MiddleBoxes {
+		if len(p.MiddleBoxes[i].Params) == 0 {
+			p.MiddleBoxes[i].Params = nil // "params": {} sets nothing
+		}
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, xerr.Wrap(xerr.Terminal, err)
 	}
 	return &p, nil
 }

@@ -4,12 +4,18 @@
 // paper compares — inside the encryption middle-box and inside the tenant
 // VM — differing only in where its CPU cost is charged and whether the
 // cipher work blocks the application's I/O path.
+//
+// On amd64 CPUs with VAES and AVX2 (chosen once from CPUID) the cipher runs
+// its own AES-256-CTR kernel, 16 blocks per iteration in YMM registers, with
+// the key expanded once by AES-NI and no allocation per request; elsewhere
+// it runs crypto/cipher's CTR stream. Both produce the same keystream.
 package crypt
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -38,7 +44,13 @@ const KeySize = 32
 type Cipher struct {
 	data           cipher.Block
 	baseHi, baseLo uint64
+	// enc is data's key schedule, the round keys the kernel reads; it is
+	// expanded only when the kernel is selected.
+	enc [roundKeysLen]byte
 }
+
+// roundKeysLen is the size of an AES-256 encryption schedule: 15 round keys.
+const roundKeysLen = 15 * aes.BlockSize
 
 // NewCipher builds a cipher from a 32-byte key.
 func NewCipher(key []byte) (*Cipher, error) {
@@ -56,11 +68,15 @@ func NewCipher(key []byte) (*Cipher, error) {
 	}
 	var base [aes.BlockSize]byte
 	ivb.Encrypt(base[:], base[:])
-	return &Cipher{
+	c := &Cipher{
 		data:   data,
 		baseHi: binary.BigEndian.Uint64(base[:8]),
 		baseLo: binary.BigEndian.Uint64(base[8:]),
-	}, nil
+	}
+	if useKernel {
+		expandKey256((*[KeySize]byte)(key), &c.enc)
+	}
+	return c, nil
 }
 
 // Transform encrypts/decrypts in place a run of sectors starting at sector;
@@ -73,14 +89,56 @@ func (c *Cipher) Transform(buf []byte, sector uint64, sectorSize int) {
 // xor writes src XOR the keystream of the run starting at sector to dst,
 // which must overlap src entirely or not at all.
 func (c *Cipher) xor(dst, src []byte, sector uint64, sectorSize int) {
-	hi, lo := bits.Mul64(sector, uint64(sectorSize/aes.BlockSize))
+	hi, lo := c.counter(sector, sectorSize)
+	if useKernel {
+		c.xorKernel(dst, src, hi, lo)
+	} else {
+		c.xorStream(dst, src, hi, lo)
+	}
+}
+
+// counter returns the 128-bit counter block of sector's first 16 bytes.
+func (c *Cipher) counter(sector uint64, sectorSize int) (hi, lo uint64) {
+	hi, lo = bits.Mul64(sector, uint64(sectorSize/aes.BlockSize))
 	lo, carry := bits.Add64(c.baseLo, lo, 0)
 	hi, _ = bits.Add64(c.baseHi, hi, carry)
+	return hi, lo
+}
+
+// xorStream is xor on crypto/cipher's CTR stream from counter hi:lo.
+func (c *Cipher) xorStream(dst, src []byte, hi, lo uint64) {
 	iv := ivPool.Get().(*[aes.BlockSize]byte)
 	binary.BigEndian.PutUint64(iv[:8], hi)
 	binary.BigEndian.PutUint64(iv[8:], lo)
 	cipher.NewCTR(c.data, iv[:]).XORKeyStream(dst, src)
 	ivPool.Put(iv)
+}
+
+// xorKernel is xor on ctrBlocks from counter hi:lo. The kernel steps only
+// the low word, so a run whose low word wraps is split there once and the
+// rest carries into the high word.
+func (c *Cipher) xorKernel(dst, src []byte, hi, lo uint64) {
+	dst = dst[:len(src)]
+	if blocks := uint64(len(src)+aes.BlockSize-1) / aes.BlockSize; lo != 0 && blocks > -lo {
+		n := int(-lo) * aes.BlockSize
+		c.ctrRun(dst[:n], src[:n], hi, lo)
+		dst, src, hi, lo = dst[n:], src[n:], hi+1, 0
+	}
+	c.ctrRun(dst, src, hi, lo)
+}
+
+// ctrRun runs the kernel over a run in which the low word does not wrap. A
+// final partial block is XORed with one block of keystream on the stack.
+func (c *Cipher) ctrRun(dst, src []byte, hi, lo uint64) {
+	full := len(src) / aes.BlockSize
+	if full > 0 {
+		ctrBlocks(&c.enc, &dst[0], &src[0], full, hi, lo)
+	}
+	if tail := src[full*aes.BlockSize:]; len(tail) > 0 {
+		var ks [aes.BlockSize]byte
+		ctrBlocks(&c.enc, &ks[0], &ks[0], 1, hi, lo+uint64(full))
+		subtle.XORBytes(dst[full*aes.BlockSize:], tail, ks[:])
+	}
 }
 
 // ivPool holds counter blocks. cipher.NewCTR takes the IV through an
